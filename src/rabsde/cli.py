@@ -59,7 +59,7 @@ from .solver import (
     Scheme,
     Solution,
     estimate_c_prime,
-    obstacle_field,
+    finite_obstacle_field,
     solve_backward,
     solve_picard,
     terminal_values,
@@ -229,14 +229,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         name=name,
     )
     # whole-scenario checks need the built lattice
-    xi = None
+    xi = obstacle = None
     try:
         xi = terminal_values(scenario, lattice)
     except RabsdeError as exc:
         issues.append(("/terminal", str(exc)))
-    if xi is not None:
-        s_term = obstacle_field(scenario, lattice).step(steps)
-        worst = float(np.min(xi - s_term))
+    try:
+        obstacle = finite_obstacle_field(scenario, lattice)
+    except RabsdeError as exc:
+        issues.append(("/obstacle", str(exc)))
+    if xi is not None and obstacle is not None:
+        worst = float(np.min(xi - obstacle.step(steps)))
         if worst < -1e-12:
             issues.append(
                 ("/terminal",
@@ -333,30 +336,27 @@ def format_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def node_table_rows(solution: Solution) -> list[list]:
-    """Per-node dump: one row per lattice node across all steps."""
+def node_table_rows(solution: Solution) -> list[tuple]:
+    """Per-node dump: one row per lattice node across all steps, built
+    column-wise from the step arrays."""
     lat = solution.lattice
-    obstacle = solution.obstacle_field()
-    rows = []
+    fields = (solution.y, solution.z, solution.u, solution.dk, solution.psi,
+              solution.obstacle_field())
+    rows: list[tuple] = []
     for k in range(lat.n_steps + 1):
-        codes = lat.default_step_codes(k)
-        y = solution.y.step(k)
-        z = solution.z.step(k)
-        u = solution.u.step(k)
-        dk = solution.dk.step(k)
-        psi = solution.psi.step(k)
-        s = obstacle.step(k)
-        for i in range(lat.n_nodes(k)):
-            node = lat.node_at(k, i)
-            rows.append([
-                k, node.up_count, int(codes[i]),
-                float(y[i]), float(z[i]), float(u[i]),
-                float(dk[i]), float(psi[i]), float(s[i]),
-            ])
+        n = lat.n_nodes(k)
+        rows.extend(zip(
+            [k] * n,
+            list(range(k + 1)) * (n // (k + 1)),
+            lat.default_step_codes(k).tolist(),
+            *(f.step(k).tolist() for f in fields),
+        ))
     return rows
 
 
 NODE_TABLE_HEADER = ["step", "up_count", "default_step", "Y", "Z", "U", "dK", "psi", "S"]
+# '%.17g' % v matches format(v, ".17g"), nan and inf included
+_NODE_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
 
 
 @dataclass
@@ -382,11 +382,7 @@ def emit_report(report: RunReport, fmt: str, path: str) -> None:
         if report.solution is None:
             raise ScenarioError([("", "csv output requires a solved scenario")])
         lines = [",".join(NODE_TABLE_HEADER)]
-        for row in node_table_rows(report.solution):
-            cells = [
-                str(v) if isinstance(v, int) else format(v, ".17g") for v in row
-            ]
-            lines.append(",".join(cells))
+        lines.extend(_NODE_ROW % row for row in node_table_rows(report.solution))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         return
@@ -625,7 +621,8 @@ def run_suite(
         chunks.append((seed + idx, size, n_steps, horizon, lam, tol))
         done += size
         idx += 1
-    if workers > 1 and len(chunks) > 1:
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_suite_chunk, chunks))
     else:
@@ -696,7 +693,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "suite":
-            workers = int(os.environ.get("RABSDE_THREADS", "1"))
+            threads = os.environ.get("RABSDE_THREADS", "1")
+            try:
+                workers = int(threads)
+            except ValueError:
+                sys.stderr.write(f"error: RABSDE_THREADS must be an integer, got {threads!r}\n")
+                return 2
+            if args.cases < 1:
+                sys.stderr.write(f"error: --cases must be at least 1, got {args.cases}\n")
+                return 2
             data = run_suite(
                 args.seed,
                 args.cases,

@@ -179,10 +179,8 @@ class DefaultLattice:
 
     def default_step_codes(self, k: int) -> np.ndarray:
         """Default step per node as an integer, 0 for alive nodes."""
-        codes = np.zeros(self.n_nodes(k), dtype=int)
-        for m, d in enumerate(self._def_steps[k], start=1):
-            codes[m * (k + 1) : (m + 1) * (k + 1)] = d
-        return codes
+        self._check_step(k)
+        return np.repeat(np.array((0,) + self._def_steps[k]), k + 1)
 
     def tau_values(self, k: int) -> np.ndarray:
         """Default time capped at the horizon (tau ^ T), per node."""
@@ -299,6 +297,35 @@ class DefaultLattice:
             out = self.step_expectation(k, out)
         return out
 
+    def push(self, k: int, values: np.ndarray, *, combine: str = "sum") -> np.ndarray:
+        """Carry a step-k field onto its children: per child, the sum of
+        prob * value over its parents (``combine="sum"``, pushes mass) or the
+        largest parent value (``combine="max"``, max-plus), in three slice groups:
+        alive -> alive, alive -> new default block (p_k > 0), block m -> block m."""
+        self._check_step(k + 1)
+        V = self._blocks(k, np.asarray(values, dtype=float))
+        p = self.p[k]
+        if combine == "sum":
+            ufunc, fill = np.add, 0.0
+            alive, new, old = 0.5 * (1.0 - p) * V[0], 0.5 * p * V[0], 0.5 * V[1:]
+        elif combine == "max":
+            ufunc, fill = np.maximum, -np.inf
+            alive, new, old = V[0], V[0], V[1:]
+        else:
+            raise LatticeError(f"unknown combine '{combine}'; use 'sum' or 'max'")
+        out = np.full((1 + len(self._def_steps[k + 1]), k + 2), fill)
+
+        def spread(dst: np.ndarray, src: np.ndarray) -> None:
+            # up-move lands on j+1, down-move on j
+            ufunc(dst[..., 1:], src, out=dst[..., 1:])
+            ufunc(dst[..., :-1], src, out=dst[..., :-1])
+
+        spread(out[0], alive)
+        spread(out[1 : V.shape[0]], old)
+        if p > 0.0:
+            spread(out[-1], new)
+        return out.reshape(-1)
+
     def node_probabilities(self, k: int) -> np.ndarray:
         """Law of the step-k node under the root measure."""
         self._check_step(k)
@@ -306,30 +333,8 @@ class DefaultLattice:
             if k == 0:
                 self._probs[0] = np.array([1.0])
             else:
-                prev = self.node_probabilities(k - 1)
-                p = self.p[k - 1]
-                n_def_prev = len(self._def_steps[k - 1])
-                out = np.zeros(self.n_nodes(k))
-                width_prev = k
-                width = k + 1
-                alive_prev = prev[:width_prev]
-                out[1:width] += 0.5 * (1.0 - p) * alive_prev
-                out[0:width_prev] += 0.5 * (1.0 - p) * alive_prev
-                if p > 0.0:
-                    base = (1 + n_def_prev) * width
-                    out[base + 1 : base + width] += 0.5 * p * alive_prev
-                    out[base : base + width_prev] += 0.5 * p * alive_prev
-                for m in range(1, n_def_prev + 1):
-                    blk_prev = prev[m * width_prev : (m + 1) * width_prev]
-                    base = m * width
-                    out[base + 1 : base + width] += 0.5 * blk_prev
-                    out[base : base + width_prev] += 0.5 * blk_prev
-                self._probs[k] = out
+                self._probs[k] = self.push(k - 1, self.node_probabilities(k - 1))
         return self._probs[k]
-
-    def hazard_to(self, k: int) -> float:
-        """Accumulated hazard sum(lambda_i * dt, i < k)."""
-        return float(self._hazard[k])
 
     def compensator_values(self, k: int) -> np.ndarray:
         """Integrated intensity up to step k ^ default step, per node."""

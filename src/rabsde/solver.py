@@ -17,6 +17,7 @@ subtracting lambda_k * (1 - h) * u.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -118,18 +119,11 @@ class Solution:
         return float(sum(self.per_step_expected_dk()))
 
     def max_path_total_k(self) -> float:
-        """Largest cumulative K over all paths, by forward dynamic programming."""
-        lat = self.lattice
-        cum = self.dk.step(0).copy()
-        for k in range(lat.n_steps):
-            nxt = np.full(lat.n_nodes(k + 1), -np.inf)
-            for i in range(lat.n_nodes(k)):
-                node = lat.node_at(k, i)
-                for child, _p, _dw, _dh in lat.children(node):
-                    ci = lat.index(child)
-                    nxt[ci] = max(nxt[ci], cum[i])
-            nxt += self.dk.step(k + 1)
-            cum = nxt
+        """Largest cumulative K over all paths, by forward max-plus dynamic
+        programming: cum_{k+1} = max over parents of cum_k, plus dK_{k+1}."""
+        cum = self.dk.step(0)
+        for k in range(self.lattice.n_steps):
+            cum = self.lattice.push(k, cum, combine="max") + self.dk.step(k + 1)
         return float(np.max(cum))
 
     def max_abs_psi(self) -> float:
@@ -182,6 +176,15 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     return ProcessField.from_arrays(lattice, 0, arrays)
 
 
+def finite_obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
+    """The obstacle field; raises SolverError if any node value is NaN or infinite."""
+    field = obstacle_field(scenario, lattice)
+    for k, arr in enumerate(field.values):
+        if not np.all(np.isfinite(arr)):
+            raise SolverError(f"obstacle evaluates to a non-finite value at step {k}")
+    return field
+
+
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
     fn = scenario.terminal.compiled()
     N = lattice.n_steps
@@ -195,7 +198,7 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
     _check_vars(scenario.obstacle, OBSTACLE_VARS, "obstacle")
     _check_vars(scenario.terminal, TERMINAL_VARS, "terminal")
-    obstacle = obstacle_field(scenario, lattice)
+    obstacle = finite_obstacle_field(scenario, lattice)
     xi = terminal_values(scenario, lattice)
     gap = xi - obstacle.step(lattice.n_steps)
     if np.min(gap) < -1e-12:
@@ -336,7 +339,7 @@ def _solve(
         y[k], z[k], u[k], psi[k], dk[k], _, fvals[k] = _step_values(
             prob, k, y[k + 1], ey, ez, frozen_driver=fd
         )
-        repr_residual = max(
+        repr_residual = _max(
             repr_residual,
             _representation_residual(lat, k, y[k + 1], z[k], u[k], psi[k]),
         )
@@ -357,6 +360,12 @@ def _solve(
     )
 
 
+def _max(acc: float, value) -> float:
+    """Python's max(acc, value), except that a NaN on either side propagates."""
+    value = float(value)
+    return value if value > acc or math.isnan(value) else acc
+
+
 def _representation_residual(
     lat: DefaultLattice,
     k: int,
@@ -365,7 +374,8 @@ def _representation_residual(
     u: np.ndarray,
     psi: np.ndarray,
 ) -> float:
-    """Max error of y_next = mean + z dW + u dM + psi dW dM over reachable edges."""
+    """Max error of y_next = mean + z dW + u dM + psi dW dM over reachable edges,
+    including |u| and |psi| where dM = 0."""
     mean = lat.step_expectation(k, y_next)
     V = y_next.reshape(1 + len(lat.default_steps(k + 1)), k + 2)
     s = lat.sqrt_dt
@@ -380,15 +390,15 @@ def _representation_residual(
         for sign in (1.0, -1.0):
             actual = alive[1:] if sign > 0 else alive[:-1]
             pred = ma + sign * za * s + ua * dm_alive + pa * sign * s * dm_alive
-            best = max(best, float(np.max(np.abs(actual - pred))))
+            best = _max(best, np.max(np.abs(actual - pred)))
             actual = dnew[1:] if sign > 0 else dnew[:-1]
             pred = ma + sign * za * s + ua * dm_def + pa * sign * s * dm_def
-            best = max(best, float(np.max(np.abs(actual - pred))))
+            best = _max(best, np.max(np.abs(actual - pred)))
     else:
         for sign in (1.0, -1.0):
             actual = alive[1:] if sign > 0 else alive[:-1]
             pred = ma + sign * za * s
-            best = max(best, float(np.max(np.abs(actual - pred))))
+            best = _max(best, np.max(np.abs(actual - pred)))
     n_def = len(lat.default_steps(k))
     if n_def:
         B = V[1 : n_def + 1]
@@ -397,7 +407,12 @@ def _representation_residual(
         for sign in (1.0, -1.0):
             actual = B[:, 1:] if sign > 0 else B[:, :-1]
             pred = mb + sign * zb * s
-            best = max(best, float(np.max(np.abs(actual - pred))))
+            best = _max(best, np.max(np.abs(actual - pred)))
+    # u and psi multiply dM, which vanishes after default and on zero-intensity
+    # steps; there they must be exactly 0 (and a NaN must not hide behind dM = 0)
+    start = width if p > 0.0 else 0
+    best = _max(best, np.max(np.abs(u[start:]), initial=0.0))
+    best = _max(best, np.max(np.abs(psi[start:]), initial=0.0))
     return best
 
 
@@ -631,10 +646,11 @@ class ValidationReport:
 
     @property
     def max_violation(self) -> float:
-        return max(v for _, v in self.checks())
+        return functools.reduce(_max, (v for _, v in self.checks()))
 
     def passes(self, tol: float = 1e-10) -> bool:
-        return math.isfinite(self.driver_square_sum) and self.max_violation <= tol
+        values = [self.driver_square_sum] + [v for _, v in self.checks()]
+        return all(math.isfinite(v) for v in values) and self.max_violation <= tol
 
 
 def validate_solution(solution: Solution, scenario: Scenario) -> ValidationReport:
@@ -652,16 +668,16 @@ def validate_solution(solution: Solution, scenario: Scenario) -> ValidationRepor
         sk = obstacle.step(k)
         dkk = solution.dk.step(k)
         probs = lat.node_probabilities(k)
-        obs_viol = max(obs_viol, float(np.max(sk - yk)))
-        k_dec = max(k_dec, float(np.max(-dkk)))
-        skorokhod = max(skorokhod, float(np.max(np.abs(dkk * (yk - sk)))))
+        obs_viol = _max(obs_viol, np.max(sk - yk))
+        k_dec = _max(k_dec, np.max(-dkk))
+        skorokhod = _max(skorokhod, np.max(np.abs(dkk * (yk - sk))))
         if k < N:
             fv = solution.driver_values.step(k)
             sq += lat.dt * float(np.dot(probs, fv * fv))
             mean = lat.step_expectation(k, solution.y.step(k + 1))
             eq = yk - (mean + fv * lat.dt + dkk)
-            residual = max(residual, float(np.max(np.abs(eq))))
-            residual = max(
+            residual = _max(residual, np.max(np.abs(eq)))
+            residual = _max(
                 residual,
                 _representation_residual(
                     lat, k, solution.y.step(k + 1),
@@ -671,7 +687,7 @@ def validate_solution(solution: Solution, scenario: Scenario) -> ValidationRepor
     return ValidationReport(
         driver_square_sum=sq,
         equation_residual=residual,
-        k_decrease=max(k_dec, 0.0),
+        k_decrease=_max(k_dec, 0.0),
         skorokhod_product=skorokhod,
-        obstacle_violation=max(obs_viol, 0.0),
+        obstacle_violation=_max(obs_viol, 0.0),
     )

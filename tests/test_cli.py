@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from conftest import random_scenario
+from rabsde import IntensitySpec, cli
 from rabsde.cli import (
     RunFlags,
     emit_report,
@@ -18,7 +21,7 @@ from rabsde.cli import (
     scenario_to_dict,
 )
 from rabsde.errors import ScenarioError
-from rabsde.solver import solve_backward
+from rabsde.solver import obstacle_field, solve_backward
 
 MINIMAL = {
     "horizon": 1.0,
@@ -255,3 +258,73 @@ def test_main_suite_subcommand(tmp_path):
     assert data["cases"] == 6
     assert data["failures"] == 0
     assert data["min_gap"] >= -1e-10
+
+
+def test_emit_csv_matches_per_node_reference(tmp_path):
+    rng = np.random.default_rng(31)
+    for t in range(4):
+        sc = random_scenario(rng, n_steps=int(rng.integers(2, 7)), binding=True)
+        lam = [0.0 if t % 2 and i % 2 else v for i, v in enumerate(sc.intensity.values)]
+        sc = dataclasses.replace(
+            sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=sc.intensity.lambda_max)
+        )
+        report = run(sc, RunFlags())
+        sol = report.solution
+        lat = sol.lattice
+        fields = (sol.y, sol.z, sol.u, sol.dk, sol.psi, obstacle_field(sc, lat))
+        lines = ["step,up_count,default_step,Y,Z,U,dK,psi,S"]
+        for k in range(lat.n_steps + 1):
+            for i in range(lat.n_nodes(k)):
+                node = lat.node_at(k, i)
+                cells = [str(k), str(node.up_count), str(node.default_step or 0)]
+                cells += [format(float(f.step(k)[i]), ".17g") for f in fields]
+                lines.append(",".join(cells))
+        path = tmp_path / f"nodes{t}.csv"
+        emit_report(report, "csv", str(path))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_non_finite_obstacle_exits_2(tmp_path, capsys):
+    doc = {**MINIMAL, "steps": 4, "lambda": 0.3, "obstacle": "-1 + 0/w", "terminal": "w + 1"}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert any(ptr == "/obstacle" for ptr, _ in exc.value.issues)
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    assert "/obstacle" in capsys.readouterr().err
+
+
+def test_suite_rejects_bad_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("RABSDE_THREADS", "abc")
+    assert main(["suite", "--cases", "2"]) == 2
+    assert "RABSDE_THREADS" in capsys.readouterr().err
+
+
+def test_suite_rejects_zero_cases(capsys):
+    assert main(["suite", "--cases", "0"]) == 2
+    assert "--cases" in capsys.readouterr().err
+
+
+def test_suite_clamps_workers_to_chunks_and_cpus(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_SUITE_CHUNK", 2)
+    serial = cli.run_suite(3, 5, n_steps=3)
+    assert cli.run_suite(3, 5, n_steps=3, workers=64) == serial
+    assert started == [2]  # 3 chunks, 2 cpus
+    assert cli.run_suite(3, 2, n_steps=3, workers=64)["cases"] == 2
+    assert started == [2]  # one chunk runs in-process

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -274,3 +276,87 @@ def test_process_field_shape_mismatch():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError):
         ProcessField.single(lat, 2, np.zeros(5))
+
+
+@st.composite
+def _push_case(draw):
+    n = draw(st.integers(1, 6))
+    lam = draw(st.lists(st.sampled_from([0.0, 0.3, 0.9]), min_size=n, max_size=n))
+    lat = build_lattice(1.0, n, IntensitySpec(values=tuple(lam), lambda_max=0.9))
+    k = draw(st.integers(0, n - 1))
+    values = draw(
+        st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False),
+            min_size=lat.n_nodes(k),
+            max_size=lat.n_nodes(k),
+        )
+    )
+    return lat, k, np.array(values)
+
+
+@given(_push_case())
+@settings(max_examples=80, deadline=None)
+def test_push_matches_per_edge_accumulation(case):
+    lat, k, values = case
+    mass = np.zeros(lat.n_nodes(k + 1))
+    best = np.full(lat.n_nodes(k + 1), -np.inf)
+    for i, node in enumerate(lat.nodes(k)):
+        for child, prob, _dw, _dh in lat.children(node):
+            c = lat.index(child)
+            mass[c] += prob * values[i]
+            best[c] = max(best[c], values[i])
+    assert np.max(np.abs(lat.push(k, values) - mass)) <= 1e-15
+    assert np.array_equal(lat.push(k, values, combine="max"), best)
+
+
+def test_push_rejects_unknown_combine_and_wrong_shape():
+    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    with pytest.raises(LatticeError):
+        lat.push(0, np.ones(1), combine="min")
+    with pytest.raises(LatticeError):
+        lat.push(1, np.ones(3))
+    with pytest.raises(LatticeError):
+        lat.push(2, np.ones(9))
+
+
+# Functions that may still walk the lattice node by node.  The Snell oracle's
+# dense kernel and the bracket edge loop check the block kernel and must stay
+# independent of it; as_dict and nodes build per-node views by definition;
+# iterate_sequence names the offending node in an error message.
+_NODE_WALK_ALLOWED = {
+    ("lattice.py", "DefaultLattice.nodes"),
+    ("lattice.py", "ProcessField.as_dict"),
+    ("lattice.py", "bracket_checks"),
+    ("stopping.py", "_descendant_masks"),
+    ("stopping.py", "_transition_matrix"),
+    ("comparison.py", "iterate_sequence"),
+}
+
+
+def _node_walk_sites(path):
+    """(file, enclosing function) for every .children( / .node_at( call."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("children", "node_at")
+        ):
+            found.add((path.name, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_no_per_node_lattice_walks_in_production():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "rabsde"
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        sites |= _node_walk_sites(path)
+    assert sites - _NODE_WALK_ALLOWED == set(), "per-node lattice walk outside the allow-list"
+    assert _NODE_WALK_ALLOWED - sites == set(), "stale allow-list entry"

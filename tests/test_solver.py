@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario
-from rabsde import PicardConvergenceError, SolverError
+from rabsde import IntensitySpec, PicardConvergenceError, SolverError
 from rabsde.crr import american_put_scenario, crr_american_put
 from rabsde.errors import LatticeError
 from rabsde.lattice import ProcessField
@@ -351,3 +353,62 @@ def test_reflection_invariants_on_binding_scenarios():
             assert np.max(np.abs(dk * (y - s))) <= 1e-12
         binding += sol.expected_total_k() > 0
     assert binding >= 3  # the family must actually exercise reflection
+
+
+# -- reflection path totals ----------------------------------------------------------
+
+
+def test_max_path_total_k_equals_path_enumeration():
+    rng = np.random.default_rng(23)
+    binding = 0
+    for _ in range(12):
+        sc = random_scenario(rng, n_steps=int(rng.integers(2, 8)), binding=True)
+        lam = [0.0 if rng.random() < 0.4 else v for v in sc.intensity.values]
+        sc = dataclasses.replace(
+            sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=sc.intensity.lambda_max)
+        )
+        sol = solve_backward(sc)
+        best = -math.inf
+        for path in sol.lattice.iter_paths():
+            total = 0.0
+            for k, i in enumerate(path.indices):
+                total += sol.dk.step(k)[i]
+            best = max(best, total)
+        assert sol.max_path_total_k() == best
+        binding += best > 0.0
+    assert binding >= 4
+
+
+def test_max_path_total_k_propagates_nan():
+    sc = make_scenario(n_steps=3, lam=0.4, terminal="w")
+    sol = solve_backward(sc)
+    sol.dk.step(1)[0] = math.nan
+    assert math.isnan(sol.max_path_total_k())
+
+
+# -- non-finite values fail closed ----------------------------------------------------
+
+
+def test_non_finite_obstacle_rejected():
+    sc = make_scenario(n_steps=4, lam=0.3, obstacle="-1 + 0/w", terminal="w + 1")
+    with pytest.raises(SolverError, match="obstacle"):
+        solve_backward(sc)
+
+
+@given(
+    st.sampled_from(["y", "z", "u", "psi", "dk", "driver_values"]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_injected_non_finite_value_never_passes(field, bad, k, pos):
+    sc = make_scenario(n_steps=4, lam=0.4, driver="0.2*y", obstacle="w - 0.3", terminal="w + h")
+    sol = solve_backward(sc)
+    arrays = [a.copy() for a in getattr(sol, field).values]
+    arrays[k][pos % arrays[k].size] = bad
+    sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, 0, arrays)})
+    report = validate_solution(sol, sc)
+    assert not report.passes(1e-10)
+    values = [report.driver_square_sum] + [v for _, v in report.checks()]
+    assert not all(math.isfinite(v) for v in values)
