@@ -40,7 +40,7 @@ import numpy as np
 from . import comparison as cmp
 from . import stopping as stp
 from .crr import crr_american_put
-from .driver import DriverForm, DriverParseError, TransformedDriver, parse_driver
+from .driver import DriverForm, DriverParseError, GridSpec, TransformedDriver, parse_driver
 from .errors import (
     EnumerationError,
     HypothesisError,
@@ -49,7 +49,7 @@ from .errors import (
     ScenarioError,
     SolverError,
 )
-from .lattice import IntensitySpec, build_lattice
+from .lattice import IntensitySpec, build_lattice, oversize_message
 from .solver import (
     DRIVER_VARS,
     OBSTACLE_VARS,
@@ -208,7 +208,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not issues:
         try:
             intensity = IntensitySpec(values=tuple(lam_values), lambda_max=lam_max)
-            lattice = build_lattice(horizon, steps, intensity)
+            too_big = oversize_message(horizon, steps, intensity)
+            if too_big:
+                issues.append(("/steps", too_big))
+            else:
+                lattice = build_lattice(horizon, steps, intensity)
         except RabsdeError as exc:
             issues.append(("/lambda", str(exc)))
     if issues:
@@ -536,7 +540,8 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
             raise ScenarioError([("", "compare requires --scenario2")])
         t1 = time.perf_counter()
         case = cmp.ComparisonCase(
-            scenario1=scenario, scenario2=flags.scenario2, grid=_default_grid(scenario)
+            scenario1=scenario, scenario2=flags.scenario2,
+            grid=GridSpec.for_horizon(scenario.horizon),
         )
         verdict = cmp.run_comparison(case, lattice=lattice, tol=flags.tol)
         checks.append(_check("comparison_min_gap", flags.tol, max(0.0, -verdict.min_gap)))
@@ -569,23 +574,6 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
     if flags.timing:
         data["timing"] = timings
     return RunReport(data=data, solution=solution)
-
-
-def _default_grid(scenario: Scenario):
-    from .driver import GridSpec
-
-    return GridSpec(
-        bounds=(
-            ("t", 0.0, scenario.horizon),
-            ("w", -2.0, 2.0),
-            ("y", -2.0, 2.0),
-            ("z", -2.0, 2.0),
-            ("ey", -2.0, 2.0),
-            ("ez", -2.0, 2.0),
-            ("u", -2.0, 2.0),
-            ("tau", 0.0, scenario.horizon),
-        )
-    )
 
 
 # -- suite ----------------------------------------------------------------------

@@ -13,11 +13,11 @@ grid-verified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import DriverExpr, DriverForm, GridSpec, TransformedDriver, parse_driver
+from .driver import DriverExpr, DriverForm, GridSpec, TransformedDriver, _grid_values, parse_driver
 from .errors import DriverEvalError, HypothesisError, MonotonicityError
 from .lattice import DefaultLattice, IntensitySpec, ProcessField
 from .solver import (
@@ -61,23 +61,24 @@ def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec) -> MonotoneRep
     """Finite-difference test that g is nondecreasing in the ey slot."""
     if "ey" not in g.free_vars:
         return MonotoneReport(passed=True, witness=None)
-    fn = g.compiled()
+    envs = grid.base_envs(sorted(g.free_vars - {"ey"}))
     sweep = grid.axis("ey")
-    for env in grid.base_envs(sorted(g.free_vars - {"ey"})):
-        arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
-        arrs["ey"] = sweep
-        vals = np.asarray(fn(arrs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise DriverEvalError("non-finite driver value on the monotonicity grid")
-        diffs = np.diff(vals)
-        bad = np.nonzero(diffs < -1e-12)[0]
-        if bad.size:
-            i = int(bad[0])
-            return MonotoneReport(
-                passed=False,
-                witness=(env, float(sweep[i]), float(sweep[i + 1]), float(vals[i]), float(vals[i + 1])),
-            )
-    return MonotoneReport(passed=True, witness=None)
+    vals = _grid_values(g.compiled(), envs, "ey", sweep)
+    finite = np.all(np.isfinite(vals), axis=1)
+    with np.errstate(invalid="ignore"):
+        bad = np.diff(vals) < -1e-12
+    # rows in base-env order: a non-finite row raises unless a violation precedes it
+    rows = np.nonzero(~finite | np.any(bad, axis=1))[0]
+    if not rows.size:
+        return MonotoneReport(passed=True, witness=None)
+    r = int(rows[0])
+    if not finite[r]:
+        raise DriverEvalError("non-finite driver value on the monotonicity grid")
+    i = int(np.argmax(bad[r]))
+    return MonotoneReport(
+        passed=False,
+        witness=(envs[r], float(sweep[i]), float(sweep[i + 1]), float(vals[r, i]), float(vals[r, i + 1])),
+    )
 
 
 def check_theta_condition(
@@ -89,36 +90,28 @@ def check_theta_condition(
     every sampled time (the jump slot never enters the dynamics there).
     """
     lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
+    vacuous = ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
     if "u" not in g.free_vars:
-        return ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
-    fn = g.compiled()
+        return vacuous
+    envs = grid.base_envs(sorted(g.free_vars - {"u"} | {"t"}))
+    lam = np.array([lam_of_t(env["t"]) for env in envs], dtype=float)
+    kept = np.nonzero(lam > 0.0)[0]
+    if not kept.size:
+        return vacuous
+    envs, lam = [envs[j] for j in kept], lam[kept]
     sweep = grid.axis("u")
-    theta = math.inf
-    sup_tl = 0.0
-    witness = None
-    tested = False
-    for env in grid.base_envs(sorted(g.free_vars - {"u"} | {"t"})):
-        lam = lam_of_t(env["t"])
-        if lam <= 0.0:
-            continue
-        tested = True
-        arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
-        arrs["u"] = sweep
-        vals = np.asarray(fn(arrs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise DriverEvalError("non-finite driver value on the theta grid")
-        ratios = np.diff(vals) / (lam * np.diff(sweep))
-        i = int(np.argmin(ratios))
-        if float(ratios[i]) < theta:
-            theta = float(ratios[i])
-            witness = (env, float(sweep[i]), float(sweep[i + 1]), theta)
-        sup_tl = max(sup_tl, float(np.max(np.abs(ratios))) * lam)
-    if not tested:
-        return ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
+    vals = _grid_values(g.compiled(), envs, "u", sweep)
+    if not np.all(np.isfinite(vals)):
+        raise DriverEvalError("non-finite driver value on the theta grid")
+    ratios = np.diff(vals) / (lam[:, None] * np.diff(sweep))
+    r, i = divmod(int(np.argmin(ratios)), ratios.shape[1])
+    theta = float(ratios[r, i])
     passed = theta >= -1.0 - 1e-12
     return ThetaReport(
-        passed=passed, theta=theta, sup_theta_lambda=sup_tl,
-        witness=None if passed else witness,
+        passed=passed,
+        theta=theta,
+        sup_theta_lambda=float(np.max(np.max(np.abs(ratios), axis=1) * lam)),
+        witness=None if passed else (envs[r], float(sweep[i]), float(sweep[i + 1]), theta),
     )
 
 
@@ -127,21 +120,18 @@ def check_dominance(g1: DriverExpr, g2: DriverExpr, grid: GridSpec) -> Dominance
     f1 = g1.compiled()
     f2 = g2.compiled()
     variables = sorted(g1.free_vars | g2.free_vars)
+    envs = grid.base_envs(variables)
     min_gap = math.inf
     witness = None
-    sweep_vars = variables if variables else ["y"]
-    for var in sweep_vars:
+    for var in variables or ["y"]:
         sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
-        for env in grid.base_envs(variables):
-            arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
-            arrs[var] = sweep
-            gap = np.asarray(f1(arrs), dtype=float) - np.asarray(f2(arrs), dtype=float)
-            if not np.all(np.isfinite(gap)):
-                raise DriverEvalError("non-finite driver value on the dominance grid")
-            i = int(np.argmin(gap))
-            if float(gap[i]) < min_gap:
-                min_gap = float(gap[i])
-                witness = {**env, var: float(sweep[i])}
+        gap = _grid_values(f1, envs, var, sweep) - _grid_values(f2, envs, var, sweep)
+        if not np.all(np.isfinite(gap)):
+            raise DriverEvalError("non-finite driver value on the dominance grid")
+        r, i = divmod(int(np.argmin(gap)), sweep.size)
+        if float(gap[r, i]) < min_gap:
+            min_gap = float(gap[r, i])
+            witness = {**envs[r], var: float(sweep[i])}
     if not math.isfinite(min_gap):
         min_gap = 0.0
     passed = min_gap >= -1e-12
@@ -155,6 +145,10 @@ class ComparisonCase:
     scenario1: Scenario
     scenario2: Scenario
     grid: GridSpec
+    # (lattice, report) of the check that accepted a generated case
+    _accepted: tuple[DefaultLattice, HypothesisReport] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         s1, s2 = self.scenario1, self.scenario2
@@ -232,6 +226,20 @@ def check_hypotheses(case: ComparisonCase, lattice: DefaultLattice | None = None
     )
 
 
+def _passing_hypotheses(case: ComparisonCase, lat: DefaultLattice) -> HypothesisReport:
+    """The report that accepted a generated case on this grid, else a fresh
+    check; raises HypothesisError when a hypothesis fails."""
+    if case._accepted is not None and lat.same_grid(case._accepted[0]):
+        return case._accepted[1]
+    report = check_hypotheses(case, lat)
+    if not report.all_pass:
+        raise HypothesisError(
+            f"comparison hypotheses failed: {', '.join(report.failed_names())}",
+            report,
+        )
+    return report
+
+
 @dataclass(frozen=True)
 class ComparisonVerdict:
     hypotheses: HypothesisReport
@@ -248,16 +256,12 @@ def run_comparison(
 ) -> ComparisonVerdict:
     """Check the hypotheses, solve both scenarios, and compare node-wise.
 
-    Raises HypothesisError when a hypothesis fails (the ordering is not
-    asserted then).
+    A case from ``random_comparison_case`` keeps the report that accepted it,
+    which is reused on a lattice with the same grid.  Raises HypothesisError
+    when a hypothesis fails (the ordering is not asserted then).
     """
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
-    report = check_hypotheses(case, lat)
-    if not report.all_pass:
-        raise HypothesisError(
-            f"comparison hypotheses failed: {', '.join(report.failed_names())}",
-            report,
-        )
+    report = _passing_hypotheses(case, lat)
     sol1 = solve_backward(case.scenario1, lattice=lat)
     sol2 = solve_backward(case.scenario2, lattice=lat)
     min_gap = min(
@@ -312,12 +316,7 @@ def iterate_sequence(
     successive iterates agree within ``stop_tol``.
     """
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
-    report = check_hypotheses(case, lat)
-    if not report.all_pass:
-        raise HypothesisError(
-            f"comparison hypotheses failed: {', '.join(report.failed_names())}",
-            report,
-        )
+    _passing_hypotheses(case, lat)
     sol1 = solve_backward(case.scenario1, lattice=lat)
     sol2 = solve_backward(case.scenario2, lattice=lat)
     iterates: list[Solution] = []
@@ -382,21 +381,7 @@ def random_comparison_case(
     delta = int(rng.integers(0, 3)) if delta_steps is None else delta_steps
     intensity = IntensitySpec.constant(lam, n_steps)
     lat = lattice if lattice is not None else DefaultLattice(horizon, n_steps, intensity)
-    grid = GridSpec(
-        bounds=(
-            ("t", 0.0, horizon),
-            ("w", -2.0, 2.0),
-            ("y", -2.0, 2.0),
-            ("z", -2.0, 2.0),
-            ("ey", -2.0, 2.0),
-            ("ez", -2.0, 2.0),
-            ("u", -2.0, 2.0),
-            ("tau", 0.0, horizon),
-        ),
-        points=5,
-        n_base=12,
-        seed=int(rng.integers(0, 2**31)),
-    )
+    grid = GridSpec.for_horizon(horizon, points=5, n_base=12, seed=int(rng.integers(0, 2**31)))
     for _ in range(max_tries):
         a = _coef(rng, -0.4, 0.4)
         b = _coef(rng, -0.4, 0.4)
@@ -455,7 +440,9 @@ def random_comparison_case(
         if not feasible:
             continue
         case = ComparisonCase(scenario1=s_dom, scenario2=s_sub, grid=grid)
-        if check_hypotheses(case, lat).all_pass:
+        report = check_hypotheses(case, lat)
+        if report.all_pass:
+            object.__setattr__(case, "_accepted", (lat, report))
             return case
     raise HypothesisError(f"no admissible case found in {max_tries} tries")
 

@@ -191,12 +191,7 @@ class DriverExpr:
         return _to_source(self.root)
 
     def compiled(self) -> Callable[[Mapping[str, Any]], Any]:
-        fn = _compile(self.root)
-
-        def call(env: Mapping[str, Any]):
-            return fn(env)
-
-        return call
+        return _compile(self.root)
 
     def uses(self, name: str) -> bool:
         return name in self.free_vars
@@ -357,6 +352,15 @@ class TransformedDriver:
         return v
 
 
+def _box(horizon: float) -> tuple[tuple[str, float, float], ...]:
+    # t and tau span the horizon, every other swept variable [-2, 2].
+    return (
+        ("t", 0.0, horizon),
+        *((name, -2.0, 2.0) for name in ("w", "y", "z", "ey", "ez", "u")),
+        ("tau", 0.0, horizon),
+    )
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling box for finite-difference checks of driver properties.
@@ -366,16 +370,7 @@ class GridSpec:
     from {0, 1}).  Deterministic for a fixed seed.
     """
 
-    bounds: tuple[tuple[str, float, float], ...] = (
-        ("t", 0.0, 1.0),
-        ("w", -2.0, 2.0),
-        ("y", -2.0, 2.0),
-        ("z", -2.0, 2.0),
-        ("ey", -2.0, 2.0),
-        ("ez", -2.0, 2.0),
-        ("u", -2.0, 2.0),
-        ("tau", 0.0, 1.0),
-    )
+    bounds: tuple[tuple[str, float, float], ...] = _box(1.0)
     points: int = 7
     n_base: int = 32
     seed: int = 0
@@ -386,6 +381,11 @@ class GridSpec:
         for name, lo, hi in self.bounds:
             if not hi > lo:
                 raise ValueError(f"degenerate grid axis for '{name}': [{lo}, {hi}]")
+
+    @classmethod
+    def for_horizon(cls, horizon: float, **kwargs) -> "GridSpec":
+        """The default sampling box with t and tau over [0, horizon]."""
+        return cls(bounds=_box(horizon), **kwargs)
 
     def bound_for(self, name: str) -> tuple[float, float]:
         for n, lo, hi in self.bounds:
@@ -410,6 +410,22 @@ class GridSpec:
     def axis(self, name: str) -> np.ndarray:
         lo, hi = self.bound_for(name)
         return np.linspace(lo, hi, self.points)
+
+
+def _grid_values(fn: Callable, envs: list[dict], var: str, sweep: np.ndarray) -> np.ndarray:
+    """One compiled call over every base env crossed with a sweep of ``var``.
+
+    Every variable is a contiguous (n_base, points) array: base values down
+    the rows, the swept axis along the columns.  The result is broadcast to
+    that shape, so a constant expression works too.
+    """
+    shape = (len(envs), sweep.size)
+    arrs = {
+        name: np.repeat(np.array([env[name] for env in envs])[:, None], sweep.size, axis=1)
+        for name in envs[0]
+    }
+    arrs[var] = np.tile(sweep, (len(envs), 1))
+    return np.broadcast_to(np.asarray(fn(arrs), dtype=float), shape)
 
 
 def _as_lambda_of_t(lam_profile) -> Callable[[float], float]:
@@ -449,29 +465,21 @@ def estimate_lipschitz(
     lam_of_t = _as_lambda_of_t(lam_profile)
     fn = expr.compiled()
     out: dict[str, float] = {}
-    others = sorted(VARIABLES)
-    envs = grid.base_envs(others)
+    envs = grid.base_envs(sorted(VARIABLES))
     for slot in LIPSCHITZ_SLOTS:
         if slot not in expr.free_vars:
             out[slot] = 0.0
             continue
-        best = 0.0
         sweep = grid.axis(slot)
-        for env in envs:
-            arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
-            arrs[slot] = sweep
-            vals = np.asarray(fn(arrs), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise DriverEvalError(
-                    f"non-finite driver value while sweeping '{slot}' on the grid"
-                )
-            ratios = np.abs(np.diff(vals)) / np.diff(sweep)
-            r = float(np.max(ratios)) if ratios.size else 0.0
-            if slot == "u":
-                lam = lam_of_t(env["t"])
-                r = 0.0 if r == 0.0 else (math.inf if lam == 0.0 else r / lam)
-            best = max(best, r)
-        out[slot] = best
+        vals = _grid_values(fn, envs, slot, sweep)
+        if not np.all(np.isfinite(vals)):
+            raise DriverEvalError(f"non-finite driver value while sweeping '{slot}' on the grid")
+        r = np.max(np.abs(np.diff(vals)) / np.diff(sweep), axis=1)
+        if slot == "u":
+            lam = np.array([lam_of_t(env["t"]) for env in envs], dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(r == 0.0, 0.0, np.where(lam == 0.0, math.inf, r / lam))
+        out[slot] = float(np.max(r, initial=0.0))
     return LipschitzEstimate(
         c_y=out["y"], c_z=out["z"], c_ey=out["ey"], c_ez=out["ez"], c_u=out["u"], grid=grid
     )

@@ -16,6 +16,7 @@ defaulted nodes, one block per possible default step.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -465,6 +466,27 @@ class ProcessField:
 def build_lattice(horizon: float, n_steps: int, intensity: IntensitySpec) -> DefaultLattice:
     """Construct the filtered lattice; rejects p_k >= 1 and negative intensities."""
     return DefaultLattice(horizon, n_steps, intensity)
+
+
+def oversize_message(horizon: float, n_steps: int, intensity: IntensitySpec) -> str | None:
+    """Why the node fields would not fit in physical memory, or None.  Step k
+    holds k+1 nodes per block: one alive, one per reachable default step."""
+    dt = float(horizon) / int(n_steps)
+    nodes = blocks = 1
+    for k, lam in enumerate(intensity.values, start=1):
+        blocks += lam * dt > 0.0
+        nodes += (k + 1) * blocks
+    estimate = nodes * 7 * 8  # float64 y, z, u, psi, dk, driver values and obstacle
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    if estimate <= physical:
+        return None
+    return (
+        f"N too large, estimated {estimate / 1e9:.3g} GB for {nodes} nodes "
+        f"(physical memory {physical / 1e9:.3g} GB)"
+    )
 
 
 def cond_expect(lattice: DefaultLattice, field: ProcessField, at: NodeId) -> float:

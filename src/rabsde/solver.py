@@ -40,6 +40,7 @@ from .lattice import (
     NodeId,
     ProcessField,
     build_lattice,
+    oversize_message,
 )
 
 DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "ez", "u"})
@@ -198,6 +199,9 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
     _check_vars(scenario.obstacle, OBSTACLE_VARS, "obstacle")
     _check_vars(scenario.terminal, TERMINAL_VARS, "terminal")
+    too_big = oversize_message(lattice.horizon, lattice.n_steps, lattice.intensity)
+    if too_big:
+        raise SolverError(too_big)
     obstacle = finite_obstacle_field(scenario, lattice)
     xi = terminal_values(scenario, lattice)
     gap = xi - obstacle.step(lattice.n_steps)
@@ -515,18 +519,7 @@ def beta_norm(a, b, beta: float) -> float:
 def estimate_c_prime(scenario: Scenario, grid: GridSpec | None = None) -> float:
     """Grid estimate of the dM-form driver's Lipschitz constant."""
     if grid is None:
-        grid = GridSpec(
-            bounds=(
-                ("t", 0.0, scenario.horizon),
-                ("w", -2.0, 2.0),
-                ("y", -2.0, 2.0),
-                ("z", -2.0, 2.0),
-                ("ey", -2.0, 2.0),
-                ("ez", -2.0, 2.0),
-                ("u", -2.0, 2.0),
-                ("tau", 0.0, scenario.horizon),
-            )
-        )
+        grid = GridSpec.for_horizon(scenario.horizon)
     dt = scenario.horizon / scenario.n_steps
     lam_of_t = lambda t: scenario.intensity.at_time(t, dt)
     est = estimate_lipschitz(scenario.driver.base, grid, lam_of_t)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rabsde import IntensitySpec
-from rabsde.driver import DriverForm, TransformedDriver, parse_driver
+from rabsde.driver import DriverForm, GridSpec, TransformedDriver, parse_driver
+from rabsde.errors import RabsdeError
 from rabsde.solver import Scenario, Scheme
 
 
@@ -91,3 +93,55 @@ def random_scenario(
         terminal=terminal,
         scheme=scheme,
     )
+
+
+# -- Hypothesis strategies for the grid-check oracles ----------------------------
+
+_GRID_VARS = ("t", "w", "h", "y", "z", "ey", "ez", "u", "tau")
+
+
+def _grow(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*", "/"]), sub).map(
+            lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(sub, sub).map(lambda p: f"({p[0]} / (1 + abs({p[1]})))"),
+        st.tuples(st.sampled_from(["min", "max"]), sub, sub).map(
+            lambda p: f"{p[0]}({p[1]}, {p[2]})"),
+        st.tuples(st.sampled_from(["exp", "abs"]), sub).map(lambda p: f"{p[0]}({p[1]})"),
+    )
+
+
+def driver_texts(variables=_GRID_VARS):
+    """Driver sources over ``variables`` with exp, abs, min, max, division
+    (plain, so some grids hit a zero denominator, and guarded) and constants."""
+    leaf = st.one_of(st.sampled_from(variables), st.sampled_from(["0", "1", "0.5", "-1.25", "3"]))
+    return st.recursive(leaf, _grow, max_leaves=6)
+
+
+@st.composite
+def grids(draw):
+    horizon = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return GridSpec.for_horizon(
+        horizon,
+        points=draw(st.integers(2, 7)),
+        n_base=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+@st.composite
+def lambda_profiles(draw, horizon: float = 2.0):
+    """A constant intensity or a per-step profile with zero steps, as lambda(t)."""
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.2]), min_size=1, max_size=5))
+    if len(values) == 1:
+        return values[0]
+    spec = IntensitySpec(values=tuple(values), lambda_max=max(values))
+    return lambda t: spec.at_time(t, horizon / len(values))
+
+
+def outcome(fn, *args):
+    """The call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (RabsdeError, ArithmeticError) as exc:  # ArithmeticError: a constant 1/0
+        return type(exc), str(exc)

@@ -251,6 +251,28 @@ def test_main_compare_subcommand(tmp_path):
     assert data["comparison"]["iterates"]["final_gap"] <= 1e-8
 
 
+def test_main_compare_constant_drivers(tmp_path):
+    base = {"horizon": 1.0, "steps": 4, "lambda": 0.3, "obstacle": "-1e9", "terminal": "w"}
+    p1 = _write(tmp_path, {**base, "driver": {"text": "0.1", "form": "M"}}, "s1.json")
+    p2 = _write(tmp_path, {**base, "driver": {"text": "0", "form": "M"}}, "s2.json")
+    out = str(tmp_path / "cmp.json")
+    assert main(["compare", "--scenario", p1, "--scenario2", p2, "--out", out]) == 0
+    data = json.loads(open(out).read())
+    assert data["comparison"]["hypotheses"]["dominance_min_gap"] == 0.1
+    assert data["pass"] is True
+
+
+def test_oversized_lattice_rejected_before_allocating(tmp_path, capsys):
+    # 20000 steps: about 2.7e12 nodes, 150 TB of node fields
+    doc = {**MINIMAL, "steps": 20000, "lambda": 0.3, "obstacle": "w", "terminal": "w + 1"}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert [ptr for ptr, _ in exc.value.issues] == ["/steps"]
+    assert "N too large, estimated" in exc.value.issues[0][1]
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    assert "N too large" in capsys.readouterr().err
+
+
 def test_main_suite_subcommand(tmp_path):
     out = str(tmp_path / "suite.json")
     assert main(["suite", "--cases", "6", "--seed", "4", "--out", out]) == 0

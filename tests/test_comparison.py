@@ -2,21 +2,32 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_scenario
+from conftest import driver_texts, grids, lambda_profiles, make_scenario, outcome
+from rabsde import comparison
 from rabsde.comparison import (
     ComparisonCase,
+    DominanceReport,
+    MonotoneReport,
+    SuiteResult,
+    ThetaReport,
     check_dominance,
     check_monotone_in_anticipation,
     check_theta_condition,
     iterate_sequence,
     random_comparison_case,
     run_comparison,
+    run_random_suite,
 )
 from rabsde.driver import GridSpec, eval_driver, parse_driver
-from rabsde.errors import HypothesisError
+from rabsde.errors import DriverEvalError, HypothesisError
+from rabsde.lattice import DefaultLattice, IntensitySpec
 
 GRID = GridSpec(points=5, n_base=16, seed=0)
 
@@ -74,6 +85,116 @@ def test_dominance_detects_violation():
     report = check_dominance(parse_driver("y"), parse_driver("y + 0.1"), GRID)
     assert not report.passed
     assert report.min_gap == pytest.approx(-0.1, abs=1e-12)
+
+
+def test_dominance_of_constant_drivers():
+    report = check_dominance(parse_driver("1"), parse_driver("0"), GRID)
+    assert report.passed and report.min_gap == 1.0
+
+
+# -- per-env loop references: one small numpy call per base environment ----------
+
+
+def _ref_monotone(g, grid):
+    if "ey" not in g.free_vars:
+        return MonotoneReport(passed=True, witness=None)
+    fn = g.compiled()
+    sweep = grid.axis("ey")
+    for env in grid.base_envs(sorted(g.free_vars - {"ey"})):
+        arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
+        arrs["ey"] = sweep
+        vals = np.asarray(fn(arrs), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise DriverEvalError("non-finite driver value on the monotonicity grid")
+        bad = np.nonzero(np.diff(vals) < -1e-12)[0]
+        if bad.size:
+            i = int(bad[0])
+            return MonotoneReport(
+                passed=False,
+                witness=(env, float(sweep[i]), float(sweep[i + 1]), float(vals[i]), float(vals[i + 1])),
+            )
+    return MonotoneReport(passed=True, witness=None)
+
+
+def _ref_theta(g, lam_profile, grid):
+    lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
+    if "u" not in g.free_vars:
+        return ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
+    fn = g.compiled()
+    sweep = grid.axis("u")
+    theta, sup_tl, witness, tested = math.inf, 0.0, None, False
+    for env in grid.base_envs(sorted(g.free_vars - {"u"} | {"t"})):
+        lam = lam_of_t(env["t"])
+        if lam <= 0.0:
+            continue
+        tested = True
+        arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
+        arrs["u"] = sweep
+        vals = np.asarray(fn(arrs), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise DriverEvalError("non-finite driver value on the theta grid")
+        ratios = np.diff(vals) / (lam * np.diff(sweep))
+        i = int(np.argmin(ratios))
+        if float(ratios[i]) < theta:
+            theta = float(ratios[i])
+            witness = (env, float(sweep[i]), float(sweep[i + 1]), theta)
+        sup_tl = max(sup_tl, float(np.max(np.abs(ratios))) * lam)
+    if not tested:
+        return ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
+    passed = theta >= -1.0 - 1e-12
+    return ThetaReport(passed=passed, theta=theta, sup_theta_lambda=sup_tl,
+                       witness=None if passed else witness)
+
+
+def _ref_dominance(g1, g2, grid):
+    f1, f2 = g1.compiled(), g2.compiled()
+    variables = sorted(g1.free_vars | g2.free_vars)
+    min_gap, witness = math.inf, None
+    for var in variables or ["y"]:
+        sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
+        for env in grid.base_envs(variables):
+            arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
+            arrs[var] = sweep
+            gap = np.asarray(f1(arrs), dtype=float) - np.asarray(f2(arrs), dtype=float)
+            gap = np.broadcast_to(gap, sweep.shape)  # two constant drivers give a scalar
+            if not np.all(np.isfinite(gap)):
+                raise DriverEvalError("non-finite driver value on the dominance grid")
+            i = int(np.argmin(gap))
+            if float(gap[i]) < min_gap:
+                min_gap = float(gap[i])
+                witness = {**env, var: float(sweep[i])}
+    if not math.isfinite(min_gap):
+        min_gap = 0.0
+    passed = min_gap >= -1e-12
+    return DominanceReport(passed=passed, min_gap=min_gap, witness=None if passed else witness)
+
+
+_CHECK_VARS = ("t", "w", "h", "y", "z", "ey", "u")
+
+
+@given(driver_texts(_CHECK_VARS), st.sampled_from([-0.5, 0.0, 0.5]), grids())
+@settings(max_examples=150, deadline=None)
+def test_monotone_check_matches_per_env_loop(text, c, grid):
+    for src in (text, f"({text}) + {c!r}*ey"):
+        g = parse_driver(src)
+        assert outcome(check_monotone_in_anticipation, g, grid) == outcome(_ref_monotone, g, grid)
+
+
+@given(driver_texts(_CHECK_VARS), st.sampled_from([-3.0, -0.5, 0.25]), lambda_profiles(), grids())
+@settings(max_examples=150, deadline=None)
+def test_theta_check_matches_per_env_loop(text, d, lam, grid):
+    for src in (text, f"({text}) + {d!r}*u"):
+        g = parse_driver(src)
+        assert outcome(check_theta_condition, g, lam, grid) == outcome(_ref_theta, g, lam, grid)
+
+
+@given(driver_texts(_CHECK_VARS), driver_texts(_CHECK_VARS), st.sampled_from([-0.5, 0.0, 1.0]),
+       grids())
+@settings(max_examples=150, deadline=None)
+def test_dominance_check_matches_per_env_loop(text1, text2, c, grid):
+    g2 = parse_driver(text2)
+    for g1 in (parse_driver(text1), parse_driver(f"({text2}) + {c!r}")):
+        assert outcome(check_dominance, g1, g2, grid) == outcome(_ref_dominance, g1, g2, grid)
 
 
 def _case_pair(driver1, driver2, *, xi_shift=0.0, obs_shift=0.0, delta=1):
@@ -174,3 +295,45 @@ def test_iterate_sequence_prefix():
     for k in range(lat.n_steps + 1):
         gap = trace.solution1.y.step(k) - trace.iterates[0].y.step(k)
         assert float(np.min(gap)) >= -1e-10  # dominating solution stays above
+
+
+def test_suite_checks_hypotheses_once_per_candidate(monkeypatch):
+    checked = []  # every case check_hypotheses saw, kept alive so identities stay unique
+    accepted = []
+    check, generate = comparison.check_hypotheses, comparison.random_comparison_case
+
+    def counting_check(case, lattice=None):
+        checked.append(case)
+        return check(case, lattice)
+
+    def recording_generate(*args, **kwargs):
+        accepted.append(generate(*args, **kwargs))
+        return accepted[-1]
+
+    monkeypatch.setattr(comparison, "check_hypotheses", counting_check)
+    monkeypatch.setattr(comparison, "random_comparison_case", recording_generate)
+    result = run_random_suite(3, 12)
+    assert result.cases == len(accepted) == 12 and result.failures == 0
+    assert len({id(c) for c in checked}) == len(checked) > len(accepted)
+    assert all(sum(c is a for c in checked) == 1 for a in accepted)
+
+
+def test_accepted_report_reused_only_on_the_same_grid(monkeypatch):
+    case = random_comparison_case(np.random.default_rng(7))
+    calls = []
+    check = comparison.check_hypotheses
+    monkeypatch.setattr(comparison, "check_hypotheses",
+                        lambda c, lat=None: calls.append(c) or check(c, lat))
+    run_comparison(case)  # builds an equal lattice: the accepted report holds
+    iterate_sequence(case, 2)
+    assert calls == []
+    verdict = run_comparison(dataclasses.replace(case))  # a copy carries no report
+    assert len(calls) == 1 and verdict.hypotheses.all_pass
+    s = case.scenario1
+    other = DefaultLattice(s.horizon, s.n_steps, IntensitySpec.constant(0.3, s.n_steps, 9.0))
+    run_comparison(case, lattice=other)  # not the grid the case was accepted on
+    assert len(calls) == 2
+
+
+def test_random_suite_seed_0_is_pinned():
+    assert run_random_suite(0, 1000) == SuiteResult(1000, 0.0010000000000000009, 0, (340, 320, 340))

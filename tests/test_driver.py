@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import driver_texts, grids, lambda_profiles, outcome
 from rabsde.driver import (
+    LIPSCHITZ_SLOTS,
+    VARIABLES,
     GridSpec,
     check_M_form_lipschitz,
     estimate_lipschitz,
@@ -211,3 +214,48 @@ def test_m_form_lipschitz_zero_intensity_unchanged():
     est = estimate_lipschitz(parse_driver("3*y + z"), grid, 0.0)
     out = check_M_form_lipschitz(est, lambda_max=0.0)
     assert out.as_tuple() == est.as_tuple()
+
+
+def test_default_box_is_for_horizon_one():
+    assert GridSpec() == GridSpec.for_horizon(1.0)
+    grid = GridSpec.for_horizon(2.5, points=5, n_base=12, seed=3)
+    assert grid.bound_for("t") == grid.bound_for("tau") == (0.0, 2.5)
+    assert all(grid.bound_for(v) == (-2.0, 2.0) for v in ("w", "y", "z", "ey", "ez", "u"))
+    assert (grid.points, grid.n_base, grid.seed) == (5, 12, 3)
+
+
+def _ref_lipschitz(expr, grid, lam_profile):
+    """Per-env loop: one small numpy call per base environment and slot."""
+    lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
+    fn = expr.compiled()
+    out = {}
+    envs = grid.base_envs(sorted(VARIABLES))
+    for slot in LIPSCHITZ_SLOTS:
+        if slot not in expr.free_vars:
+            out[slot] = 0.0
+            continue
+        best = 0.0
+        sweep = grid.axis(slot)
+        for env in envs:
+            arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
+            arrs[slot] = sweep
+            vals = np.asarray(fn(arrs), dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise DriverEvalError(f"non-finite driver value while sweeping '{slot}' on the grid")
+            ratios = np.abs(np.diff(vals)) / np.diff(sweep)
+            r = float(np.max(ratios)) if ratios.size else 0.0
+            if slot == "u":
+                lam = lam_of_t(env["t"])
+                r = 0.0 if r == 0.0 else (math.inf if lam == 0.0 else r / lam)
+            best = max(best, r)
+        out[slot] = best
+    return tuple(out[s] for s in LIPSCHITZ_SLOTS)
+
+
+@given(driver_texts(), lambda_profiles(), grids())
+@settings(max_examples=200, deadline=None)
+def test_lipschitz_matches_per_env_loop(text, lam, grid):
+    expr = parse_driver(text)
+    for e in (expr, parse_driver(f"({text}) * u")):
+        got = outcome(lambda: estimate_lipschitz(e, grid, lam).as_tuple())
+        assert got == outcome(_ref_lipschitz, e, grid, lam)

@@ -21,6 +21,8 @@ from rabsde import (
     cond_expect,
     martingale_M,
 )
+from rabsde import lattice as lattice_module
+from rabsde.lattice import oversize_message
 
 
 def test_zero_intensity_degenerates_to_binomial():
@@ -360,3 +362,14 @@ def test_no_per_node_lattice_walks_in_production():
         sites |= _node_walk_sites(path)
     assert sites - _NODE_WALK_ALLOWED == set(), "per-node lattice walk outside the allow-list"
     assert _NODE_WALK_ALLOWED - sites == set(), "stale allow-list entry"
+
+
+def test_oversize_message_counts_nodes_exactly(monkeypatch):
+    spec = IntensitySpec(values=(0.3, 0.0, 0.5, 0.0, 0.2), lambda_max=0.5)
+    lat = build_lattice(1.0, 5, spec)
+    nodes = sum(lat.n_nodes(k) for k in range(6))
+    assert oversize_message(1.0, 5, spec) is None
+    monkeypatch.setattr(lattice_module.os, "sysconf", lambda name: 1)  # a 1-byte machine
+    assert oversize_message(1.0, 5, spec).startswith(
+        f"N too large, estimated {nodes * 7 * 8 / 1e9:.3g} GB for {nodes} nodes"
+    )

@@ -412,3 +412,10 @@ def test_injected_non_finite_value_never_passes(field, bad, k, pos):
     assert not report.passes(1e-10)
     values = [report.driver_square_sum] + [v for _, v in report.checks()]
     assert not all(math.isfinite(v) for v in values)
+
+
+def test_solve_rejects_oversized_lattice():
+    # zero intensity keeps the lattice object small: 8e10 nodes, about 4.5 TB of fields
+    sc = make_scenario(n_steps=400_000, lam=0.0, obstacle="w", terminal="w + 1")
+    with pytest.raises(SolverError, match="N too large, estimated"):
+        solve_backward(sc)
