@@ -249,17 +249,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 ("/terminal",
                  f"terminal payoff falls below the obstacle at the horizon (worst gap {worst:.6g})")
             )
-    cp = estimate_c_prime(scenario)
-    if not math.isfinite(cp):
-        issues.append(
-            ("/driver", "driver depends on u where the intensity vanishes")
-        )
-    elif scenario.scheme is Scheme.EXPLICIT and cp * horizon / steps > 0.5:
-        issues.append(
-            ("/scheme",
-             f"explicit scheme needs C'*dt <= 0.5 (estimated {cp * horizon / steps:.3g}); "
-             "use the implicit scheme or more steps")
-        )
+    try:
+        cp = estimate_c_prime(scenario)
+    except RabsdeError as exc:
+        issues.append(("/driver", str(exc)))
+    else:
+        if not math.isfinite(cp):
+            issues.append(
+                ("/driver", "driver depends on u where the intensity vanishes")
+            )
+        elif scenario.scheme is Scheme.EXPLICIT and cp * horizon / steps > 0.5:
+            issues.append(
+                ("/scheme",
+                 f"explicit scheme needs C'*dt <= 0.5 (estimated {cp * horizon / steps:.3g}); "
+                 "use the implicit scheme or more steps")
+            )
     if issues:
         raise ScenarioError(issues)
     return scenario
@@ -431,6 +435,7 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
     timings = {}
     timings["solve"] = time.perf_counter() - t0
 
+    t1 = time.perf_counter()
     data["solve"] = {
         "y0": solution.y0,
         "k_expected_total": solution.expected_total_k(),
@@ -438,13 +443,13 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
         "k_per_step_expected": list(solution.per_step_expected_dk()),
         "max_abs_psi": solution.max_abs_psi(),
         "weighted_psi": solution.weighted_psi(),
-        "max_representation_residual": solution.diagnostics[
-            "max_representation_residual"
-        ],
+        "max_representation_residual": solution.representation_residual(),
         "scheme": scenario.scheme.value,
     }
+    timings["report"] = time.perf_counter() - t1
 
     if "validate" in flags.workflows:
+        t1 = time.perf_counter()
         report = validate_solution(solution, scenario)
         for name, violation in report.checks():
             checks.append(_check(name, flags.tol, violation))
@@ -452,6 +457,7 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
             "driver_square_sum": report.driver_square_sum,
             "max_violation": report.max_violation,
         }
+        timings["validate"] = time.perf_counter() - t1
 
     if flags.oracle == "crr":
         params = scenario.oracle_params

@@ -22,6 +22,7 @@ from .errors import DriverEvalError, HypothesisError, MonotonicityError
 from .lattice import DefaultLattice, IntensitySpec, ProcessField
 from .solver import (
     Scenario,
+    _Anticipation,
     Scheme,
     Solution,
     obstacle_field,
@@ -292,11 +293,13 @@ class IterateTrace:
 
 
 def _anticipated_field(solution: Solution, delta: int) -> ProcessField:
-    lat = solution.lattice
-    arrays = []
-    for k in range(lat.n_steps):
-        m = min(k + delta, lat.n_steps)
-        arrays.append(lat.pullback(solution.y.step(m), m, k))
+    lat, y = solution.lattice, solution.y.values
+    arrays = [None] * lat.n_steps
+    window = _Anticipation(lat, delta, lat.n_steps, (y, True))
+    for k in reversed(range(lat.n_steps)):
+        (ey,) = window.condition(k)
+        arrays[k] = y[k] if ey is None else ey
+        window.insert(k)
     return ProcessField.from_arrays(lat, 0, arrays)
 
 

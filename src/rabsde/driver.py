@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping
 
@@ -162,7 +162,10 @@ def _compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
 
         def div(env):
             with np.errstate(divide="ignore", invalid="ignore"):
-                return left(env) / right(env)
+                try:
+                    return left(env) / right(env)
+                except ZeroDivisionError:  # both sides Python scalars
+                    raise DriverEvalError("division by zero") from None
 
         return div
     if isinstance(node, Call):
@@ -485,34 +488,8 @@ def estimate_lipschitz(
     )
 
 
-@dataclass(frozen=True)
-class MFormLipschitz:
-    """Lipschitz bound for the dM-form driver derived from the dH-form one.
-
-    The jump-term rewrite adds at most one unit to the intensity-weighted u
-    slot; the other slots carry over unchanged.
-    """
-
-    c_y: float
-    c_z: float
-    c_ey: float
-    c_ez: float
-    c_u: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.c_y, self.c_z, self.c_ey, self.c_ez, self.c_u)
-
-    @property
-    def overall(self) -> float:
-        return max(self.as_tuple())
-
-
-def check_M_form_lipschitz(estimate: LipschitzEstimate, lambda_max: float) -> MFormLipschitz:
-    bump = 1.0 if lambda_max > 0.0 else 0.0
-    return MFormLipschitz(
-        c_y=estimate.c_y,
-        c_z=estimate.c_z,
-        c_ey=estimate.c_ey,
-        c_ez=estimate.c_ez,
-        c_u=estimate.c_u + bump,
-    )
+def check_M_form_lipschitz(estimate: LipschitzEstimate, lambda_max: float) -> LipschitzEstimate:
+    """Lipschitz bound for the dM-form driver derived from the dH-form one: the
+    jump-term rewrite adds at most one unit to the intensity-weighted u slot,
+    the other slots carry over unchanged."""
+    return replace(estimate, c_u=estimate.c_u + (1.0 if lambda_max > 0.0 else 0.0))

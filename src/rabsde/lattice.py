@@ -220,33 +220,36 @@ class DefaultLattice:
                 )
         return out
 
-    def _blocks(self, k: int, values: np.ndarray) -> np.ndarray:
+    def _blocks(self, k: int, values: np.ndarray, *, stacked: bool = False) -> np.ndarray:
+        """A step-k field (with ``stacked``, a stack along leading axes) as (..., blocks, k+1)."""
         n = self.n_nodes(k)
-        if values.shape != (n,):
+        if values.shape[-1:] != (n,) or (values.ndim != 1 and not stacked):
             raise LatticeError(
                 f"field has {values.shape} values, step {k} has {n} nodes"
             )
-        return values.reshape(1 + len(self._def_steps[k]), k + 1)
+        return values.reshape(values.shape[:-1] + (1 + len(self._def_steps[k]), k + 1))
 
     def step_expectation(self, k: int, values_next: np.ndarray) -> np.ndarray:
-        """One-step conditional expectation: E[field at k+1 | node at k]."""
+        """One-step conditional expectation: E[field at k+1 | node at k].  Leading
+        axes pass through: a stack of fields costs one call, bit-identical per row."""
         self._check_step(k + 1)
-        V = self._blocks(k + 1, np.asarray(values_next, dtype=float))
+        V = self._blocks(k + 1, np.asarray(values_next, dtype=float), stacked=True)
+        lead = V.shape[:-2]
         p = self.p[k]
         n_def = len(self._def_steps[k])
-        out = np.empty(self.n_nodes(k))
+        out = np.empty(lead + (self.n_nodes(k),))
         width = k + 1
-        alive = V[0]
+        alive = V[..., 0, :]
         if p > 0.0:
-            dnew = V[-1]  # block of nodes defaulting exactly at step k+1
-            out[:width] = 0.5 * (1.0 - p) * (alive[1:] + alive[:-1]) + 0.5 * p * (
-                dnew[1:] + dnew[:-1]
+            dnew = V[..., -1, :]  # block of nodes defaulting exactly at step k+1
+            out[..., :width] = 0.5 * (1.0 - p) * (alive[..., 1:] + alive[..., :-1]) + 0.5 * p * (
+                dnew[..., 1:] + dnew[..., :-1]
             )
         else:
-            out[:width] = 0.5 * (alive[1:] + alive[:-1])
+            out[..., :width] = 0.5 * (alive[..., 1:] + alive[..., :-1])
         if n_def:
-            B = V[1 : n_def + 1]
-            out[width:] = (0.5 * (B[:, 1:] + B[:, :-1])).reshape(-1)
+            B = V[..., 1 : n_def + 1, :]
+            out[..., width:] = (0.5 * (B[..., 1:] + B[..., :-1])).reshape(lead + (-1,))
         return out
 
     def project_martingale(self, k: int, values_next: np.ndarray):

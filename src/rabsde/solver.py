@@ -127,6 +127,16 @@ class Solution:
             cum = self.lattice.push(k, cum, combine="max") + self.dk.step(k + 1)
         return float(np.max(cum))
 
+    def representation_residual(self) -> float:
+        """Largest error of the one-step martingale representation
+        Y_{k+1} = E[Y_{k+1} | F_k] + Z dW + U dM + psi dW dM over all reachable
+        edges, with |U| and |psi| counted where dM = 0; NaN if any term is NaN."""
+        lat = self.lattice
+        best = 0.0
+        for k in range(lat.n_steps):
+            best = _max(best, _representation_residual(self, k, lat.step_expectation(k, self.y.step(k + 1))))
+        return best
+
     def max_abs_psi(self) -> float:
         return max(float(np.max(np.abs(self.psi.step(k)))) for k in self.psi.step_range)
 
@@ -295,15 +305,37 @@ def _step_values(
     return y, z, u, psi, dk, y_tilde, fv
 
 
-def _anticipated_y(lat: DefaultLattice, y_arrays: Sequence[np.ndarray], k: int, delta: int) -> np.ndarray:
-    m = min(k + delta, lat.n_steps)
-    return lat.pullback(y_arrays[m], m, k)
+class _Anticipation:
+    """Anticipated values E[X_{min(k+delta, N)} | F_k] of node fields X, one
+    stacked kernel call per step going backward.
 
+    Before step k the window holds E[X_m | F_{k+1}] for m = k+1 .. min(k+delta, N);
+    ``condition(k)`` conditions it on step k and returns its last row per source
+    (None for a source that is off, or for delta = 0).  ``insert(k)`` then puts
+    the step-k fields in front and drops the row that step k-1 no longer reads.
+    Sources are (per-step arrays, on) pairs; ``top`` is the first step held.
+    """
 
-def _anticipated_z(lat: DefaultLattice, z_arrays: Sequence[np.ndarray], k: int, delta: int) -> np.ndarray:
-    if k + delta >= lat.n_steps:
-        return np.zeros(lat.n_nodes(k))
-    return lat.pullback(z_arrays[k + delta], k + delta, k)
+    def __init__(self, lat: DefaultLattice, delta: int, top: int, *sources):
+        self.lat, self.delta = lat, delta
+        self.on = [bool(on) and delta > 0 for _, on in sources]
+        self.sources = [arrays for (arrays, _), on in zip(sources, self.on) if on]
+        self.rows = self._fields(top) if self.sources else None
+
+    def _fields(self, m: int) -> np.ndarray:
+        return np.stack([arrays[m] for arrays in self.sources])[:, None, :]
+
+    def condition(self, k: int) -> list:
+        if not self.sources:
+            return [None] * len(self.on)
+        self.rows = self.lat.step_expectation(k, self.rows)
+        last = iter(self.rows[:, -1].copy())  # a kept view would pin the whole window
+        return [next(last) if on else None for on in self.on]
+
+    def insert(self, k: int) -> None:
+        if self.sources:
+            keep = min(self.delta, self.lat.n_steps - k + 1) - 1
+            self.rows = np.concatenate([self._fields(k), self.rows[:, :keep]], axis=1)
 
 
 def _solve(
@@ -324,33 +356,21 @@ def _solve(
     y[N] = prob.xi.copy()
     for arr in (z, u, psi, dk, fvals):
         arr[N] = np.zeros(nN)
-    repr_residual = 0.0
+    # ey and ez stay None for delta == 0 (the y- and z-arguments double as them)
+    # and under a frozen driver, which reads neither
+    live = frozen_driver is None
+    window = _Anticipation(lat, delta, N, (y, live and prob.need_ey and frozen_ey is None),
+                           (z, live and prob.need_ez))
     for k in range(N - 1, -1, -1):
-        if frozen_driver is not None:
-            ey = ez = None
-        else:
-            if frozen_ey is not None:
-                ey = frozen_ey.step(k)
-            elif prob.need_ey and delta > 0:
-                ey = _anticipated_y(lat, y, k, delta)
-            else:
-                ey = None  # delta == 0: the y-argument doubles as ey
-            if prob.need_ez and delta > 0:
-                ez = _anticipated_z(lat, z, k, delta)
-            else:
-                ez = None
+        ey, ez = window.condition(k)
+        if frozen_ey is not None:
+            ey = frozen_ey.step(k)
         fd = frozen_driver[k] if frozen_driver is not None else None
         y[k], z[k], u[k], psi[k], dk[k], _, fvals[k] = _step_values(
             prob, k, y[k + 1], ey, ez, frozen_driver=fd
         )
-        repr_residual = _max(
-            repr_residual,
-            _representation_residual(lat, k, y[k + 1], z[k], u[k], psi[k]),
-        )
-    diagnostics = {
-        "max_representation_residual": repr_residual,
-        "scheme": prob.scenario.scheme.value,
-    }
+        window.insert(k)
+    diagnostics = {"scheme": prob.scenario.scheme.value}
     return Solution(
         scenario=prob.scenario,
         lattice=lat,
@@ -370,17 +390,12 @@ def _max(acc: float, value) -> float:
     return value if value > acc or math.isnan(value) else acc
 
 
-def _representation_residual(
-    lat: DefaultLattice,
-    k: int,
-    y_next: np.ndarray,
-    z: np.ndarray,
-    u: np.ndarray,
-    psi: np.ndarray,
-) -> float:
-    """Max error of y_next = mean + z dW + u dM + psi dW dM over reachable edges,
-    including |u| and |psi| where dM = 0."""
-    mean = lat.step_expectation(k, y_next)
+def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
+    """Max error of Y_{k+1} = mean + z dW + u dM + psi dW dM over the reachable
+    edges out of step k, including |u| and |psi| where dM = 0; ``mean`` is
+    E[Y_{k+1} | step k]."""
+    lat, y_next = sol.lattice, sol.y.step(k + 1)
+    z, u, psi = sol.z.step(k), sol.u.step(k), sol.psi.step(k)
     V = y_next.reshape(1 + len(lat.default_steps(k + 1)), k + 2)
     s = lat.sqrt_dt
     p = lat.p[k]
@@ -450,20 +465,11 @@ def backward_step(node: NodeId, future: Solution, scenario: Scenario):
         raise SolverError("backward_step needs a non-terminal node")
     prob = _prepare(scenario, lat)
     delta = scenario.delta_steps
-    y_arrays = [future.y.step(m) if m > k else None for m in range(lat.n_steps + 1)]
-    z_arrays = [future.z.step(m) if m > k else None for m in range(lat.n_steps + 1)]
-    if prob.need_ey and delta > 0:
-        m = min(k + delta, lat.n_steps)
-        ey = lat.pullback(y_arrays[m], m, k)
-    else:
-        ey = None
-    if prob.need_ez and delta > 0:
-        if k + delta >= lat.n_steps:
-            ez = np.zeros(lat.n_nodes(k))
-        else:
-            ez = lat.pullback(z_arrays[k + delta], k + delta, k)
-    else:
-        ez = None
+    top = min(k + delta, lat.n_steps)
+    window = _Anticipation(lat, delta, top, (future.y.values, prob.need_ey), (future.z.values, prob.need_ez))
+    ey = ez = None
+    for m in range(top - 1, k - 1, -1):  # a pullback of the step-top fields: no inserts
+        ey, ez = window.condition(m)
     yk, zk, uk, psik, dkk, _, _ = _step_values(prob, k, future.y.step(k + 1), ey, ez)
     i = lat.index(node)
     return float(yk[i]), float(zk[i]), float(uk[i]), float(psik[i]), float(dkk[i])
@@ -532,32 +538,30 @@ def _frozen_driver_arrays(prob: _Problem, triple: _Triple) -> list[np.ndarray]:
     lat = prob.lattice
     delta = prob.scenario.delta_steps
     scheme = prob.scenario.scheme
-    out = []
-    y_arrays = [triple.y.step(k) for k in range(lat.n_steps + 1)]
-    z_arrays = [triple.z.step(k) for k in range(lat.n_steps + 1)]
-    for k in range(lat.n_steps):
+    N = lat.n_steps
+    out = [None] * N
+    y_arrays, z_arrays = triple.y.values, triple.z.values
+    window = _Anticipation(lat, delta, N, (y_arrays, prob.need_ey), (z_arrays, prob.need_ez))
+    for k in range(N - 1, -1, -1):
         if scheme is Scheme.EXPLICIT:
             yarg = lat.step_expectation(k, y_arrays[k + 1])
         else:
             yarg = y_arrays[k]
         zarg = z_arrays[k]
         uarg = triple.u.step(k)
-        if delta > 0:
-            ey = _anticipated_y(lat, y_arrays, k, delta) if prob.need_ey else yarg
-            ez = _anticipated_z(lat, z_arrays, k, delta) if prob.need_ez else zarg
-        else:
-            ey, ez = yarg, zarg
+        ey, ez = window.condition(k)
+        window.insert(k)
         env = {
             "t": k * lat.dt,
             "w": lat.w_values(k),
             "h": lat.h_values(k),
             "y": yarg,
             "z": zarg,
-            "ey": ey,
-            "ez": ez,
+            "ey": yarg if ey is None else ey,
+            "ez": zarg if ez is None else ez,
             "u": uarg,
         }
-        out.append(_driver_values(prob, k, env, uarg, env["h"]))
+        out[k] = _driver_values(prob, k, env, uarg, env["h"])
     return out
 
 
@@ -670,13 +674,7 @@ def validate_solution(solution: Solution, scenario: Scenario) -> ValidationRepor
             mean = lat.step_expectation(k, solution.y.step(k + 1))
             eq = yk - (mean + fv * lat.dt + dkk)
             residual = _max(residual, np.max(np.abs(eq)))
-            residual = _max(
-                residual,
-                _representation_residual(
-                    lat, k, solution.y.step(k + 1),
-                    solution.z.step(k), solution.u.step(k), solution.psi.step(k),
-                ),
-            )
+            residual = _max(residual, _representation_residual(solution, k, mean))
     return ValidationReport(
         driver_square_sum=sq,
         equation_residual=residual,

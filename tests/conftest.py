@@ -129,10 +129,18 @@ def grids(draw):
     )
 
 
+_INTENSITIES = [0.0, 0.0, 0.05, 0.3, 1.2]
+
+
+def step_intensities(n_steps: int):
+    """One intensity per lattice step, zero steps likely (p = lambda*dt < 1 for n_steps >= 2)."""
+    return st.lists(st.sampled_from(_INTENSITIES), min_size=n_steps, max_size=n_steps)
+
+
 @st.composite
 def lambda_profiles(draw, horizon: float = 2.0):
     """A constant intensity or a per-step profile with zero steps, as lambda(t)."""
-    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.2]), min_size=1, max_size=5))
+    values = draw(st.lists(st.sampled_from(_INTENSITIES), min_size=1, max_size=5))
     if len(values) == 1:
         return values[0]
     spec = IntensitySpec(values=tuple(values), lambda_max=max(values))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ def test_main_stopping_subcommand(tmp_path):
     path = _write(tmp_path, doc)
     out = str(tmp_path / "stopping.json")
     assert main(["stopping", "--scenario", path, "--out", out]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text(encoding="utf-8"))
     assert data["stopping"]["gap"] <= 1e-10
     assert data["stopping"]["tau_rules_coincide"] is True
 
@@ -246,7 +247,7 @@ def test_main_compare_subcommand(tmp_path):
     out = str(tmp_path / "cmp.json")
     assert main(["compare", "--scenario", p1, "--scenario2", p2,
                  "--iterates", "10", "--out", out]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text(encoding="utf-8"))
     assert data["comparison"]["min_gap"] >= -1e-10
     assert data["comparison"]["iterates"]["final_gap"] <= 1e-8
 
@@ -257,7 +258,7 @@ def test_main_compare_constant_drivers(tmp_path):
     p2 = _write(tmp_path, {**base, "driver": {"text": "0", "form": "M"}}, "s2.json")
     out = str(tmp_path / "cmp.json")
     assert main(["compare", "--scenario", p1, "--scenario2", p2, "--out", out]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text(encoding="utf-8"))
     assert data["comparison"]["hypotheses"]["dominance_min_gap"] == 0.1
     assert data["pass"] is True
 
@@ -276,7 +277,7 @@ def test_oversized_lattice_rejected_before_allocating(tmp_path, capsys):
 def test_main_suite_subcommand(tmp_path):
     out = str(tmp_path / "suite.json")
     assert main(["suite", "--cases", "6", "--seed", "4", "--out", out]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text(encoding="utf-8"))
     assert data["cases"] == 6
     assert data["failures"] == 0
     assert data["min_gap"] >= -1e-10
@@ -350,3 +351,60 @@ def test_suite_clamps_workers_to_chunks_and_cpus(monkeypatch):
     assert started == [2]  # 3 chunks, 2 cpus
     assert cli.run_suite(3, 2, n_steps=3, workers=64)["cases"] == 2
     assert started == [2]  # one chunk runs in-process
+
+
+def test_constant_division_by_zero_is_a_located_driver_error(tmp_path, capsys):
+    doc = {**MINIMAL, "steps": 4, "lambda": 0.3, "driver": "1/0*y"}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.issues == [("/driver", "division by zero")]
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "/driver: division by zero" in err
+    assert "Traceback" not in err
+
+
+_WORKFLOW_DOC = {
+    "horizon": 1.0,
+    "steps": 3,
+    "lambda": 0.4,
+    "delta_steps": 1,
+    "driver": {"text": "0.1*y + 0.05*ey", "form": "M"},
+    "obstacle": "0.8 - w - 0.2*h",
+    "terminal": "max(0.8 - w - 0.2*h, 0) + 0.4",
+}
+_CRR_DOC = {
+    "horizon": 1.0,
+    "steps": 8,
+    "lambda": 0.0,
+    "driver": "-0.04*y",
+    "obstacle": "max(1 - exp(w), 0)",
+    "terminal": "max(1 - exp(w), 0)",
+    "oracle": {"kind": "crr", "spot": 1.0, "strike": 1.0, "rate": 0.04, "sigma": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, phases",
+    [
+        (_WORKFLOW_DOC, ["solve"], {"solve", "report", "validate"}),
+        (_CRR_DOC, ["solve", "--oracle", "crr"], {"solve", "report", "validate", "oracle"}),
+        (_WORKFLOW_DOC, ["picard"], {"solve", "report", "validate", "picard"}),
+        (_WORKFLOW_DOC, ["stopping"], {"solve", "report", "validate", "stopping"}),
+        (_WORKFLOW_DOC, ["compare", "--iterates", "3"], {"solve", "report", "validate", "compare"}),
+    ],
+)
+def test_timing_names_one_phase_per_workflow_and_stays_out_of_the_report(tmp_path, doc, argv, phases):
+    path = _write(tmp_path, doc)
+    args = argv[:1] + ["--scenario", path] + argv[1:]
+    if argv[0] == "compare":
+        args += ["--scenario2", path]
+    outs = [tmp_path / name for name in ("timed.json", "r1.json", "r2.json")]
+    assert main(args + ["--timing", "--out", str(outs[0])]) == 0
+    timing = json.loads(outs[0].read_text(encoding="utf-8"))["timing"]
+    assert set(timing) == phases
+    assert all(v >= 0.0 for v in timing.values())
+    for out in outs[1:]:
+        assert main(args + ["--out", str(out)]) == 0
+    assert outs[1].read_bytes() == outs[2].read_bytes()
+    assert "timing" not in json.loads(outs[1].read_text(encoding="utf-8"))

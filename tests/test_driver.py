@@ -83,6 +83,18 @@ def test_eval_division_by_zero():
         eval_driver(expr, {"u": 1.0, "h": 1.0})
 
 
+def test_compiled_scalar_division_by_zero_raises_driver_error():
+    fn = parse_driver("1/0*y").compiled()
+    with pytest.raises(DriverEvalError, match="division by zero"):
+        fn({"y": np.ones(3)})
+    with pytest.raises(DriverEvalError, match="division by zero"):
+        parse_driver("t/(t - t)").compiled()({"t": 0.5})
+    with pytest.raises(DriverEvalError, match="division by zero"):
+        estimate_lipschitz(parse_driver("1/0*y"), GridSpec(), lambda t: 0.3)
+    # an array operand keeps numpy's IEEE result
+    assert parse_driver("y/0").compiled()({"y": np.array([1.0])})[0] == math.inf
+
+
 def test_eval_unbound_variable():
     with pytest.raises(DriverEvalError):
         eval_driver(parse_driver("y"), {})

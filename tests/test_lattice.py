@@ -321,6 +321,39 @@ def test_push_rejects_unknown_combine_and_wrong_shape():
         lat.push(2, np.ones(9))
 
 
+@st.composite
+def _stack_case(draw):
+    lat, k, _ = draw(_push_case())
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    n = lat.n_nodes(k + 1)
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n))
+    scale = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=int(np.prod(lead)),
+                                   max_size=int(np.prod(lead)))))
+    return lat, k, scale.reshape(lead + (1,)) * np.array(values)
+
+
+@given(_stack_case())
+@settings(max_examples=80, deadline=None)
+def test_stacked_step_expectation_equals_row_by_row(case):
+    lat, k, stack = case
+    out = lat.step_expectation(k, stack)
+    assert out.shape == stack.shape[:-1] + (lat.n_nodes(k),)
+    for idx in np.ndindex(stack.shape[:-1]):
+        assert out[idx].tobytes() == lat.step_expectation(k, stack[idx]).tobytes()
+
+
+def test_only_step_expectation_takes_a_stack():
+    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    with pytest.raises(LatticeError):
+        lat.push(1, np.ones((2, 4)))
+    with pytest.raises(LatticeError):
+        lat.project_martingale(0, np.ones((2, 4)))
+    with pytest.raises(LatticeError):
+        lat.step_expectation(0, np.ones((4, 2)))
+    with pytest.raises(LatticeError):
+        lat.step_expectation(0, np.float64(1.0))
+
+
 # Functions that may still walk the lattice node by node.  The Snell oracle's
 # dense kernel and the bracket edge loop check the block kernel and must stay
 # independent of it; as_dict and nodes build per-node views by definition;

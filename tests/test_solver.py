@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_scenario, random_scenario
-from rabsde import IntensitySpec, PicardConvergenceError, SolverError
+from conftest import make_scenario, random_scenario, step_intensities
+from rabsde import IntensitySpec, PicardConvergenceError, SolverError, comparison, solver
 from rabsde.crr import american_put_scenario, crr_american_put
+from rabsde.driver import parse_driver
 from rabsde.errors import LatticeError
-from rabsde.lattice import ProcessField
+from rabsde.lattice import DefaultLattice, ProcessField
 from rabsde.solver import (
     PicardOptions,
     backward_step,
@@ -419,3 +420,141 @@ def test_solve_rejects_oversized_lattice():
     sc = make_scenario(n_steps=400_000, lam=0.0, obstacle="w", terminal="w + 1")
     with pytest.raises(SolverError, match="N too large, estimated"):
         solve_backward(sc)
+
+
+# -- the anticipation window against per-step pullbacks -------------------------
+
+
+def _pullback_anticipation(sol, k, delta, mean):
+    """ey and ez at step k by one m-step pullback each (delta == 0: the y- and
+    z-arguments themselves)."""
+    lat, N = sol.lattice, sol.lattice.n_steps
+    if delta == 0:
+        return mean, sol.z.step(k)
+    m = min(k + delta, N)
+    ey = lat.pullback(sol.y.step(m), m, k)
+    ez = np.zeros(lat.n_nodes(k)) if k + delta >= N else lat.pullback(sol.z.step(k + delta), k + delta, k)
+    return ey, ez
+
+
+@st.composite
+def _anticipating_scenarios(draw):
+    n = draw(st.integers(2, 7))
+    lam = draw(step_intensities(n))
+    driver = draw(st.sampled_from(["ey", "ez", "ey - 0.5*ez", "0.3*ey + 0.2*ez + 0.1*y - 0.2*z"]))
+    return make_scenario(
+        n_steps=n, lam=lam, delta_steps=draw(st.integers(0, n + 1)), driver=driver,
+        obstacle="max(0.3 - w, 0) - 0.1*t", terminal="max(0.3 - w, 0) + 0.4*h + 0.1*tau",
+    )
+
+
+@given(_anticipating_scenarios())
+@settings(max_examples=120, deadline=None)
+def test_anticipation_window_equals_pullbacks_at_every_step(sc):
+    sol = solve_backward(sc)
+    lat, N, delta = sol.lattice, sc.n_steps, sc.delta_steps
+    fn = sc.driver.base.compiled()
+    prob = solver._prepare(sc, lat)
+    frozen = solver._frozen_driver_arrays(prob, solver._Triple(sol.y, sol.z, sol.u))
+    bridge = comparison._anticipated_field(sol, delta)
+    for k in range(N):
+        mean = lat.step_expectation(k, sol.y.step(k + 1))
+        ey, ez = _pullback_anticipation(sol, k, delta, mean)
+        env = {"t": k * lat.dt, "w": lat.w_values(k), "h": lat.h_values(k), "y": mean,
+               "z": sol.z.step(k), "u": sol.u.step(k), "ey": ey, "ez": ez}
+        expected = np.broadcast_to(np.asarray(fn(env), dtype=float), ey.shape).tobytes()
+        assert sol.driver_values.step(k).tobytes() == expected
+        assert frozen[k].tobytes() == expected  # Picard, frozen at the solution
+        m = min(k + delta, N)  # the iterate bridge freezes Y_{k+delta} itself
+        assert bridge.step(k).tobytes() == lat.pullback(sol.y.step(m), m, k).tobytes()
+        for i in (0, lat.n_nodes(k) - 1):
+            node = lat.node_at(k, i)
+            assert backward_step(node, sol, sc) == tuple(
+                float(f.step(k)[i]) for f in (sol.y, sol.z, sol.u, sol.psi, sol.dk)
+            )
+
+
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(DefaultLattice, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DefaultLattice, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("driver", ["0.2*y + 0.1*ey", "0.1*ez + 0.2*y", "0.1*ey - 0.1*ez"])
+def test_one_kernel_call_per_step_for_anticipation(monkeypatch, driver):
+    sc = make_scenario(n_steps=12, lam=0.3, delta_steps=4, driver=driver, scheme="implicit")
+    counts = _count_calls(monkeypatch, "step_expectation", "pullback")
+    sol = solve_backward(sc)
+    assert counts == {"step_expectation": 12, "pullback": 0}
+    validate_solution(sol, sc)
+    assert counts == {"step_expectation": 24, "pullback": 0}
+    sol.representation_residual()
+    assert counts == {"step_expectation": 36, "pullback": 0}
+
+
+# -- the representation residual against a per-edge oracle ----------------------
+
+
+def _residual_by_edges(sol):
+    """max |y_next(child) - (mean + z dW + u dM + psi dW dM)| over every edge that
+    children() lists, with |u| and |psi| where dM = 0; NaN-propagating."""
+    lat, s = sol.lattice, sol.lattice.sqrt_dt
+    best = 0.0
+
+    def bump(value):
+        nonlocal best
+        if value > best or math.isnan(value):
+            best = value
+
+    for k in range(lat.n_steps):
+        y_next = sol.y.step(k + 1)
+        mean = lat.step_expectation(k, y_next)
+        z, u, psi = sol.z.step(k), sol.u.step(k), sol.psi.step(k)
+        p = lat.p[k]
+        for i, node in enumerate(lat.nodes(k)):
+            jumps = node.is_alive and p > 0.0
+            if not jumps:
+                bump(abs(float(u[i])))
+                bump(abs(float(psi[i])))
+            for child, _prob, dw, dh in lat.children(node):
+                sign = 1.0 if dw > 0 else -1.0
+                if jumps:
+                    dm = dh - p
+                    pred = mean[i] + sign * z[i] * s + u[i] * dm + psi[i] * sign * s * dm
+                else:
+                    pred = mean[i] + sign * z[i] * s
+                bump(abs(float(y_next[lat.index(child)] - pred)))
+    return best
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([None, "y", "z", "u", "psi"]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_representation_residual_matches_per_edge_oracle(seed, field, pos):
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, n_steps=int(rng.integers(2, 6)), scheme="implicit")
+    lam = [0.0 if rng.random() < 0.3 else v for v in sc.intensity.values]
+    sc = dataclasses.replace(sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=max(lam)),
+                             driver=dataclasses.replace(sc.driver, base=parse_driver("0.1*y + 0.1*ey")))
+    sol = solve_backward(sc)
+    if field is not None:
+        arrays = [a.copy() for a in getattr(sol, field).values]
+        k = pos % sc.n_steps + (field == "y")
+        arrays[k][pos % arrays[k].size] = math.nan
+        sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, 0, arrays)})
+    got, want = sol.representation_residual(), _residual_by_edges(sol)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    if field is not None:
+        assert math.isnan(got)
+    else:
+        assert 0.0 <= got <= 1e-12
