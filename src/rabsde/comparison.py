@@ -25,8 +25,10 @@ from .solver import (
     _Anticipation,
     Scheme,
     Solution,
+    _Problem,
+    _prepare,
+    _solve,
     obstacle_field,
-    solve_backward,
     terminal_values,
 )
 
@@ -150,6 +152,9 @@ class ComparisonCase:
     _accepted: tuple[DefaultLattice, HypothesisReport] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    # scenario 1 or 2 -> (lattice, prepared problem or None, solution), filled by
+    # _solved so that the checks on one case prepare and solve each scenario once
+    _solutions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s1, s2 = self.scenario1, self.scenario2
@@ -241,6 +246,23 @@ def _passing_hypotheses(case: ComparisonCase, lat: DefaultLattice) -> Hypothesis
     return report
 
 
+def _solved(case: ComparisonCase, which: int, lat: DefaultLattice) -> tuple[_Problem | None, Solution]:
+    """Scenario ``which`` (1 or 2) of the case, prepared and solved once per
+    grid; the problem is None for a solution handed in by ``_given_solution``."""
+    held = case._solutions.get(which)
+    if held is None or not lat.same_grid(held[0]):
+        prob = _prepare(case.scenario1 if which == 1 else case.scenario2, lat)
+        held = case._solutions[which] = (lat, prob, _solve(prob))
+    return held[1], held[2]
+
+
+def _given_solution(case: ComparisonCase, solution: Solution) -> ComparisonCase:
+    """Hand the case an already-solved dominating scenario, so that
+    ``run_comparison`` and ``iterate_sequence`` do not solve it again."""
+    case._solutions[1] = (solution.lattice, None, solution)
+    return case
+
+
 @dataclass(frozen=True)
 class ComparisonVerdict:
     hypotheses: HypothesisReport
@@ -258,13 +280,14 @@ def run_comparison(
     """Check the hypotheses, solve both scenarios, and compare node-wise.
 
     A case from ``random_comparison_case`` keeps the report that accepted it,
-    which is reused on a lattice with the same grid.  Raises HypothesisError
+    which is reused on a lattice with the same grid; the case also keeps both
+    solutions for ``iterate_sequence`` on that grid.  Raises HypothesisError
     when a hypothesis fails (the ordering is not asserted then).
     """
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
     report = _passing_hypotheses(case, lat)
-    sol1 = solve_backward(case.scenario1, lattice=lat)
-    sol2 = solve_backward(case.scenario2, lattice=lat)
+    _, sol1 = _solved(case, 1, lat)
+    _, sol2 = _solved(case, 2, lat)
     min_gap = min(
         float(np.min(sol1.y.step(k) - sol2.y.step(k))) for k in range(lat.n_steps + 1)
     )
@@ -316,18 +339,20 @@ def iterate_sequence(
     Each iterate freezes the anticipated slot at the previous solution, which
     must decrease node-wise (up to ``tol``); a violation raises
     MonotonicityError naming the node.  Stops after ``n_max`` iterates or when
-    successive iterates agree within ``stop_tol``.
+    successive iterates agree within ``stop_tol``.  Both scenarios are solved
+    once per case and grid (``run_comparison`` on the same case shares them),
+    and every iterate reuses the dominated scenario's prepared problem.
     """
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
     _passing_hypotheses(case, lat)
-    sol1 = solve_backward(case.scenario1, lattice=lat)
-    sol2 = solve_backward(case.scenario2, lattice=lat)
+    _, sol1 = _solved(case, 1, lat)
+    prob2, sol2 = _solved(case, 2, lat)
     iterates: list[Solution] = []
     sup_diffs: list[float] = []
     prev = sol1
     for _ in range(n_max):
         frozen = _anticipated_field(prev, case.scenario2.delta_steps)
-        cur = solve_backward(case.scenario2, lattice=lat, frozen_ey=frozen)
+        cur = _solve(prob2, frozen_ey=frozen)
         sup = 0.0
         for k in range(lat.n_steps + 1):
             gap = prev.y.step(k) - cur.y.step(k)

@@ -125,12 +125,20 @@ def brute_force_value(
     """Exact maximum of ``stopping_payoff`` over all adapted rules.
 
     Enumerates stop/continue flags on the non-terminal nodes reachable from
-    ``from_node`` (2^m rules, evaluated in vectorized batches); raises
-    EnumerationError when m exceeds ``max_nodes``.
+    ``from_node`` (2^m rules); raises EnumerationError when m exceeds
+    ``max_nodes``.  Rule ids are step-major, node-minor bit strings, so a
+    rule's flags at steps >= k fix its continuation value at step k.  Each
+    batch of 2^b aligned ids (2^b <= ``batch_size``) walks backward from the
+    terminal row: at step k the continuation is computed once per distinct
+    pattern of the later steps' bits, then the rows are expanded by the step-k
+    bits that vary inside the batch.  The last row vector holds every rule's
+    payoff in id order; the lowest id attaining the maximum is returned.
     """
     lat = solution.lattice
     k0 = from_node.step
     N = lat.n_steps
+    if batch_size < 1:
+        raise EnumerationError(f"batch_size must be at least 1, got {batch_size}")
     masks = _descendant_masks(lat, from_node)
     counts = [int(np.count_nonzero(masks[k - k0])) for k in range(k0, N)]
     m = sum(counts)
@@ -149,23 +157,25 @@ def brute_force_value(
     ]
     s_loc = [obstacle.step(k)[masks[k - k0]] for k in range(k0, N)]
     xi_loc = solution.y.step(N)[masks[N - k0]]
-    n_rules = 1 << m
+    b = min(m, batch_size.bit_length() - 1)  # id bits that vary inside a batch
     best_val = -math.inf
     best_id = 0
-    for start in range(0, n_rules, batch_size):
-        ids = np.arange(start, min(start + batch_size, n_rules), dtype=np.int64)
-        v = np.broadcast_to(xi_loc, (ids.size, xi_loc.size)).copy()
+    for start in range(0, 1 << m, 1 << b):
+        v = xi_loc[None, :]  # one row per pattern of the bits above the step
         for k in range(N - 1, k0 - 1, -1):
             i = k - k0
             cont = f_loc[i] + v @ mats[i].T
-            shifts = (offsets[i] + np.arange(counts[i], dtype=np.int64))[None, :]
-            bits = ((ids[:, None] >> shifts) & 1).astype(bool)
-            v = np.where(bits, s_loc[i], cont)
+            # the step's bits below b take every pattern (rows in id order), the
+            # rest are the batch's; start is 0 below bit b, so + is a bitwise or
+            n_var = min(max(b - offsets[i], 0), counts[i])
+            local = (start >> int(offsets[i])) + np.arange(1 << n_var)
+            flags = ((local[:, None] >> np.arange(counts[i])) & 1).astype(bool)
+            v = np.where(flags, s_loc[i], cont[:, None, :]).reshape(-1, counts[i])
         vals = v[:, 0]
         j = int(np.argmax(vals))
         if float(vals[j]) > best_val:
             best_val = float(vals[j])
-            best_id = int(ids[j])
+            best_id = start + j
     stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(N + 1)]
     bit = 0
     for k in range(k0, N):

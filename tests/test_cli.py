@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from rabsde import IntensitySpec, cli
+from rabsde import IntensitySpec, cli, comparison, solver
 from rabsde.cli import (
     RunFlags,
     emit_report,
@@ -252,6 +252,33 @@ def test_main_compare_subcommand(tmp_path):
     assert data["comparison"]["iterates"]["final_gap"] <= 1e-8
 
 
+def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
+    base = {**_WORKFLOW_DOC, "steps": 5, "name": "dominated"}
+    p1 = _write(tmp_path, {**base, "terminal": f"{base['terminal']} + 0.5", "name": "dominating"}, "s1.json")
+    p2 = _write(tmp_path, base, "s2.json")
+    prepared, solved, frozen = [], [], []
+    prepare, solve = solver._prepare, solver._solve
+
+    def counted_prepare(scenario, lattice):
+        prepared.append(scenario.name)
+        return prepare(scenario, lattice)
+
+    def counted_solve(prob, frozen_ey=None, frozen_driver=None):
+        (solved if frozen_ey is None else frozen).append(prob.scenario.name)
+        return solve(prob, frozen_ey=frozen_ey, frozen_driver=frozen_driver)
+
+    for module in (solver, comparison):
+        monkeypatch.setattr(module, "_prepare", counted_prepare)
+        monkeypatch.setattr(module, "_solve", counted_solve)
+    out = tmp_path / "cmp.json"
+    # three iterates stop short of the 1e-8 limit check, so the run exits 3
+    assert main(["compare", "--scenario", p1, "--scenario2", p2, "--iterates", "3", "--out", str(out)]) == 3
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert [c["name"] for c in data["checks"] if not c["pass"]] == ["iterate_limit_gap"]
+    assert sorted(prepared) == sorted(solved) == ["dominated", "dominating"]
+    assert data["comparison"]["iterates"]["count"] == 3 and frozen == ["dominated"] * 3
+
+
 def test_main_compare_constant_drivers(tmp_path):
     base = {"horizon": 1.0, "steps": 4, "lambda": 0.3, "obstacle": "-1e9", "terminal": "w"}
     p1 = _write(tmp_path, {**base, "driver": {"text": "0.1", "form": "M"}}, "s1.json")
@@ -387,11 +414,11 @@ _CRR_DOC = {
 @pytest.mark.parametrize(
     "doc, argv, phases",
     [
-        (_WORKFLOW_DOC, ["solve"], {"solve", "report", "validate"}),
-        (_CRR_DOC, ["solve", "--oracle", "crr"], {"solve", "report", "validate", "oracle"}),
-        (_WORKFLOW_DOC, ["picard"], {"solve", "report", "validate", "picard"}),
-        (_WORKFLOW_DOC, ["stopping"], {"solve", "report", "validate", "stopping"}),
-        (_WORKFLOW_DOC, ["compare", "--iterates", "3"], {"solve", "report", "validate", "compare"}),
+        (_WORKFLOW_DOC, ["solve"], {"load", "solve", "report", "validate"}),
+        (_CRR_DOC, ["solve", "--oracle", "crr"], {"load", "solve", "report", "validate", "oracle"}),
+        (_WORKFLOW_DOC, ["picard"], {"load", "solve", "report", "validate", "picard"}),
+        (_WORKFLOW_DOC, ["stopping"], {"load", "solve", "report", "validate", "stopping"}),
+        (_WORKFLOW_DOC, ["compare", "--iterates", "3"], {"load", "solve", "report", "validate", "compare"}),
     ],
 )
 def test_timing_names_one_phase_per_workflow_and_stays_out_of_the_report(tmp_path, doc, argv, phases):
@@ -408,3 +435,19 @@ def test_timing_names_one_phase_per_workflow_and_stays_out_of_the_report(tmp_pat
         assert main(args + ["--out", str(out)]) == 0
     assert outs[1].read_bytes() == outs[2].read_bytes()
     assert "timing" not in json.loads(outs[1].read_text(encoding="utf-8"))
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    path = _write(tmp_path, _WORKFLOW_DOC)
+    assert cli._build_parser() is cli._build_parser()
+    solve_argv = ["solve", "--scenario", path]
+    before = vars(cli._build_parser().parse_args(solve_argv))
+    outs = [tmp_path / name for name in ("solve1.json", "picard.json", "solve2.json")]
+    assert main(solve_argv + ["--out", str(outs[0])]) == 0
+    assert main(["picard", "--scenario", path, "--beta", "4", "--out", str(outs[1])]) == 0
+    assert main(solve_argv + ["--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[2].read_bytes()
+    assert json.loads(outs[1].read_text(encoding="utf-8"))["picard"]["beta"] == 4.0
+    assert "picard" not in json.loads(outs[2].read_text(encoding="utf-8"))
+    assert vars(cli._build_parser().parse_args(solve_argv)) == before
+    assert "beta" not in before

@@ -493,10 +493,20 @@ def test_one_kernel_call_per_step_for_anticipation(monkeypatch, driver):
     counts = _count_calls(monkeypatch, "step_expectation", "pullback")
     sol = solve_backward(sc)
     assert counts == {"step_expectation": 12, "pullback": 0}
-    validate_solution(sol, sc)
+    report = validate_solution(sol, sc)
     assert counts == {"step_expectation": 24, "pullback": 0}
-    sol.representation_residual()
-    assert counts == {"step_expectation": 36, "pullback": 0}
+    assert report.representation_residual <= 1e-12  # carried by the report: no further call
+    assert counts == {"step_expectation": 24, "pullback": 0}
+
+
+def test_explicit_picard_reads_the_y_argument_from_the_window(monkeypatch):
+    sc = make_scenario(n_steps=12, lam=0.3, delta_steps=2, driver="0.2*y + 0.1*ey")
+    counts = _count_calls(monkeypatch, "step_expectation", "pullback")
+    sol, _history = solve_picard(sc, PicardOptions(beta=4.0))
+    passes = sol.diagnostics["picard_iterations"]
+    assert passes > 1
+    # one stacked call per step for the window, none for E[Y_{k+1} | F_k]
+    assert counts == {"step_expectation": 12 * passes, "pullback": 0}
 
 
 # -- the representation residual against a per-edge oracle ----------------------
@@ -536,7 +546,7 @@ def _residual_by_edges(sol):
 
 @given(
     st.integers(0, 10_000),
-    st.sampled_from([None, "y", "z", "u", "psi"]),
+    st.sampled_from([None, "y", "z", "u", "psi", "dk"]),
     st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None)
@@ -552,9 +562,12 @@ def test_representation_residual_matches_per_edge_oracle(seed, field, pos):
         k = pos % sc.n_steps + (field == "y")
         arrays[k][pos % arrays[k].size] = math.nan
         sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, 0, arrays)})
-    got, want = sol.representation_residual(), _residual_by_edges(sol)
+    report = validate_solution(sol, sc)
+    got, want = report.representation_residual, _residual_by_edges(sol)
     assert got == want or (math.isnan(got) and math.isnan(want))
-    if field is not None:
+    if field == "dk":  # a NaN in dK fails the equation residual, not the representation
+        assert math.isnan(report.equation_residual) and 0.0 <= got <= 1e-12
+    elif field is not None:
         assert math.isnan(got)
     else:
         assert 0.0 <= got <= 1e-12

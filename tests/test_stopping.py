@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_scenario, random_scenario
-from rabsde import ALIVE, EnumerationError, NodeId
+from conftest import make_scenario, random_scenario, step_intensities
+from rabsde import ALIVE, EnumerationError, IntensitySpec, NodeId
 from rabsde.crr import american_put_scenario
 from rabsde.solver import solve_backward, obstacle_field
 from rabsde.stopping import (
@@ -141,6 +144,62 @@ def test_brute_force_cap():
     sol = solve_backward(sc)
     with pytest.raises(EnumerationError):
         brute_force_value(sol, sc, sol.lattice.root(), max_nodes=22)
+
+
+def _decision_nodes(lat, node):
+    """(step, index) of the non-terminal nodes reachable from ``node``, step-major
+    and index-minor (the oracle's bit order), found by walking children()."""
+    level, out = {lat.index(node)}, []
+    for k in range(node.step, lat.n_steps):
+        out.extend((k, i) for i in sorted(level))
+        level = {lat.index(c) for i in level for c, *_ in lat.children(lat.node_at(k, i))}
+    return out
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """A solved binding scenario on 2-4 steps (zero-intensity steps likely) and
+    a start node, root or interior, with at most 10 decision nodes below it."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sc = random_scenario(rng, n_steps=n, lam=0.3, delta_steps=draw(st.integers(0, 2)))
+    lam = draw(step_intensities(n))
+    sc = dataclasses.replace(sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=max(lam)))
+    sol = solve_backward(sc)
+    lat = sol.lattice
+    steps = [[node for node in lat.nodes(k) if len(_decision_nodes(lat, node)) <= 10]
+             for k in range(n)]
+    return sc, sol, draw(st.sampled_from(draw(st.sampled_from([s for s in steps if s]))))
+
+
+@given(_oracle_inputs())
+@settings(max_examples=40, deadline=None)
+def test_brute_force_matches_every_rule_evaluated_one_by_one(inputs):
+    sc, sol, node = inputs
+    lat = sol.lattice
+    decisions = _decision_nodes(lat, node)
+    payoffs = []
+    for rule_id in range(1 << len(decisions)):
+        stop = [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(lat.n_steps + 1)]
+        for bit, (k, i) in enumerate(decisions):
+            stop[k][i] = bool(rule_id >> bit & 1)
+        payoffs.append(stopping_payoff(StoppingRule.from_arrays(lat, stop), sol, sc, node))
+    best = max(payoffs)
+    value, rule = brute_force_value(sol, sc, node)
+    rule_id = sum(int(rule.stop[k][i]) << bit for bit, (k, i) in enumerate(decisions))
+    assert abs(value - best) <= 1e-12
+    assert abs(payoffs[rule_id] - best) <= 1e-12
+    assert rule_id == min(j for j, v in enumerate(payoffs) if v >= best - 1e-12)
+    for batch_size in (1 << 4, 1 << 8, 1 << 30):
+        other, other_rule = brute_force_value(sol, sc, node, batch_size=batch_size)
+        assert other.hex() == value.hex() and other_rule.same_rule(rule)
+
+
+def test_brute_force_rejects_an_empty_batch():
+    sc = make_scenario(n_steps=2, lam=0.3, terminal="w")
+    sol = solve_backward(sc)
+    with pytest.raises(EnumerationError, match="batch_size"):
+        brute_force_value(sol, sc, sol.lattice.root(), batch_size=0)
 
 
 def test_no_rule_beats_snell_value():
