@@ -29,7 +29,6 @@ from .driver import (
     estimate_lipschitz,
     eval_driver,
     parse_driver,
-    to_M_form,
 )
 from .errors import (
     DriverEvalError,
@@ -52,7 +51,6 @@ from .lattice import (
     ProcessField,
     bracket_checks,
     build_lattice,
-    cond_expect,
     martingale_M,
 )
 from .solver import (
@@ -61,7 +59,6 @@ from .solver import (
     Scheme,
     Solution,
     ValidationReport,
-    backward_step,
     beta_norm,
     estimate_c_prime,
     obstacle_field,
@@ -76,7 +73,6 @@ from .stopping import (
     StoppingRule,
     brute_force_value,
     k_running_max_check,
-    optimal_tau,
     snell_report,
     stopping_payoff,
     tau_characterizations,

@@ -641,6 +641,26 @@ def run_suite(
 # -- argument parsing -------------------------------------------------------------
 
 
+def _flag(kind, ok, rule: str):
+    """An argparse ``type``: ``kind(text)``, rejected unless ``ok`` holds."""
+
+    def parse(text: str):
+        value = kind(text)  # a ValueError reads "invalid <kind> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE = _flag(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_AT_LEAST_ONE = _flag(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = _flag(int, lambda v: v >= 0, ">= 0")
+_RHO = _flag(float, lambda v: math.isfinite(v) and v >= 1, "finite and >= 1")
+_INTENSITY = _flag(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every ``main``
@@ -657,8 +677,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario2", required=True, help="second scenario JSON file")
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=_POSITIVE, default=1e-10)
+        p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
         p.add_argument("--timing", action="store_true")
 
     p_solve = sub.add_parser("solve", help="solve backward, validate, optional oracle")
@@ -667,30 +687,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_picard = sub.add_parser("picard", help="fixed-point iteration with history")
     common(p_picard)
-    p_picard.add_argument("--rho", type=float, default=1.0)
-    p_picard.add_argument("--beta", type=float, default=None)
-    p_picard.add_argument("--max-iter", type=int, default=60)
+    p_picard.add_argument("--rho", type=_RHO, default=1.0)
+    p_picard.add_argument("--beta", type=_POSITIVE, default=None)
+    p_picard.add_argument("--max-iter", type=_AT_LEAST_ONE, default=60)
 
     p_stop = sub.add_parser("stopping", help="Snell oracle, tau rules, running-max")
     common(p_stop)
 
     p_cmp = sub.add_parser("compare", help="hypothesis checks plus node-wise comparison")
     common(p_cmp, scenario2=True)
-    p_cmp.add_argument("--iterates", type=int, default=0, help="run the monotone iterate bridge")
+    p_cmp.add_argument("--iterates", type=_NON_NEGATIVE, default=0,
+                       help="run the monotone iterate bridge")
 
     p_suite = sub.add_parser("suite", help="randomized comparison sweep")
-    p_suite.add_argument("--cases", type=int, default=1000)
-    p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--steps", type=int, default=6)
-    p_suite.add_argument("--horizon", type=float, default=1.0)
-    p_suite.add_argument("--intensity", type=float, default=0.3)
-    p_suite.add_argument("--tol", type=float, default=1e-10)
+    p_suite.add_argument("--cases", type=_AT_LEAST_ONE, default=1000)
+    p_suite.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p_suite.add_argument("--steps", type=_AT_LEAST_ONE, default=6)
+    p_suite.add_argument("--horizon", type=_POSITIVE, default=1.0)
+    p_suite.add_argument("--intensity", type=_INTENSITY, default=0.3)
+    p_suite.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p_suite.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written the usage error (exit 2) or the help
+        return exc.code
     try:
         if args.command == "suite":
             threads = os.environ.get("RABSDE_THREADS", "1")
@@ -698,9 +722,6 @@ def main(argv=None) -> int:
                 workers = int(threads)
             except ValueError:
                 sys.stderr.write(f"error: RABSDE_THREADS must be an integer, got {threads!r}\n")
-                return 2
-            if args.cases < 1:
-                sys.stderr.write(f"error: --cases must be at least 1, got {args.cases}\n")
                 return 2
             data = run_suite(
                 args.seed,

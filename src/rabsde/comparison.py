@@ -148,7 +148,8 @@ class ComparisonCase:
     scenario1: Scenario
     scenario2: Scenario
     grid: GridSpec
-    # (lattice, report) of the check that accepted a generated case
+    # (lattice, report) of the first passing check: the one that accepted a
+    # generated case, else the first run_comparison or iterate_sequence
     _accepted: tuple[DefaultLattice, HypothesisReport] | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -233,8 +234,8 @@ def check_hypotheses(case: ComparisonCase, lattice: DefaultLattice | None = None
 
 
 def _passing_hypotheses(case: ComparisonCase, lat: DefaultLattice) -> HypothesisReport:
-    """The report that accepted a generated case on this grid, else a fresh
-    check; raises HypothesisError when a hypothesis fails."""
+    """The case's passing report on this grid, else a fresh check that the
+    case then keeps; raises HypothesisError when a hypothesis fails."""
     if case._accepted is not None and lat.same_grid(case._accepted[0]):
         return case._accepted[1]
     report = check_hypotheses(case, lat)
@@ -243,6 +244,7 @@ def _passing_hypotheses(case: ComparisonCase, lat: DefaultLattice) -> Hypothesis
             f"comparison hypotheses failed: {', '.join(report.failed_names())}",
             report,
         )
+    object.__setattr__(case, "_accepted", (lat, report))
     return report
 
 
@@ -279,8 +281,9 @@ def run_comparison(
 ) -> ComparisonVerdict:
     """Check the hypotheses, solve both scenarios, and compare node-wise.
 
-    A case from ``random_comparison_case`` keeps the report that accepted it,
-    which is reused on a lattice with the same grid; the case also keeps both
+    The case keeps the first passing report (a case from
+    ``random_comparison_case`` already holds the one that accepted it), which
+    is reused on a lattice with the same grid; the case also keeps both
     solutions for ``iterate_sequence`` on that grid.  Raises HypothesisError
     when a hypothesis fails (the ordering is not asserted then).
     """
@@ -318,7 +321,7 @@ class IterateTrace:
 def _anticipated_field(solution: Solution, delta: int) -> ProcessField:
     lat, y = solution.lattice, solution.y.values
     arrays = [None] * lat.n_steps
-    window = _Anticipation(lat, delta, lat.n_steps, (y, True))
+    window = _Anticipation(lat, delta, (y, True))
     for k in reversed(range(lat.n_steps)):
         (ey,) = window.condition(k)
         arrays[k] = y[k] if ey is None else ey

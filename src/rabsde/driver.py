@@ -11,16 +11,23 @@ Grammar (EBNF):
 
 Variables: t, w, h, y, z, ey, ez, u, tau.  Functions: exp(x), abs(x),
 min(a, b), max(a, b).  Unary minus binds tighter than * and /, which bind
-tighter than + and -; binary operators associate to the left.
+tighter than + and -; binary operators associate to the left.  Nesting and
+tree depth are capped at MAX_DEPTH.
+
+One engine evaluates: a closure tree, compiled once per expression, that
+takes floats or NumPy arrays with NumPy's semantics.  min and max propagate
+NaN, exp overflows to inf, and division by zero gives IEEE inf or NaN unless
+both operands are Python floats, which raises DriverEvalError, as does an
+unbound variable.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,6 +38,11 @@ FUNCTIONS: dict[str, int] = {"exp": 1, "abs": 1, "min": 2, "max": 2}
 
 # Driver slots that carry Lipschitz constants, in reporting order.
 LIPSCHITZ_SLOTS = ("y", "z", "ey", "ez", "u")
+
+# Deepest parenthesis, call or unary-minus nesting, and deepest syntax tree, that
+# parse_driver accepts; the parser, the compiler and the compiled closures all
+# recurse, so deeper input would exhaust the interpreter's stack.
+MAX_DEPTH = 100
 
 
 class Expr:
@@ -88,56 +100,6 @@ def _free_vars(node: Expr) -> frozenset[str]:
     return frozenset()
 
 
-def _evaluate(node: Expr, env: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise DriverEvalError(f"unbound variable '{node.name}'") from None
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, env)
-    if isinstance(node, BinOp):
-        a = _evaluate(node.left, env)
-        b = _evaluate(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise DriverEvalError("division by zero")
-        return a / b
-    if isinstance(node, Call):
-        vals = [_evaluate(a, env) for a in node.args]
-        if node.func == "exp":
-            return math.exp(vals[0])
-        if node.func == "abs":
-            return abs(vals[0])
-        if node.func == "min":
-            return min(vals)
-        return max(vals)
-    raise DriverEvalError(f"cannot evaluate node {node!r}")
-
-
-def _to_source(node: Expr) -> str:
-    # Fully parenthesized so the printout re-parses to the same structure.
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_to_source(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({_to_source(node.left)} {node.op} {_to_source(node.right)})"
-    if isinstance(node, Call):
-        args = ", ".join(_to_source(a) for a in node.args)
-        return f"{node.func}({args})"
-    raise ValueError(f"cannot print node {node!r}")
-
-
 def _compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
     """Closure-tree compiler; works elementwise on numpy arrays."""
     if isinstance(node, Num):
@@ -145,7 +107,14 @@ def _compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
         return lambda env: v
     if isinstance(node, Var):
         name = node.name
-        return lambda env: env[name]
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise DriverEvalError(f"unbound variable '{name}'") from None
+
+        return var
     if isinstance(node, Neg):
         inner = _compile(node.operand)
         return lambda env: -inner(env)
@@ -186,15 +155,13 @@ class DriverExpr:
     root: Expr
     source: str
     free_vars: frozenset[str]
-
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        return float(_evaluate(self.root, env))
-
-    def to_source(self) -> str:
-        return _to_source(self.root)
+    _fn: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
     def compiled(self) -> Callable[[Mapping[str, Any]], Any]:
-        return _compile(self.root)
+        """The closure tree, compiled on the first call and kept."""
+        if self._fn is None:
+            object.__setattr__(self, "_fn", _compile(self.root))
+        return self._fn
 
     def uses(self, name: str) -> bool:
         return name in self.free_vars
@@ -207,8 +174,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | end
     text: str
     pos: int
@@ -232,11 +198,20 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _within(depth: int, tok: _Token) -> int:
+    if depth > MAX_DEPTH:
+        raise DriverParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.pos)
+    return depth
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, syntax-tree depth).  A
+    parenthesis or call level costs four stack frames, as in the grammar."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # parentheses, calls and unary minuses open
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -246,68 +221,86 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
+    def at_op(self, ops: str) -> bool:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise DriverParseError(f"expected '{op}'", tok.pos)
+        return tok.kind == "op" and tok.text in ops
+
+    def expect_op(self, op: str) -> None:
+        if not self.at_op(op):
+            raise DriverParseError(f"expected '{op}'", self.peek().pos)
         self.advance()
 
+    def enter(self, tok: _Token) -> None:
+        """Open one parenthesis, call or unary-minus level at ``tok``."""
+        self.nesting = _within(self.nesting + 1, tok)
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise DriverParseError(f"unexpected token {tok.text!r}", tok.pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op=op, left=node, right=self.term())
-        return node
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
+        while self.at_op("+-"):
+            tok = self.advance()
+            right, right_depth = self.term()
+            node = BinOp(op=tok.text, left=node, right=right)
+            depth = _within(max(depth, right_depth) + 1, tok)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op=op, left=node, right=self.unary())
-        return node
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.unary()
+        while self.at_op("*/"):
+            tok = self.advance()
+            right, right_depth = self.unary()
+            node = BinOp(op=tok.text, left=node, right=right)
+            depth = _within(max(depth, right_depth) + 1, tok)
+        return node, depth
 
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(operand=self.unary())
-        return self.atom()
+    def unary(self) -> tuple[Expr, int]:
+        if not self.at_op("-"):
+            return self.atom()
+        tok = self.advance()
+        self.enter(tok)
+        operand, depth = self.unary()
+        self.nesting -= 1
+        return Neg(operand=operand), _within(depth + 1, tok)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(value=float(tok.text))
+            return Num(value=float(tok.text)), 1
         if tok.kind == "name":
-            if self.peek().kind == "op" and self.peek().text == "(":
+            if self.at_op("("):
                 if tok.text not in FUNCTIONS:
                     raise DriverParseError(f"unknown function '{tok.text}'", tok.pos)
                 self.advance()
+                self.enter(tok)
                 args = [self.expr()]
-                while self.peek().kind == "op" and self.peek().text == ",":
+                while self.at_op(","):
                     self.advance()
                     args.append(self.expr())
                 self.expect_op(")")
+                self.nesting -= 1
                 arity = FUNCTIONS[tok.text]
                 if len(args) != arity:
                     raise DriverParseError(
                         f"function '{tok.text}' takes {arity} argument(s), got {len(args)}",
                         tok.pos,
                     )
-                return Call(func=tok.text, args=tuple(args))
+                depth = _within(max(d for _, d in args) + 1, tok)
+                return Call(func=tok.text, args=tuple(a for a, _ in args)), depth
             if tok.text not in VARIABLES:
                 raise DriverParseError(f"unknown variable '{tok.text}'", tok.pos)
-            return Var(name=tok.text)
+            return Var(name=tok.text), 1
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            self.enter(tok)
+            out = self.expr()
             self.expect_op(")")
-            return node
+            self.nesting -= 1
+            return out
         if tok.kind == "end":
             raise DriverParseError("unexpected end of input", tok.pos)
         raise DriverParseError(f"unexpected token {tok.text!r}", tok.pos)
@@ -320,8 +313,8 @@ def parse_driver(text: str) -> DriverExpr:
 
 
 def eval_driver(expr: DriverExpr, env: Mapping[str, float]) -> float:
-    """Strict scalar evaluation; raises on unbound variables and zero division."""
-    return expr.evaluate(env)
+    """Scalar value of the compiled expression at one point."""
+    return float(expr.compiled()(env))
 
 
 class DriverForm(str, Enum):
@@ -331,28 +324,12 @@ class DriverForm(str, Enum):
     M = "M"  # integral against dM; the text already is the transformed driver
 
 
-def to_M_form(f: DriverExpr, lam_k: float, h: float) -> Callable[[Mapping[str, float]], float]:
-    """Evaluation rule for the dH -> dM rewrite: F(args) = f(args) - lam*(1-h)*u."""
-
-    def rule(env: Mapping[str, float]) -> float:
-        return f.evaluate(env) - lam_k * (1.0 - h) * env.get("u", 0.0)
-
-    return rule
-
-
 @dataclass(frozen=True)
 class TransformedDriver:
     """A driver expression tagged with the form its jump term is written in."""
 
     base: DriverExpr
     form: DriverForm = DriverForm.H
-
-    def m_form_value(self, env: Mapping[str, float], lam_t: float, h: float) -> float:
-        """Value of the dM-form driver at a point."""
-        v = self.base.evaluate(env)
-        if self.form is DriverForm.H:
-            v -= lam_t * (1.0 - h) * env.get("u", 0.0)
-        return v
 
 
 def _box(horizon: float) -> tuple[tuple[str, float, float], ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -188,9 +188,6 @@ class DefaultLattice:
         codes = self.default_step_codes(k)
         tau = np.where(codes > 0, codes * self.dt, self.horizon)
         return tau.astype(float)
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
 
     # -- kernel ----------------------------------------------------------------
 
@@ -422,17 +419,6 @@ class ProcessField:
         return cls.from_arrays(lattice, step, [values])
 
     @classmethod
-    def from_function(
-        cls,
-        lattice: DefaultLattice,
-        fn: Callable[[int], np.ndarray],
-        first_step: int = 0,
-        last_step: int | None = None,
-    ) -> "ProcessField":
-        last = lattice.n_steps if last_step is None else last_step
-        return cls.from_arrays(lattice, first_step, [fn(k) for k in range(first_step, last + 1)])
-
-    @classmethod
     def zeros(cls, lattice: DefaultLattice, first_step: int = 0, last_step: int | None = None):
         last = lattice.n_steps if last_step is None else last_step
         return cls.from_arrays(
@@ -456,14 +442,6 @@ class ProcessField:
 
     def at(self, node: NodeId) -> float:
         return float(self.step(node.step)[self.lattice.index(node)])
-
-    def as_dict(self) -> dict[NodeId, float]:
-        out: dict[NodeId, float] = {}
-        for k in self.step_range:
-            arr = self.step(k)
-            for i in range(arr.shape[0]):
-                out[self.lattice.node_at(k, i)] = float(arr[i])
-        return out
 
 
 def build_lattice(horizon: float, n_steps: int, intensity: IntensitySpec) -> DefaultLattice:
@@ -492,33 +470,10 @@ def oversize_message(horizon: float, n_steps: int, intensity: IntensitySpec) -> 
     )
 
 
-def cond_expect(lattice: DefaultLattice, field: ProcessField, at: NodeId) -> float:
-    """Exact tower expectation of a single-step field conditional on ``at``.
-
-    The field must sit at a step >= at.step; zero distance returns the field
-    value at the node itself.
-    """
-    if field.lattice is not lattice and not field.lattice.same_grid(lattice):
-        raise LatticeError("field belongs to a different lattice")
-    if len(field.values) != 1:
-        raise LatticeError("cond_expect expects a single-step field")
-    k_field = field.first_step
-    k = at.step
-    if k > k_field:
-        raise LatticeError(
-            f"cannot condition step-{k_field} field on later step {k}"
-        )
-    out = lattice.pullback(field.values[0], k_field, k)
-    return float(out[lattice.index(at)])
-
-
 def martingale_M(lattice: DefaultLattice) -> ProcessField:
     """Compensated default indicator M_k = H_k - accumulated hazard up to k ^ d."""
-
-    def fn(k: int) -> np.ndarray:
-        return lattice.h_values(k) - lattice.compensator_values(k)
-
-    return ProcessField.from_function(lattice, fn)
+    arrays = [lattice.h_values(k) - lattice.compensator_values(k) for k in range(lattice.n_steps + 1)]
+    return ProcessField.from_arrays(lattice, 0, arrays)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from .errors import LatticeError, PicardConvergenceError, SolverError
 from .lattice import (
     DefaultLattice,
     IntensitySpec,
-    NodeId,
     ProcessField,
     build_lattice,
     oversize_message,
@@ -187,10 +186,14 @@ def finite_obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> Proces
 
 
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
+    """The terminal payoff per horizon node; raises SolverError if any is NaN or infinite."""
     fn = scenario.terminal.compiled()
     N = lattice.n_steps
     env = {"w": lattice.w_values(N), "h": lattice.h_values(N), "tau": lattice.tau_values(N)}
-    return np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy()
+    xi = np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy()
+    if not np.all(np.isfinite(xi)):
+        raise SolverError("terminal payoff evaluates to a non-finite value")
+    return xi
 
 
 def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
@@ -210,8 +213,6 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
             f"terminal payoff falls below the obstacle at the horizon "
             f"(worst gap {np.min(gap):.3g}); the reflected system requires xi >= S_T"
         )
-    if not np.all(np.isfinite(xi)):
-        raise SolverError("terminal payoff evaluates to a non-finite value")
     base = scenario.driver.base
     return _Problem(
         scenario=scenario,
@@ -303,15 +304,15 @@ class _Anticipation:
     ``condition(k)`` conditions it on step k and returns its last row per source
     (None for a source that is off, or for delta = 0).  ``insert(k)`` then puts
     the step-k fields in front and drops the row that step k-1 no longer reads.
-    Sources are (per-step arrays, on) pairs; ``top`` is the first step held.
+    Sources are (per-step arrays, on) pairs; the window starts at the horizon.
     After ``condition(k)``, ``rows[s, 0]`` is E[X_{k+1} | F_k] of the s-th source on.
     """
 
-    def __init__(self, lat: DefaultLattice, delta: int, top: int, *sources):
+    def __init__(self, lat: DefaultLattice, delta: int, *sources):
         self.lat, self.delta = lat, delta
         self.on = [bool(on) and delta > 0 for _, on in sources]
         self.sources = [arrays for (arrays, _), on in zip(sources, self.on) if on]
-        self.rows = self._fields(top) if self.sources else None
+        self.rows = self._fields(lat.n_steps) if self.sources else None
 
     def _fields(self, m: int) -> np.ndarray:
         return np.stack([arrays[m] for arrays in self.sources])[:, None, :]
@@ -350,7 +351,7 @@ def _solve(
     # ey and ez stay None for delta == 0 (the y- and z-arguments double as them)
     # and under a frozen driver, which reads neither
     live = frozen_driver is None
-    window = _Anticipation(lat, delta, N, (y, live and prob.need_ey and frozen_ey is None),
+    window = _Anticipation(lat, delta, (y, live and prob.need_ey and frozen_ey is None),
                            (z, live and prob.need_ez))
     for k in range(N - 1, -1, -1):
         ey, ez = window.condition(k)
@@ -444,28 +445,6 @@ def solve_backward(
     return _solve(prob, frozen_ey=frozen_ey)
 
 
-def backward_step(node: NodeId, future: Solution, scenario: Scenario):
-    """One-node backward step against an already-solved future slice.
-
-    Returns (y, z, u, psi, dk) at ``node``.  The future solution must cover
-    steps node.step+1 .. N.
-    """
-    lat = future.lattice
-    k = node.step
-    if k >= lat.n_steps:
-        raise SolverError("backward_step needs a non-terminal node")
-    prob = _prepare(scenario, lat)
-    delta = scenario.delta_steps
-    top = min(k + delta, lat.n_steps)
-    window = _Anticipation(lat, delta, top, (future.y.values, prob.need_ey), (future.z.values, prob.need_ez))
-    ey = ez = None
-    for m in range(top - 1, k - 1, -1):  # a pullback of the step-top fields: no inserts
-        ey, ez = window.condition(m)
-    yk, zk, uk, psik, dkk, _, _ = _step_values(prob, k, future.y.step(k + 1), ey, ez)
-    i = lat.index(node)
-    return float(yk[i]), float(zk[i]), float(uk[i]), float(psik[i]), float(dkk[i])
-
-
 # -- Picard iteration ---------------------------------------------------------
 
 
@@ -532,7 +511,7 @@ def _frozen_driver_arrays(prob: _Problem, triple: _Triple) -> list[np.ndarray]:
     N = lat.n_steps
     out = [None] * N
     y_arrays, z_arrays = triple.y.values, triple.z.values
-    window = _Anticipation(lat, delta, N, (y_arrays, prob.need_ey), (z_arrays, prob.need_ez))
+    window = _Anticipation(lat, delta, (y_arrays, prob.need_ey), (z_arrays, prob.need_ez))
     for k in range(N - 1, -1, -1):
         ey, ez = window.condition(k)
         if scheme is Scheme.IMPLICIT:

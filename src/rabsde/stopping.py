@@ -44,23 +44,6 @@ class StoppingRule:
         out[lattice.n_steps][:] = True
         return cls(lattice, tuple(out))
 
-    @classmethod
-    def never_early(cls, lattice: DefaultLattice) -> "StoppingRule":
-        return cls.from_arrays(
-            lattice,
-            [np.zeros(lattice.n_nodes(k), dtype=bool) for k in range(lattice.n_steps + 1)],
-        )
-
-    @classmethod
-    def stop_everywhere(cls, lattice: DefaultLattice) -> "StoppingRule":
-        return cls.from_arrays(
-            lattice,
-            [np.ones(lattice.n_nodes(k), dtype=bool) for k in range(lattice.n_steps + 1)],
-        )
-
-    def stops_at(self, node: NodeId) -> bool:
-        return bool(self.stop[node.step][self.lattice.index(node)])
-
     def same_rule(self, other: "StoppingRule", from_step: int = 0) -> bool:
         for k in range(from_step, self.lattice.n_steps + 1):
             if not np.array_equal(self.stop[k], other.stop[k]):
@@ -184,14 +167,6 @@ def brute_force_value(
             bit += 1
     rule = StoppingRule.from_arrays(lat, stop)
     return best_val, rule
-
-
-def optimal_tau(
-    solution: Solution, scenario: Scenario, t_index: int = 0, tol: float = 1e-10
-) -> StoppingRule:
-    """First-hit rule: stop at the first node (step >= t_index) with Y <= S."""
-    y_rule, _k_rule, _same = tau_characterizations(solution, scenario, t_index, tol)
-    return y_rule
 
 
 def tau_characterizations(

@@ -279,6 +279,24 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     assert data["comparison"]["iterates"]["count"] == 3 and frozen == ["dominated"] * 3
 
 
+def test_compare_checks_the_hypotheses_once(tmp_path, monkeypatch):
+    base = {**_WORKFLOW_DOC, "steps": 5}
+    p1 = _write(tmp_path, {**base, "terminal": f"{base['terminal']} + 0.5"}, "s1.json")
+    p2 = _write(tmp_path, base, "s2.json")
+    calls = []
+    check = comparison.check_hypotheses
+
+    def counted_check(case, lattice=None):
+        calls.append(lattice)
+        return check(case, lattice)
+
+    monkeypatch.setattr(comparison, "check_hypotheses", counted_check)
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--scenario", p1, "--scenario2", p2, "--iterates", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text(encoding="utf-8"))["comparison"]["iterates"]["count"] == 3
+    assert len(calls) == 1
+
+
 def test_main_compare_constant_drivers(tmp_path):
     base = {"horizon": 1.0, "steps": 4, "lambda": 0.3, "obstacle": "-1e9", "terminal": "w"}
     p1 = _write(tmp_path, {**base, "driver": {"text": "0.1", "form": "M"}}, "s1.json")
@@ -451,3 +469,66 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     assert "picard" not in json.loads(outs[2].read_text(encoding="utf-8"))
     assert vars(cli._build_parser().parse_args(solve_argv)) == before
     assert "beta" not in before
+
+
+@pytest.mark.parametrize(
+    "pointer, text",
+    [
+        ("/driver", "(" * 300 + "y" + ")" * 300),
+        ("/obstacle", " + ".join(["w"] * 1000)),
+        ("/terminal", "-" * 1000 + "w"),
+    ],
+    ids=["parens", "sum", "minus"],
+)
+def test_deeply_nested_expression_is_a_located_load_error(tmp_path, capsys, pointer, text):
+    doc = {**MINIMAL, pointer[1:]: text}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert [ptr for ptr, _ in exc.value.issues] == [pointer]
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"{pointer}: expression nests deeper than 100 levels" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_terminal_is_rejected_at_load(tmp_path, capsys):
+    doc = {**MINIMAL, "terminal": "exp(1000) + w"}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.issues == [("/terminal", "terminal payoff evaluates to a non-finite value")]
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    assert "/terminal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["picard", "--max-iter", "0"], "--max-iter"),
+        (["picard", "--rho", "0"], "--rho"),
+        (["picard", "--rho", "nan"], "--rho"),
+        (["picard", "--beta", "nan"], "--beta"),
+        (["picard", "--beta", "-1"], "--beta"),
+        (["solve", "--tol", "nan"], "--tol"),
+        (["solve", "--tol", "-1"], "--tol"),
+        (["solve", "--tol", "inf"], "--tol"),
+        (["solve", "--seed", "-1"], "--seed"),
+        (["compare", "--iterates", "-1"], "--iterates"),
+        (["suite", "--seed", "-1"], "--seed"),
+        (["suite", "--cases", "0"], "--cases"),
+        (["suite", "--tol", "0"], "--tol"),
+        (["suite", "--steps", "0"], "--steps"),
+        (["suite", "--horizon", "nan"], "--horizon"),
+        (["suite", "--intensity", "-1"], "--intensity"),
+        (["picard", "--max-iter", "two"], "--max-iter"),
+    ],
+)
+def test_bad_numeric_flag_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    path = _write(tmp_path, _WORKFLOW_DOC)
+    if argv[0] != "suite":
+        argv = argv[:1] + ["--scenario", path] + argv[1:]
+    if argv[0] == "compare":
+        argv += ["--scenario2", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Expression language: parsing, evaluation, rewrites, Lipschitz estimates."""
+"""Expression language: parsing, evaluation, the dH -> dM rewrite, Lipschitz estimates."""
 
 from __future__ import annotations
 
@@ -6,22 +6,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import driver_texts, grids, lambda_profiles, outcome
+from conftest import driver_texts, grids, lambda_profiles, make_scenario, outcome
 from rabsde.driver import (
     LIPSCHITZ_SLOTS,
+    MAX_DEPTH,
     VARIABLES,
     GridSpec,
     check_M_form_lipschitz,
     estimate_lipschitz,
     eval_driver,
     parse_driver,
-    to_M_form,
-    DriverForm,
-    TransformedDriver,
 )
 from rabsde.errors import DriverEvalError, DriverParseError
+from rabsde.solver import solve_backward
 
 ENV_VARS = ("t", "w", "h", "y", "z", "ey", "ez", "u", "tau")
 
@@ -113,68 +112,115 @@ def _random_env(draw):
     }
 
 
-_SOURCES = [
-    "0",
-    "-0.05*y + max(z, 0)",
-    "0.3*y - 0.2*ey + min(u, 1.5) - exp(w/4)",
-    "abs(w)*h - (y + z)/2 + tau",
-    "1e-2 + 2.5*ez - -u",
-    "max(min(y, 2), -2) * 0.5 + t",
-]
+_PY_FUNCS = {"exp": math.exp, "abs": abs, "min": min, "max": max}
 
 
-@given(st.sampled_from(_SOURCES), _random_env())
-@settings(max_examples=300, deadline=None)
-def test_print_parse_roundtrip_evaluates_identically(src, env):
-    expr = parse_driver(src)
-    reparsed = parse_driver(expr.to_source())
-    assert eval_driver(reparsed, env) == eval_driver(expr, env)
+@st.composite
+def _chains(draw):
+    """Driver texts joined by bare operators, some negated: conftest's texts
+    parenthesize every operation, so these exercise precedence and associativity."""
+    parts = draw(st.lists(driver_texts(), min_size=1, max_size=3))
+    ops = [draw(st.sampled_from([" + ", " - ", " * ", " / "])) for _ in parts[1:]]
+    signs = [draw(st.sampled_from(["", "-", "- -"])) for _ in parts]
+    return "".join(op + sign + part for op, sign, part in zip(["", *ops], signs, parts))
 
 
-@given(_random_env(), st.floats(0, 2), st.sampled_from([0.0, 1.0]))
-@settings(max_examples=300, deadline=None)
-def test_m_form_rewrite_identity(env, lam, h):
-    f = parse_driver("0.3*y - 0.2*z + 0.5*u + min(ey, 1)")
-    rule = to_M_form(f, lam, h)
-    lhs = rule(env)
-    rhs = eval_driver(f, env) - lam * (1.0 - h) * env["u"]
-    assert lhs - rhs == 0.0
+@given(_chains(), _random_env())
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_python_eval(text, env):
+    """The grammar is a subset of Python's: Python's own evaluation is an
+    independent reference for parsing, precedence, associativity and the
+    arithmetic.  Draws where Python raises (a zero division, an exp overflow)
+    are skipped; the engine's answer there is IEEE's (see the next test)."""
+    try:
+        expected = eval(text, {"__builtins__": {}}, {**_PY_FUNCS, **env})
+    except ArithmeticError:
+        assume(False)
+    assume(math.isfinite(expected))
+    got = eval_driver(parse_driver(text), env)
+    if "exp" in text:  # np.exp and math.exp may differ in the last bit
+        assert got == pytest.approx(expected, rel=1e-14, abs=0)
+    else:  # == rather than bytes: np.minimum(0.0, -0.0) is -0.0, min() gives 0.0
+        assert got == expected
 
 
-def test_m_form_vanishes_without_u():
-    f = parse_driver("y + z")
-    rule = to_M_form(f, 0.7, 0.0)
-    env = {"y": 1.0, "z": 2.0, "u": 0.0}
-    assert rule(env) == eval_driver(f, env)
+def test_engine_follows_numpy_where_python_would_raise_or_drop_nan():
+    nan = math.nan
+    assert math.isnan(eval_driver(parse_driver("min(y, 1)"), {"y": nan}))
+    assert math.isnan(eval_driver(parse_driver("max(1, y)"), {"y": nan}))
+    assert eval_driver(parse_driver("exp(1000)"), {}) == math.inf
+    # a NumPy scalar operand divides with IEEE semantics: 0/0 through abs is NaN
+    assert math.isnan(eval_driver(parse_driver("t/(t/(1+abs(t)))"), {"t": 0.0}))
+    assert eval_driver(parse_driver("1/abs(t)"), {"t": 0.0}) == math.inf
 
 
-def test_m_form_post_default():
-    f = parse_driver("y + u")
-    rule = to_M_form(f, 0.7, 1.0)
-    env = {"y": 1.0, "u": 5.0}
-    assert rule(env) == 6.0
+def test_compiled_closure_is_built_once_and_is_strict():
+    expr = parse_driver("y + 1")
+    assert expr.compiled() is expr.compiled()
+    assert expr == parse_driver("y + 1")  # the kept closure is not part of the value
+    with pytest.raises(DriverEvalError, match="unbound variable 'y'"):
+        expr.compiled()({"z": 1.0})
 
 
-def test_m_form_direct_arithmetic():
-    rule = to_M_form(parse_driver("0"), 0.5, 0.0)
-    assert rule({"u": 2.0}) == -1.0
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 250 + "y" + ")" * 250, MAX_DEPTH),
+        ("(" * 5000 + "y" + ")" * 5000, MAX_DEPTH),
+        ("exp(" * 300 + "y" + ")" * 300, 4 * MAX_DEPTH),
+        ("-" * 1000 + "y", MAX_DEPTH),
+        (" + ".join(["y"] * 1000), 4 * MAX_DEPTH - 2),  # at the 100th '+'
+        ("-" * MAX_DEPTH + "y", 0),  # nesting at the bound, the tree one deeper
+    ],
+    ids=["parens-250", "parens-5000", "calls-300", "minus-1000", "sum-1000", "minus-tree"],
+)
+def test_parse_rejects_expressions_nested_past_the_bound(text, offset):
+    with pytest.raises(DriverParseError, match=f"nests deeper than {MAX_DEPTH} levels") as exc:
+        parse_driver(text)
+    assert exc.value.position == offset
 
 
-def test_transformed_driver_m_form_value():
-    td = TransformedDriver(base=parse_driver("0.2*u"), form=DriverForm.H)
-    env = {"u": 2.0}
-    assert td.m_form_value(env, lam_t=0.5, h=0.0) == 0.4 - 0.5 * 2.0
-    td_m = TransformedDriver(base=parse_driver("0.2*u"), form=DriverForm.M)
-    assert td_m.m_form_value(env, lam_t=0.5, h=0.0) == 0.4
+def test_parse_accepts_expressions_at_the_bound():
+    env = {"y": 0.5}
+    assert eval_driver(parse_driver("(" * MAX_DEPTH + "y" + ")" * MAX_DEPTH), env) == 0.5
+    assert eval_driver(parse_driver("-" * (MAX_DEPTH - 1) + "y"), env) == -0.5
+    assert eval_driver(parse_driver("+".join(["y"] * MAX_DEPTH)), env) == 0.5 * MAX_DEPTH
+
+
+_H_DRIVER = "0.3*y - 0.2*z + 0.5*u + min(ey, 1)"
+
+
+def test_m_form_rewrite_identity():
+    """The solver's dH -> dM rewrite is the M-form text (f) - lam*(1 - h)*u,
+    bit for bit, at every node of every step; an M-form driver is not rewritten."""
+    for lam in (0.0, 0.3, 0.7, 1.2):
+        for delta in (0, 2):
+            common = dict(n_steps=6, lam=lam, delta_steps=delta,
+                          obstacle="max(0.3 - w, 0) - 0.1*t",
+                          terminal="max(0.3 - w, 0) + 0.4*h + 0.1*tau")
+            h_sol = solve_backward(make_scenario(driver=_H_DRIVER, form="H", **common))
+            m_sol = solve_backward(make_scenario(
+                driver=f"({_H_DRIVER}) - {lam!r}*(1 - h)*u", form="M", **common))
+            for k in range(7):
+                for name in ("driver_values", "y"):
+                    assert (getattr(h_sol, name).step(k).tobytes()
+                            == getattr(m_sol, name).step(k).tobytes()), (lam, delta, k, name)
+    sol = solve_backward(make_scenario(n_steps=4, lam=0.5, driver="0.2*u", form="M", terminal="w + h"))
+    assert np.all(sol.u.step(0) != 0.0)
+    for k in range(5):
+        assert sol.driver_values.step(k).tobytes() == (0.2 * sol.u.step(k)).tobytes()
 
 
 def test_compiled_matches_scalar_eval():
     expr = parse_driver("0.3*y - 0.2*ey + min(u, 1.5) - exp(w/4)")
     fn = expr.compiled()
     env = {"y": 1.2, "ey": -0.4, "u": 3.0, "w": 0.8}
-    assert fn(env) == pytest.approx(eval_driver(expr, env), abs=0)
+    y, ey, u, w = env["y"], env["ey"], env["u"], env["w"]
+    expected = 0.3*y - 0.2*ey + min(u, 1.5) - math.exp(w/4)
+    assert fn(env) == pytest.approx(expected, rel=1e-15)
+    assert eval_driver(expr, env) == pytest.approx(expected, rel=1e-15)
     arr_env = {k: np.full(5, v) for k, v in env.items()}
-    assert np.allclose(fn(arr_env), eval_driver(expr, env))
+    assert np.allclose(fn(arr_env), expected)
 
 
 def test_lipschitz_linear_coefficients_exact():

@@ -18,7 +18,6 @@ from rabsde import (
     ProcessField,
     bracket_checks,
     build_lattice,
-    cond_expect,
     martingale_M,
 )
 from rabsde import lattice as lattice_module
@@ -93,47 +92,46 @@ def test_node_count_with_mixed_intensity():
     assert lat.n_nodes(2) == 6
 
 
+def _cond_expect(lat, values, k_field, at):
+    """E[field at step k_field | at], read off the pullback."""
+    return float(lat.pullback(values, k_field, at.step)[lat.index(at)])
+
+
 def test_cond_expect_zero_field():
     lat = build_lattice(1.0, 3, IntensitySpec.constant(0.4, 3))
-    field = ProcessField.single(lat, 3, np.zeros(lat.n_nodes(3)))
-    assert cond_expect(lat, field, lat.root()) == 0.0
+    assert _cond_expect(lat, np.zeros(lat.n_nodes(3)), 3, lat.root()) == 0.0
 
 
 def test_cond_expect_martingale_w():
     lat = build_lattice(1.0, 3, IntensitySpec.constant(0.4, 3))
-    field = ProcessField.single(lat, 2, lat.w_values(2))
     for i in range(lat.n_nodes(1)):
         node = lat.node_at(1, i)
         w = lat.w_values(1)[i]
-        assert cond_expect(lat, field, node) == pytest.approx(w, abs=1e-15)
+        assert _cond_expect(lat, lat.w_values(2), 2, node) == pytest.approx(w, abs=1e-15)
 
 
 def test_cond_expect_default_probability():
     # two-step default indicator from the alive root: 1 - (1 - p)^2
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    field = ProcessField.single(lat, 2, lat.h_values(2))
-    assert cond_expect(lat, field, lat.root()) == pytest.approx(0.4375, abs=1e-15)
+    assert _cond_expect(lat, lat.h_values(2), 2, lat.root()) == pytest.approx(0.4375, abs=1e-15)
 
 
 def test_cond_expect_zero_distance_returns_value():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     vals = np.arange(lat.n_nodes(1), dtype=float)
-    field = ProcessField.single(lat, 1, vals)
-    assert cond_expect(lat, field, NodeId(1, 1, ALIVE)) == 1.0
+    assert _cond_expect(lat, vals, 1, NodeId(1, 1, ALIVE)) == 1.0
 
 
 def test_cond_expect_rejects_later_node():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    field = ProcessField.single(lat, 0, np.zeros(1))
     with pytest.raises(LatticeError):
-        cond_expect(lat, field, NodeId(1, 0, ALIVE))
+        _cond_expect(lat, np.zeros(1), 0, NodeId(1, 0, ALIVE))
 
 
 def test_cond_expect_rejects_foreign_node():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    field = ProcessField.single(lat, 2, np.zeros(9))
     with pytest.raises(LatticeError):
-        cond_expect(lat, field, NodeId(1, 5, ALIVE))
+        _cond_expect(lat, np.zeros(9), 2, NodeId(1, 5, ALIVE))
 
 
 def test_martingale_m_zero_intensity():
@@ -243,12 +241,12 @@ def _field_pair(draw):
 def test_cond_expect_linear_and_monotone(data, alpha, beta):
     lat, k_field, m, f1, f2 = data
     at = lat.node_at(k_field - m, 0)
-    e1 = cond_expect(lat, ProcessField.single(lat, k_field, f1), at)
-    e2 = cond_expect(lat, ProcessField.single(lat, k_field, f2), at)
-    combo = cond_expect(lat, ProcessField.single(lat, k_field, alpha * f1 + beta * f2), at)
+    e1 = _cond_expect(lat, f1, k_field, at)
+    e2 = _cond_expect(lat, f2, k_field, at)
+    combo = _cond_expect(lat, alpha * f1 + beta * f2, k_field, at)
     assert combo == pytest.approx(alpha * e1 + beta * e2, abs=1e-11)
     lo = np.minimum(f1, f2)
-    e_lo = cond_expect(lat, ProcessField.single(lat, k_field, lo), at)
+    e_lo = _cond_expect(lat, lo, k_field, at)
     assert e_lo <= min(e1, e2) + 1e-13
 
 
@@ -256,22 +254,21 @@ def test_cond_expect_linear_and_monotone(data, alpha, beta):
 @settings(max_examples=40, deadline=None)
 def test_tower_property(data):
     lat, k_field, m, f1, _ = data
-    field = ProcessField.single(lat, k_field, f1)
     at = lat.node_at(k_field - m, 0)
-    direct = cond_expect(lat, field, at)
+    direct = _cond_expect(lat, f1, k_field, at)
     # split the pullback at every intermediate step
     for mid in range(k_field - m, k_field + 1):
         inner = lat.pullback(f1, k_field, mid)
-        nested = cond_expect(lat, ProcessField.single(lat, mid, inner), at)
+        nested = _cond_expect(lat, inner, mid, at)
         assert nested == pytest.approx(direct, abs=1e-12)
 
 
 def test_process_field_accessors():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    field = ProcessField.from_function(lat, lambda k: lat.w_values(k))
+    field = ProcessField.from_arrays(lat, 0, [lat.w_values(k) for k in range(3)])
     assert field.step_range == range(0, 3)
     assert field.at(NodeId(1, 1, ALIVE)) == pytest.approx(lat.sqrt_dt)
-    assert len(field.as_dict()) == 1 + 4 + 9
+    assert sum(arr.size for arr in field.values) == 1 + 4 + 9
 
 
 def test_process_field_shape_mismatch():
@@ -356,11 +353,10 @@ def test_only_step_expectation_takes_a_stack():
 
 # Functions that may still walk the lattice node by node.  The Snell oracle's
 # dense kernel and the bracket edge loop check the block kernel and must stay
-# independent of it; as_dict and nodes build per-node views by definition;
+# independent of it; nodes builds a per-node view by definition;
 # iterate_sequence names the offending node in an error message.
 _NODE_WALK_ALLOWED = {
     ("lattice.py", "DefaultLattice.nodes"),
-    ("lattice.py", "ProcessField.as_dict"),
     ("lattice.py", "bracket_checks"),
     ("stopping.py", "_descendant_masks"),
     ("stopping.py", "_transition_matrix"),

@@ -17,7 +17,6 @@ from rabsde.errors import LatticeError
 from rabsde.lattice import DefaultLattice, ProcessField
 from rabsde.solver import (
     PicardOptions,
-    backward_step,
     beta_norm,
     estimate_c_prime,
     solve_backward,
@@ -26,10 +25,15 @@ from rabsde.solver import (
 )
 
 
+def _at_root(sol):
+    """(y, z, u, psi, dk) of a solution at the root."""
+    return tuple(float(f.step(0)[0]) for f in (sol.y, sol.z, sol.u, sol.psi, sol.dk))
+
+
 def test_backward_step_martingale_terminal():
     sc = make_scenario(n_steps=3, lam=0.4, terminal="w")
     sol = solve_backward(sc)
-    y, z, u, psi, dk = backward_step(sol.lattice.root(), sol, sc)
+    y, z, u, psi, dk = _at_root(sol)
     assert y == pytest.approx(0.0, abs=1e-15)
     assert z == pytest.approx(1.0, abs=1e-14)
     assert u == 0.0
@@ -40,7 +44,7 @@ def test_backward_step_martingale_terminal():
 def test_backward_step_default_indicator_two_steps():
     sc = make_scenario(n_steps=2, lam=0.5, terminal="h")
     sol = solve_backward(sc)
-    y, z, u, psi, dk = backward_step(sol.lattice.root(), sol, sc)
+    y, z, u, psi, dk = _at_root(sol)
     assert y == pytest.approx(0.4375, abs=1e-15)
     assert z == pytest.approx(0.0, abs=1e-15)
     assert u == pytest.approx(0.75, abs=1e-15)  # mean defaulted minus mean alive value
@@ -57,15 +61,21 @@ def test_backward_step_obstacle_dominates_interior():
         terminal="0",
     )
     sol = solve_backward(sc)
-    lat = sol.lattice
     for k in range(5):
         assert np.all(sol.y.step(k) == 5.0)
         assert np.min(sol.dk.step(k)) >= 0.0
     # the increment is strictly positive exactly where continuation dips below 5,
     # i.e. at the step whose children already see the released obstacle
     assert np.all(sol.dk.step(4) > 0.1)
-    y, _, _, _, dk = backward_step(lat.root(), sol, sc)
+    y, _, _, _, dk = _at_root(sol)
     assert y == 5.0 and dk >= 0.0
+
+
+def test_non_finite_terminal_is_named_before_the_obstacle_gap():
+    # -inf would also fall below the obstacle; the solver names the payoff itself
+    sc = make_scenario(n_steps=3, obstacle="w", terminal="-exp(1000) + w")
+    with pytest.raises(SolverError, match="terminal payoff evaluates to a non-finite value"):
+        solve_backward(sc)
 
 
 def test_solve_martingale_terminal_fields():
@@ -467,11 +477,11 @@ def test_anticipation_window_equals_pullbacks_at_every_step(sc):
         assert frozen[k].tobytes() == expected  # Picard, frozen at the solution
         m = min(k + delta, N)  # the iterate bridge freezes Y_{k+delta} itself
         assert bridge.step(k).tobytes() == lat.pullback(sol.y.step(m), m, k).tobytes()
-        for i in (0, lat.n_nodes(k) - 1):
-            node = lat.node_at(k, i)
-            assert backward_step(node, sol, sc) == tuple(
-                float(f.step(k)[i]) for f in (sol.y, sol.z, sol.u, sol.psi, sol.dk)
-            )
+        # one step recomputed from the pullbacks gives the solution's fields
+        window = (None, None) if delta == 0 else (ey, ez)
+        step = solver._step_values(prob, k, sol.y.step(k + 1), *window)
+        for got, field in zip(step, (sol.y, sol.z, sol.u, sol.psi, sol.dk)):
+            assert got.tobytes() == field.step(k).tobytes()
 
 
 def _count_calls(monkeypatch, *names):

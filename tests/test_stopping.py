@@ -17,7 +17,6 @@ from rabsde.stopping import (
     brute_force_value,
     snell_report,
     k_running_max_check,
-    optimal_tau,
     stopping_payoff,
     tau_characterizations,
 )
@@ -80,14 +79,16 @@ def test_stopping_payoff_mixed_rule_matches_enumeration():
 def test_stopping_payoff_stop_at_root_pays_obstacle():
     sc = _two_step_scenario()
     sol = solve_backward(sc)
-    rule = StoppingRule.stop_everywhere(sol.lattice)
+    lat = sol.lattice
+    rule = StoppingRule.from_arrays(lat, [np.ones(lat.n_nodes(k), dtype=bool) for k in range(3)])
     assert stopping_payoff(rule, sol, sc, sol.lattice.root()) == 0.3
 
 
 def test_stopping_payoff_never_early_zero_driver_gives_expectation():
     sc = _two_step_scenario()
     sol = solve_backward(sc)
-    rule = StoppingRule.never_early(sol.lattice)
+    lat = sol.lattice
+    rule = StoppingRule.from_arrays(lat, [np.zeros(lat.n_nodes(k), dtype=bool) for k in range(3)])
     value = stopping_payoff(rule, sol, sc, sol.lattice.root())
     expected = float(
         np.dot(sol.lattice.node_probabilities(2), sol.y.step(2))
@@ -113,7 +114,7 @@ def test_brute_force_obstacle_dominates_at_root():
     sol = solve_backward(sc)
     value, rule = brute_force_value(sol, sc, sol.lattice.root())
     assert value == pytest.approx(100.0, abs=1e-12)
-    assert rule.stops_at(sol.lattice.root())
+    assert rule.stop[0][0]  # the root
 
 
 def test_brute_force_matches_dynamic_programming():
@@ -219,7 +220,7 @@ def test_no_rule_beats_snell_value():
 def test_optimal_tau_never_binding_stops_at_horizon():
     sc = make_scenario(n_steps=3, lam=0.4, terminal="w", obstacle="-1e9")
     sol = solve_backward(sc)
-    rule = optimal_tau(sol, sc)
+    rule = tau_characterizations(sol, sc)[0]
     for k in range(3):
         assert not np.any(rule.stop[k])
     assert np.all(rule.stop[3])
@@ -231,8 +232,8 @@ def test_optimal_tau_immediate_when_root_binds():
         obstacle="100 - 1000*max(t - 0.5, 0)", terminal="0",
     )
     sol = solve_backward(sc)
-    rule = optimal_tau(sol, sc)
-    assert rule.stops_at(sol.lattice.root())
+    rule = tau_characterizations(sol, sc)[0]
+    assert rule.stop[0][0]  # the root
 
 
 def test_tau_characterizations_coincide_mid_tree():
@@ -266,7 +267,7 @@ def test_tau_rule_achieves_snell_value():
     for _ in range(10):
         sc = random_scenario(rng, n_steps=int(rng.integers(3, 7)))
         sol = solve_backward(sc)
-        rule = optimal_tau(sol, sc)
+        rule = tau_characterizations(sol, sc)[0]
         value = stopping_payoff(rule, sol, sc, sol.lattice.root())
         assert abs(value - sol.y0) <= 1e-10
 
