@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import DriverExpr, DriverForm, GridSpec, TransformedDriver, _grid_values, parse_driver
+from .driver import (BinOp, Call, DriverExpr, DriverForm, Expr, GridSpec, Neg, Num, TransformedDriver,
+                     Var, _free_vars, _grid_env, _grid_values, _row)
 from .errors import DriverEvalError, HypothesisError, MonotonicityError
 from .lattice import DefaultLattice, IntensitySpec, ProcessField
 from .solver import (
@@ -64,9 +65,10 @@ def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec) -> MonotoneRep
     """Finite-difference test that g is nondecreasing in the ey slot."""
     if "ey" not in g.free_vars:
         return MonotoneReport(passed=True, witness=None)
-    envs = grid.base_envs(sorted(g.free_vars - {"ey"}))
+    names = sorted(g.free_vars - {"ey"})
+    base = grid.base_sample(names)
     sweep = grid.axis("ey")
-    vals = _grid_values(g.compiled(), envs, "ey", sweep)
+    vals = _grid_values(g.compiled(), _grid_env(names, base, "ey", sweep), "ey")
     finite = np.all(np.isfinite(vals), axis=1)
     with np.errstate(invalid="ignore"):
         bad = np.diff(vals) < -1e-12
@@ -80,7 +82,7 @@ def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec) -> MonotoneRep
     i = int(np.argmax(bad[r]))
     return MonotoneReport(
         passed=False,
-        witness=(envs[r], float(sweep[i]), float(sweep[i + 1]), float(vals[r, i]), float(vals[r, i + 1])),
+        witness=(_row(names, base, r), float(sweep[i]), float(sweep[i + 1]), float(vals[r, i]), float(vals[r, i + 1])),
     )
 
 
@@ -96,14 +98,15 @@ def check_theta_condition(
     vacuous = ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
     if "u" not in g.free_vars:
         return vacuous
-    envs = grid.base_envs(sorted(g.free_vars - {"u"} | {"t"}))
-    lam = np.array([lam_of_t(env["t"]) for env in envs], dtype=float)
+    names = sorted(g.free_vars - {"u"} | {"t"})
+    base = grid.base_sample(names)
+    lam = np.array([lam_of_t(t) for t in base[:, names.index("t")].tolist()], dtype=float)
     kept = np.nonzero(lam > 0.0)[0]
     if not kept.size:
         return vacuous
-    envs, lam = [envs[j] for j in kept], lam[kept]
+    base, lam = base[kept], lam[kept]
     sweep = grid.axis("u")
-    vals = _grid_values(g.compiled(), envs, "u", sweep)
+    vals = _grid_values(g.compiled(), _grid_env(names, base, "u", sweep), "u")
     if not np.all(np.isfinite(vals)):
         raise DriverEvalError("non-finite driver value on the theta grid")
     ratios = np.diff(vals) / (lam[:, None] * np.diff(sweep))
@@ -114,7 +117,7 @@ def check_theta_condition(
         passed=passed,
         theta=theta,
         sup_theta_lambda=float(np.max(np.max(np.abs(ratios), axis=1) * lam)),
-        witness=None if passed else (envs[r], float(sweep[i]), float(sweep[i + 1]), theta),
+        witness=None if passed else (_row(names, base, r), float(sweep[i]), float(sweep[i + 1]), theta),
     )
 
 
@@ -122,23 +125,29 @@ def check_dominance(g1: DriverExpr, g2: DriverExpr, grid: GridSpec) -> Dominance
     """Grid test of g1 >= g2 over sweeps of every shared driver variable."""
     f1 = g1.compiled()
     f2 = g2.compiled()
-    variables = sorted(g1.free_vars | g2.free_vars)
-    envs = grid.base_envs(variables)
+    names = sorted(g1.free_vars | g2.free_vars)
+    base = grid.base_sample(names)
     min_gap = math.inf
-    witness = None
-    for var in variables or ["y"]:
+    worst = None  # (row, swept variable, its value) of the smallest gap
+    for var in names or ["y"]:
         sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
-        gap = _grid_values(f1, envs, var, sweep) - _grid_values(f2, envs, var, sweep)
+        env = _grid_env(names, base, var, sweep)
+        v1, v2 = _grid_values(f1, env, var), _grid_values(f2, env, var)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
+            gap = v1 - v2
         if not np.all(np.isfinite(gap)):
             raise DriverEvalError("non-finite driver value on the dominance grid")
         r, i = divmod(int(np.argmin(gap)), sweep.size)
         if float(gap[r, i]) < min_gap:
             min_gap = float(gap[r, i])
-            witness = {**envs[r], var: float(sweep[i])}
+            worst = (r, var, float(sweep[i]))
     if not math.isfinite(min_gap):
         min_gap = 0.0
     passed = min_gap >= -1e-12
-    return DominanceReport(passed=passed, min_gap=min_gap, witness=None if passed else witness)
+    if passed:
+        return DominanceReport(passed=True, min_gap=min_gap, witness=None)
+    r, var, value = worst
+    return DominanceReport(passed=False, min_gap=min_gap, witness={**_row(names, base, r), var: value})
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,9 @@ class ComparisonCase:
     # scenario 1 or 2 -> (lattice, prepared problem or None, solution), filled by
     # _solved so that the checks on one case prepare and solve each scenario once
     _solutions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # scenario 1 or 2 -> (lattice, obstacle field, terminal values), filled by
+    # _fields so that a case evaluates each scenario's fields once per grid
+    _fields: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s1, s2 = self.scenario1, self.scenario2
@@ -211,12 +223,21 @@ class HypothesisReport:
         return out
 
 
+def _fields(case: ComparisonCase, which: int, lat: DefaultLattice) -> tuple[ProcessField, np.ndarray]:
+    """(obstacle field, terminal values) of scenario ``which`` (1 or 2) on this
+    grid, evaluated on the first call and kept on the case; raises SolverError
+    on a non-finite terminal, as ``terminal_values`` does."""
+    held = case._fields.get(which)
+    if held is None or not lat.same_grid(held[0]):
+        scenario = case.scenario1 if which == 1 else case.scenario2
+        xi = terminal_values(scenario, lat)
+        held = case._fields[which] = (lat, obstacle_field(scenario, lat), xi)
+    return held[1], held[2]
+
+
 def check_hypotheses(case: ComparisonCase, lattice: DefaultLattice | None = None) -> HypothesisReport:
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
-    xi1 = terminal_values(case.scenario1, lat)
-    xi2 = terminal_values(case.scenario2, lat)
-    s1 = obstacle_field(case.scenario1, lat)
-    s2 = obstacle_field(case.scenario2, lat)
+    (s1, xi1), (s2, xi2) = _fields(case, 1, lat), _fields(case, 2, lat)
     obstacle_gap = min(
         float(np.min(s1.step(k) - s2.step(k))) for k in range(lat.n_steps + 1)
     )
@@ -253,7 +274,8 @@ def _solved(case: ComparisonCase, which: int, lat: DefaultLattice) -> tuple[_Pro
     grid; the problem is None for a solution handed in by ``_given_solution``."""
     held = case._solutions.get(which)
     if held is None or not lat.same_grid(held[0]):
-        prob = _prepare(case.scenario1 if which == 1 else case.scenario2, lat)
+        scenario = case.scenario1 if which == 1 else case.scenario2
+        prob = _prepare(scenario, lat, _fields(case, which, lat))
         held = case._solutions[which] = (lat, prob, _solve(prob))
     return held[1], held[2]
 
@@ -391,6 +413,48 @@ def _coef(rng: np.random.Generator, lo: float, hi: float) -> float:
     return round(float(rng.uniform(lo, hi)), 3)
 
 
+# A generated expression is built as its source text and, alongside, the tree
+# that parse_driver makes of that text, so the candidate loop parses nothing.
+# A term is a (text, tree) pair; a factor is the (text, tree) it multiplies.
+
+
+def _literal(c: float) -> Expr:
+    """The tree of repr(c): a leading minus, -0.0's included, is a Neg."""
+    return Neg(Num(-c)) if math.copysign(1.0, c) < 0 else Num(c)
+
+
+def _term(c: float, factor: tuple[str, Expr] | None = None) -> tuple[str, Expr]:
+    """The term ``c`` or ``c*factor``."""
+    if factor is None:
+        return repr(c), _literal(c)
+    return f"{c!r}*{factor[0]}", BinOp("*", _literal(c), factor[1])
+
+
+def _signed(c: float, factor: tuple[str, Expr] | None = None) -> tuple[str, tuple[str, Expr]]:
+    """``+ c*factor`` with ``+ -`` written ``- ``, as the dominated driver's text has it."""
+    if math.copysign(1.0, c) < 0:
+        return "-", _term(-c, factor)
+    return "+", _term(c, factor)
+
+
+def _sum(first: DriverExpr | tuple[str, Expr], *rest: tuple[str, tuple[str, Expr]]) -> DriverExpr:
+    """``first op term op term ...``, left-associative as parse_driver reads it;
+    ``first`` is a term or an expression built before."""
+    if isinstance(first, DriverExpr):
+        text, root, free = first.source, first.root, first.free_vars
+    else:
+        (text, root), free = first, _free_vars(first[1])
+    for op, (term_text, term_root) in rest:
+        text, root = f"{text} {op} {term_text}", BinOp(op, root, term_root)
+        free |= _free_vars(term_root)
+    return DriverExpr(root=root, source=text, free_vars=free)
+
+
+_Y, _Z, _U, _EY, _W, _H, _T = ((name, Var(name)) for name in ("y", "z", "u", "ey", "w", "h", "t"))
+_MAX_W = ("max(w, 0)", Call("max", (Var("w"), Num(0.0))))
+_ABS_W = ("abs(w)", Call("abs", (Var("w"),)))
+
+
 def random_comparison_case(
     rng: np.random.Generator,
     *,
@@ -407,70 +471,65 @@ def random_comparison_case(
     obstacle add nonnegative expressions, which guarantees ordering and
     dominance by construction.  Monotonicity and the jump-slope condition are
     enforced by checker filtering (the jump coefficient is drawn wide enough
-    to be rejected sometimes).
+    to be rejected sometimes).  Each candidate evaluates its obstacles and
+    terminals once, for the feasibility test, the checks and the solves.
     """
     delta = int(rng.integers(0, 3)) if delta_steps is None else delta_steps
     intensity = IntensitySpec.constant(lam, n_steps)
     lat = lattice if lattice is not None else DefaultLattice(horizon, n_steps, intensity)
     grid = GridSpec.for_horizon(horizon, points=5, n_base=12, seed=int(rng.integers(0, 2**31)))
+
+    def scenario(driver: DriverExpr, obstacle: DriverExpr, terminal: DriverExpr) -> Scenario:
+        return Scenario(
+            horizon=horizon,
+            n_steps=n_steps,
+            intensity=intensity,
+            delta_steps=delta,
+            driver=TransformedDriver(base=driver, form=DriverForm.M),
+            obstacle=obstacle,
+            terminal=terminal,
+            scheme=Scheme.EXPLICIT,
+        )
+
     for _ in range(max_tries):
         a = _coef(rng, -0.4, 0.4)
         b = _coef(rng, -0.4, 0.4)
         d = _coef(rng, -1.4 * lam, 0.6 * lam) if lam > 0 else 0.0
         e0 = _coef(rng, -0.3, 0.3)
-        terms = [f"{a!r}*y", f"{b!r}*z", f"{e0!r}"]
+        # g2 = a*y [+ c*ey] + b*z [+ d*u] + e0 [+ c2*min(ey, q)]
+        g2_rest = [_signed(b, _Z), _signed(e0)]
         if lam > 0:
-            terms.insert(2, f"{d!r}*u")
+            g2_rest.insert(1, _signed(d, _U))
         if delta > 0:
             c = _coef(rng, 0.0, 0.35)
-            terms.insert(1, f"{c!r}*ey")
+            g2_rest.insert(0, _signed(c, _EY))
             if rng.random() < 0.3:
                 c2 = _coef(rng, 0.0, 0.3)
                 q = _coef(rng, -1.0, 1.0)
-                terms.append(f"{c2!r}*min(ey, {q!r})")
-        g2_src = " + ".join(terms).replace("+ -", "- ")
+                g2_rest.append(_signed(c2, (f"min(ey, {q!r})", Call("min", (Var("ey"), _literal(q))))))
+        g2 = _sum(_term(a, _Y), *g2_rest)
         n0 = _coef(rng, 0.0, 0.4)
         n1 = _coef(rng, 0.0, 0.3)
-        g1_src = f"{g2_src} + {n0!r} + {n1!r}*max(w, 0)"
+        g1 = _sum(g2, ("+", _term(n0)), ("+", _term(n1, _MAX_W)))
         q0 = _coef(rng, -0.5, 0.5)
         q1 = _coef(rng, -0.5, 0.5)
         q2 = _coef(rng, -0.5, 0.5)
-        xi2_src = f"{q0!r} + {q1!r}*w + {q2!r}*h"
+        xi2 = _sum(_term(q0), ("+", _term(q1, _W)), ("+", _term(q2, _H)))
         m0 = _coef(rng, 0.0, 0.5)
         m1 = _coef(rng, 0.0, 0.3)
-        xi1_src = f"{xi2_src} + {m0!r} + {m1!r}*abs(w)"
+        xi1 = _sum(xi2, ("+", _term(m0)), ("+", _term(m1, _ABS_W)))
         s0 = _coef(rng, -2.5, -0.2)
         s1c = _coef(rng, -0.3, 0.3)
         s2c = _coef(rng, 0.0, 0.4)
-        obs2_src = f"{s0!r} + {s1c!r}*w - {s2c!r}*t"
+        obs2 = _sum(_term(s0), ("+", _term(s1c, _W)), ("-", _term(s2c, _T)))
         c_obs = _coef(rng, 0.0, m0) if m0 > 0 else 0.0
-        obs1_src = f"{obs2_src} + {c_obs!r}"
+        obs1 = _sum(obs2, ("+", _term(c_obs)))
 
-        def scenario(driver_src: str, obstacle_src: str, terminal_src: str) -> Scenario:
-            return Scenario(
-                horizon=horizon,
-                n_steps=n_steps,
-                intensity=intensity,
-                delta_steps=delta,
-                driver=TransformedDriver(base=parse_driver(driver_src), form=DriverForm.M),
-                obstacle=parse_driver(obstacle_src),
-                terminal=parse_driver(terminal_src),
-                scheme=Scheme.EXPLICIT,
-            )
-
-        s_dom = scenario(g1_src, obs1_src, xi1_src)
-        s_sub = scenario(g2_src, obs2_src, xi2_src)
+        case = ComparisonCase(scenario1=scenario(g1, obs1, xi1), scenario2=scenario(g2, obs2, xi2), grid=grid)
         # terminal feasibility on the actual lattice, for both scenarios
-        feasible = True
-        for s in (s_dom, s_sub):
-            xi = terminal_values(s, lat)
-            sN = obstacle_field(s, lat).step(lat.n_steps)
-            if float(np.min(xi - sN)) < 1e-9:
-                feasible = False
-                break
-        if not feasible:
+        if any(float(np.min(xi - obstacle.step(lat.n_steps))) < 1e-9
+               for obstacle, xi in (_fields(case, which, lat) for which in (1, 2))):
             continue
-        case = ComparisonCase(scenario1=s_dom, scenario2=s_sub, grid=grid)
         report = check_hypotheses(case, lat)
         if report.all_pass:
             object.__setattr__(case, "_accepted", (lat, report))

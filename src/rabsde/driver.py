@@ -15,10 +15,10 @@ tighter than + and -; binary operators associate to the left.  Nesting and
 tree depth are capped at MAX_DEPTH.
 
 One engine evaluates: a closure tree, compiled once per expression, that
-takes floats or NumPy arrays with NumPy's semantics.  min and max propagate
-NaN, exp overflows to inf, and division by zero gives IEEE inf or NaN unless
-both operands are Python floats, which raises DriverEvalError, as does an
-unbound variable.
+takes floats or NumPy arrays with NumPy's semantics, without floating-point
+warnings.  min and max propagate NaN, exp overflows to inf, and division by
+zero gives IEEE inf or NaN unless both operands are Python floats, which
+raises DriverEvalError, as does an unbound variable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,11 +130,10 @@ def _compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
             return lambda env: left(env) * right(env)
 
         def div(env):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                try:
-                    return left(env) / right(env)
-                except ZeroDivisionError:  # both sides Python scalars
-                    raise DriverEvalError("division by zero") from None
+            try:
+                return left(env) / right(env)
+            except ZeroDivisionError:  # both sides Python scalars
+                raise DriverEvalError("division by zero") from None
 
         return div
     if isinstance(node, Call):
@@ -158,9 +157,17 @@ class DriverExpr:
     _fn: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
     def compiled(self) -> Callable[[Mapping[str, Any]], Any]:
-        """The closure tree, compiled on the first call and kept."""
+        """The closure tree, compiled on the first call and kept.  It runs under
+        one np.errstate, so overflow, invalid operations and division by zero
+        give inf or NaN without a warning; the callers' finite checks decide."""
         if self._fn is None:
-            object.__setattr__(self, "_fn", _compile(self.root))
+            tree = _compile(self.root)
+
+            def quiet(env):
+                with np.errstate(all="ignore"):
+                    return tree(env)
+
+            object.__setattr__(self, "_fn", quiet)
         return self._fn
 
     def uses(self, name: str) -> bool:
@@ -373,39 +380,63 @@ class GridSpec:
                 return lo, hi
         return -2.0, 2.0
 
-    def base_envs(self, variables: Iterable[str]) -> list[dict[str, float]]:
+    def base_sample(self, variables: Sequence[str]) -> np.ndarray:
+        """The base values as an (n_base, len(variables)) array.
+
+        The stream is the one a per-value loop over rows, then over
+        ``variables``, would draw: each h is its own ``integers(0, 2)`` call,
+        and each run of other values between two h draws is one vectorized
+        uniform call over their boxes.
+        """
+        names = list(variables)
         rng = np.random.default_rng(self.seed)
-        envs = []
-        for _ in range(self.n_base):
-            env: dict[str, float] = {}
-            for name in variables:
-                if name == "h":
-                    env[name] = float(rng.integers(0, 2))
-                else:
-                    lo, hi = self.bound_for(name)
-                    env[name] = float(rng.uniform(lo, hi))
-            envs.append(env)
-        return envs
+        box = np.array([self.bound_for(name) for name in names]).reshape(-1, 2)
+        lo, hi = np.tile(box, (self.n_base, 1)).T
+        flat = np.empty(lo.size)
+        h_cols = [j for j, name in enumerate(names) if name == "h"]
+        h_at = [r * len(names) + j for r in range(self.n_base) for j in h_cols]
+        start = 0
+        for pos in h_at + [flat.size]:
+            if pos > start:
+                flat[start:pos] = rng.uniform(lo[start:pos], hi[start:pos])
+            if pos < flat.size:
+                flat[pos] = rng.integers(0, 2)
+            start = pos + 1
+        return flat.reshape(self.n_base, len(names))
+
+    def base_envs(self, variables: Iterable[str]) -> list[dict[str, float]]:
+        """``base_sample`` as one dict per row."""
+        names = list(variables)
+        return [dict(zip(names, row)) for row in self.base_sample(names).tolist()]
 
     def axis(self, name: str) -> np.ndarray:
         lo, hi = self.bound_for(name)
         return np.linspace(lo, hi, self.points)
 
 
-def _grid_values(fn: Callable, envs: list[dict], var: str, sweep: np.ndarray) -> np.ndarray:
-    """One compiled call over every base env crossed with a sweep of ``var``.
-
-    Every variable is a contiguous (n_base, points) array: base values down
-    the rows, the swept axis along the columns.  The result is broadcast to
-    that shape, so a constant expression works too.
-    """
-    shape = (len(envs), sweep.size)
-    arrs = {
-        name: np.repeat(np.array([env[name] for env in envs])[:, None], sweep.size, axis=1)
-        for name in envs[0]
+def _grid_env(names: Sequence[str], base: np.ndarray, var: str, sweep: np.ndarray) -> dict[str, np.ndarray]:
+    """Every grid variable as a contiguous (n_base, points) array: the base
+    sample's columns down the rows, the sweep of ``var`` along the columns."""
+    env = {
+        name: np.repeat(base[:, j, None], sweep.size, axis=1)
+        for j, name in enumerate(names)
+        if name != var
     }
-    arrs[var] = np.tile(sweep, (len(envs), 1))
-    return np.broadcast_to(np.asarray(fn(arrs), dtype=float), shape)
+    env[var] = np.repeat(sweep[None, :], base.shape[0], axis=0)
+    return env
+
+
+def _grid_values(fn: Callable, env: dict[str, np.ndarray], var: str) -> np.ndarray:
+    """One compiled call over a ``_grid_env``, broadcast to its shape so that a
+    constant expression works too."""
+    vals = np.asarray(fn(env), dtype=float)
+    shape = env[var].shape
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
+
+def _row(names: Sequence[str], base: np.ndarray, r: int) -> dict[str, float]:
+    """Row ``r`` of a base sample as the env a witness reports."""
+    return dict(zip(names, base[r].tolist()))
 
 
 def _as_lambda_of_t(lam_profile) -> Callable[[float], float]:
@@ -445,18 +476,19 @@ def estimate_lipschitz(
     lam_of_t = _as_lambda_of_t(lam_profile)
     fn = expr.compiled()
     out: dict[str, float] = {}
-    envs = grid.base_envs(sorted(VARIABLES))
+    names = sorted(VARIABLES)
+    base = grid.base_sample(names)
     for slot in LIPSCHITZ_SLOTS:
         if slot not in expr.free_vars:
             out[slot] = 0.0
             continue
         sweep = grid.axis(slot)
-        vals = _grid_values(fn, envs, slot, sweep)
+        vals = _grid_values(fn, _grid_env(names, base, slot, sweep), slot)
         if not np.all(np.isfinite(vals)):
             raise DriverEvalError(f"non-finite driver value while sweeping '{slot}' on the grid")
         r = np.max(np.abs(np.diff(vals)) / np.diff(sweep), axis=1)
         if slot == "u":
-            lam = np.array([lam_of_t(env["t"]) for env in envs], dtype=float)
+            lam = np.array([lam_of_t(t) for t in base[:, names.index("t")].tolist()], dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.where(r == 0.0, 0.0, np.where(lam == 0.0, math.inf, r / lam))
         out[slot] = float(np.max(r, initial=0.0))

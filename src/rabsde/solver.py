@@ -176,13 +176,22 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     return ProcessField.from_arrays(lattice, 0, arrays)
 
 
-def finite_obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
-    """The obstacle field; raises SolverError if any node value is NaN or infinite."""
-    field = obstacle_field(scenario, lattice)
+def _finite_obstacle(field: ProcessField) -> ProcessField:
     for k, arr in enumerate(field.values):
         if not np.all(np.isfinite(arr)):
             raise SolverError(f"obstacle evaluates to a non-finite value at step {k}")
     return field
+
+
+def finite_obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
+    """The obstacle field; raises SolverError if any node value is NaN or infinite."""
+    return _finite_obstacle(obstacle_field(scenario, lattice))
+
+
+def _finite_terminal(xi: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(xi)):
+        raise SolverError("terminal payoff evaluates to a non-finite value")
+    return xi
 
 
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
@@ -190,13 +199,17 @@ def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
     fn = scenario.terminal.compiled()
     N = lattice.n_steps
     env = {"w": lattice.w_values(N), "h": lattice.h_values(N), "tau": lattice.tau_values(N)}
-    xi = np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy()
-    if not np.all(np.isfinite(xi)):
-        raise SolverError("terminal payoff evaluates to a non-finite value")
-    return xi
+    return _finite_terminal(np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy())
 
 
-def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
+def _prepare(
+    scenario: Scenario,
+    lattice: DefaultLattice,
+    fields: tuple[ProcessField, np.ndarray] | None = None,
+) -> _Problem:
+    """The scenario checked and set up on the lattice.  ``fields`` holds the
+    (obstacle field, terminal values) already evaluated on this grid, if the
+    caller has them; they pass the same finiteness and xi >= S_N checks."""
     if lattice.horizon != scenario.horizon or lattice.n_steps != scenario.n_steps:
         raise LatticeError("lattice does not match scenario grid")
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
@@ -205,8 +218,10 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
     too_big = oversize_message(lattice.horizon, lattice.n_steps, lattice.intensity)
     if too_big:
         raise SolverError(too_big)
-    obstacle = finite_obstacle_field(scenario, lattice)
-    xi = terminal_values(scenario, lattice)
+    if fields is None:
+        obstacle, xi = finite_obstacle_field(scenario, lattice), terminal_values(scenario, lattice)
+    else:
+        obstacle, xi = _finite_obstacle(fields[0]), _finite_terminal(fields[1])
     gap = xi - obstacle.step(lattice.n_steps)
     if np.min(gap) < -1e-12:
         raise SolverError(
@@ -385,7 +400,7 @@ def _max(acc: float, value) -> float:
 def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
     """Max error of Y_{k+1} = mean + z dW + u dM + psi dW dM over the reachable
     edges out of step k, including |u| and |psi| where dM = 0; ``mean`` is
-    E[Y_{k+1} | step k]."""
+    E[Y_{k+1} | step k].  Runs inside validate_solution's np.errstate."""
     lat, y_next = sol.lattice, sol.y.step(k + 1)
     z, u, psi = sol.z.step(k), sol.u.step(k), sol.psi.step(k)
     V = y_next.reshape(1 + len(lat.default_steps(k + 1)), k + 2)
@@ -635,22 +650,25 @@ def validate_solution(solution: Solution, scenario: Scenario) -> ValidationRepor
     k_dec = 0.0
     skorokhod = 0.0
     obs_viol = 0.0
-    for k in range(N + 1):
-        yk = solution.y.step(k)
-        sk = obstacle.step(k)
-        dkk = solution.dk.step(k)
-        probs = lat.node_probabilities(k)
-        obs_viol = _max(obs_viol, np.max(sk - yk))
-        k_dec = _max(k_dec, np.max(-dkk))
-        skorokhod = _max(skorokhod, np.max(np.abs(dkk * (yk - sk))))
-        if k < N:
-            fv = solution.driver_values.step(k)
-            sq += lat.dt * float(np.dot(probs, fv * fv))
-            mean = lat.step_expectation(k, solution.y.step(k + 1))
-            eq = yk - (mean + fv * lat.dt + dkk)
-            residual = _max(residual, np.max(np.abs(eq)))
-            representation = _max(representation, _representation_residual(solution, k, mean))
-            residual = _max(residual, representation)
+    # a NaN or inf in the solution must reach the report, where passes() rejects
+    # it, without a floating-point warning on the way (here and in the residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N + 1):
+            yk = solution.y.step(k)
+            sk = obstacle.step(k)
+            dkk = solution.dk.step(k)
+            probs = lat.node_probabilities(k)
+            obs_viol = _max(obs_viol, np.max(sk - yk))
+            k_dec = _max(k_dec, np.max(-dkk))
+            skorokhod = _max(skorokhod, np.max(np.abs(dkk * (yk - sk))))
+            if k < N:
+                fv = solution.driver_values.step(k)
+                sq += lat.dt * float(np.dot(probs, fv * fv))
+                mean = lat.step_expectation(k, solution.y.step(k + 1))
+                eq = yk - (mean + fv * lat.dt + dkk)
+                residual = _max(residual, np.max(np.abs(eq)))
+                representation = _max(representation, _representation_residual(solution, k, mean))
+                residual = _max(residual, representation)
     return ValidationReport(
         driver_square_sum=sq,
         equation_residual=residual,

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,9 +262,9 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     prepared, solved, frozen = [], [], []
     prepare, solve = solver._prepare, solver._solve
 
-    def counted_prepare(scenario, lattice):
+    def counted_prepare(scenario, lattice, *fields):
         prepared.append(scenario.name)
-        return prepare(scenario, lattice)
+        return prepare(scenario, lattice, *fields)
 
     def counted_solve(prob, frozen_ey=None, frozen_driver=None):
         (solved if frozen_ey is None else frozen).append(prob.scenario.name)
@@ -498,6 +501,24 @@ def test_non_finite_terminal_is_rejected_at_load(tmp_path, capsys):
     assert exc.value.issues == [("/terminal", "terminal payoff evaluates to a non-finite value")]
     assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
     assert "/terminal" in capsys.readouterr().err
+
+
+def test_non_finite_terminal_prints_only_the_error_line(tmp_path):
+    # a fresh process shows stderr as a user sees it, with Python's default
+    # warning filters rather than the test run's
+    path = _write(tmp_path, {**MINIMAL, "terminal": "exp(1000) + w"})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from rabsde.cli import main; sys.exit(main(sys.argv[1:]))",
+         "solve", "--scenario", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "/terminal" in line
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import driver_texts, grids, lambda_profiles, make_scenario, outcome
-from rabsde import comparison
+from rabsde import comparison, driver
 from rabsde.comparison import (
     ComparisonCase,
     DominanceReport,
@@ -25,7 +26,7 @@ from rabsde.comparison import (
     run_comparison,
     run_random_suite,
 )
-from rabsde.driver import GridSpec, eval_driver, parse_driver
+from rabsde.driver import DriverExpr, GridSpec, eval_driver, parse_driver
 from rabsde.errors import DriverEvalError, HypothesisError
 from rabsde.lattice import DefaultLattice, IntensitySpec
 
@@ -316,6 +317,71 @@ def test_suite_checks_hypotheses_once_per_candidate(monkeypatch):
     assert result.cases == len(accepted) == 12 and result.failures == 0
     assert len({id(c) for c in checked}) == len(checked) > len(accepted)
     assert all(sum(c is a for c in checked) == 1 for a in accepted)
+
+
+def _record_scenarios(monkeypatch) -> list:
+    """Every Scenario the generator builds, rejected candidates included."""
+    built = []
+    make = comparison.Scenario
+    monkeypatch.setattr(comparison, "Scenario", lambda **kw: built.append(make(**kw)) or built[-1])
+    return built
+
+
+def _assert_built_as_parsed(scenarios):
+    for s in scenarios:
+        for expr in (s.driver.base, s.obstacle, s.terminal):
+            parsed = parse_driver(expr.source)
+            # repr tells 0.0 from -0.0, which == does not
+            assert expr == parsed and repr(expr.root) == repr(parsed.root), expr.source
+
+
+def test_generated_expressions_equal_their_parse(monkeypatch):
+    built = _record_scenarios(monkeypatch)
+    for seed in range(50):
+        for lam in (0.0, 0.3):
+            for delta in (0, 1, 2):
+                random_comparison_case(np.random.default_rng(seed), lam=lam, delta_steps=delta)
+    assert len(built) > 2 * 50 * 6  # two scenarios per candidate, and some rejected
+    _assert_built_as_parsed(built)
+
+
+def test_negative_zero_coefficients_build_their_parse(monkeypatch):
+    built = _record_scenarios(monkeypatch)
+    monkeypatch.setattr(comparison, "_coef", lambda rng, lo, hi: -0.0)
+    for seed in range(10):  # rng.random() decides whether min(ey, q) is drawn
+        with pytest.raises(HypothesisError):  # an all-zero candidate is infeasible
+            random_comparison_case(np.random.default_rng(seed), delta_steps=2, max_tries=1)
+    sources = {s.driver.base.source for s in built}
+    assert "-0.0*y - 0.0*ey - 0.0*z - 0.0*u - 0.0 - 0.0*min(ey, -0.0) + -0.0 + -0.0*max(w, 0)" in sources
+    assert {s.obstacle.source for s in built} == {"-0.0 + -0.0*w - -0.0*t", "-0.0 + -0.0*w - -0.0*t + 0.0"}
+    assert "-0.0 + -0.0*w + -0.0*h + -0.0 + -0.0*abs(w)" in {s.terminal.source for s in built}
+    _assert_built_as_parsed(built)
+
+
+def test_suite_evaluates_each_candidate_field_once_and_parses_nothing(monkeypatch):
+    built = _record_scenarios(monkeypatch)
+    calls, parses = Counter(), []
+    compiled, parse = DriverExpr.compiled, driver._Parser.parse
+
+    def counting_compiled(self):
+        fn = compiled(self)
+
+        def counted(env):
+            calls[id(self)] += 1  # self stays alive in `built`, so ids stay unique
+            return fn(env)
+
+        return counted
+
+    monkeypatch.setattr(DriverExpr, "compiled", counting_compiled)
+    monkeypatch.setattr(driver._Parser, "parse", lambda self: parses.append(self) or parse(self))
+    result = run_random_suite(3, 12)
+    assert result.cases == 12 and result.failures == 0
+    assert parses == []
+    assert len(built) > 2 * 12
+    # an obstacle field is one closure call per step, a terminal one call
+    assert all(calls[id(s.obstacle)] <= s.n_steps + 1 for s in built)
+    assert all(calls[id(s.terminal)] <= 1 for s in built)
+    assert sum(calls[id(s.terminal)] for s in built) >= 2 * 12
 
 
 def test_accepted_report_reused_only_on_the_same_grid(monkeypatch):

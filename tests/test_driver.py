@@ -317,3 +317,39 @@ def test_lipschitz_matches_per_env_loop(text, lam, grid):
     for e in (expr, parse_driver(f"({text}) * u")):
         got = outcome(lambda: estimate_lipschitz(e, grid, lam).as_tuple())
         assert got == outcome(_ref_lipschitz, e, grid, lam)
+
+
+def _ref_base_envs(grid, variables):
+    """The per-value draw that GridSpec.base_sample vectorizes: one rng call per value."""
+    rng = np.random.default_rng(grid.seed)
+    envs = []
+    for _ in range(grid.n_base):
+        env: dict[str, float] = {}
+        for name in variables:
+            if name == "h":
+                env[name] = float(rng.integers(0, 2))
+            else:
+                lo, hi = grid.bound_for(name)
+                env[name] = float(rng.uniform(lo, hi))
+        envs.append(env)
+    return envs
+
+
+@st.composite
+def _variable_lists(draw):
+    """Distinct grid variables in any order, h absent or at any position."""
+    names = draw(st.lists(st.sampled_from(sorted(VARIABLES - {"h"})), unique=True))
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), "h")
+    return names
+
+
+@given(_variable_lists(), st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 3.0]))
+@settings(max_examples=300, deadline=None)
+def test_base_sample_matches_per_value_draw(names, n_base, seed, horizon):
+    grid = GridSpec.for_horizon(horizon, n_base=n_base, seed=seed)
+    ref = _ref_base_envs(grid, names)
+    want = np.array([[env[name] for name in names] for env in ref], dtype=float).reshape(n_base, len(names))
+    got = grid.base_sample(names)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert grid.base_envs(names) == ref
