@@ -59,11 +59,12 @@ from .solver import (
     Scenario,
     Scheme,
     Solution,
+    _max,
+    _min,
+    _node_data,
     estimate_c_prime,
-    finite_obstacle_field,
     solve_backward,
     solve_picard,
-    terminal_values,
     validate_solution,
 )
 
@@ -234,22 +235,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         name=name,
     )
     # whole-scenario checks need the built lattice
-    xi = obstacle = None
     try:
-        xi = terminal_values(scenario, lattice)
-    except RabsdeError as exc:
-        issues.append(("/terminal", str(exc)))
-    try:
-        obstacle = finite_obstacle_field(scenario, lattice)
-    except RabsdeError as exc:
-        issues.append(("/obstacle", str(exc)))
-    if xi is not None and obstacle is not None:
-        worst = float(np.min(xi - obstacle.step(steps)))
-        if worst < -1e-12:
-            issues.append(
-                ("/terminal",
-                 f"terminal payoff falls below the obstacle at the horizon (worst gap {worst:.6g})")
-            )
+        _node_data(scenario, lattice)
+    except SolverError as exc:
+        issues.append((exc.pointer, str(exc)))
     try:
         cp = estimate_c_prime(scenario)
     except RabsdeError as exc:
@@ -405,7 +394,6 @@ def emit_report(report: RunReport, fmt: str, path: str) -> None:
 class RunFlags:
     workflows: set[str] = field(default_factory=lambda: {"solve", "validate"})
     tol: float = 1e-10
-    seed: int = 0
     oracle: str = "none"
     timing: bool = False
     picard_tol: float = 1e-12
@@ -414,7 +402,6 @@ class RunFlags:
     picard_max_iter: int = 60
     scenario2: Scenario | None = None
     iterate_n: int = 0
-    suite_cases: int = 0
 
 
 def _check(name: str, tolerance: float, violation: float) -> dict:
@@ -492,10 +479,8 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
             max_iter=flags.picard_max_iter,
         )
         pic_solution, history = solve_picard(scenario, opts, lattice=lattice)
-        gap = max(
-            float(np.max(np.abs(pic_solution.y.step(k) - solution.y.step(k))))
-            for k in range(lattice.n_steps + 1)
-        )
+        gap = functools.reduce(_max, (np.max(np.abs(pic_solution.y.step(k) - solution.y.step(k)))
+                                      for k in range(lattice.n_steps + 1)), 0.0)
         checks.append(_check("picard_vs_backward", 10.0 * flags.picard_tol, gap))
         data["picard"] = {
             "beta": pic_solution.diagnostics["picard_beta"],
@@ -625,7 +610,7 @@ def run_suite(
     else:
         results = [_suite_chunk(c) for c in chunks]
     total = sum(r[0] for r in results)
-    min_gap = min(r[1] for r in results)
+    min_gap = functools.reduce(_min, (r[1] for r in results))
     failures = sum(r[2] for r in results)
     deltas = tuple(sum(r[3][i] for r in results) for i in range(3))
     return {
@@ -743,7 +728,7 @@ def main(argv=None) -> int:
         scenario, file_outputs = load_scenario_with_outputs(args.scenario)
         scenario2 = load_scenario(args.scenario2) if args.command == "compare" else None
         load_s = time.perf_counter() - t0
-        flags = RunFlags(tol=args.tol, seed=args.seed, timing=args.timing, scenario2=scenario2)
+        flags = RunFlags(tol=args.tol, timing=args.timing, scenario2=scenario2)
         if args.command == "solve":
             flags.workflows = {"solve", "validate"} | (file_outputs - {"compare"})
             flags.oracle = args.oracle

@@ -12,26 +12,17 @@ grid-verified.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .driver import (BinOp, Call, DriverExpr, DriverForm, Expr, GridSpec, Neg, Num, TransformedDriver,
-                     Var, _free_vars, _grid_env, _grid_values, _row)
-from .errors import DriverEvalError, HypothesisError, MonotonicityError
+                     Var, _as_lambda_of_t, _free_vars, _grid_env, _grid_values, _row)
+from .errors import DriverEvalError, HypothesisError, MonotonicityError, SolverError
 from .lattice import DefaultLattice, IntensitySpec, ProcessField
-from .solver import (
-    Scenario,
-    _Anticipation,
-    Scheme,
-    Solution,
-    _Problem,
-    _prepare,
-    _solve,
-    obstacle_field,
-    terminal_values,
-)
+from .solver import Scenario, Scheme, Solution, _Anticipation, _max, _min, _Problem, _prepare, _solve
 
 COMPARISON_DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "u"})
 
@@ -94,7 +85,7 @@ def check_theta_condition(
     Vacuously true when the driver ignores u or the intensity vanishes at
     every sampled time (the jump slot never enters the dynamics there).
     """
-    lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
+    lam_of_t = _as_lambda_of_t(lam_profile)
     vacuous = ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
     if "u" not in g.free_vars:
         return vacuous
@@ -162,12 +153,11 @@ class ComparisonCase:
     _accepted: tuple[DefaultLattice, HypothesisReport] | None = field(
         default=None, init=False, compare=False, repr=False
     )
-    # scenario 1 or 2 -> (lattice, prepared problem or None, solution), filled by
-    # _solved so that the checks on one case prepare and solve each scenario once
+    # scenario 1 or 2 -> its prepared problem and its solution on the last grid
+    # asked for, filled by _problem and _solved so that the generator, the checks
+    # and the solves on one case prepare and solve each scenario once per grid
+    _problems: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _solutions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # scenario 1 or 2 -> (lattice, obstacle field, terminal values), filled by
-    # _fields so that a case evaluates each scenario's fields once per grid
-    _fields: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s1, s2 = self.scenario1, self.scenario2
@@ -223,29 +213,28 @@ class HypothesisReport:
         return out
 
 
-def _fields(case: ComparisonCase, which: int, lat: DefaultLattice) -> tuple[ProcessField, np.ndarray]:
-    """(obstacle field, terminal values) of scenario ``which`` (1 or 2) on this
-    grid, evaluated on the first call and kept on the case; raises SolverError
-    on a non-finite terminal, as ``terminal_values`` does."""
-    held = case._fields.get(which)
-    if held is None or not lat.same_grid(held[0]):
-        scenario = case.scenario1 if which == 1 else case.scenario2
-        xi = terminal_values(scenario, lat)
-        held = case._fields[which] = (lat, obstacle_field(scenario, lat), xi)
-    return held[1], held[2]
+def _problem(case: ComparisonCase, which: int, lat: DefaultLattice) -> _Problem:
+    """Scenario ``which`` (1 or 2) of the case prepared on this grid, on the
+    first call, and kept on the case; raises SolverError as ``_prepare`` does."""
+    prob = case._problems.get(which)
+    if prob is None or not lat.same_grid(prob.lattice):
+        prob = case._problems[which] = _prepare(case.scenario1 if which == 1 else case.scenario2, lat)
+    return prob
 
 
 def check_hypotheses(case: ComparisonCase, lattice: DefaultLattice | None = None) -> HypothesisReport:
+    """Grid-check the five hypotheses; raises SolverError when a scenario's
+    terminal or obstacle fails ``_prepare``'s checks on the lattice."""
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
-    (s1, xi1), (s2, xi2) = _fields(case, 1, lat), _fields(case, 2, lat)
+    p1, p2 = _problem(case, 1, lat), _problem(case, 2, lat)
     obstacle_gap = min(
-        float(np.min(s1.step(k) - s2.step(k))) for k in range(lat.n_steps + 1)
+        float(np.min(p1.obstacle.step(k) - p2.obstacle.step(k))) for k in range(lat.n_steps + 1)
     )
     dt = lat.dt
     lam_of_t = lambda t: lat.intensity.at_time(t, dt)
     return HypothesisReport(
         monotone=check_monotone_in_anticipation(case.scenario2.driver.base, case.grid),
-        terminal_gap=float(np.min(xi1 - xi2)),
+        terminal_gap=float(np.min(p1.xi - p2.xi)),
         obstacle_gap=obstacle_gap,
         theta=check_theta_condition(case.scenario1.driver.base, lam_of_t, case.grid),
         dominance=check_dominance(
@@ -269,21 +258,18 @@ def _passing_hypotheses(case: ComparisonCase, lat: DefaultLattice) -> Hypothesis
     return report
 
 
-def _solved(case: ComparisonCase, which: int, lat: DefaultLattice) -> tuple[_Problem | None, Solution]:
-    """Scenario ``which`` (1 or 2) of the case, prepared and solved once per
-    grid; the problem is None for a solution handed in by ``_given_solution``."""
-    held = case._solutions.get(which)
-    if held is None or not lat.same_grid(held[0]):
-        scenario = case.scenario1 if which == 1 else case.scenario2
-        prob = _prepare(scenario, lat, _fields(case, which, lat))
-        held = case._solutions[which] = (lat, prob, _solve(prob))
-    return held[1], held[2]
+def _solved(case: ComparisonCase, which: int, lat: DefaultLattice) -> Solution:
+    """Scenario ``which`` (1 or 2) of the case solved on this grid, once."""
+    sol = case._solutions.get(which)
+    if sol is None or not lat.same_grid(sol.lattice):
+        sol = case._solutions[which] = _solve(_problem(case, which, lat))
+    return sol
 
 
 def _given_solution(case: ComparisonCase, solution: Solution) -> ComparisonCase:
-    """Hand the case an already-solved dominating scenario, so that
-    ``run_comparison`` and ``iterate_sequence`` do not solve it again."""
-    case._solutions[1] = (solution.lattice, None, solution)
+    """Hand the case an already-solved dominating scenario and its prepared
+    problem, so that the checks and solves on the case do neither again."""
+    case._problems[1], case._solutions[1] = solution.problem, solution
     return case
 
 
@@ -311,10 +297,9 @@ def run_comparison(
     """
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
     report = _passing_hypotheses(case, lat)
-    _, sol1 = _solved(case, 1, lat)
-    _, sol2 = _solved(case, 2, lat)
-    min_gap = min(
-        float(np.min(sol1.y.step(k) - sol2.y.step(k))) for k in range(lat.n_steps + 1)
+    sol1, sol2 = _solved(case, 1, lat), _solved(case, 2, lat)
+    min_gap = functools.reduce(
+        _min, (np.min(sol1.y.step(k) - sol2.y.step(k)) for k in range(lat.n_steps + 1)), math.inf
     )
     return ComparisonVerdict(
         hypotheses=report,
@@ -370,14 +355,13 @@ def iterate_sequence(
     """
     lat = lattice if lattice is not None else case.scenario1.build_lattice()
     _passing_hypotheses(case, lat)
-    _, sol1 = _solved(case, 1, lat)
-    prob2, sol2 = _solved(case, 2, lat)
+    sol1, sol2 = _solved(case, 1, lat), _solved(case, 2, lat)
     iterates: list[Solution] = []
     sup_diffs: list[float] = []
     prev = sol1
     for _ in range(n_max):
         frozen = _anticipated_field(prev, case.scenario2.delta_steps)
-        cur = _solve(prob2, frozen_ey=frozen)
+        cur = _solve(sol2.problem, frozen_ey=frozen)
         sup = 0.0
         for k in range(lat.n_steps + 1):
             gap = prev.y.step(k) - cur.y.step(k)
@@ -387,15 +371,14 @@ def iterate_sequence(
                 raise MonotonicityError(
                     f"iterate increased by {-worst:.3g} at node {lat.node_at(k, i)}"
                 )
-            sup = max(sup, float(np.max(np.abs(gap))))
+            sup = _max(sup, np.max(np.abs(gap)))
         iterates.append(cur)
         sup_diffs.append(sup)
         prev = cur
         if sup <= stop_tol:
             break
-    final_gap = max(
-        float(np.max(np.abs(prev.y.step(k) - sol2.y.step(k))))
-        for k in range(lat.n_steps + 1)
+    final_gap = functools.reduce(
+        _max, (np.max(np.abs(prev.y.step(k) - sol2.y.step(k))) for k in range(lat.n_steps + 1)), 0.0
     )
     return IterateTrace(
         solution1=sol1,
@@ -471,8 +454,8 @@ def random_comparison_case(
     obstacle add nonnegative expressions, which guarantees ordering and
     dominance by construction.  Monotonicity and the jump-slope condition are
     enforced by checker filtering (the jump coefficient is drawn wide enough
-    to be rejected sometimes).  Each candidate evaluates its obstacles and
-    terminals once, for the feasibility test, the checks and the solves.
+    to be rejected sometimes).  Each candidate prepares its two scenarios
+    once, for the feasibility test, the checks and the solves.
     """
     delta = int(rng.integers(0, 3)) if delta_steps is None else delta_steps
     intensity = IntensitySpec.constant(lam, n_steps)
@@ -527,8 +510,11 @@ def random_comparison_case(
 
         case = ComparisonCase(scenario1=scenario(g1, obs1, xi1), scenario2=scenario(g2, obs2, xi2), grid=grid)
         # terminal feasibility on the actual lattice, for both scenarios
-        if any(float(np.min(xi - obstacle.step(lat.n_steps))) < 1e-9
-               for obstacle, xi in (_fields(case, which, lat) for which in (1, 2))):
+        try:
+            if any(float(np.min(p.xi - p.obstacle.step(lat.n_steps))) < 1e-9
+                   for p in (_problem(case, which, lat) for which in (1, 2))):
+                continue
+        except SolverError:  # xi < S_N, which _prepare rejects
             continue
         report = check_hypotheses(case, lat)
         if report.all_pass:
@@ -567,7 +553,7 @@ def run_random_suite(
             rng, n_steps=n_steps, horizon=horizon, lam=lam, lattice=lat
         )
         verdict = run_comparison(case, lattice=lat, tol=tol)
-        min_gap = min(min_gap, verdict.min_gap)
+        min_gap = _min(min_gap, verdict.min_gap)
         deltas[case.scenario1.delta_steps] += 1
         if not verdict.passed:
             failures += 1

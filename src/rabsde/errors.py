@@ -33,7 +33,12 @@ class ScenarioError(RabsdeError):
 
 
 class SolverError(RabsdeError):
-    """Backward induction failure (e.g. implicit inner loop not converging)."""
+    """Backward induction failure (e.g. implicit inner loop not converging);
+    ``pointer`` is the JSON pointer of the scenario field at fault, if any."""
+
+    def __init__(self, message: str, pointer: str | None = None):
+        super().__init__(message)
+        self.pointer = pointer
 
 
 class PicardConvergenceError(SolverError):

@@ -33,7 +33,7 @@ from .driver import (
     check_M_form_lipschitz,
     estimate_lipschitz,
 )
-from .errors import LatticeError, PicardConvergenceError, SolverError
+from .errors import DriverEvalError, LatticeError, PicardConvergenceError, SolverError
 from .lattice import (
     DefaultLattice,
     IntensitySpec,
@@ -88,11 +88,12 @@ class Solution:
     ``dk`` holds the per-node reflection increments; cumulative K along a
     path is their running sum with K(0-) = 0 (the lattice recombines, so the
     cumulative process is pathwise, not node-indexed).  All fields cover
-    steps 0..N with z = u = psi = dk = 0 at the terminal step.
+    steps 0..N with z = u = psi = dk = 0 at the terminal step.  The scenario,
+    lattice and obstacle field are those of the prepared ``problem`` it was
+    solved from, held by reference.
     """
 
-    scenario: Scenario
-    lattice: DefaultLattice
+    problem: _Problem
     y: ProcessField
     z: ProcessField
     u: ProcessField
@@ -102,11 +103,19 @@ class Solution:
     diagnostics: dict
 
     @property
+    def scenario(self) -> Scenario:
+        return self.problem.scenario
+
+    @property
+    def lattice(self) -> DefaultLattice:
+        return self.problem.lattice
+
+    @property
     def y0(self) -> float:
         return float(self.y.step(0)[0])
 
     def obstacle_field(self) -> ProcessField:
-        return obstacle_field(self.scenario, self.lattice)
+        return self.problem.obstacle
 
     def per_step_expected_dk(self) -> tuple[float, ...]:
         out = []
@@ -127,7 +136,7 @@ class Solution:
         return float(np.max(cum))
 
     def max_abs_psi(self) -> float:
-        return max(float(np.max(np.abs(self.psi.step(k)))) for k in self.psi.step_range)
+        return functools.reduce(_max, (np.max(np.abs(self.psi.step(k))) for k in self.psi.step_range), 0.0)
 
     def weighted_psi(self) -> float:
         """Largest L2-weighted cross-term coefficient max |psi| * ||dW dM||_L2.
@@ -144,7 +153,7 @@ class Solution:
             weight = math.sqrt(lat.dt * pk * (1.0 - pk))
             if weight == 0.0:
                 continue
-            best = max(best, weight * float(np.max(np.abs(self.psi.step(k)))))
+            best = _max(best, weight * float(np.max(np.abs(self.psi.step(k)))))
         return best
 
 
@@ -153,7 +162,7 @@ class _Problem:
     scenario: Scenario
     lattice: DefaultLattice
     driver_fn: Callable
-    obstacle: list[np.ndarray]
+    obstacle: ProcessField
     xi: np.ndarray
     need_ey: bool
     need_ez: bool
@@ -168,6 +177,7 @@ def _check_vars(expr: DriverExpr, allowed: frozenset[str], what: str) -> None:
 
 
 def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
+    """The obstacle per node, evaluated as is (NaN and inf included)."""
     fn = scenario.obstacle.compiled()
     arrays = []
     for k in range(lattice.n_steps + 1):
@@ -176,40 +186,44 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     return ProcessField.from_arrays(lattice, 0, arrays)
 
 
-def _finite_obstacle(field: ProcessField) -> ProcessField:
-    for k, arr in enumerate(field.values):
-        if not np.all(np.isfinite(arr)):
-            raise SolverError(f"obstacle evaluates to a non-finite value at step {k}")
-    return field
-
-
-def finite_obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
-    """The obstacle field; raises SolverError if any node value is NaN or infinite."""
-    return _finite_obstacle(obstacle_field(scenario, lattice))
-
-
-def _finite_terminal(xi: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(xi)):
-        raise SolverError("terminal payoff evaluates to a non-finite value")
-    return xi
-
-
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
-    """The terminal payoff per horizon node; raises SolverError if any is NaN or infinite."""
+    """The terminal payoff per horizon node, evaluated as is (NaN and inf included)."""
     fn = scenario.terminal.compiled()
     N = lattice.n_steps
     env = {"w": lattice.w_values(N), "h": lattice.h_values(N), "tau": lattice.tau_values(N)}
-    return _finite_terminal(np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy())
+    return np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy()
 
 
-def _prepare(
-    scenario: Scenario,
-    lattice: DefaultLattice,
-    fields: tuple[ProcessField, np.ndarray] | None = None,
-) -> _Problem:
-    """The scenario checked and set up on the lattice.  ``fields`` holds the
-    (obstacle field, terminal values) already evaluated on this grid, if the
-    caller has them; they pass the same finiteness and xi >= S_N checks."""
+def _node_data(scenario: Scenario, lattice: DefaultLattice) -> tuple[ProcessField, np.ndarray]:
+    """The scenario's obstacle field and terminal values on the lattice, checked
+    in this order: the terminal is finite, the obstacle is finite, xi >= S_N.
+    The one place either is evaluated; a failure, an evaluation error included,
+    raises SolverError whose pointer is ``/terminal`` or ``/obstacle``."""
+    try:
+        xi = terminal_values(scenario, lattice)
+    except DriverEvalError as exc:
+        raise SolverError(str(exc), pointer="/terminal") from None
+    if not np.all(np.isfinite(xi)):
+        raise SolverError("terminal payoff evaluates to a non-finite value", pointer="/terminal")
+    try:
+        obstacle = obstacle_field(scenario, lattice)
+    except DriverEvalError as exc:
+        raise SolverError(str(exc), pointer="/obstacle") from None
+    for k, arr in enumerate(obstacle.values):
+        if not np.all(np.isfinite(arr)):
+            raise SolverError(f"obstacle evaluates to a non-finite value at step {k}", pointer="/obstacle")
+    worst = float(np.min(xi - obstacle.step(lattice.n_steps)))
+    if worst < -1e-12:
+        raise SolverError(
+            f"terminal payoff falls below the obstacle at the horizon (worst gap {worst:.3g}); "
+            "the reflected system requires xi >= S_T",
+            pointer="/terminal",
+        )
+    return obstacle, xi
+
+
+def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
+    """The scenario checked and set up on the lattice."""
     if lattice.horizon != scenario.horizon or lattice.n_steps != scenario.n_steps:
         raise LatticeError("lattice does not match scenario grid")
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
@@ -218,22 +232,13 @@ def _prepare(
     too_big = oversize_message(lattice.horizon, lattice.n_steps, lattice.intensity)
     if too_big:
         raise SolverError(too_big)
-    if fields is None:
-        obstacle, xi = finite_obstacle_field(scenario, lattice), terminal_values(scenario, lattice)
-    else:
-        obstacle, xi = _finite_obstacle(fields[0]), _finite_terminal(fields[1])
-    gap = xi - obstacle.step(lattice.n_steps)
-    if np.min(gap) < -1e-12:
-        raise SolverError(
-            f"terminal payoff falls below the obstacle at the horizon "
-            f"(worst gap {np.min(gap):.3g}); the reflected system requires xi >= S_T"
-        )
+    obstacle, xi = _node_data(scenario, lattice)
     base = scenario.driver.base
     return _Problem(
         scenario=scenario,
         lattice=lattice,
         driver_fn=base.compiled(),
-        obstacle=[obstacle.step(k) for k in range(lattice.n_steps + 1)],
+        obstacle=obstacle,
         xi=xi,
         need_ey=base.uses("ey"),
         need_ez=base.uses("ez"),
@@ -305,7 +310,7 @@ def _step_values(
                     "dt is too large relative to the driver's Lipschitz constant"
                 )
     y_tilde = mean + fv * dt
-    s = prob.obstacle[k]
+    s = prob.obstacle.step(k)
     y = np.maximum(y_tilde, s)
     dk = y - y_tilde
     return y, z, u, psi, dk, y_tilde, fv
@@ -379,8 +384,7 @@ def _solve(
         window.insert(k)
     diagnostics = {"scheme": prob.scenario.scheme.value}
     return Solution(
-        scenario=prob.scenario,
-        lattice=lat,
+        problem=prob,
         y=ProcessField.from_arrays(lat, 0, y),
         z=ProcessField.from_arrays(lat, 0, z),
         u=ProcessField.from_arrays(lat, 0, u),
@@ -395,6 +399,12 @@ def _max(acc: float, value) -> float:
     """Python's max(acc, value), except that a NaN on either side propagates."""
     value = float(value)
     return value if value > acc or math.isnan(value) else acc
+
+
+def _min(acc: float, value) -> float:
+    """Python's min(acc, value), except that a NaN on either side propagates."""
+    value = float(value)
+    return value if value < acc or math.isnan(value) else acc
 
 
 def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
@@ -442,22 +452,11 @@ def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
     return best
 
 
-def solve_backward(
-    scenario: Scenario,
-    *,
-    lattice: DefaultLattice | None = None,
-    frozen_ey: ProcessField | None = None,
-) -> Solution:
+def solve_backward(scenario: Scenario, *, lattice: DefaultLattice | None = None) -> Solution:
     """Solve by backward induction; anticipated values are already available
-    when each step is processed, so no outer iteration is needed.
-
-    ``frozen_ey`` replaces the anticipated y-argument with a precomputed
-    node field (used by the monotone iterate bridge in the comparison
-    harness).
-    """
+    when each step is processed, so no outer iteration is needed."""
     lat = lattice if lattice is not None else scenario.build_lattice()
-    prob = _prepare(scenario, lat)
-    return _solve(prob, frozen_ey=frozen_ey)
+    return _solve(_prepare(scenario, lat))
 
 
 # -- Picard iteration ---------------------------------------------------------
@@ -640,10 +639,12 @@ class ValidationReport:
 
 
 def validate_solution(solution: Solution, scenario: Scenario) -> ValidationReport:
-    """Check the four defining conditions on a solved scenario; never raises."""
+    """Check the four defining conditions on a solved scenario; never raises.
+    ``scenario`` is the scenario the solution solves: the checks read the
+    obstacle field the solution was prepared with."""
     lat = solution.lattice
     N = lat.n_steps
-    obstacle = obstacle_field(scenario, lat)
+    obstacle = solution.obstacle_field()
     sq = 0.0
     residual = 0.0
     representation = 0.0

@@ -1,6 +1,9 @@
 """Optimal-stopping checks: brute-force Snell oracle, first-hit rules, and the
 pathwise running-max identity for the reflection process.
 
+Each check takes a solution and the scenario it solves, and reads the obstacle
+field the solution was prepared with.
+
 The brute-force oracle enumerates every adapted stopping rule (a stop flag per
 reachable non-terminal node) and therefore stays independent of the dynamic
 programming it cross-checks; instances are capped by the number of decision
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import EnumerationError, LatticeError
 from .lattice import DefaultLattice, NodeId
-from .solver import Scenario, Solution, obstacle_field
+from .solver import Scenario, Solution, _max
 
 DEFAULT_ENUMERATION_CAP = 22
 
@@ -63,7 +66,7 @@ def stopping_payoff(
     lat = solution.lattice
     if rule.lattice is not lat and not rule.lattice.same_grid(lat):
         raise LatticeError("rule and solution live on different lattices")
-    obstacle = obstacle_field(scenario, lat)
+    obstacle = solution.obstacle_field()
     N = lat.n_steps
     v = solution.y.step(N).copy()  # terminal payoff xi
     for k in range(N - 1, from_node.step - 1, -1):
@@ -129,7 +132,7 @@ def brute_force_value(
         raise EnumerationError(
             f"{m} decision nodes exceed the enumeration cap of {max_nodes}"
         )
-    obstacle = obstacle_field(scenario, lat)
+    obstacle = solution.obstacle_field()
     # bit layout: step-major, node-index-minor, starting at from_node's step
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
     mats = [
@@ -180,7 +183,7 @@ def tau_characterizations(
     """
     lat = solution.lattice
     N = lat.n_steps
-    obstacle = obstacle_field(scenario, lat)
+    obstacle = solution.obstacle_field()
     stop_y = []
     stop_k = []
     for k in range(N + 1):
@@ -266,7 +269,7 @@ def k_running_max_check(
     if lat.n_paths() > max_paths:
         raise EnumerationError(f"{lat.n_paths()} paths exceed the cap of {max_paths}")
     N = lat.n_steps
-    obstacle = obstacle_field(scenario, lat)
+    obstacle = solution.obstacle_field()
     fv = [solution.driver_values.step(k) for k in range(N)]
     zs = [solution.z.step(k) for k in range(N)]
     us = [solution.u.step(k) for k in range(N)]
@@ -301,7 +304,7 @@ def k_running_max_check(
             target = np.concatenate([np.cumsum(dkpath[::-1])[::-1], [0.0]])
             gap = float(np.max(np.abs(target - run_max)))
             if tracker == "full":
-                max_gap = max(max_gap, gap)
+                max_gap = _max(max_gap, gap)
             else:
-                max_gap_z = max(max_gap_z, gap)
+                max_gap_z = _max(max_gap_z, gap)
     return KRunningMaxReport(max_gap=max_gap, max_gap_z_only=max_gap_z, n_paths=n_paths)

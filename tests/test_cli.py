@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from rabsde.cli import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from rabsde.driver import DriverExpr
 from rabsde.errors import ScenarioError
 from rabsde.solver import obstacle_field, solve_backward
 
@@ -262,9 +264,9 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     prepared, solved, frozen = [], [], []
     prepare, solve = solver._prepare, solver._solve
 
-    def counted_prepare(scenario, lattice, *fields):
+    def counted_prepare(scenario, lattice):
         prepared.append(scenario.name)
-        return prepare(scenario, lattice, *fields)
+        return prepare(scenario, lattice)
 
     def counted_solve(prob, frozen_ey=None, frozen_driver=None):
         (solved if frozen_ey is None else frozen).append(prob.scenario.name)
@@ -280,6 +282,38 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     assert [c["name"] for c in data["checks"] if not c["pass"]] == ["iterate_limit_gap"]
     assert sorted(prepared) == sorted(solved) == ["dominated", "dominating"]
     assert data["comparison"]["iterates"]["count"] == 3 and frozen == ["dominated"] * 3
+
+
+@pytest.mark.parametrize("command", ["solve", "stopping", "compare"])
+def test_a_run_evaluates_each_scenarios_node_data_at_load_and_at_prepare_only(tmp_path, monkeypatch, command):
+    p1 = _write(tmp_path, {**_WORKFLOW_DOC, "terminal": f"{_WORKFLOW_DOC['terminal']} + 0.5"}, "s1.json")
+    p2 = _write(tmp_path, _WORKFLOW_DOC, "s2.json")
+    loaded, calls = [], Counter()
+    load, compiled = cli.scenario_from_dict, DriverExpr.compiled
+
+    def counting_compiled(self):
+        fn = compiled(self)
+
+        def counted(env):
+            calls[id(self)] += 1  # self stays alive in `loaded`, so ids stay unique
+            return fn(env)
+
+        return counted
+
+    monkeypatch.setattr(cli, "scenario_from_dict", lambda doc: loaded.append(load(doc)) or loaded[-1])
+    monkeypatch.setattr(DriverExpr, "compiled", counting_compiled)
+    argv = {
+        "solve": ["solve", "--scenario", p1, "--format", "csv"],
+        "stopping": ["stopping", "--scenario", p1],
+        "compare": ["compare", "--scenario", p1, "--scenario2", p2],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(loaded) == (2 if command == "compare" else 1)
+    # one load check plus one prepare: an obstacle field is one closure call
+    # per step, a terminal one call
+    for sc in loaded:
+        assert calls[id(sc.obstacle)] <= 2 * (sc.n_steps + 1)
+        assert calls[id(sc.terminal)] <= 2
 
 
 def test_compare_checks_the_hypotheses_once(tmp_path, monkeypatch):
@@ -501,6 +535,16 @@ def test_non_finite_terminal_is_rejected_at_load(tmp_path, capsys):
     assert exc.value.issues == [("/terminal", "terminal payoff evaluates to a non-finite value")]
     assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
     assert "/terminal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pointer", ["/terminal", "/obstacle"])
+def test_constant_division_by_zero_in_node_data_is_located(tmp_path, capsys, pointer):
+    doc = {**MINIMAL, pointer[1:]: "1/0 + w"}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.issues == [(pointer, "division by zero")]
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    assert f"{pointer}: division by zero" in capsys.readouterr().err
 
 
 def test_non_finite_terminal_prints_only_the_error_line(tmp_path):

@@ -27,8 +27,9 @@ from rabsde.comparison import (
     run_random_suite,
 )
 from rabsde.driver import DriverExpr, GridSpec, eval_driver, parse_driver
-from rabsde.errors import DriverEvalError, HypothesisError
+from rabsde.errors import DriverEvalError, HypothesisError, SolverError
 from rabsde.lattice import DefaultLattice, IntensitySpec
+from rabsde.solver import solve_backward
 
 GRID = GridSpec(points=5, n_base=16, seed=0)
 
@@ -403,3 +404,28 @@ def test_accepted_report_reused_only_on_the_same_grid(monkeypatch):
 
 def test_random_suite_seed_0_is_pinned():
     assert run_random_suite(0, 1000) == SuiteResult(1000, 0.0010000000000000009, 0, (340, 320, 340))
+
+
+def _case_with_nan_in_solution1(step):
+    case = random_comparison_case(np.random.default_rng(7))
+    sol1 = solve_backward(case.scenario1)
+    sol1.y.step(step)[0] = math.nan
+    return comparison._given_solution(case, sol1)
+
+
+def test_comparison_gaps_propagate_nan():
+    # Python's min/max over steps drop a NaN that is not at the first step
+    verdict = run_comparison(_case_with_nan_in_solution1(2))
+    assert math.isnan(verdict.min_gap) and not verdict.passed
+    assert math.isnan(iterate_sequence(_case_with_nan_in_solution1(2), 0).final_gap)
+    # Y at the root is never anticipated, so the first iterate is finite
+    trace = iterate_sequence(_case_with_nan_in_solution1(0), 1)
+    assert math.isnan(trace.sup_diffs[0])
+
+
+def test_check_hypotheses_raises_on_a_scenario_the_gate_rejects():
+    case = random_comparison_case(np.random.default_rng(7))
+    low = dataclasses.replace(case.scenario2, terminal=parse_driver("-10"))
+    with pytest.raises(SolverError, match="falls below the obstacle") as exc:
+        comparison.check_hypotheses(ComparisonCase(case.scenario1, low, case.grid))
+    assert exc.value.pointer == "/terminal"

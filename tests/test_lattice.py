@@ -364,19 +364,17 @@ _NODE_WALK_ALLOWED = {
 }
 
 
-def _node_walk_sites(path):
-    """(file, enclosing function) for every .children( / .node_at( call."""
+def _call_sites(path, names, kind):
+    """(file, enclosing function) for every call of one of ``names``, made as
+    ``x.name(`` (kind ast.Attribute) or as ``name(`` (kind ast.Name)."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("children", "node_at")
-        ):
-            found.add((path.name, ".".join(scope)))
+        if isinstance(node, ast.Call) and isinstance(node.func, kind):
+            if (node.func.attr if kind is ast.Attribute else node.func.id) in names:
+                found.add((path.name, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -384,13 +382,23 @@ def _node_walk_sites(path):
     return found
 
 
-def test_no_per_node_lattice_walks_in_production():
+def _assert_call_sites(names, kind, allowed):
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "rabsde"
     sites = set()
     for path in sorted(src.glob("*.py")):
-        sites |= _node_walk_sites(path)
-    assert sites - _NODE_WALK_ALLOWED == set(), "per-node lattice walk outside the allow-list"
-    assert _NODE_WALK_ALLOWED - sites == set(), "stale allow-list entry"
+        sites |= _call_sites(path, names, kind)
+    assert sites - allowed == set(), f"call of {sorted(names)} outside the allow-list"
+    assert allowed - sites == set(), "stale allow-list entry"
+
+
+def test_no_per_node_lattice_walks_in_production():
+    _assert_call_sites({"children", "node_at"}, ast.Attribute, _NODE_WALK_ALLOWED)
+
+
+def test_node_data_is_evaluated_only_by_the_gate():
+    # _node_data evaluates and checks a scenario's terminal and obstacle; every
+    # other production path reads the prepared problem's arrays
+    _assert_call_sites({"obstacle_field", "terminal_values"}, ast.Name, {("solver.py", "_node_data")})
 
 
 def test_oversize_message_counts_nodes_exactly(monkeypatch):

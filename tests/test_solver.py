@@ -78,6 +78,22 @@ def test_non_finite_terminal_is_named_before_the_obstacle_gap():
         solve_backward(sc)
 
 
+@pytest.mark.parametrize(
+    "obstacle, terminal, pointer, message",
+    [
+        ("-1 + 0/w", "exp(1000) + w", "/terminal", "terminal payoff evaluates to a non-finite value"),
+        ("-1 + 0/w", "w + 1", "/obstacle", "obstacle evaluates to a non-finite value at step 0"),
+        ("w + 1", "w", "/terminal", "terminal payoff falls below the obstacle at the horizon"),
+    ],
+)
+def test_prepare_names_the_scenario_field_at_fault(obstacle, terminal, pointer, message):
+    # the terminal is checked first, so both fields non-finite reports the terminal only
+    sc = make_scenario(n_steps=3, obstacle=obstacle, terminal=terminal)
+    with pytest.raises(SolverError, match=message) as exc:
+        solve_backward(sc)
+    assert exc.value.pointer == pointer
+
+
 def test_solve_martingale_terminal_fields():
     sc = make_scenario(n_steps=4, lam=0.5, terminal="w")
     sol = solve_backward(sc)
@@ -395,6 +411,15 @@ def test_max_path_total_k_propagates_nan():
     sol = solve_backward(sc)
     sol.dk.step(1)[0] = math.nan
     assert math.isnan(sol.max_path_total_k())
+
+
+def test_psi_metrics_propagate_nan():
+    # Python's max(acc, nan) keeps acc: a NaN after the first step was dropped
+    sc = make_scenario(n_steps=4, lam=0.4, driver="0.2*y", obstacle="w - 0.3", terminal="max(w, 0) + h")
+    sol = solve_backward(sc)
+    sol.psi.step(2)[0] = math.nan
+    assert math.isnan(sol.max_abs_psi())
+    assert math.isnan(sol.weighted_psi())
 
 
 # -- non-finite values fail closed ----------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -330,3 +331,11 @@ def test_k_running_max_with_default_jump_terms():
     assert report.max_gap <= 1e-10
     # dropping the jump integrals breaks the identity when defaults matter
     assert report.max_gap_z_only > 1e-6
+
+
+def test_k_running_max_gap_propagates_nan():
+    sc = make_scenario(n_steps=3, lam=0.4, driver="0.1*y", obstacle="0.3 - w", terminal="max(0.3 - w, 0)")
+    sol = solve_backward(sc)
+    sol.dk.step(1)[0] = math.nan
+    rep = k_running_max_check(sol, sc)
+    assert math.isnan(rep.max_gap) and math.isnan(rep.max_gap_z_only)
