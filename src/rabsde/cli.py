@@ -30,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -334,27 +335,40 @@ def format_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def node_table_rows(solution: Solution) -> list[tuple]:
-    """Per-node dump: one row per lattice node across all steps, built
-    column-wise from the step arrays."""
+def node_table_rows(solution: Solution, k: int) -> str:
+    """Step ``k`` of the per-node dump: one newline-terminated row per node.
+
+    The six value columns are stacked into an ``(n, 6)`` array and each
+    distinct row, told apart by its bit pattern (so ``0`` and ``-0`` and
+    different NaNs stay apart), is formatted once; each node then prefixes
+    its ``step,up_count,default_step,``.  Unless the terminal reads ``tau``,
+    the values after default do not depend on the default step, so the
+    default blocks of a step repeat the same rows.
+    """
     lat = solution.lattice
     fields = (solution.y, solution.z, solution.u, solution.dk, solution.psi,
               solution.obstacle_field())
-    rows: list[tuple] = []
-    for k in range(lat.n_steps + 1):
-        n = lat.n_nodes(k)
-        rows.extend(zip(
-            [k] * n,
-            list(range(k + 1)) * (n // (k + 1)),
-            lat.default_step_codes(k).tolist(),
-            *(f.step(k).tolist() for f in fields),
-        ))
-    return rows
+    values = np.stack([f.step(k) for f in fields], axis=1)
+    bits = values.view(np.dtype((np.void, values.itemsize * len(fields)))).ravel()
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    texts = [_NODE_VALUES % row for row in map(tuple, values[first].tolist())]
+    width = k + 1
+    heads = [f"{k},{j}," for j in range(width)]
+    prefixes = [head + f"{d}," for d in lat.default_step_codes(k)[::width].tolist()
+                for head in heads]
+    return "".join(map(operator.add, prefixes, map(texts.__getitem__, inverse.tolist())))
 
 
 NODE_TABLE_HEADER = ["step", "up_count", "default_step", "Y", "Z", "U", "dK", "psi", "S"]
 # '%.17g' % v matches format(v, ".17g"), nan and inf included
-_NODE_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+_NODE_VALUES = ",".join(["%.17g"] * 6) + "\n"
+
+
+def _write_node_table(solution: Solution, fh) -> None:
+    """Write the header, then each step's rows as soon as they are made."""
+    fh.write(",".join(NODE_TABLE_HEADER) + "\n")
+    for k in range(solution.lattice.n_steps + 1):
+        fh.write(node_table_rows(solution, k))
 
 
 @dataclass
@@ -379,10 +393,8 @@ def emit_report(report: RunReport, fmt: str, path: str) -> None:
     if fmt == "csv":
         if report.solution is None:
             raise ScenarioError([("", "csv output requires a solved scenario")])
-        lines = [",".join(NODE_TABLE_HEADER)]
-        lines.extend(_NODE_ROW % row for row in node_table_rows(report.solution))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            _write_node_table(report.solution, fh)
         return
     raise ScenarioError([("", f"unknown report format '{fmt}'")])
 
@@ -646,6 +658,14 @@ _RHO = _flag(float, lambda v: math.isfinite(v) and v >= 1, "finite and >= 1")
 _INTENSITY = _flag(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 
 
+class _Refused(argparse.Action):
+    """A flag the subcommand does not take: any use is a usage error (exit 2)
+    that names it, rather than an ``unrecognized arguments`` line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(self, "only the suite subcommand draws random numbers")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every ``main``
@@ -663,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--tol", type=_POSITIVE, default=1e-10)
-        p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+        p.add_argument("--seed", action=_Refused, help=argparse.SUPPRESS)
         p.add_argument("--timing", action="store_true")
 
     p_solve = sub.add_parser("solve", help="solve backward, validate, optional oracle")
@@ -746,8 +766,17 @@ def main(argv=None) -> int:
         report = run(scenario, flags)
         if args.timing:
             report.data["timing"]["load"] = load_s
-        if args.out:
-            emit_report(report, args.format, args.out)
+        if args.format == "csv":
+            t1 = time.perf_counter()
+            if args.out:
+                emit_report(report, "csv", args.out)
+            else:
+                _write_node_table(report.solution, sys.stdout)
+            if args.timing:  # the table holds no timing; it goes to stderr
+                report.data["timing"]["emit"] = time.perf_counter() - t1
+                sys.stderr.write(json.dumps({"timing": report.data["timing"]}, sort_keys=True) + "\n")
+        elif args.out:
+            emit_report(report, "json", args.out)
         else:
             sys.stdout.write(format_json(report.data) + "\n")
         return 0 if report.passed else 3

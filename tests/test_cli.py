@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_scenario
+from conftest import make_scenario, random_scenario
 from rabsde import IntensitySpec, cli, comparison, solver
 from rabsde.cli import (
     RunFlags,
+    RunReport,
     emit_report,
     format_json,
     load_scenario,
@@ -365,28 +366,113 @@ def test_main_suite_subcommand(tmp_path):
     assert data["min_gap"] >= -1e-10
 
 
-def test_emit_csv_matches_per_node_reference(tmp_path):
+def _per_node_table(sol) -> bytes:
+    """The node table built node by node through ``node_at``: the reference."""
+    lat = sol.lattice
+    fields = (sol.y, sol.z, sol.u, sol.dk, sol.psi, obstacle_field(sol.scenario, lat))
+    lines = ["step,up_count,default_step,Y,Z,U,dK,psi,S"]
+    for k in range(lat.n_steps + 1):
+        for i in range(lat.n_nodes(k)):
+            node = lat.node_at(k, i)
+            cells = [str(k), str(node.up_count), str(node.default_step or 0)]
+            cells += [format(float(f.step(k)[i]), ".17g") for f in fields]
+            lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _with_nan_rows(sol):
+    """``sol`` with NaN in Y on the same up count of all three blocks of
+    step 2, whose default blocks otherwise repeat one row."""
+    y = [arr.copy() for arr in sol.y.values]
+    assert sol.lattice.n_nodes(2) == 9
+    y[2][[0, 3, 6]] = np.nan
+    return dataclasses.replace(sol, y=dataclasses.replace(sol.y, values=tuple(y)))
+
+
+def _csv_cases():
     rng = np.random.default_rng(31)
-    for t in range(4):
+    for t in range(4):  # odd t: every other step has zero intensity
         sc = random_scenario(rng, n_steps=int(rng.integers(2, 7)), binding=True)
         lam = [0.0 if t % 2 and i % 2 else v for i, v in enumerate(sc.intensity.values)]
-        sc = dataclasses.replace(
+        yield f"random{t}", dataclasses.replace(
             sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=sc.intensity.lambda_max)
         )
-        report = run(sc, RunFlags())
+    put = "max(0.6 - w, 0)"
+    # -0*w is 0 where w < 0 and -0 elsewhere: both zeros in one column of one step
+    yield "signed_zero", make_scenario(n_steps=4, obstacle="-1", terminal="-0*w")
+    # the terminal reads the default time, so the default blocks differ
+    yield "tau", make_scenario(n_steps=5, delta_steps=1, driver="-0.1*y + 0.05*ey",
+                               obstacle=f"{put} - 0.1*t", terminal=f"{put} + tau")
+    yield "zero_intensity", make_scenario(n_steps=4, lam=0.0, driver="-0.1*y",
+                                          obstacle=put, terminal=put)
+    yield "nan_rows", make_scenario(n_steps=4, lam=0.3, driver="-0.1*y", obstacle=put, terminal=put)
+
+
+def test_emit_csv_matches_per_node_reference(tmp_path):
+    for name, scenario in _csv_cases():
+        report = run(scenario, RunFlags())
         sol = report.solution
-        lat = sol.lattice
-        fields = (sol.y, sol.z, sol.u, sol.dk, sol.psi, obstacle_field(sc, lat))
-        lines = ["step,up_count,default_step,Y,Z,U,dK,psi,S"]
-        for k in range(lat.n_steps + 1):
-            for i in range(lat.n_nodes(k)):
-                node = lat.node_at(k, i)
-                cells = [str(k), str(node.up_count), str(node.default_step or 0)]
-                cells += [format(float(f.step(k)[i]), ".17g") for f in fields]
-                lines.append(",".join(cells))
-        path = tmp_path / f"nodes{t}.csv"
-        emit_report(report, "csv", str(path))
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        if name == "signed_zero":
+            y_n = sol.y.step(sol.lattice.n_steps)
+            assert (y_n == 0).all() and np.signbit(y_n).any() and not np.signbit(y_n).all()
+        if name == "tau":
+            y_2 = sol.y.step(2)
+            assert not np.array_equal(y_2[3:6], y_2[6:9])
+        if name == "nan_rows":
+            sol = _with_nan_rows(sol)
+        path = tmp_path / f"{name}.csv"
+        emit_report(RunReport(data=report.data, solution=sol), "csv", str(path))
+        assert path.read_bytes() == _per_node_table(sol), name
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_csv_is_written_one_step_at_a_time(tmp_path, monkeypatch):
+    path = _write(tmp_path, {**MINIMAL, "steps": 5, "lambda": 0.3, "terminal": "w + h"})
+    sink = _Recorder()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["solve", "--scenario", path, "--format", "csv"]) == 0
+    lat = load_scenario(path).build_lattice()
+    header, *steps = sink.writes
+    assert header == "step,up_count,default_step,Y,Z,U,dK,psi,S\n"
+    assert len(steps) == lat.n_steps + 1
+    for k, text in enumerate(steps):
+        rows = text.splitlines()
+        assert text.endswith("\n") and len(rows) == lat.n_nodes(k)
+        assert all(row.startswith(f"{k},") for row in rows)
+
+
+def test_csv_without_out_writes_the_node_table_to_stdout(tmp_path, capsys):
+    path = _write(tmp_path, {**MINIMAL, "terminal": "w + h"})
+    out = tmp_path / "nodes.csv"
+    assert main(["solve", "--scenario", path, "--format", "csv", "--out", str(out)]) == 0
+    assert main(["solve", "--scenario", path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+def test_csv_timing_goes_to_stderr_and_leaves_the_table_unchanged(tmp_path, capsys):
+    path = _write(tmp_path, {**MINIMAL, "terminal": "w + h"})
+    argv = ["solve", "--scenario", path, "--format", "csv"]
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--out", str(timed), "--timing"]) == 0
+    assert timed.read_bytes() == plain.read_bytes()
+    assert main(argv + ["--timing"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.read_text(encoding="utf-8")
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        timing = json.loads(line)["timing"]
+        assert set(timing) == {"load", "solve", "validate", "report", "emit"}
+        assert all(v >= 0 for v in timing.values())
 
 
 def test_non_finite_obstacle_exits_2(tmp_path, capsys):
@@ -585,6 +671,11 @@ def test_non_finite_terminal_prints_only_the_error_line(tmp_path):
         (["suite", "--horizon", "nan"], "--horizon"),
         (["suite", "--intensity", "-1"], "--intensity"),
         (["picard", "--max-iter", "two"], "--max-iter"),
+        # only suite draws random numbers; the other subcommands take no seed
+        (["solve", "--seed", "3"], "--seed"),
+        (["picard", "--seed", "0"], "--seed"),
+        (["stopping", "--seed", "3"], "--seed"),
+        (["compare", "--seed", "3"], "--seed"),
     ],
 )
 def test_bad_numeric_flag_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
