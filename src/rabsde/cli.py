@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -353,10 +353,12 @@ def node_table_rows(solution: Solution, k: int) -> str:
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     texts = [_NODE_VALUES % row for row in map(tuple, values[first].tolist())]
     width = k + 1
-    heads = [f"{k},{j}," for j in range(width)]
-    prefixes = [head + f"{d}," for d in lat.default_step_codes(k)[::width].tolist()
-                for head in heads]
-    return "".join(map(operator.add, prefixes, map(texts.__getitem__, inverse.tolist())))
+    codes = lat.default_step_codes(k)[::width].tolist()  # one per block of width nodes
+    parts = [""] * (3 * width * len(codes))  # "k,j," "d," "values\n" per node
+    parts[0::3] = [f"{k},{j}," for j in range(width)] * len(codes)
+    parts[1::3] = itertools.chain.from_iterable(itertools.repeat(f"{d},", width) for d in codes)
+    parts[2::3] = map(texts.__getitem__, inverse.tolist())
+    return "".join(parts)
 
 
 NODE_TABLE_HEADER = ["step", "up_count", "default_step", "Y", "Z", "U", "dK", "psi", "S"]
