@@ -12,7 +12,6 @@ Scenario files are JSON documents (one scenario per file):
       "obstacle": "-1e9",
       "terminal": "w",
       "scheme": "explicit",
-      "seed": 0,
       "outputs": ["solve"],
       "oracle": {"kind": "crr", "spot": 1.0, "strike": 1.0,
                  "rate": 0.04, "sigma": 1.0}        // optional cross-check
@@ -72,7 +71,7 @@ from .solver import (
 _KNOWN_KEYS = {
     "horizon", "steps", "delta_steps", "lambda", "lambda_max", "driver",
     "obstacle", "terminal", "scheme", "implicit_tol", "implicit_max_iter",
-    "seed", "outputs", "oracle", "name",
+    "outputs", "oracle", "name",
 }
 _KNOWN_OUTPUTS = {"solve", "validate", "picard", "stopping", "compare"}
 
@@ -185,9 +184,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         issues.append(("/implicit_max_iter", "must be a positive integer"))
         implicit_max_iter = 500
 
-    seed = doc.get("seed", 0)
-    if not _is_int(seed):
-        issues.append(("/seed", "must be an integer"))
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, list) or any(o not in _KNOWN_OUTPUTS for o in outputs):
         issues.append(("/outputs", f"must be a list drawn from {sorted(_KNOWN_OUTPUTS)}"))
@@ -371,6 +367,19 @@ def _write_node_table(solution: Solution, fh) -> None:
     fh.write(",".join(NODE_TABLE_HEADER) + "\n")
     for k in range(solution.lattice.n_steps + 1):
         fh.write(node_table_rows(solution, k))
+
+
+def _to_stdout(write) -> None:
+    """``write(sys.stdout)``, then flush.  A reader that closes the pipe early
+    (``| head``) ends the output quietly: stdout then points at the null
+    device, so the interpreter's own flush at exit has nowhere to fail."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 @dataclass
@@ -743,7 +752,7 @@ def main(argv=None) -> int:
             if args.out:
                 emit_report(report, "json", args.out)
             else:
-                sys.stdout.write(format_json(data) + "\n")
+                _to_stdout(lambda fh: fh.write(format_json(data) + "\n"))
             return 0 if data["pass"] else 3
 
         t0 = time.perf_counter()
@@ -773,14 +782,14 @@ def main(argv=None) -> int:
             if args.out:
                 emit_report(report, "csv", args.out)
             else:
-                _write_node_table(report.solution, sys.stdout)
+                _to_stdout(functools.partial(_write_node_table, report.solution))
             if args.timing:  # the table holds no timing; it goes to stderr
                 report.data["timing"]["emit"] = time.perf_counter() - t1
                 sys.stderr.write(json.dumps({"timing": report.data["timing"]}, sort_keys=True) + "\n")
         elif args.out:
             emit_report(report, "json", args.out)
         else:
-            sys.stdout.write(format_json(report.data) + "\n")
+            _to_stdout(lambda fh: fh.write(format_json(report.data) + "\n"))
         return 0 if report.passed else 3
     except ScenarioError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -21,8 +21,8 @@ import numpy as np
 from .driver import (BinOp, Call, DriverExpr, DriverForm, Expr, GridSpec, Neg, Num, TransformedDriver,
                      Var, _as_lambda_of_t, _free_vars, _grid_env, _grid_values, _row)
 from .errors import DriverEvalError, HypothesisError, MonotonicityError, SolverError
-from .lattice import DefaultLattice, IntensitySpec, ProcessField
-from .solver import Scenario, Scheme, Solution, _Anticipation, _max, _min, _Problem, _prepare, _solve
+from .lattice import DefaultLattice, IntensitySpec
+from .solver import Scenario, Scheme, Solution, _max, _min, _Problem, _prepare, _solve
 
 COMPARISON_DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "u"})
 
@@ -325,17 +325,6 @@ class IterateTrace:
     final_gap: float
 
 
-def _anticipated_field(solution: Solution, delta: int) -> ProcessField:
-    lat, y = solution.lattice, solution.y.values
-    arrays = [None] * lat.n_steps
-    window = _Anticipation(lat, delta, (y, True))
-    for k in reversed(range(lat.n_steps)):
-        (ey,) = window.condition(k)
-        arrays[k] = y[k] if ey is None else ey
-        window.insert(k)
-    return ProcessField.from_arrays(lat, 0, arrays)
-
-
 def iterate_sequence(
     case: ComparisonCase,
     n_max: int,
@@ -360,8 +349,7 @@ def iterate_sequence(
     sup_diffs: list[float] = []
     prev = sol1
     for _ in range(n_max):
-        frozen = _anticipated_field(prev, case.scenario2.delta_steps)
-        cur = _solve(sol2.problem, frozen_ey=frozen)
+        cur = _solve(sol2.problem, frozen_ey=prev)
         sup = 0.0
         for k in range(lat.n_steps + 1):
             gap = prev.y.step(k) - cur.y.step(k)

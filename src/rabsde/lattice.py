@@ -393,15 +393,17 @@ class LatticePath:
 
 @dataclass(frozen=True)
 class ProcessField:
-    """Node-indexed real process over a contiguous range of steps."""
+    """Node-indexed real process over steps 0..N."""
 
     lattice: DefaultLattice
-    first_step: int
     values: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for i, arr in enumerate(self.values):
-            k = self.first_step + i
+        if len(self.values) != self.lattice.n_steps + 1:
+            raise LatticeError(
+                f"field has {len(self.values)} step arrays, lattice has {self.lattice.n_steps + 1} steps"
+            )
+        for k, arr in enumerate(self.values):
             if arr.shape != (self.lattice.n_nodes(k),):
                 raise LatticeError(
                     f"field array at step {k} has shape {arr.shape}, "
@@ -409,36 +411,17 @@ class ProcessField:
                 )
 
     @classmethod
-    def from_arrays(
-        cls, lattice: DefaultLattice, first_step: int, arrays: Sequence[np.ndarray]
-    ) -> "ProcessField":
-        return cls(lattice, first_step, tuple(np.asarray(a, dtype=float) for a in arrays))
+    def from_arrays(cls, lattice: DefaultLattice, arrays: Sequence[np.ndarray]) -> "ProcessField":
+        return cls(lattice, tuple(np.asarray(a, dtype=float) for a in arrays))
 
     @classmethod
-    def single(cls, lattice: DefaultLattice, step: int, values: np.ndarray) -> "ProcessField":
-        return cls.from_arrays(lattice, step, [values])
-
-    @classmethod
-    def zeros(cls, lattice: DefaultLattice, first_step: int = 0, last_step: int | None = None):
-        last = lattice.n_steps if last_step is None else last_step
-        return cls.from_arrays(
-            lattice,
-            first_step,
-            [np.zeros(lattice.n_nodes(k)) for k in range(first_step, last + 1)],
-        )
-
-    @property
-    def last_step(self) -> int:
-        return self.first_step + len(self.values) - 1
-
-    @property
-    def step_range(self) -> range:
-        return range(self.first_step, self.last_step + 1)
+    def zeros(cls, lattice: DefaultLattice) -> "ProcessField":
+        return cls.from_arrays(lattice, [np.zeros(lattice.n_nodes(k)) for k in range(lattice.n_steps + 1)])
 
     def step(self, k: int) -> np.ndarray:
-        if not self.first_step <= k <= self.last_step:
+        if not 0 <= k <= self.lattice.n_steps:
             raise LatticeError(f"field does not cover step {k}")
-        return self.values[k - self.first_step]
+        return self.values[k]
 
     def at(self, node: NodeId) -> float:
         return float(self.step(node.step)[self.lattice.index(node)])
@@ -473,7 +456,7 @@ def oversize_message(horizon: float, n_steps: int, intensity: IntensitySpec) -> 
 def martingale_M(lattice: DefaultLattice) -> ProcessField:
     """Compensated default indicator M_k = H_k - accumulated hazard up to k ^ d."""
     arrays = [lattice.h_values(k) - lattice.compensator_values(k) for k in range(lattice.n_steps + 1)]
-    return ProcessField.from_arrays(lattice, 0, arrays)
+    return ProcessField.from_arrays(lattice, arrays)
 
 
 @dataclass(frozen=True)

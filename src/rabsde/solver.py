@@ -12,7 +12,9 @@ from already-solved future steps (the terminal value extends Y beyond the
 horizon and Z vanishes there).  The explicit scheme evaluates the driver at
 y_arg = E[Y_{k+1} | node]; the implicit scheme solves the inner fixed point
 y_arg = y_tilde.  Drivers declared in dH form are rewritten on the fly by
-subtracting lambda_k * (1 - h) * u.
+subtracting lambda_k * (1 - h) * u.  A Picard pass and an iterate of the
+comparison bridge run the same sweep with arguments read from the previous
+iterate instead (see ``_solve``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -136,7 +138,7 @@ class Solution:
         return float(np.max(cum))
 
     def max_abs_psi(self) -> float:
-        return functools.reduce(_max, (np.max(np.abs(self.psi.step(k))) for k in self.psi.step_range), 0.0)
+        return functools.reduce(_max, (np.max(np.abs(a)) for a in self.psi.values), 0.0)
 
     def weighted_psi(self) -> float:
         """Largest L2-weighted cross-term coefficient max |psi| * ||dW dM||_L2.
@@ -183,7 +185,7 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     for k in range(lattice.n_steps + 1):
         env = {"t": k * lattice.dt, "w": lattice.w_values(k), "h": lattice.h_values(k)}
         arrays.append(np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(k),)).copy())
-    return ProcessField.from_arrays(lattice, 0, arrays)
+    return ProcessField.from_arrays(lattice, arrays)
 
 
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
@@ -268,47 +270,38 @@ def _step_values(
     y_next: np.ndarray,
     ey: np.ndarray | None,
     ez: np.ndarray | None,
-    frozen_driver: np.ndarray | None = None,
+    frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
-    """Solve one backward step; returns (y, z, u, psi, dk, y_tilde, fv)."""
+    """Solve one backward step; returns (y, z, u, psi, dk, y_tilde, fv).  The
+    driver reads (y-argument, z, u) from the step's own projection, or from
+    ``frozen`` when given; ey and ez default to the y- and z-arguments."""
     lat = prob.lattice
     dt = lat.dt
     mean, z, u, psi = lat.project_martingale(k, y_next)
-    if frozen_driver is not None:
-        fv = frozen_driver
+    yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
+    h = lat.h_values(k)
+    env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
+           "ez": zarg if ez is None else ez}
+    if frozen is not None or prob.scenario.scheme is Scheme.EXPLICIT:
+        env["y"] = yarg
+        env["ey"] = yarg if ey is None else ey
+        fv = _driver_values(prob, k, env, uarg, h)
     else:
-        env = {
-            "t": k * dt,
-            "w": lat.w_values(k),
-            "h": lat.h_values(k),
-            "z": z,
-            "u": u,
-        }
-        h = env["h"]
-        if prob.scenario.scheme is Scheme.EXPLICIT:
-            env["y"] = mean
-            env["ey"] = ey if ey is not None else mean
-            env["ez"] = ez if ez is not None else z
-            fv = _driver_values(prob, k, env, u, h)
+        ycur = mean
+        for _ in range(prob.scenario.implicit_max_iter):
+            env["y"] = ycur
+            env["ey"] = ycur if ey is None else ey
+            fv = _driver_values(prob, k, env, uarg, h)
+            ynew = mean + fv * dt
+            if float(np.max(np.abs(ynew - ycur))) <= prob.scenario.implicit_tol:
+                break
+            ycur = ynew
         else:
-            ycur = mean
-            fv = None
-            for _ in range(prob.scenario.implicit_max_iter):
-                env["y"] = ycur
-                env["ey"] = ey if ey is not None else ycur
-                env["ez"] = ez if ez is not None else z
-                fv = _driver_values(prob, k, env, u, h)
-                ynew = mean + fv * dt
-                if float(np.max(np.abs(ynew - ycur))) <= prob.scenario.implicit_tol:
-                    ycur = ynew
-                    break
-                ycur = ynew
-            else:
-                raise SolverError(
-                    f"implicit inner loop did not converge at step {k} within "
-                    f"{prob.scenario.implicit_max_iter} iterations; "
-                    "dt is too large relative to the driver's Lipschitz constant"
-                )
+            raise SolverError(
+                f"implicit inner loop did not converge at step {k} within "
+                f"{prob.scenario.implicit_max_iter} iterations; "
+                "dt is too large relative to the driver's Lipschitz constant"
+            )
     y_tilde = mean + fv * dt
     s = prob.obstacle.step(k)
     y = np.maximum(y_tilde, s)
@@ -352,9 +345,14 @@ class _Anticipation:
 
 def _solve(
     prob: _Problem,
-    frozen_ey: ProcessField | None = None,
-    frozen_driver: Sequence[np.ndarray] | None = None,
+    frozen_ey: Solution | None = None,
+    frozen: _Triple | None = None,
 ) -> Solution:
+    """The backward sweep.  With ``frozen`` (a Picard pass) the driver reads
+    every argument from that previous triple; with ``frozen_ey`` (the iterate
+    bridge) it reads ey from that previous solution's Y.  A frozen y-argument
+    is Y_k under the implicit scheme and E[Y_{k+1} | F_k] under the explicit
+    one; with delta = 0 ey is that y-argument."""
     lat = prob.lattice
     N = lat.n_steps
     delta = prob.scenario.delta_steps
@@ -368,29 +366,38 @@ def _solve(
     y[N] = prob.xi.copy()
     for arr in (z, u, psi, dk, fvals):
         arr[N] = np.zeros(nN)
-    # ey and ez stay None for delta == 0 (the y- and z-arguments double as them)
-    # and under a frozen driver, which reads neither
-    live = frozen_driver is None
-    window = _Anticipation(lat, delta, (y, live and prob.need_ey and frozen_ey is None),
-                           (z, live and prob.need_ez))
+    past = frozen if frozen is not None else frozen_ey
+    ys = y if past is None else past.y.values
+    zs = z if frozen is None else frozen.z.values
+    # ey and ez stay None for delta == 0: the y- and z-arguments double as them
+    window = _Anticipation(lat, delta, (ys, prob.need_ey), (zs, prob.need_ez))
     for k in range(N - 1, -1, -1):
         ey, ez = window.condition(k)
-        if frozen_ey is not None:
-            ey = frozen_ey.step(k)
-        fd = frozen_driver[k] if frozen_driver is not None else None
+        fixed = None
+        if frozen is not None or (frozen_ey is not None and delta == 0 and prob.need_ey):
+            if prob.scenario.scheme is Scheme.IMPLICIT:
+                yarg = ys[k]
+            elif ey is not None:  # the window holds Y: its first row is E[Y_{k+1} | F_k]
+                yarg = window.rows[0, 0].copy()
+            else:
+                yarg = lat.step_expectation(k, ys[k + 1])
+            if frozen is None:
+                ey = yarg
+            else:
+                fixed = (yarg, zs[k], frozen.u.step(k))
         y[k], z[k], u[k], psi[k], dk[k], _, fvals[k] = _step_values(
-            prob, k, y[k + 1], ey, ez, frozen_driver=fd
+            prob, k, y[k + 1], ey, ez, fixed
         )
         window.insert(k)
     diagnostics = {"scheme": prob.scenario.scheme.value}
     return Solution(
         problem=prob,
-        y=ProcessField.from_arrays(lat, 0, y),
-        z=ProcessField.from_arrays(lat, 0, z),
-        u=ProcessField.from_arrays(lat, 0, u),
-        psi=ProcessField.from_arrays(lat, 0, psi),
-        dk=ProcessField.from_arrays(lat, 0, dk),
-        driver_values=ProcessField.from_arrays(lat, 0, fvals),
+        y=ProcessField.from_arrays(lat, y),
+        z=ProcessField.from_arrays(lat, z),
+        u=ProcessField.from_arrays(lat, u),
+        psi=ProcessField.from_arrays(lat, psi),
+        dk=ProcessField.from_arrays(lat, dk),
+        driver_values=ProcessField.from_arrays(lat, fvals),
         diagnostics=diagnostics,
     )
 
@@ -518,39 +525,6 @@ def estimate_c_prime(scenario: Scenario, grid: GridSpec | None = None) -> float:
     return est.overall
 
 
-def _frozen_driver_arrays(prob: _Problem, triple: _Triple) -> list[np.ndarray]:
-    lat = prob.lattice
-    delta = prob.scenario.delta_steps
-    scheme = prob.scenario.scheme
-    N = lat.n_steps
-    out = [None] * N
-    y_arrays, z_arrays = triple.y.values, triple.z.values
-    window = _Anticipation(lat, delta, (y_arrays, prob.need_ey), (z_arrays, prob.need_ez))
-    for k in range(N - 1, -1, -1):
-        ey, ez = window.condition(k)
-        if scheme is Scheme.IMPLICIT:
-            yarg = y_arrays[k]
-        elif ey is not None:  # the window holds Y: its first row is E[Y_{k+1} | F_k]
-            yarg = window.rows[0, 0].copy()
-        else:
-            yarg = lat.step_expectation(k, y_arrays[k + 1])
-        zarg = z_arrays[k]
-        uarg = triple.u.step(k)
-        window.insert(k)
-        env = {
-            "t": k * lat.dt,
-            "w": lat.w_values(k),
-            "h": lat.h_values(k),
-            "y": yarg,
-            "z": zarg,
-            "ey": yarg if ey is None else ey,
-            "ez": zarg if ez is None else ez,
-            "u": uarg,
-        }
-        out[k] = _driver_values(prob, k, env, uarg, env["h"])
-    return out
-
-
 def solve_picard(
     scenario: Scenario,
     opts: PicardOptions | None = None,
@@ -587,8 +561,7 @@ def solve_picard(
     )
     history: list[float] = []
     for iteration in range(1, opts.max_iter + 1):
-        frozen = _frozen_driver_arrays(prob, prev)
-        solution = _solve(prob, frozen_driver=frozen)
+        solution = _solve(prob, frozen=prev)
         cur = _Triple(y=solution.y, z=solution.z, u=solution.u)
         # beta_norm is the quadratic form; distances are its square root
         dist = math.sqrt(beta_norm(cur, prev, beta))

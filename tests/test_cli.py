@@ -258,20 +258,32 @@ def test_main_compare_subcommand(tmp_path):
     assert data["comparison"]["iterates"]["final_gap"] <= 1e-8
 
 
+def test_compare_iterates_converge_at_zero_lag(tmp_path):
+    doc = {"horizon": 1.0, "steps": 6, "delta_steps": 0, "lambda": 0.3, "scheme": "explicit",
+           "driver": {"text": "0.3*ey - 0.1*y", "form": "M"},
+           "obstacle": "max(0.5 - w, 0) - 0.1*t", "terminal": "max(0.5 - w, 0) + 0.2*h"}
+    p2 = _write(tmp_path, doc, "dominated.json")
+    p1 = _write(tmp_path, {**doc, "driver": {"text": "0.3*ey - 0.1*y + 0.1", "form": "M"},
+                           "terminal": "max(0.5 - w, 0) + 0.2*h + 0.3"}, "dominating.json")
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--scenario", p1, "--scenario2", p2, "--iterates", "40", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["comparison"]["iterates"]["final_gap"] <= 1e-8
+
+
 def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     base = {**_WORKFLOW_DOC, "steps": 5, "name": "dominated"}
     p1 = _write(tmp_path, {**base, "terminal": f"{base['terminal']} + 0.5", "name": "dominating"}, "s1.json")
     p2 = _write(tmp_path, base, "s2.json")
-    prepared, solved, frozen = [], [], []
+    prepared, solved, iterated = [], [], []
     prepare, solve = solver._prepare, solver._solve
 
     def counted_prepare(scenario, lattice):
         prepared.append(scenario.name)
         return prepare(scenario, lattice)
 
-    def counted_solve(prob, frozen_ey=None, frozen_driver=None):
-        (solved if frozen_ey is None else frozen).append(prob.scenario.name)
-        return solve(prob, frozen_ey=frozen_ey, frozen_driver=frozen_driver)
+    def counted_solve(prob, frozen_ey=None, frozen=None):
+        (solved if frozen_ey is None else iterated).append(prob.scenario.name)
+        return solve(prob, frozen_ey=frozen_ey, frozen=frozen)
 
     for module in (solver, comparison):
         monkeypatch.setattr(module, "_prepare", counted_prepare)
@@ -282,7 +294,7 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     data = json.loads(out.read_text(encoding="utf-8"))
     assert [c["name"] for c in data["checks"] if not c["pass"]] == ["iterate_limit_gap"]
     assert sorted(prepared) == sorted(solved) == ["dominated", "dominating"]
-    assert data["comparison"]["iterates"]["count"] == 3 and frozen == ["dominated"] * 3
+    assert data["comparison"]["iterates"]["count"] == 3 and iterated == ["dominated"] * 3
 
 
 @pytest.mark.parametrize("command", ["solve", "stopping", "compare"])
@@ -431,6 +443,9 @@ class _Recorder:
 
     def write(self, text):
         self.writes.append(text)
+
+    def flush(self):  # the CLI flushes stdout once the output is written
+        pass
 
 
 def test_csv_is_written_one_step_at_a_time(tmp_path, monkeypatch):
@@ -633,22 +648,57 @@ def test_constant_division_by_zero_in_node_data_is_located(tmp_path, capsys, poi
     assert f"{pointer}: division by zero" in capsys.readouterr().err
 
 
-def test_non_finite_terminal_prints_only_the_error_line(tmp_path):
-    # a fresh process shows stderr as a user sees it, with Python's default
-    # warning filters rather than the test run's
-    path = _write(tmp_path, {**MINIMAL, "terminal": "exp(1000) + w"})
+def test_scenario_seed_key_is_unknown(tmp_path, capsys):
+    # nothing in a lattice run draws random numbers, so a seed in the file is refused
+    doc = {**MINIMAL, "seed": 0}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.issues == [("/seed", "unknown key")]
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    assert "/seed: unknown key" in capsys.readouterr().err
+
+
+def _fresh_cli(*argv):
+    """Command and environment of ``rabsde argv`` in a fresh process, which shows
+    stderr as a user sees it, with Python's default warning filters rather than
+    the test run's."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from rabsde.cli import main; sys.exit(main(sys.argv[1:]))",
-         "solve", "--scenario", path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    cmd = [sys.executable, "-c", "import sys; from rabsde.cli import main; sys.exit(main(sys.argv[1:]))"]
+    return cmd + list(argv), env
+
+
+def test_non_finite_terminal_prints_only_the_error_line(tmp_path):
+    path = _write(tmp_path, {**MINIMAL, "terminal": "exp(1000) + w"})
+    cmd, env = _fresh_cli("solve", "--scenario", path)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "RuntimeWarning" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and "/terminal" in line
+
+
+def test_csv_to_a_pipe_closed_early_stops_quietly(tmp_path):
+    # `rabsde solve --format csv | head -1`: the reader takes one line and closes
+    path = _write(tmp_path, {**_WORKFLOW_DOC, "steps": 40})
+    table = tmp_path / "table.csv"
+    checks_exit = main(["solve", "--scenario", path, "--format", "csv", "--out", str(table)])
+    assert table.stat().st_size > 1 << 20  # far more than a pipe buffers
+    cmd, env = _fresh_cli("solve", "--scenario", path, "--format", "csv")
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"step,up_count,default_step,Y,Z,U,dK,psi,S\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == checks_exit
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+    # a failed --out write is still an I/O error
+    missing = str(tmp_path / "missing_dir" / "table.csv")
+    assert main(["solve", "--scenario", path, "--format", "csv", "--out", missing]) == 4
 
 
 @pytest.mark.parametrize(

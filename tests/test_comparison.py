@@ -288,6 +288,16 @@ def test_iterate_sequence_monotone_convergence():
     assert all(b < a for a, b in zip(diffs, diffs[1:]))  # geometric-style decay
 
 
+def test_zero_lag_bridge_converges_to_the_dominated_solution():
+    # with delta = 0 the explicit scheme's ey is its y-argument E[Y_{k+1} | F_k];
+    # the bridge freezes that of the previous iterate, not the iterate's Y_k
+    common = dict(n_steps=6, lam=0.3, delta_steps=0, obstacle="max(0.5 - w, 0) - 0.1*t")
+    s2 = make_scenario(driver="0.3*ey - 0.1*y", terminal="max(0.5 - w, 0) + 0.2*h", **common)
+    s1 = make_scenario(driver="0.3*ey - 0.1*y + 0.1", terminal="max(0.5 - w, 0) + 0.2*h + 0.3", **common)
+    trace = iterate_sequence(ComparisonCase(scenario1=s1, scenario2=s2, grid=GRID), 40)
+    assert trace.final_gap <= 1e-8
+
+
 def test_iterate_sequence_prefix():
     rng = np.random.default_rng(34)
     case = random_comparison_case(rng, delta_steps=1)

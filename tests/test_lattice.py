@@ -265,16 +265,17 @@ def test_tower_property(data):
 
 def test_process_field_accessors():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    field = ProcessField.from_arrays(lat, 0, [lat.w_values(k) for k in range(3)])
-    assert field.step_range == range(0, 3)
+    field = ProcessField.from_arrays(lat, [lat.w_values(k) for k in range(3)])
     assert field.at(NodeId(1, 1, ALIVE)) == pytest.approx(lat.sqrt_dt)
     assert sum(arr.size for arr in field.values) == 1 + 4 + 9
 
 
 def test_process_field_shape_mismatch():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    with pytest.raises(LatticeError):
-        ProcessField.single(lat, 2, np.zeros(5))
+    with pytest.raises(LatticeError, match="step 2 has shape"):
+        ProcessField.from_arrays(lat, [np.zeros(1), np.zeros(4), np.zeros(5)])
+    with pytest.raises(LatticeError, match="2 step arrays"):
+        ProcessField.from_arrays(lat, [np.zeros(1), np.zeros(4)])
 
 
 @st.composite
@@ -399,6 +400,13 @@ def test_node_data_is_evaluated_only_by_the_gate():
     # _node_data evaluates and checks a scenario's terminal and obstacle; every
     # other production path reads the prepared problem's arrays
     _assert_call_sites({"obstacle_field", "terminal_values"}, ast.Name, {("solver.py", "_node_data")})
+
+
+def test_one_backward_sweep_evaluates_the_driver():
+    # solves, Picard passes and the iterate bridge all run in _solve: one
+    # anticipation window and one driver env per step
+    _assert_call_sites({"_Anticipation", "_driver_values"}, ast.Name,
+                       {("solver.py", "_solve"), ("solver.py", "_step_values")})
 
 
 def test_oversize_message_counts_nodes_exactly(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario, step_intensities
-from rabsde import IntensitySpec, PicardConvergenceError, SolverError, comparison, solver
+from rabsde import IntensitySpec, PicardConvergenceError, SolverError, solver
 from rabsde.crr import american_put_scenario, crr_american_put
 from rabsde.driver import parse_driver
 from rabsde.errors import LatticeError
@@ -226,9 +226,9 @@ def test_beta_norm_quadratic_scaling():
 
     class Triple:
         def __init__(self, scale):
-            self.y = ProcessField.from_arrays(lat, 0, [scale * sol.y.step(k) for k in range(4)])
-            self.z = ProcessField.from_arrays(lat, 0, [scale * sol.z.step(k) for k in range(4)])
-            self.u = ProcessField.from_arrays(lat, 0, [scale * sol.u.step(k) for k in range(4)])
+            self.y = ProcessField.from_arrays(lat, [scale * sol.y.step(k) for k in range(4)])
+            self.z = ProcessField.from_arrays(lat, [scale * sol.z.step(k) for k in range(4)])
+            self.u = ProcessField.from_arrays(lat, [scale * sol.u.step(k) for k in range(4)])
 
     zero = Triple(0.0)
     assert beta_norm(Triple(2.0), zero, 2.5) == pytest.approx(
@@ -245,13 +245,13 @@ def test_beta_norm_hand_computed_single_step():
     def shifted(dy, dz, du):
         class T:
             y = ProcessField.from_arrays(
-                lat, 0, [sol.y.step(0) + dy, sol.y.step(1)]
+                lat, [sol.y.step(0) + dy, sol.y.step(1)]
             )
             z = ProcessField.from_arrays(
-                lat, 0, [sol.z.step(0) + dz, sol.z.step(1)]
+                lat, [sol.z.step(0) + dz, sol.z.step(1)]
             )
             u = ProcessField.from_arrays(
-                lat, 0, [sol.u.step(0) + du, sol.u.step(1)]
+                lat, [sol.u.step(0) + du, sol.u.step(1)]
             )
 
         return T()
@@ -443,7 +443,7 @@ def test_injected_non_finite_value_never_passes(field, bad, k, pos):
     sol = solve_backward(sc)
     arrays = [a.copy() for a in getattr(sol, field).values]
     arrays[k][pos % arrays[k].size] = bad
-    sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, 0, arrays)})
+    sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, arrays)})
     report = validate_solution(sol, sc)
     assert not report.passes(1e-10)
     values = [report.driver_square_sum] + [v for _, v in report.checks()]
@@ -490,8 +490,6 @@ def test_anticipation_window_equals_pullbacks_at_every_step(sc):
     lat, N, delta = sol.lattice, sc.n_steps, sc.delta_steps
     fn = sc.driver.base.compiled()
     prob = solver._prepare(sc, lat)
-    frozen = solver._frozen_driver_arrays(prob, solver._Triple(sol.y, sol.z, sol.u))
-    bridge = comparison._anticipated_field(sol, delta)
     for k in range(N):
         mean = lat.step_expectation(k, sol.y.step(k + 1))
         ey, ez = _pullback_anticipation(sol, k, delta, mean)
@@ -499,14 +497,19 @@ def test_anticipation_window_equals_pullbacks_at_every_step(sc):
                "z": sol.z.step(k), "u": sol.u.step(k), "ey": ey, "ez": ez}
         expected = np.broadcast_to(np.asarray(fn(env), dtype=float), ey.shape).tobytes()
         assert sol.driver_values.step(k).tobytes() == expected
-        assert frozen[k].tobytes() == expected  # Picard, frozen at the solution
-        m = min(k + delta, N)  # the iterate bridge freezes Y_{k+delta} itself
-        assert bridge.step(k).tobytes() == lat.pullback(sol.y.step(m), m, k).tobytes()
         # one step recomputed from the pullbacks gives the solution's fields
         window = (None, None) if delta == 0 else (ey, ez)
         step = solver._step_values(prob, k, sol.y.step(k + 1), *window)
         for got, field in zip(step, (sol.y, sol.z, sol.u, sol.psi, sol.dk)):
             assert got.tobytes() == field.step(k).tobytes()
+    # a Picard pass and an iterate-bridge pass frozen at the solution reproduce
+    # it, driver values included: their windows read the same pullbacks
+    again = (solver._solve(prob, frozen=solver._Triple(sol.y, sol.z, sol.u)),
+             solver._solve(prob, frozen_ey=sol))
+    for other in again:
+        for name in ("y", "z", "u", "psi", "dk", "driver_values"):
+            got, want = getattr(other, name).values, getattr(sol, name).values
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], name
 
 
 def _count_calls(monkeypatch, *names):
@@ -596,7 +599,7 @@ def test_representation_residual_matches_per_edge_oracle(seed, field, pos):
         arrays = [a.copy() for a in getattr(sol, field).values]
         k = pos % sc.n_steps + (field == "y")
         arrays[k][pos % arrays[k].size] = math.nan
-        sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, 0, arrays)})
+        sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, arrays)})
     report = validate_solution(sol, sc)
     got, want = report.representation_residual, _residual_by_edges(sol)
     assert got == want or (math.isnan(got) and math.isnan(want))
