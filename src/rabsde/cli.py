@@ -45,12 +45,13 @@ from .driver import DriverForm, DriverParseError, GridSpec, TransformedDriver, p
 from .errors import (
     EnumerationError,
     HypothesisError,
+    LatticeError,
     PicardConvergenceError,
     RabsdeError,
     ScenarioError,
     SolverError,
 )
-from .lattice import IntensitySpec, build_lattice, oversize_message
+from .lattice import IntensitySpec, oversize_message
 from .solver import (
     DRIVER_VARS,
     OBSTACLE_VARS,
@@ -61,10 +62,11 @@ from .solver import (
     Solution,
     _max,
     _min,
-    _node_data,
+    _picard,
+    _prepare,
+    _Problem,
+    _solve,
     estimate_c_prime,
-    solve_backward,
-    solve_picard,
     validate_solution,
 )
 
@@ -90,6 +92,11 @@ def _is_num(x) -> bool:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and fully validate a Scenario; collects every issue found."""
+    return _problem_from_dict(doc).scenario
+
+
+def _problem_from_dict(doc: dict) -> _Problem:
+    """``scenario_from_dict``, returning the problem its gate prepared."""
     issues: list[tuple[str, str]] = []
     if not isinstance(doc, dict):
         raise ScenarioError([("", "scenario document must be a JSON object")])
@@ -207,11 +214,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not issues:
         try:
             intensity = IntensitySpec(values=tuple(lam_values), lambda_max=lam_max)
-            too_big = oversize_message(horizon, steps, intensity)
-            if too_big:
-                issues.append(("/steps", too_big))
-            else:
-                lattice = build_lattice(horizon, steps, intensity)
         except RabsdeError as exc:
             issues.append(("/lambda", str(exc)))
     if issues:
@@ -231,9 +233,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         oracle_params={k: float(v) for k, v in oracle.items() if k != "kind"} if oracle else None,
         name=name,
     )
-    # whole-scenario checks need the built lattice
+    # whole-scenario checks: the one gate, then the explicit scheme's C' bound
     try:
-        _node_data(scenario, lattice)
+        problem = _prepare(scenario)
+    except LatticeError as exc:
+        issues.append(("/lambda", str(exc)))
     except SolverError as exc:
         issues.append((exc.pointer, str(exc)))
     try:
@@ -253,24 +257,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
             )
     if issues:
         raise ScenarioError(issues)
-    return scenario
+    return problem
 
 
 def load_scenario(path: str) -> Scenario:
     """Read, parse and validate a scenario file."""
-    scenario, _outputs = load_scenario_with_outputs(path)
-    return scenario
+    return load_scenario_with_outputs(path)[0].scenario
 
 
-def load_scenario_with_outputs(path: str) -> tuple[Scenario, set[str]]:
+def load_scenario_with_outputs(path: str) -> tuple[_Problem, set[str]]:
+    """The prepared problem of a scenario file, and the file's outputs."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError([("", f"not valid JSON: {exc}")]) from None
-    scenario = scenario_from_dict(doc)
-    outputs = set(doc.get("outputs", []))
-    return scenario, outputs
+    return _problem_from_dict(doc), set(doc.get("outputs", []))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -369,16 +371,17 @@ def _write_node_table(solution: Solution, fh) -> None:
         fh.write(node_table_rows(solution, k))
 
 
-def _to_stdout(write) -> None:
-    """``write(sys.stdout)``, then flush.  A reader that closes the pipe early
-    (``| head``) ends the output quietly: stdout then points at the null
-    device, so the interpreter's own flush at exit has nowhere to fail."""
+def _quietly(stream, write) -> None:
+    """``write(stream)``, then flush.  A reader that closes the pipe early
+    (``| head``, with ``2>&1`` for stderr) ends the output quietly: the stream
+    then points at the null device, so later writes and the interpreter's own
+    flush at exit have nowhere to fail."""
     try:
-        write(sys.stdout)
-        sys.stdout.flush()
+        write(stream)
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -423,7 +426,7 @@ class RunFlags:
     picard_rho: float = 1.0
     picard_beta: float | None = None
     picard_max_iter: int = 60
-    scenario2: Scenario | None = None
+    problem2: _Problem | None = None  # the dominated scenario of compare, prepared
     iterate_n: int = 0
 
 
@@ -436,15 +439,14 @@ def _check(name: str, tolerance: float, violation: float) -> dict:
     }
 
 
-def run(scenario: Scenario, flags: RunFlags) -> RunReport:
-    """Execute the requested workflows and assemble the report."""
+def run(problem: _Problem, flags: RunFlags) -> RunReport:
+    """Execute the requested workflows on a prepared scenario and assemble the report."""
     t0 = time.perf_counter()
+    scenario, lattice = problem.scenario, problem.lattice
     data: dict = {"scenario": scenario_to_dict(scenario)}
     checks: list[dict] = []
-    lattice = scenario.build_lattice()
-    solution = solve_backward(scenario, lattice=lattice)
-    timings = {}
-    timings["solve"] = time.perf_counter() - t0
+    solution = _solve(problem)
+    timings = {"solve": time.perf_counter() - t0}
 
     # the report's representation residual comes from the validation pass
     t1 = time.perf_counter()
@@ -501,7 +503,7 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
             tol=flags.picard_tol,
             max_iter=flags.picard_max_iter,
         )
-        pic_solution, history = solve_picard(scenario, opts, lattice=lattice)
+        pic_solution, history = _picard(problem, opts)
         gap = functools.reduce(_max, (np.max(np.abs(pic_solution.y.step(k) - solution.y.step(k)))
                                       for k in range(lattice.n_steps + 1)), 0.0)
         checks.append(_check("picard_vs_backward", 10.0 * flags.picard_tol, gap))
@@ -553,13 +555,13 @@ def run(scenario: Scenario, flags: RunFlags) -> RunReport:
         timings["stopping"] = time.perf_counter() - t1
 
     if "compare" in flags.workflows:
-        if flags.scenario2 is None:
+        if flags.problem2 is None:
             raise ScenarioError([("", "compare requires --scenario2")])
         t1 = time.perf_counter()
         case = cmp._given_solution(cmp.ComparisonCase(
-            scenario1=scenario, scenario2=flags.scenario2,
+            scenario1=scenario, scenario2=flags.problem2.scenario,
             grid=GridSpec.for_horizon(scenario.horizon),
-        ), solution)
+        ), solution, flags.problem2)
         verdict = cmp.run_comparison(case, lattice=lattice, tol=flags.tol)
         checks.append(_check("comparison_min_gap", flags.tol, max(0.0, -verdict.min_gap)))
         data["comparison"] = {
@@ -617,7 +619,11 @@ def run_suite(
     workers: int = 1,
 ) -> dict:
     """Randomized comparison sweep, chunked deterministically (chunk size is
-    fixed so the result does not depend on the worker count)."""
+    fixed so the result does not depend on the worker count).  The size guard
+    runs first, before any lattice or worker."""
+    too_big = oversize_message(horizon, n_steps, IntensitySpec.constant(lam, n_steps))
+    if too_big:
+        raise ScenarioError([("--steps", too_big)])
     chunks = []
     done = 0
     idx = 0
@@ -752,14 +758,14 @@ def main(argv=None) -> int:
             if args.out:
                 emit_report(report, "json", args.out)
             else:
-                _to_stdout(lambda fh: fh.write(format_json(data) + "\n"))
+                _quietly(sys.stdout, lambda fh: fh.write(format_json(data) + "\n"))
             return 0 if data["pass"] else 3
 
         t0 = time.perf_counter()
-        scenario, file_outputs = load_scenario_with_outputs(args.scenario)
-        scenario2 = load_scenario(args.scenario2) if args.command == "compare" else None
+        problem, file_outputs = load_scenario_with_outputs(args.scenario)
+        problem2 = load_scenario_with_outputs(args.scenario2)[0] if args.command == "compare" else None
         load_s = time.perf_counter() - t0
-        flags = RunFlags(tol=args.tol, timing=args.timing, scenario2=scenario2)
+        flags = RunFlags(tol=args.tol, timing=args.timing, problem2=problem2)
         if args.command == "solve":
             flags.workflows = {"solve", "validate"} | (file_outputs - {"compare"})
             flags.oracle = args.oracle
@@ -774,7 +780,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             flags.workflows = {"solve", "validate", "compare"}
             flags.iterate_n = args.iterates
-        report = run(scenario, flags)
+        report = run(problem, flags)
         if args.timing:
             report.data["timing"]["load"] = load_s
         if args.format == "csv":
@@ -782,26 +788,24 @@ def main(argv=None) -> int:
             if args.out:
                 emit_report(report, "csv", args.out)
             else:
-                _to_stdout(functools.partial(_write_node_table, report.solution))
+                _quietly(sys.stdout, functools.partial(_write_node_table, report.solution))
             if args.timing:  # the table holds no timing; it goes to stderr
                 report.data["timing"]["emit"] = time.perf_counter() - t1
-                sys.stderr.write(json.dumps({"timing": report.data["timing"]}, sort_keys=True) + "\n")
+                line = json.dumps({"timing": report.data["timing"]}, sort_keys=True) + "\n"
+                _quietly(sys.stderr, lambda fh: fh.write(line))
         elif args.out:
             emit_report(report, "json", args.out)
         else:
-            _to_stdout(lambda fh: fh.write(format_json(report.data) + "\n"))
+            _quietly(sys.stdout, lambda fh: fh.write(format_json(report.data) + "\n"))
         return 0 if report.passed else 3
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except HypothesisError as exc:
+    except (ScenarioError, HypothesisError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (PicardConvergenceError, SolverError, EnumerationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except OSError as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
+        _quietly(sys.stderr, lambda fh: fh.write(f"i/o error: {exc}\n"))
         return 4
     except RabsdeError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -266,10 +266,11 @@ def _solved(case: ComparisonCase, which: int, lat: DefaultLattice) -> Solution:
     return sol
 
 
-def _given_solution(case: ComparisonCase, solution: Solution) -> ComparisonCase:
-    """Hand the case an already-solved dominating scenario and its prepared
-    problem, so that the checks and solves on the case do neither again."""
+def _given_solution(case: ComparisonCase, solution: Solution, problem2: _Problem) -> ComparisonCase:
+    """Hand the case the solved dominating scenario and the dominated one's
+    prepared problem, so that the checks and solves on the case redo neither."""
     case._problems[1], case._solutions[1] = solution.problem, solution
+    case._problems[2] = problem2
     return case
 
 

@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -403,11 +403,6 @@ class GridSpec:
                 flat[pos] = rng.integers(0, 2)
             start = pos + 1
         return flat.reshape(self.n_base, len(names))
-
-    def base_envs(self, variables: Iterable[str]) -> list[dict[str, float]]:
-        """``base_sample`` as one dict per row."""
-        names = list(variables)
-        return [dict(zip(names, row)) for row in self.base_sample(names).tolist()]
 
     def axis(self, name: str) -> np.ndarray:
         lo, hi = self.bound_for(name)

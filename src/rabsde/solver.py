@@ -224,21 +224,23 @@ def _node_data(scenario: Scenario, lattice: DefaultLattice) -> tuple[ProcessFiel
     return obstacle, xi
 
 
-def _prepare(scenario: Scenario, lattice: DefaultLattice) -> _Problem:
-    """The scenario checked and set up on the lattice."""
-    if lattice.horizon != scenario.horizon or lattice.n_steps != scenario.n_steps:
+def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Problem:
+    """The scenario checked and set up on ``lattice``, else on a lattice of its
+    own that the size guard (pointer ``/steps``) has cleared before it is built."""
+    too_big = oversize_message(scenario.horizon, scenario.n_steps, scenario.intensity)
+    if too_big:
+        raise SolverError(too_big, pointer="/steps")
+    lat = lattice if lattice is not None else scenario.build_lattice()
+    if lat.horizon != scenario.horizon or lat.n_steps != scenario.n_steps:
         raise LatticeError("lattice does not match scenario grid")
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
     _check_vars(scenario.obstacle, OBSTACLE_VARS, "obstacle")
     _check_vars(scenario.terminal, TERMINAL_VARS, "terminal")
-    too_big = oversize_message(lattice.horizon, lattice.n_steps, lattice.intensity)
-    if too_big:
-        raise SolverError(too_big)
-    obstacle, xi = _node_data(scenario, lattice)
+    obstacle, xi = _node_data(scenario, lat)
     base = scenario.driver.base
     return _Problem(
         scenario=scenario,
-        lattice=lattice,
+        lattice=lat,
         driver_fn=base.compiled(),
         obstacle=obstacle,
         xi=xi,
@@ -459,11 +461,10 @@ def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
     return best
 
 
-def solve_backward(scenario: Scenario, *, lattice: DefaultLattice | None = None) -> Solution:
+def solve_backward(scenario: Scenario) -> Solution:
     """Solve by backward induction; anticipated values are already available
     when each step is processed, so no outer iteration is needed."""
-    lat = lattice if lattice is not None else scenario.build_lattice()
-    return _solve(_prepare(scenario, lat))
+    return _solve(_prepare(scenario))
 
 
 # -- Picard iteration ---------------------------------------------------------
@@ -525,12 +526,7 @@ def estimate_c_prime(scenario: Scenario, grid: GridSpec | None = None) -> float:
     return est.overall
 
 
-def solve_picard(
-    scenario: Scenario,
-    opts: PicardOptions | None = None,
-    *,
-    lattice: DefaultLattice | None = None,
-) -> tuple[Solution, list[float]]:
+def solve_picard(scenario: Scenario, opts: PicardOptions | None = None) -> tuple[Solution, list[float]]:
     """Iterate the solution map with all driver arguments frozen at the
     previous triple, starting from zero processes.
 
@@ -541,9 +537,13 @@ def solve_picard(
     ``solve_backward`` on the same scenario.  Returns the final solution and
     the history of squared weighted distances between successive triples.
     """
+    return _picard(_prepare(scenario), opts)
+
+
+def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[float]]:
+    """``solve_picard`` on a prepared problem."""
+    scenario, lat = prob.scenario, prob.lattice
     opts = opts if opts is not None else PicardOptions()
-    lat = lattice if lattice is not None else scenario.build_lattice()
-    prob = _prepare(scenario, lat)
     if opts.beta is not None:
         beta = opts.beta
     else:

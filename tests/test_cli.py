@@ -28,6 +28,7 @@ from rabsde.cli import (
 )
 from rabsde.driver import DriverExpr
 from rabsde.errors import ScenarioError
+from rabsde.lattice import DefaultLattice
 from rabsde.solver import obstacle_field, solve_backward
 
 MINIMAL = {
@@ -38,6 +39,11 @@ MINIMAL = {
     "obstacle": "-1e9",
     "terminal": "w",
 }
+
+
+def _problem(doc):
+    """The prepared problem that ``run`` takes, loaded as the CLI loads a file."""
+    return cli._problem_from_dict(doc)
 
 
 def _write(tmp_path, doc, name="scenario.json"):
@@ -115,8 +121,7 @@ def test_scenario_round_trip_solves_identically(tmp_path):
 
 
 def test_run_zero_driver_report():
-    scenario = scenario_from_dict({**MINIMAL, "terminal": "h"})
-    report = run(scenario, RunFlags())
+    report = run(_problem({**MINIMAL, "terminal": "h"}), RunFlags())
     assert report.passed
     assert report.data["solve"]["y0"] == pytest.approx(0.4375, abs=1e-15)
     assert report.data["solve"]["k_expected_total"] == 0.0
@@ -126,7 +131,7 @@ def test_run_zero_driver_report():
 
 
 def test_run_crr_oracle_check():
-    scenario = scenario_from_dict(
+    problem = _problem(
         {
             "horizon": 1.0,
             "steps": 8,
@@ -138,14 +143,14 @@ def test_run_crr_oracle_check():
         }
     )
     flags = RunFlags(oracle="crr")
-    report = run(scenario, flags)
+    report = run(problem, flags)
     assert report.passed
     oracle = report.data["oracle"]
     assert oracle["gap"] <= 1e-10
 
 
 def test_run_picard_history_decreases():
-    scenario = scenario_from_dict(
+    problem = _problem(
         {
             **MINIMAL,
             "steps": 8,
@@ -156,7 +161,7 @@ def test_run_picard_history_decreases():
         }
     )
     flags = RunFlags(workflows={"solve", "validate", "picard"}, picard_tol=1e-12)
-    report = run(scenario, flags)
+    report = run(problem, flags)
     assert report.passed
     hist = report.data["picard"]["distances"]
     assert len(hist) >= 4
@@ -164,8 +169,7 @@ def test_run_picard_history_decreases():
 
 
 def test_emit_json_deterministic(tmp_path):
-    scenario = scenario_from_dict(MINIMAL)
-    report = run(scenario, RunFlags())
+    report = run(_problem(MINIMAL), RunFlags())
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_report(report, "json", str(p1))
     emit_report(report, "json", str(p2))
@@ -173,8 +177,7 @@ def test_emit_json_deterministic(tmp_path):
 
 
 def test_emit_csv_row_count(tmp_path):
-    scenario = scenario_from_dict(MINIMAL)
-    report = run(scenario, RunFlags())
+    report = run(_problem(MINIMAL), RunFlags())
     path = tmp_path / "nodes.csv"
     emit_report(report, "csv", str(path))
     lines = path.read_text().strip().splitlines()
@@ -277,7 +280,7 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     prepared, solved, iterated = [], [], []
     prepare, solve = solver._prepare, solver._solve
 
-    def counted_prepare(scenario, lattice):
+    def counted_prepare(scenario, lattice=None):
         prepared.append(scenario.name)
         return prepare(scenario, lattice)
 
@@ -285,7 +288,7 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
         (solved if frozen_ey is None else iterated).append(prob.scenario.name)
         return solve(prob, frozen_ey=frozen_ey, frozen=frozen)
 
-    for module in (solver, comparison):
+    for module in (solver, comparison, cli):
         monkeypatch.setattr(module, "_prepare", counted_prepare)
         monkeypatch.setattr(module, "_solve", counted_solve)
     out = tmp_path / "cmp.json"
@@ -297,12 +300,12 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     assert data["comparison"]["iterates"]["count"] == 3 and iterated == ["dominated"] * 3
 
 
-@pytest.mark.parametrize("command", ["solve", "stopping", "compare"])
+@pytest.mark.parametrize("command", ["solve", "picard", "stopping", "compare"])
 def test_a_run_evaluates_each_scenarios_node_data_at_load_and_at_prepare_only(tmp_path, monkeypatch, command):
     p1 = _write(tmp_path, {**_WORKFLOW_DOC, "terminal": f"{_WORKFLOW_DOC['terminal']} + 0.5"}, "s1.json")
     p2 = _write(tmp_path, _WORKFLOW_DOC, "s2.json")
     loaded, calls = [], Counter()
-    load, compiled = cli.scenario_from_dict, DriverExpr.compiled
+    post_init, compiled = solver.Scenario.__post_init__, DriverExpr.compiled
 
     def counting_compiled(self):
         fn = compiled(self)
@@ -313,20 +316,22 @@ def test_a_run_evaluates_each_scenarios_node_data_at_load_and_at_prepare_only(tm
 
         return counted
 
-    monkeypatch.setattr(cli, "scenario_from_dict", lambda doc: loaded.append(load(doc)) or loaded[-1])
+    # in a CLI run only the load of a scenario file builds a Scenario
+    monkeypatch.setattr(solver.Scenario, "__post_init__", lambda sc: loaded.append(sc) or post_init(sc))
     monkeypatch.setattr(DriverExpr, "compiled", counting_compiled)
     argv = {
         "solve": ["solve", "--scenario", p1, "--format", "csv"],
+        "picard": ["picard", "--scenario", p1],
         "stopping": ["stopping", "--scenario", p1],
         "compare": ["compare", "--scenario", p1, "--scenario2", p2],
     }[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert len(loaded) == (2 if command == "compare" else 1)
-    # one load check plus one prepare: an obstacle field is one closure call
-    # per step, a terminal one call
+    # the load's preparation is the only one: an obstacle field is one closure
+    # call per step, a terminal one call
     for sc in loaded:
-        assert calls[id(sc.obstacle)] <= 2 * (sc.n_steps + 1)
-        assert calls[id(sc.terminal)] <= 2
+        assert calls[id(sc.obstacle)] == sc.n_steps + 1
+        assert calls[id(sc.terminal)] == 1
 
 
 def test_compare_checks_the_hypotheses_once(tmp_path, monkeypatch):
@@ -367,6 +372,17 @@ def test_oversized_lattice_rejected_before_allocating(tmp_path, capsys):
     assert "N too large, estimated" in exc.value.issues[0][1]
     assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
     assert "N too large" in capsys.readouterr().err
+
+
+def test_suite_refuses_an_oversized_lattice_before_building_one(capsys, monkeypatch):
+    # 3000 steps at the default intensity: about 9e9 nodes, 500 GB of node fields
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the suite built a lattice")
+
+    monkeypatch.setattr(DefaultLattice, "__init__", no_lattice)
+    assert main(["suite", "--steps", "3000", "--cases", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--steps: N too large, estimated" in err and "Traceback" not in err
 
 
 def test_main_suite_subcommand(tmp_path):
@@ -422,7 +438,7 @@ def _csv_cases():
 
 def test_emit_csv_matches_per_node_reference(tmp_path):
     for name, scenario in _csv_cases():
-        report = run(scenario, RunFlags())
+        report = run(solver._prepare(scenario), RunFlags())
         sol = report.solution
         if name == "signed_zero":
             y_n = sol.y.step(sol.lattice.n_steps)
@@ -699,6 +715,25 @@ def test_csv_to_a_pipe_closed_early_stops_quietly(tmp_path):
     # a failed --out write is still an I/O error
     missing = str(tmp_path / "missing_dir" / "table.csv")
     assert main(["solve", "--scenario", path, "--format", "csv", "--out", missing]) == 4
+
+
+def test_csv_and_timing_to_one_pipe_closed_early_stop_quietly(tmp_path):
+    # `rabsde solve --format csv --timing 2>&1 | head -1`: the timing line goes to
+    # the pipe the reader has closed, as stderr
+    path = _write(tmp_path, {**_WORKFLOW_DOC, "steps": 40})
+    checks_exit = main(["solve", "--scenario", path, "--out", str(tmp_path / "report.json")])
+    cmd, env = _fresh_cli("solve", "--scenario", path, "--format", "csv", "--timing")
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+    try:
+        assert proc.stdout.readline() == b"step,up_count,default_step,Y,Z,U,dK,psi,S\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == checks_exit
+    finally:
+        proc.kill()
+        proc.wait()
+    # a failed --out write is still an I/O error
+    missing = str(tmp_path / "missing_dir" / "table.csv")
+    assert main(["solve", "--scenario", path, "--format", "csv", "--timing", "--out", missing]) == 4
 
 
 @pytest.mark.parametrize(

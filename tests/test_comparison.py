@@ -97,12 +97,17 @@ def test_dominance_of_constant_drivers():
 # -- per-env loop references: one small numpy call per base environment ----------
 
 
+def _base_envs(grid, names):
+    """The grid's base sample, one dict per row."""
+    return [dict(zip(names, row)) for row in grid.base_sample(names).tolist()]
+
+
 def _ref_monotone(g, grid):
     if "ey" not in g.free_vars:
         return MonotoneReport(passed=True, witness=None)
     fn = g.compiled()
     sweep = grid.axis("ey")
-    for env in grid.base_envs(sorted(g.free_vars - {"ey"})):
+    for env in _base_envs(grid, sorted(g.free_vars - {"ey"})):
         arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
         arrs["ey"] = sweep
         vals = np.asarray(fn(arrs), dtype=float)
@@ -125,7 +130,7 @@ def _ref_theta(g, lam_profile, grid):
     fn = g.compiled()
     sweep = grid.axis("u")
     theta, sup_tl, witness, tested = math.inf, 0.0, None, False
-    for env in grid.base_envs(sorted(g.free_vars - {"u"} | {"t"})):
+    for env in _base_envs(grid, sorted(g.free_vars - {"u"} | {"t"})):
         lam = lam_of_t(env["t"])
         if lam <= 0.0:
             continue
@@ -154,10 +159,11 @@ def _ref_dominance(g1, g2, grid):
     min_gap, witness = math.inf, None
     for var in variables or ["y"]:
         sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
-        for env in grid.base_envs(variables):
+        for env in _base_envs(grid, variables):
             arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
             arrs[var] = sweep
-            gap = np.asarray(f1(arrs), dtype=float) - np.asarray(f2(arrs), dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
+                gap = np.asarray(f1(arrs), dtype=float) - np.asarray(f2(arrs), dtype=float)
             gap = np.broadcast_to(gap, sweep.shape)  # two constant drivers give a scalar
             if not np.all(np.isfinite(gap)):
                 raise DriverEvalError("non-finite driver value on the dominance grid")
@@ -420,7 +426,7 @@ def _case_with_nan_in_solution1(step):
     case = random_comparison_case(np.random.default_rng(7))
     sol1 = solve_backward(case.scenario1)
     sol1.y.step(step)[0] = math.nan
-    return comparison._given_solution(case, sol1)
+    return comparison._given_solution(case, sol1, case._problems[2])  # prepared by the generator
 
 
 def test_comparison_gaps_propagate_nan():

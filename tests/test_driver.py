@@ -287,7 +287,8 @@ def _ref_lipschitz(expr, grid, lam_profile):
     lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
     fn = expr.compiled()
     out = {}
-    envs = grid.base_envs(sorted(VARIABLES))
+    names = sorted(VARIABLES)
+    envs = [dict(zip(names, row)) for row in grid.base_sample(names).tolist()]
     for slot in LIPSCHITZ_SLOTS:
         if slot not in expr.free_vars:
             out[slot] = 0.0
@@ -352,4 +353,4 @@ def test_base_sample_matches_per_value_draw(names, n_base, seed, horizon):
     want = np.array([[env[name] for name in names] for env in ref], dtype=float).reshape(n_base, len(names))
     got = grid.base_sample(names)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert grid.base_envs(names) == ref
+    assert [dict(zip(names, row)) for row in got.tolist()] == ref

@@ -402,6 +402,13 @@ def test_node_data_is_evaluated_only_by_the_gate():
     _assert_call_sites({"obstacle_field", "terminal_values"}, ast.Name, {("solver.py", "_node_data")})
 
 
+def test_size_and_node_data_are_checked_only_by_the_gate_and_the_suite_guard():
+    # one preparation per scenario: the load, the solvers and the comparison
+    # harness all go through _prepare; the suite checks its size before any lattice
+    _assert_call_sites({"_node_data", "oversize_message"}, ast.Name,
+                       {("solver.py", "_prepare"), ("cli.py", "run_suite")})
+
+
 def test_one_backward_sweep_evaluates_the_driver():
     # solves, Picard passes and the iterate bridge all run in _solve: one
     # anticipation window and one driver env per step

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,6 +456,22 @@ def test_solve_rejects_oversized_lattice():
     sc = make_scenario(n_steps=400_000, lam=0.0, obstacle="w", terminal="w + 1")
     with pytest.raises(SolverError, match="N too large, estimated"):
         solve_backward(sc)
+
+
+@pytest.mark.parametrize("solve", [solve_backward, solve_picard])
+def test_size_guard_runs_before_the_lattice_is_built(solve):
+    # at lambda = 0.3 the lattice object itself is quadratic in N: about 430 MB
+    # at N = 10000, for 3.3e11 nodes (19 TB of fields) that could never be solved
+    sc = make_scenario(n_steps=10_000, lam=0.3, obstacle="w", terminal="w + 1")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match="N too large, estimated") as exc:
+            solve(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert exc.value.pointer == "/steps"
 
 
 # -- the anticipation window against per-step pullbacks -------------------------
