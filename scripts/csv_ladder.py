@@ -1,4 +1,5 @@
-"""Wall time, peak RSS and output hash of ``rabsde solve --format csv`` up an N ladder.
+"""Wall time, peak RSS and output of ``rabsde solve`` up an N ladder, as a CSV
+node table (``--format csv``, the default) or a JSON report (``--format json``).
 
 Each run solves ``perfbench.workloads.put_family(random.Random(0), N, N // 8,
 "explicit")`` (the benchmark's put family, whose obstacle binds) in a fresh
@@ -6,13 +7,14 @@ interpreter, so ``ru_maxrss`` is that run's own peak.  Several source trees can
 be measured in one call, with their runs interleaved, to compare two commits:
 
     python scripts/csv_ladder.py --tree parent=/path/to/parent/checkout \\
-        --tree change=. --steps 64 128 256 --repeats 3 --out BENCH_9.json
+        --tree change=. --steps 64 128 256 --repeats 3 --format csv json --out BENCH_9.json
 
-The output is JSON: every run (wall seconds from spawn to exit, ``ru_maxrss``
-in MB, the sha256 of the CSV, and the run's own ``--timing`` phases when it
-prints them on stderr) and, per N, the median wall time and largest peak RSS of
-each tree.  The exit status is 1 when two trees, or two runs of one tree, wrote
-different CSV bytes at some N.
+The output is JSON: every run (exit status, wall seconds from spawn to exit,
+``ru_maxrss`` in MB, the run's own ``--timing`` phases, and for a CSV the
+sha256 of the table, for a JSON report its y0, ``k_max_path_total`` and pass
+flag, for a refused run its last stderr line) and, per format and N, the median
+wall time and largest peak RSS of each tree.  The exit status is 1 when two
+trees, or two runs of one tree, wrote different CSV bytes at some N.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def run_once(tree: str, scenario: str, out: str) -> dict:
-    """One ``rabsde solve --format csv --timing`` in a fresh interpreter."""
+def run_once(tree: str, scenario: str, out: str, fmt: str = "csv") -> dict:
+    """One ``rabsde solve --format fmt --timing`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     argv = [sys.executable, "-c", _MAIN, "solve", "--scenario", scenario,
-            "--format", "csv", "--out", out, "--timing"]
+            "--format", fmt, "--out", out, "--timing"]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     with proc.stderr:
@@ -59,9 +61,15 @@ def run_once(tree: str, scenario: str, out: str) -> dict:
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     record = {"exit": proc.returncode, "wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0}
-    if proc.returncode == 0:
+    if proc.returncode == 0 and fmt == "csv":
         record["sha256"] = _sha256(out)
         record["bytes"] = os.path.getsize(out)
+    elif os.path.exists(out):  # a JSON report carries its own timing
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        record["timing"] = report.pop("timing", None)
+        record.update(y0=report["solve"]["y0"], k_max_path_total=report["solve"]["k_max_path_total"],
+                      passed=report["pass"])
     if lines and lines[-1].startswith('{"timing"'):
         record["timing"] = json.loads(lines[-1])["timing"]
     elif lines:
@@ -71,7 +79,8 @@ def run_once(tree: str, scenario: str, out: str) -> dict:
     return record
 
 
-def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str) -> dict:
+def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str,
+           fmt: str = "csv") -> dict:
     runs: dict = {name: {str(n): [] for n in steps} for name in trees}
     for n in steps:
         scenario = os.path.join(workdir, f"put{n}.json")
@@ -80,9 +89,9 @@ def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str) 
         for r in range(repeats):
             names = list(trees) if r % 2 == 0 else list(reversed(trees))
             for name in names:
-                record = run_once(trees[name], scenario, os.path.join(workdir, "nodes.csv"))
+                record = run_once(trees[name], scenario, os.path.join(workdir, f"out.{fmt}"), fmt)
                 runs[name][str(n)].append(record)
-                print(f"N={n} {name} run {r}: {record['wall_s']:.2f} s, "
+                print(f"{fmt} N={n} {name} run {r}: {record['wall_s']:.2f} s, "
                       f"{record['maxrss_mb']:.0f} MB, exit {record['exit']}", file=sys.stderr)
     summary = {}
     for n in steps:
@@ -92,9 +101,12 @@ def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str) 
             done = runs[name][str(n)]
             row[name] = {"wall_s_median": statistics.median(r["wall_s"] for r in done),
                          "maxrss_mb_max": max(r["maxrss_mb"] for r in done),
-                         "sha256": sorted({r.get("sha256") or "missing" for r in done})}
-            hashes.update(row[name]["sha256"])
-        row["sha256_equal"] = len(hashes) == 1 and "missing" not in hashes
+                         "exits": sorted({r["exit"] for r in done})}
+            if fmt == "csv":
+                row[name]["sha256"] = sorted({r.get("sha256") or "missing" for r in done})
+                hashes.update(row[name]["sha256"])
+        if fmt == "csv":
+            row["sha256_equal"] = len(hashes) == 1 and "missing" not in hashes
         summary[str(n)] = row
     return {"runs": runs, "summary": summary}
 
@@ -105,6 +117,8 @@ def main(argv=None) -> int:
                     help="a source tree holding src/rabsde; repeat to compare trees")
     ap.add_argument("--steps", type=int, nargs="+", default=[64, 128, 256])
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--format", nargs="+", choices=["csv", "json"], default=["csv"],
+                    help="report formats to run, each over the whole ladder")
     ap.add_argument("--out", default=None, help="JSON output path (default stdout)")
     args = ap.parse_args(argv)
     trees = {}
@@ -114,19 +128,20 @@ def main(argv=None) -> int:
             ap.error(f"--tree {spec!r}: expected NAME=PATH with PATH/src/rabsde")
         trees[name] = os.path.abspath(path)
     with tempfile.TemporaryDirectory(prefix="csv_ladder-") as workdir:
-        result = ladder(trees, args.steps, args.repeats, workdir)
+        result = {fmt: ladder(trees, args.steps, args.repeats, workdir, fmt) for fmt in args.format}
     result["host"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "cpus": os.cpu_count()}
-    result["what"] = ("rabsde solve --format csv --timing on put_family(random.Random(0), N, "
-                      "N // 8, 'explicit'); one fresh interpreter per run, runs interleaved "
-                      "across trees; wall_s from spawn to exit, maxrss_mb = ru_maxrss")
+    result["what"] = ("rabsde solve --format FMT --timing on put_family(random.Random(0), N, "
+                      "N // 8, 'explicit'), per format FMT; one fresh interpreter per run, runs "
+                      "interleaved across trees; wall_s from spawn to exit, maxrss_mb = ru_maxrss")
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all(row["sha256_equal"] for row in result["summary"].values()) else 1
+    csv = result.get("csv", {"summary": {}})["summary"].values()
+    return 0 if all(row["sha256_equal"] for row in csv) else 1
 
 
 if __name__ == "__main__":

@@ -46,7 +46,6 @@ from .errors import (
     EnumerationError,
     HypothesisError,
     LatticeError,
-    PicardConvergenceError,
     RabsdeError,
     ScenarioError,
     SolverError,
@@ -97,6 +96,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def _problem_from_dict(doc: dict) -> _Problem:
     """``scenario_from_dict``, returning the problem its gate prepared."""
+    return _gate(_scenario_from_doc(doc))
+
+
+def _scenario_from_doc(doc: dict) -> Scenario:
+    """The document's Scenario, checked field by field; collects every issue."""
     issues: list[tuple[str, str]] = []
     if not isinstance(doc, dict):
         raise ScenarioError([("", "scenario document must be a JSON object")])
@@ -219,7 +223,7 @@ def _problem_from_dict(doc: dict) -> _Problem:
     if issues:
         raise ScenarioError(issues)
 
-    scenario = Scenario(
+    return Scenario(
         horizon=horizon,
         n_steps=steps,
         intensity=intensity,
@@ -233,9 +237,14 @@ def _problem_from_dict(doc: dict) -> _Problem:
         oracle_params={k: float(v) for k, v in oracle.items() if k != "kind"} if oracle else None,
         name=name,
     )
-    # whole-scenario checks: the one gate, then the explicit scheme's C' bound
+
+
+def _gate(scenario: Scenario, **prepare) -> _Problem:
+    """The whole-scenario checks: the one preparation (``_prepare`` with the
+    given keywords), then the explicit scheme's C' bound; collects every issue."""
+    issues: list[tuple[str, str]] = []
     try:
-        problem = _prepare(scenario)
+        problem = _prepare(scenario, **prepare)
     except LatticeError as exc:
         issues.append(("/lambda", str(exc)))
     except SolverError as exc:
@@ -245,14 +254,15 @@ def _problem_from_dict(doc: dict) -> _Problem:
     except RabsdeError as exc:
         issues.append(("/driver", str(exc)))
     else:
+        cp_dt = cp * scenario.horizon / scenario.n_steps
         if not math.isfinite(cp):
             issues.append(
                 ("/driver", "driver depends on u where the intensity vanishes")
             )
-        elif scenario.scheme is Scheme.EXPLICIT and cp * horizon / steps > 0.5:
+        elif scenario.scheme is Scheme.EXPLICIT and cp_dt > 0.5:
             issues.append(
                 ("/scheme",
-                 f"explicit scheme needs C'*dt <= 0.5 (estimated {cp * horizon / steps:.3g}); "
+                 f"explicit scheme needs C'*dt <= 0.5 (estimated {cp_dt:.3g}); "
                  "use the implicit scheme or more steps")
             )
     if issues:
@@ -265,14 +275,40 @@ def load_scenario(path: str) -> Scenario:
     return load_scenario_with_outputs(path)[0].scenario
 
 
-def load_scenario_with_outputs(path: str) -> tuple[_Problem, set[str]]:
-    """The prepared problem of a scenario file, and the file's outputs."""
+def _read_doc(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError([("", f"not valid JSON: {exc}")]) from None
-    return _problem_from_dict(doc), set(doc.get("outputs", []))
+
+
+def load_scenario_with_outputs(
+    path: str, path2: str | None = None, *, command: str = "solve", fmt: str = "json"
+) -> tuple[_Problem, _Problem | None, set[str]]:
+    """The prepared problem of a scenario file, that of compare's second file
+    ``path2`` (else None), and the first file's outputs.
+
+    Both files are checked field by field before either is prepared, because
+    they share one lattice kind: the quotient unless a terminal reads ``tau``.
+    A run that reads nodes by label, a CSV node table or the stopping oracles,
+    keeps the full lattice's size bound."""
+    doc = _read_doc(path)
+    scenarios = [_scenario_from_doc(doc)]
+    if path2 is not None:
+        scenarios.append(_scenario_from_doc(_read_doc(path2)))
+    outputs = set(doc.get("outputs", []))
+    full_size = fmt == "csv" or "stopping" in _workflows(command, outputs)
+    quotient = not any(sc.terminal.uses("tau") for sc in scenarios)
+    problems = [_gate(sc, quotient=quotient, full_size=full_size) for sc in scenarios]
+    return problems[0], problems[1] if path2 is not None else None, outputs
+
+
+def _workflows(command: str, outputs: set[str]) -> set[str]:
+    """The workflows a subcommand runs; ``solve`` adds the file's outputs."""
+    extra = {"solve": outputs - {"compare"}, "picard": {"picard"},
+             "stopping": {"stopping"}, "compare": {"compare"}}[command]
+    return {"solve", "validate"} | extra
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -334,14 +370,14 @@ def format_json(obj, indent: int = 0) -> str:
 
 
 def node_table_rows(solution: Solution, k: int) -> str:
-    """Step ``k`` of the per-node dump: one newline-terminated row per node.
+    """Step ``k`` of the per-node dump: one newline-terminated row per labelled node.
 
     The six value columns are stacked into an ``(n, 6)`` array and each
     distinct row, told apart by its bit pattern (so ``0`` and ``-0`` and
     different NaNs stay apart), is formatted once; each node then prefixes
-    its ``step,up_count,default_step,``.  Unless the terminal reads ``tau``,
-    the values after default do not depend on the default step, so the
-    default blocks of a step repeat the same rows.
+    its ``step,up_count,default_step,``.  On a quotient lattice the stored
+    rows are deduplicated and the row index is lifted, so the shared default
+    block is written once per reachable default step.
     """
     lat = solution.lattice
     fields = (solution.y, solution.z, solution.u, solution.dk, solution.psi,
@@ -351,11 +387,11 @@ def node_table_rows(solution: Solution, k: int) -> str:
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     texts = [_NODE_VALUES % row for row in map(tuple, values[first].tolist())]
     width = k + 1
-    codes = lat.default_step_codes(k)[::width].tolist()  # one per block of width nodes
+    codes = (0,) + lat.default_steps(k)  # one per block of width labelled nodes
     parts = [""] * (3 * width * len(codes))  # "k,j," "d," "values\n" per node
     parts[0::3] = [f"{k},{j}," for j in range(width)] * len(codes)
     parts[1::3] = itertools.chain.from_iterable(itertools.repeat(f"{d},", width) for d in codes)
-    parts[2::3] = map(texts.__getitem__, inverse.tolist())
+    parts[2::3] = map(texts.__getitem__, lat.lift(k, inverse).tolist())
     return "".join(parts)
 
 
@@ -581,7 +617,7 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
             trace = cmp.iterate_sequence(case, flags.iterate_n, lattice=lattice)
             checks.append(_check("iterate_limit_gap", 1e-8, trace.final_gap))
             data["comparison"]["iterates"] = {
-                "count": len(trace.iterates),
+                "count": trace.count,
                 "sup_diffs": list(trace.sup_diffs),
                 "final_gap": trace.final_gap,
             }
@@ -620,10 +656,15 @@ def run_suite(
 ) -> dict:
     """Randomized comparison sweep, chunked deterministically (chunk size is
     fixed so the result does not depend on the worker count).  The size guard
-    runs first, before any lattice or worker."""
+    and the default probability lambda*dt < 1 are checked first, before any
+    lattice or worker."""
     too_big = oversize_message(horizon, n_steps, IntensitySpec.constant(lam, n_steps))
     if too_big:
         raise ScenarioError([("--steps", too_big)])
+    p = lam * (horizon / n_steps)  # the lattice's default probability per step
+    if p >= 1.0:
+        raise ScenarioError([("--intensity", f"default probability lambda*dt = {p:.6g} >= 1; "
+                                             "lower --intensity or raise --steps")])
     chunks = []
     done = 0
     idx = 0
@@ -743,7 +784,8 @@ def main(argv=None) -> int:
             try:
                 workers = int(threads)
             except ValueError:
-                sys.stderr.write(f"error: RABSDE_THREADS must be an integer, got {threads!r}\n")
+                line = f"error: RABSDE_THREADS must be an integer, got {threads!r}\n"
+                _quietly(sys.stderr, lambda fh: fh.write(line))
                 return 2
             data = run_suite(
                 args.seed,
@@ -762,23 +804,21 @@ def main(argv=None) -> int:
             return 0 if data["pass"] else 3
 
         t0 = time.perf_counter()
-        problem, file_outputs = load_scenario_with_outputs(args.scenario)
-        problem2 = load_scenario_with_outputs(args.scenario2)[0] if args.command == "compare" else None
+        problem, problem2, file_outputs = load_scenario_with_outputs(
+            args.scenario, args.scenario2 if args.command == "compare" else None,
+            command=args.command, fmt=args.format,
+        )
         load_s = time.perf_counter() - t0
-        flags = RunFlags(tol=args.tol, timing=args.timing, problem2=problem2)
+        flags = RunFlags(tol=args.tol, timing=args.timing, problem2=problem2,
+                         workflows=_workflows(args.command, file_outputs))
         if args.command == "solve":
-            flags.workflows = {"solve", "validate"} | (file_outputs - {"compare"})
             flags.oracle = args.oracle
         elif args.command == "picard":
-            flags.workflows = {"solve", "validate", "picard"}
             flags.picard_tol = args.tol if args.tol != 1e-10 else 1e-12
             flags.picard_rho = args.rho
             flags.picard_beta = args.beta
             flags.picard_max_iter = args.max_iter
-        elif args.command == "stopping":
-            flags.workflows = {"solve", "validate", "stopping"}
         elif args.command == "compare":
-            flags.workflows = {"solve", "validate", "compare"}
             flags.iterate_n = args.iterates
         report = run(problem, flags)
         if args.timing:
@@ -799,16 +839,13 @@ def main(argv=None) -> int:
             _quietly(sys.stdout, lambda fh: fh.write(format_json(report.data) + "\n"))
         return 0 if report.passed else 3
     except (ScenarioError, HypothesisError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _quietly(sys.stderr, lambda fh: fh.write(f"error: {exc}\n"))
         return 2
-    except (PicardConvergenceError, SolverError, EnumerationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
     except OSError as exc:
         _quietly(sys.stderr, lambda fh: fh.write(f"i/o error: {exc}\n"))
         return 4
-    except RabsdeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except RabsdeError as exc:  # a solver, Picard, enumeration or other numerical failure
+        _quietly(sys.stderr, lambda fh: fh.write(f"error: {exc}\n"))
         return 3
 
 

@@ -222,10 +222,18 @@ def _problem(case: ComparisonCase, which: int, lat: DefaultLattice) -> _Problem:
     return prob
 
 
+def _lattice(case: ComparisonCase, lattice: DefaultLattice | None) -> DefaultLattice:
+    """``lattice``, else the case's own: the quotient unless a terminal reads tau."""
+    if lattice is not None:
+        return lattice
+    tau = any(s.terminal.uses("tau") for s in (case.scenario1, case.scenario2))
+    return case.scenario1.build_lattice(quotient=not tau)
+
+
 def check_hypotheses(case: ComparisonCase, lattice: DefaultLattice | None = None) -> HypothesisReport:
     """Grid-check the five hypotheses; raises SolverError when a scenario's
     terminal or obstacle fails ``_prepare``'s checks on the lattice."""
-    lat = lattice if lattice is not None else case.scenario1.build_lattice()
+    lat = _lattice(case, lattice)
     p1, p2 = _problem(case, 1, lat), _problem(case, 2, lat)
     obstacle_gap = min(
         float(np.min(p1.obstacle.step(k) - p2.obstacle.step(k))) for k in range(lat.n_steps + 1)
@@ -296,7 +304,7 @@ def run_comparison(
     solutions for ``iterate_sequence`` on that grid.  Raises HypothesisError
     when a hypothesis fails (the ordering is not asserted then).
     """
-    lat = lattice if lattice is not None else case.scenario1.build_lattice()
+    lat = _lattice(case, lattice)
     report = _passing_hypotheses(case, lat)
     sol1, sol2 = _solved(case, 1, lat), _solved(case, 2, lat)
     min_gap = functools.reduce(
@@ -314,16 +322,26 @@ def run_comparison(
 class IterateTrace:
     """Monotone bridge from the dominating solution down to the dominated one.
 
-    ``iterates[i]`` solves the dominated scenario with its anticipated slot
-    frozen at the previous element (starting from the dominating solution);
-    ``sup_diffs[i]`` is the sup-node distance to that previous element.
+    Iterate i solves the dominated scenario with its anticipated slot frozen
+    at the previous element (starting from the dominating solution);
+    ``sup_diffs[i]`` is the sup-node distance to that previous element.  Only
+    the last iterate is kept (None when none ran).
     """
 
     solution1: Solution
     solution2: Solution
-    iterates: tuple[Solution, ...]
+    last: Solution | None
     sup_diffs: tuple[float, ...]
     final_gap: float
+
+    @property
+    def count(self) -> int:
+        return len(self.sup_diffs)
+
+    @property
+    def iterates(self) -> tuple[Solution | None, ...]:
+        """One entry per iterate: None for each one not kept, then the last."""
+        return (None,) * (self.count - 1) + (self.last,) if self.count else ()
 
 
 def iterate_sequence(
@@ -343,10 +361,9 @@ def iterate_sequence(
     once per case and grid (``run_comparison`` on the same case shares them),
     and every iterate reuses the dominated scenario's prepared problem.
     """
-    lat = lattice if lattice is not None else case.scenario1.build_lattice()
+    lat = _lattice(case, lattice)
     _passing_hypotheses(case, lat)
     sol1, sol2 = _solved(case, 1, lat), _solved(case, 2, lat)
-    iterates: list[Solution] = []
     sup_diffs: list[float] = []
     prev = sol1
     for _ in range(n_max):
@@ -355,13 +372,12 @@ def iterate_sequence(
         for k in range(lat.n_steps + 1):
             gap = prev.y.step(k) - cur.y.step(k)
             worst = float(np.min(gap))
-            if worst < -tol:
-                i = int(np.argmin(gap))
+            if worst < -tol:  # the first such node by label, on the lift of a quotient
+                i = int(np.argmin(lat.lift(k, gap)))
                 raise MonotonicityError(
-                    f"iterate increased by {-worst:.3g} at node {lat.node_at(k, i)}"
+                    f"iterate increased by {-worst:.3g} at node {lat.labelled().node_at(k, i)}"
                 )
             sup = _max(sup, np.max(np.abs(gap)))
-        iterates.append(cur)
         sup_diffs.append(sup)
         prev = cur
         if sup <= stop_tol:
@@ -372,7 +388,7 @@ def iterate_sequence(
     return IterateTrace(
         solution1=sol1,
         solution2=sol2,
-        iterates=tuple(iterates),
+        last=None if prev is sol1 else prev,
         sup_diffs=tuple(sup_diffs),
         final_gap=final_gap,
     )
@@ -448,7 +464,8 @@ def random_comparison_case(
     """
     delta = int(rng.integers(0, 3)) if delta_steps is None else delta_steps
     intensity = IntensitySpec.constant(lam, n_steps)
-    lat = lattice if lattice is not None else DefaultLattice(horizon, n_steps, intensity)
+    # the generated terminals never read tau, so the case's own lattice is the quotient
+    lat = lattice if lattice is not None else DefaultLattice(horizon, n_steps, intensity, quotient=True)
     grid = GridSpec.for_horizon(horizon, points=5, n_base=12, seed=int(rng.integers(0, 2**31)))
 
     def scenario(driver: DriverExpr, obstacle: DriverExpr, terminal: DriverExpr) -> Scenario:

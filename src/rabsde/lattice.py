@@ -12,6 +12,13 @@ Steps with lambda_k = 0 grow no default branch, so a zero-intensity lattice
 degenerates to the plain binomial tree.  With all intensities positive the
 node count at step k is (k+1)^2: k+1 alive nodes plus k blocks of k+1
 defaulted nodes, one block per possible default step.
+
+A quotient lattice stores at most one default block per step, shared by every
+reachable default step: 2(k+1) nodes at step k.  It is exact for fields that
+do not depend on the default time, which is every field of a scenario whose
+terminal does not read ``tau`` (the driver and the obstacle cannot).  Its
+nodes keep their labels: a label maps onto the block that stores it, and
+``lift`` repeats the shared block once per default step it stands for.
 """
 
 from __future__ import annotations
@@ -83,10 +90,15 @@ class DefaultLattice:
     up-count j): block 0 holds alive nodes, block m >= 1 holds the nodes that
     defaulted at step ``default_steps(k)[m-1]``.  Because default steps are
     appended in increasing order, block m at step k feeds block m at step k+1,
-    which lets every kernel operation run as array slicing.
+    which lets every kernel operation run as array slicing.  With ``quotient``
+    the lattice stores one block 1 for all of ``default_steps(k)``; the kernel
+    is the same slicing, and the methods that name the node of a stored index
+    (``node_at``, ``nodes``, ``default_step_codes``, ``tau_values``,
+    ``compensator_values``) raise LatticeError, since that node is not unique.
     """
 
-    def __init__(self, horizon: float, n_steps: int, intensity: IntensitySpec):
+    def __init__(self, horizon: float, n_steps: int, intensity: IntensitySpec,
+                 *, quotient: bool = False):
         if horizon <= 0:
             raise LatticeError(f"horizon must be positive, got {horizon}")
         if n_steps <= 0:
@@ -108,13 +120,15 @@ class DefaultLattice:
                 f"default probability p_{k} = {self.p[k]:.6g} >= 1; "
                 "intensity too large for this step size"
             )
-        # default_steps(k) as a growing prefix list; _def_steps[k] is a tuple of
-        # the default steps d <= k that are actually reachable (p_{d-1} > 0).
-        steps: list[tuple[int, ...]] = [()]
-        for k in range(1, self.n_steps + 1):
-            prev = steps[k - 1]
-            steps.append(prev + (k,) if self.p[k - 1] > 0.0 else prev)
-        self._def_steps = steps
+        # the labels: the default steps d <= k that are actually reachable
+        # (p_{d-1} > 0) are the first _n_labels[k] entries of _defaults
+        self._defaults = tuple(int(d) for d in np.nonzero(self.p > 0.0)[0] + 1)
+        self._label_pos = {d: m for m, d in enumerate(self._defaults, start=1)}
+        self._n_labels = np.concatenate([[0], np.cumsum(self.p > 0.0)]).tolist()
+        # the storage: _def_blocks[k] default blocks follow the alive block at step k
+        self.quotient = bool(quotient)
+        self._def_blocks = [min(n, 1) if self.quotient else n for n in self._n_labels]
+        self._full: DefaultLattice | None = None
         self._probs: list[np.ndarray | None] = [None] * (self.n_steps + 1)
         # lambda * dt prefix sums: _hazard[k] = sum_{i<k} lambda_i dt
         self._hazard = np.concatenate([[0.0], np.cumsum(self.p)])
@@ -122,12 +136,39 @@ class DefaultLattice:
     # -- structure -----------------------------------------------------------
 
     def default_steps(self, k: int) -> tuple[int, ...]:
+        """The reachable default steps d <= k: the labels of step k's default nodes."""
         self._check_step(k)
-        return self._def_steps[k]
+        return self._defaults[: self._n_labels[k]]
 
     def n_nodes(self, k: int) -> int:
+        """Stored nodes at step k."""
         self._check_step(k)
-        return (k + 1) * (1 + len(self._def_steps[k]))
+        return (k + 1) * (1 + self._def_blocks[k])
+
+    def labelled(self) -> "DefaultLattice":
+        """The lattice with one block per label: this one, or for a quotient the
+        full lattice on the same grid (built once)."""
+        if not self.quotient:
+            return self
+        if self._full is None:
+            self._full = DefaultLattice(self.horizon, self.n_steps, self.intensity)
+        return self._full
+
+    def lift(self, k: int, values: np.ndarray) -> np.ndarray:
+        """A step-k field on ``labelled()``: each stored block repeated once per
+        default step it stands for (any dtype; a full lattice returns it as is)."""
+        values = np.asarray(values)
+        if not self.quotient:
+            return values
+        V = self._blocks(k, values)
+        return np.repeat(V, (1,) + (self._n_labels[k],) * self._def_blocks[k], axis=0).reshape(-1)
+
+    def _labels_only(self, what: str) -> None:
+        if self.quotient:
+            raise LatticeError(
+                f"{what} names the node of a stored index; a quotient lattice's shared "
+                "default block has no single default step (use labelled())"
+            )
 
     def _check_step(self, k: int) -> None:
         if not 0 <= k <= self.n_steps:
@@ -140,20 +181,21 @@ class DefaultLattice:
             raise LatticeError(f"node not in lattice: {node}")
         if node.is_alive:
             return node.up_count
-        try:
-            m = self._def_steps[k].index(node.default_step) + 1
-        except ValueError:
-            raise LatticeError(f"node not in lattice: {node}") from None
-        return m * (k + 1) + node.up_count
+        m = self._label_pos.get(node.default_step)
+        if m is None or m > self._n_labels[k]:
+            raise LatticeError(f"node not in lattice: {node}")
+        return min(m, self._def_blocks[k]) * (k + 1) + node.up_count
 
     def node_at(self, k: int, idx: int) -> NodeId:
+        self._labels_only("node_at")
         if not 0 <= idx < self.n_nodes(k):
             raise LatticeError(f"node index {idx} out of range at step {k}")
         m, j = divmod(idx, k + 1)
-        d = ALIVE if m == 0 else self._def_steps[k][m - 1]
+        d = ALIVE if m == 0 else self._defaults[m - 1]
         return NodeId(step=k, up_count=j, default_step=d)
 
     def nodes(self, k: int) -> list[NodeId]:
+        self._labels_only("nodes")
         return [self.node_at(k, i) for i in range(self.n_nodes(k))]
 
     def root(self) -> NodeId:
@@ -164,6 +206,7 @@ class DefaultLattice:
             self.horizon == other.horizon
             and self.n_steps == other.n_steps
             and self.intensity == other.intensity
+            and self.quotient == other.quotient
         )
 
     # -- per-step node data ----------------------------------------------------
@@ -171,7 +214,7 @@ class DefaultLattice:
     def w_values(self, k: int) -> np.ndarray:
         j = np.arange(k + 1, dtype=float)
         w = (2.0 * j - k) * self.sqrt_dt
-        return np.tile(w, 1 + len(self._def_steps[k]))
+        return np.tile(w, 1 + self._def_blocks[k])
 
     def h_values(self, k: int) -> np.ndarray:
         h = np.zeros(self.n_nodes(k))
@@ -180,11 +223,13 @@ class DefaultLattice:
 
     def default_step_codes(self, k: int) -> np.ndarray:
         """Default step per node as an integer, 0 for alive nodes."""
+        self._labels_only("default_step_codes")
         self._check_step(k)
-        return np.repeat(np.array((0,) + self._def_steps[k]), k + 1)
+        return np.repeat(np.array((0,) + self.default_steps(k)), k + 1)
 
     def tau_values(self, k: int) -> np.ndarray:
         """Default time capped at the horizon (tau ^ T), per node."""
+        self._labels_only("tau_values")
         codes = self.default_step_codes(k)
         tau = np.where(codes > 0, codes * self.dt, self.horizon)
         return tau.astype(float)
@@ -224,29 +269,32 @@ class DefaultLattice:
             raise LatticeError(
                 f"field has {values.shape} values, step {k} has {n} nodes"
             )
-        return values.reshape(values.shape[:-1] + (1 + len(self._def_steps[k]), k + 1))
+        return values.reshape(values.shape[:-1] + (1 + self._def_blocks[k], k + 1))
 
-    def step_expectation(self, k: int, values_next: np.ndarray) -> np.ndarray:
+    def step_expectation(
+        self, k: int, values_next: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """One-step conditional expectation: E[field at k+1 | node at k].  Leading
-        axes pass through: a stack of fields costs one call, bit-identical per row."""
+        axes pass through: a stack of fields costs one call, bit-identical per row.
+        The result is written to ``out`` when given, else to a new array."""
         self._check_step(k + 1)
         V = self._blocks(k + 1, np.asarray(values_next, dtype=float), stacked=True)
         lead = V.shape[:-2]
         p = self.p[k]
-        n_def = len(self._def_steps[k])
-        out = np.empty(lead + (self.n_nodes(k),))
+        n_def = self._def_blocks[k]
+        if out is None:
+            out = np.empty(lead + (self.n_nodes(k),))
         width = k + 1
-        alive = V[..., 0, :]
+        pairs = V[..., 1:] + V[..., :-1]  # up child + down child, per block
+        alive = out[..., :width]
         if p > 0.0:
-            dnew = V[..., -1, :]  # block of nodes defaulting exactly at step k+1
-            out[..., :width] = 0.5 * (1.0 - p) * (alive[..., 1:] + alive[..., :-1]) + 0.5 * p * (
-                dnew[..., 1:] + dnew[..., :-1]
-            )
+            dnew = pairs[..., -1, :]  # block of nodes defaulting exactly at step k+1
+            np.multiply(0.5 * (1.0 - p), pairs[..., 0, :], out=alive)
+            alive += 0.5 * p * dnew
         else:
-            out[..., :width] = 0.5 * (alive[..., 1:] + alive[..., :-1])
+            np.multiply(0.5, pairs[..., 0, :], out=alive)
         if n_def:
-            B = V[..., 1 : n_def + 1, :]
-            out[..., width:] = (0.5 * (B[..., 1:] + B[..., :-1])).reshape(lead + (-1,))
+            np.multiply(0.5, pairs[..., 1 : n_def + 1, :].reshape(lead + (-1,)), out=out[..., width:])
         return out
 
     def project_martingale(self, k: int, values_next: np.ndarray):
@@ -259,7 +307,7 @@ class DefaultLattice:
         self._check_step(k + 1)
         V = self._blocks(k + 1, np.asarray(values_next, dtype=float))
         p = self.p[k]
-        n_def = len(self._def_steps[k])
+        n_def = self._def_blocks[k]
         n = self.n_nodes(k)
         width = k + 1
         s2 = 2.0 * self.sqrt_dt
@@ -302,7 +350,8 @@ class DefaultLattice:
         """Carry a step-k field onto its children: per child, the sum of
         prob * value over its parents (``combine="sum"``, pushes mass) or the
         largest parent value (``combine="max"``, max-plus), in three slice groups:
-        alive -> alive, alive -> new default block (p_k > 0), block m -> block m."""
+        alive -> alive, alive -> new default block (p_k > 0), block m -> block m.
+        On a quotient the new block and block 1 are one shared block."""
         self._check_step(k + 1)
         V = self._blocks(k, np.asarray(values, dtype=float))
         p = self.p[k]
@@ -314,7 +363,7 @@ class DefaultLattice:
             alive, new, old = V[0], V[0], V[1:]
         else:
             raise LatticeError(f"unknown combine '{combine}'; use 'sum' or 'max'")
-        out = np.full((1 + len(self._def_steps[k + 1]), k + 2), fill)
+        out = np.full((1 + self._def_blocks[k + 1], k + 2), fill)
 
         def spread(dst: np.ndarray, src: np.ndarray) -> None:
             # up-move lands on j+1, down-move on j
@@ -339,6 +388,7 @@ class DefaultLattice:
 
     def compensator_values(self, k: int) -> np.ndarray:
         """Integrated intensity up to step k ^ default step, per node."""
+        self._labels_only("compensator_values")
         codes = self.default_step_codes(k)
         stop = np.where(codes > 0, codes, k)
         return self._hazard[stop]
@@ -427,29 +477,36 @@ class ProcessField:
         return float(self.step(node.step)[self.lattice.index(node)])
 
 
-def build_lattice(horizon: float, n_steps: int, intensity: IntensitySpec) -> DefaultLattice:
+def build_lattice(
+    horizon: float, n_steps: int, intensity: IntensitySpec, *, quotient: bool = False
+) -> DefaultLattice:
     """Construct the filtered lattice; rejects p_k >= 1 and negative intensities."""
-    return DefaultLattice(horizon, n_steps, intensity)
+    return DefaultLattice(horizon, n_steps, intensity, quotient=quotient)
 
 
-def oversize_message(horizon: float, n_steps: int, intensity: IntensitySpec) -> str | None:
+def oversize_message(
+    horizon: float, n_steps: int, intensity: IntensitySpec, *, quotient: bool = False
+) -> str | None:
     """Why the node fields would not fit in physical memory, or None.  Step k
-    holds k+1 nodes per block: one alive, one per reachable default step."""
+    holds k+1 nodes per block: one alive, one per reachable default step (on a
+    quotient, one shared block once a default step is reachable)."""
     dt = float(horizon) / int(n_steps)
-    nodes = blocks = 1
-    for k, lam in enumerate(intensity.values, start=1):
-        blocks += lam * dt > 0.0
-        nodes += (k + 1) * blocks
+    nodes = defaults = 0
+    for k, lam in enumerate((0.0,) + intensity.values):
+        defaults += lam * dt > 0.0
+        nodes += (k + 1) * (1 + (min(defaults, 1) if quotient else defaults))
     estimate = nodes * 7 * 8  # float64 y, z, u, psi, dk, driver values and obstacle
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
-    if estimate <= physical:
+    # a solve and its validation peak at 1.3-1.5x the seven fields (the kernel's
+    # temporaries, the anticipation window, the node law): keep them to half
+    if 2 * estimate <= physical:
         return None
     return (
         f"N too large, estimated {estimate / 1e9:.3g} GB for {nodes} nodes "
-        f"(physical memory {physical / 1e9:.3g} GB)"
+        f"(more than half the physical memory of {physical / 1e9:.3g} GB)"
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -79,8 +79,8 @@ class Scenario:
     def delta(self) -> float:
         return self.delta_steps * self.horizon / self.n_steps
 
-    def build_lattice(self) -> DefaultLattice:
-        return build_lattice(self.horizon, self.n_steps, self.intensity)
+    def build_lattice(self, *, quotient: bool = False) -> DefaultLattice:
+        return build_lattice(self.horizon, self.n_steps, self.intensity, quotient=quotient)
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,24 @@ class Solution:
 
     def obstacle_field(self) -> ProcessField:
         return self.problem.obstacle
+
+    def labelled(self) -> Solution:
+        """This solution on ``lattice.labelled()``, for readers that name nodes by
+        label: on a quotient every field, the obstacle and the terminal values
+        are lifted step by step (exact, as the shared block's values do not
+        depend on the default step); on a full lattice, the solution itself."""
+        lat = self.lattice
+        if not lat.quotient:
+            return self
+        full = lat.labelled()
+
+        def lift(f: ProcessField) -> ProcessField:
+            return ProcessField(full, tuple(lat.lift(k, a) for k, a in enumerate(f.values)))
+
+        problem = replace(self.problem, lattice=full, obstacle=lift(self.problem.obstacle),
+                          xi=lat.lift(lat.n_steps, self.problem.xi))
+        return replace(self, problem=problem, y=lift(self.y), z=lift(self.z), u=lift(self.u),
+                       psi=lift(self.psi), dk=lift(self.dk), driver_values=lift(self.driver_values))
 
     def per_step_expected_dk(self) -> tuple[float, ...]:
         out = []
@@ -192,7 +210,9 @@ def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
     """The terminal payoff per horizon node, evaluated as is (NaN and inf included)."""
     fn = scenario.terminal.compiled()
     N = lattice.n_steps
-    env = {"w": lattice.w_values(N), "h": lattice.h_values(N), "tau": lattice.tau_values(N)}
+    env = {"w": lattice.w_values(N), "h": lattice.h_values(N)}
+    if scenario.terminal.uses("tau"):
+        env["tau"] = lattice.tau_values(N)
     return np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy()
 
 
@@ -224,15 +244,30 @@ def _node_data(scenario: Scenario, lattice: DefaultLattice) -> tuple[ProcessFiel
     return obstacle, xi
 
 
-def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Problem:
+def _prepare(
+    scenario: Scenario,
+    lattice: DefaultLattice | None = None,
+    *,
+    quotient: bool = True,
+    full_size: bool = False,
+) -> _Problem:
     """The scenario checked and set up on ``lattice``, else on a lattice of its
-    own that the size guard (pointer ``/steps``) has cleared before it is built."""
-    too_big = oversize_message(scenario.horizon, scenario.n_steps, scenario.intensity)
+    own that the size guard (pointer ``/steps``) has cleared before it is built:
+    the quotient lattice when ``quotient`` holds and the terminal does not read
+    ``tau``, else the full one.  The guard counts the nodes of that lattice, or
+    with ``full_size`` those of the full lattice (for output that writes one
+    row per labelled node)."""
+    tau = scenario.terminal.uses("tau")
+    quotient = lattice.quotient if lattice is not None else quotient and not tau
+    too_big = oversize_message(scenario.horizon, scenario.n_steps, scenario.intensity,
+                               quotient=quotient and not full_size)
     if too_big:
         raise SolverError(too_big, pointer="/steps")
-    lat = lattice if lattice is not None else scenario.build_lattice()
+    lat = lattice if lattice is not None else scenario.build_lattice(quotient=quotient)
     if lat.horizon != scenario.horizon or lat.n_steps != scenario.n_steps:
         raise LatticeError("lattice does not match scenario grid")
+    if lat.quotient and tau:
+        raise LatticeError("a terminal that reads tau needs the full lattice, not a quotient")
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
     _check_vars(scenario.obstacle, OBSTACLE_VARS, "obstacle")
     _check_vars(scenario.terminal, TERMINAL_VARS, "terminal")
@@ -321,28 +356,33 @@ class _Anticipation:
     the step-k fields in front and drops the row that step k-1 no longer reads.
     Sources are (per-step arrays, on) pairs; the window starts at the horizon.
     After ``condition(k)``, ``rows[s, 0]`` is E[X_{k+1} | F_k] of the s-th source on.
+    The kernel writes each step's window behind a free front row, which
+    ``insert`` fills, so the window is never copied.
     """
 
     def __init__(self, lat: DefaultLattice, delta: int, *sources):
         self.lat, self.delta = lat, delta
         self.on = [bool(on) and delta > 0 for _, on in sources]
         self.sources = [arrays for (arrays, _), on in zip(sources, self.on) if on]
-        self.rows = self._fields(lat.n_steps) if self.sources else None
-
-    def _fields(self, m: int) -> np.ndarray:
-        return np.stack([arrays[m] for arrays in self.sources])[:, None, :]
+        self.rows = self._buf = None
+        if self.sources:
+            self.rows = np.stack([arrays[lat.n_steps] for arrays in self.sources])[:, None, :]
 
     def condition(self, k: int) -> list:
         if not self.sources:
             return [None] * len(self.on)
-        self.rows = self.lat.step_expectation(k, self.rows)
+        n_src, n_rows, _ = self.rows.shape
+        self._buf = np.empty((n_src, n_rows + 1, self.lat.n_nodes(k)))
+        self.rows = self.lat.step_expectation(k, self.rows, out=self._buf[:, 1:])
         last = iter(self.rows[:, -1].copy())  # a kept view would pin the whole window
         return [next(last) if on else None for on in self.on]
 
     def insert(self, k: int) -> None:
         if self.sources:
             keep = min(self.delta, self.lat.n_steps - k + 1) - 1
-            self.rows = np.concatenate([self._fields(k), self.rows[:, :keep]], axis=1)
+            for s, arrays in enumerate(self.sources):
+                self._buf[s, 0] = arrays[k]
+            self.rows = self._buf[:, : keep + 1]
 
 
 def _solve(
@@ -422,7 +462,7 @@ def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
     E[Y_{k+1} | step k].  Runs inside validate_solution's np.errstate."""
     lat, y_next = sol.lattice, sol.y.step(k + 1)
     z, u, psi = sol.z.step(k), sol.u.step(k), sol.psi.step(k)
-    V = y_next.reshape(1 + len(lat.default_steps(k + 1)), k + 2)
+    V = lat._blocks(k + 1, y_next)
     s = lat.sqrt_dt
     p = lat.p[k]
     width = k + 1
@@ -444,7 +484,7 @@ def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
             actual = alive[1:] if sign > 0 else alive[:-1]
             pred = ma + sign * za * s
             best = _max(best, np.max(np.abs(actual - pred)))
-    n_def = len(lat.default_steps(k))
+    n_def = lat._blocks(k, z).shape[0] - 1
     if n_def:
         B = V[1 : n_def + 1]
         zb = z[width:].reshape(n_def, width)

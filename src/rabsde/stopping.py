@@ -2,7 +2,9 @@
 pathwise running-max identity for the reflection process.
 
 Each check takes a solution and the scenario it solves, and reads the obstacle
-field the solution was prepared with.
+field the solution was prepared with.  The oracles name nodes by label, so a
+solution on a quotient lattice is read through its exact lift
+(``Solution.labelled``); the path enumeration maps each label onto its block.
 
 The brute-force oracle enumerates every adapted stopping rule (a stop flag per
 reachable non-terminal node) and therefore stays independent of the dynamic
@@ -61,8 +63,10 @@ def stopping_payoff(
 
     Accumulates the solved driver values up to (not including) the stopping
     step, then pays the obstacle when stopping early and the terminal payoff
-    at the horizon.
+    at the horizon.  A rule on the full lattice reads the solution's lift.
     """
+    if not rule.lattice.quotient:
+        solution = solution.labelled()
     lat = solution.lattice
     if rule.lattice is not lat and not rule.lattice.same_grid(lat):
         raise LatticeError("rule and solution live on different lattices")
@@ -120,6 +124,7 @@ def brute_force_value(
     bits that vary inside the batch.  The last row vector holds every rule's
     payoff in id order; the lowest id attaining the maximum is returned.
     """
+    solution = solution.labelled()
     lat = solution.lattice
     k0 = from_node.step
     N = lat.n_steps
@@ -181,6 +186,7 @@ def tau_characterizations(
     every generic scenario because reflection pins Y to S exactly where K
     grows.
     """
+    solution = solution.labelled()
     lat = solution.lattice
     N = lat.n_steps
     obstacle = solution.obstacle_field()
@@ -224,6 +230,7 @@ def snell_report(
     *,
     max_nodes: int = DEFAULT_ENUMERATION_CAP,
 ) -> StoppingReport:
+    solution = solution.labelled()
     lat = solution.lattice
     node = from_node if from_node is not None else lat.root()
     snell = float(solution.y.step(node.step)[lat.index(node)])

@@ -28,6 +28,7 @@ from rabsde.cli import (
 )
 from rabsde.driver import DriverExpr
 from rabsde.errors import ScenarioError
+from rabsde import lattice as lattice_module
 from rabsde.lattice import DefaultLattice
 from rabsde.solver import obstacle_field, solve_backward
 
@@ -280,9 +281,9 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     prepared, solved, iterated = [], [], []
     prepare, solve = solver._prepare, solver._solve
 
-    def counted_prepare(scenario, lattice=None):
+    def counted_prepare(scenario, lattice=None, **kinds):
         prepared.append(scenario.name)
-        return prepare(scenario, lattice)
+        return prepare(scenario, lattice, **kinds)
 
     def counted_solve(prob, frozen_ey=None, frozen=None):
         (solved if frozen_ey is None else iterated).append(prob.scenario.name)
@@ -396,6 +397,7 @@ def test_main_suite_subcommand(tmp_path):
 
 def _per_node_table(sol) -> bytes:
     """The node table built node by node through ``node_at``: the reference."""
+    sol = sol.labelled()
     lat = sol.lattice
     fields = (sol.y, sol.z, sol.u, sol.dk, sol.psi, obstacle_field(sol.scenario, lat))
     lines = ["step,up_count,default_step,Y,Z,U,dK,psi,S"]
@@ -447,7 +449,7 @@ def test_emit_csv_matches_per_node_reference(tmp_path):
             y_2 = sol.y.step(2)
             assert not np.array_equal(y_2[3:6], y_2[6:9])
         if name == "nan_rows":
-            sol = _with_nan_rows(sol)
+            sol = _with_nan_rows(sol.labelled())
         path = tmp_path / f"{name}.csv"
         emit_report(RunReport(data=report.data, solution=sol), "csv", str(path))
         assert path.read_bytes() == _per_node_table(sol), name
@@ -734,6 +736,77 @@ def test_csv_and_timing_to_one_pipe_closed_early_stop_quietly(tmp_path):
     # a failed --out write is still an I/O error
     missing = str(tmp_path / "missing_dir" / "table.csv")
     assert main(["solve", "--scenario", path, "--format", "csv", "--timing", "--out", missing]) == 4
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--scenario", "{bad}"], 2),  # the load fails
+    (["picard", "--scenario", "{good}", "--max-iter", "1"], 3),  # Picard does not converge
+    (["suite", "--cases", "1"], 2),  # RABSDE_THREADS is not an integer
+])
+def test_error_line_to_one_pipe_closed_early_keeps_the_exit_code(tmp_path, argv, code):
+    # `rabsde ... 2>&1 | head -0`: the reader has closed the pipe before the error line
+    paths = {"bad": _write(tmp_path, {**MINIMAL, "terminal": "exp(1000) + w"}, "bad.json"),
+             "good": _write(tmp_path, _WORKFLOW_DOC, "good.json")}
+    cmd, env = _fresh_cli(*(a.format(**paths) for a in argv))
+    env["RABSDE_THREADS"] = "two"
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+    try:
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == code
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def test_suite_refuses_a_default_probability_of_one_before_building_a_lattice(capsys, monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the suite built a lattice")
+
+    monkeypatch.setattr(DefaultLattice, "__init__", no_lattice)
+    assert main(["suite", "--steps", "2", "--intensity", "5", "--cases", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--intensity: default probability lambda*dt = 2.5 >= 1" in err and "Traceback" not in err
+
+
+def test_json_runs_are_sized_on_the_quotient_and_csv_runs_on_the_full_lattice(tmp_path, capsys, monkeypatch):
+    # on a machine of 8 GB: N = 1024 needs 1.05e6 quotient nodes (59 MB of node
+    # fields) and 3.6e8 full-lattice nodes (20 GB), which a CSV run writes out
+    monkeypatch.setattr(lattice_module.os, "sysconf",
+                        lambda name: 4096 if name == "SC_PAGE_SIZE" else 8 * 2**30 // 4096)
+    doc = {"horizon": 1.0, "steps": 1024, "delta_steps": 128, "lambda": 0.3,
+           "driver": {"text": "-0.4*y + 0.1*ey - 0.1*u + 0.05", "form": "H"},
+           "obstacle": "max(0.6 - w, 0) - 0.1*t", "terminal": "max(0.6 - w, 0) + 0.3*h"}
+    path = _write(tmp_path, doc)
+    problem = cli.load_scenario_with_outputs(path)[0]
+    assert problem.lattice.quotient
+    assert sum(problem.lattice.n_nodes(k) for k in range(1025)) == 1_051_649
+    with pytest.raises(ScenarioError) as exc:
+        cli.load_scenario_with_outputs(path, fmt="csv")
+    assert [ptr for ptr, _ in exc.value.issues] == ["/steps"]
+    assert main(["solve", "--scenario", path, "--format", "csv"]) == 2
+    assert "/steps: N too large, estimated 20.1 GB for 359489025 nodes" in capsys.readouterr().err
+    # the stopping oracles read labelled nodes, so a stopping run is sized as a CSV one
+    assert main(["stopping", "--scenario", path]) == 2
+    assert "/steps: N too large" in capsys.readouterr().err
+
+
+def test_compare_uses_the_quotient_only_when_neither_terminal_reads_tau(tmp_path, monkeypatch):
+    kinds = []
+    solve = solver._solve
+
+    def recorded(prob, **kwargs):
+        kinds.append(prob.lattice.quotient)
+        return solve(prob, **kwargs)
+
+    monkeypatch.setattr(cli, "_solve", recorded)
+    monkeypatch.setattr(comparison, "_solve", recorded)
+    base = {**_WORKFLOW_DOC, "steps": 4}
+    p2 = _write(tmp_path, base, "s2.json")
+    for extra, quotient in (("", True), (" + 0*tau", False)):
+        kinds.clear()
+        p1 = _write(tmp_path, {**base, "terminal": f"{base['terminal']} + 0.5{extra}"}, "s1.json")
+        assert main(["compare", "--scenario", p1, "--scenario2", p2, "--out", str(tmp_path / "c.json")]) == 0
+        assert kinds == [quotient, quotient]
 
 
 @pytest.mark.parametrize(

@@ -280,7 +280,7 @@ def test_iterate_sequence_equal_scenarios_constant_after_first():
     # the first bridge solve already equals the direct solution
     assert trace.sup_diffs[-1] <= 1e-13
     assert trace.final_gap <= 1e-13
-    first = trace.iterates[0]
+    first = iterate_sequence(case, 1).last  # with one iterate, the last is the first
     for k in range(6):
         assert np.max(np.abs(first.y.step(k) - trace.solution2.y.step(k))) <= 1e-13
 
@@ -308,10 +308,10 @@ def test_iterate_sequence_prefix():
     rng = np.random.default_rng(34)
     case = random_comparison_case(rng, delta_steps=1)
     trace = iterate_sequence(case, 1)
-    assert len(trace.iterates) == 1
+    assert trace.count == 1
     lat = trace.solution1.lattice
     for k in range(lat.n_steps + 1):
-        gap = trace.solution1.y.step(k) - trace.iterates[0].y.step(k)
+        gap = trace.solution1.y.step(k) - trace.last.y.step(k)
         assert float(np.min(gap)) >= -1e-10  # dominating solution stays above
 
 

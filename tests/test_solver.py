@@ -570,6 +570,7 @@ def test_explicit_picard_reads_the_y_argument_from_the_window(monkeypatch):
 def _residual_by_edges(sol):
     """max |y_next(child) - (mean + z dW + u dM + psi dW dM)| over every edge that
     children() lists, with |u| and |psi| where dM = 0; NaN-propagating."""
+    sol = sol.labelled()
     lat, s = sol.lattice, sol.lattice.sqrt_dt
     best = 0.0
 

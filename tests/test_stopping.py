@@ -168,7 +168,7 @@ def _oracle_inputs(draw):
     lam = draw(step_intensities(n))
     sc = dataclasses.replace(sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=max(lam)))
     sol = solve_backward(sc)
-    lat = sol.lattice
+    lat = sol.lattice.labelled()
     steps = [[node for node in lat.nodes(k) if len(_decision_nodes(lat, node)) <= 10]
              for k in range(n)]
     return sc, sol, draw(st.sampled_from(draw(st.sampled_from([s for s in steps if s]))))
@@ -178,7 +178,7 @@ def _oracle_inputs(draw):
 @settings(max_examples=40, deadline=None)
 def test_brute_force_matches_every_rule_evaluated_one_by_one(inputs):
     sc, sol, node = inputs
-    lat = sol.lattice
+    lat = sol.lattice.labelled()
     decisions = _decision_nodes(lat, node)
     payoffs = []
     for rule_id in range(1 << len(decisions)):
