@@ -59,6 +59,7 @@ from .solver import (
     Scenario,
     Scheme,
     Solution,
+    _lattice_for,
     _max,
     _min,
     _picard,
@@ -96,7 +97,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def _problem_from_dict(doc: dict) -> _Problem:
     """``scenario_from_dict``, returning the problem its gate prepared."""
-    return _gate(_scenario_from_doc(doc))
+    return _gate([_scenario_from_doc(doc)])[0]
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
@@ -239,21 +240,24 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     )
 
 
-def _gate(scenario: Scenario, **prepare) -> _Problem:
-    """The whole-scenario checks: the one preparation (``_prepare`` with the
-    given keywords), then the explicit scheme's C' bound; collects every issue."""
+def _gate(scenarios: list[Scenario], *, full_size: bool = False) -> list[_Problem]:
+    """The whole-scenario checks of a run: every scenario prepared on the run's
+    one lattice (``_lattice_for``), then each explicit scheme's C' bound;
+    collects every issue."""
     issues: list[tuple[str, str]] = []
     try:
-        problem = _prepare(scenario, **prepare)
+        lattice = _lattice_for(*scenarios, full_size=full_size)
+        problems = [_prepare(scenario, lattice) for scenario in scenarios]
     except LatticeError as exc:
         issues.append(("/lambda", str(exc)))
     except SolverError as exc:
         issues.append((exc.pointer, str(exc)))
-    try:
-        cp = estimate_c_prime(scenario)
-    except RabsdeError as exc:
-        issues.append(("/driver", str(exc)))
-    else:
+    for scenario in scenarios:
+        try:
+            cp = estimate_c_prime(scenario)
+        except RabsdeError as exc:
+            issues.append(("/driver", str(exc)))
+            continue
         cp_dt = cp * scenario.horizon / scenario.n_steps
         if not math.isfinite(cp):
             issues.append(
@@ -267,7 +271,7 @@ def _gate(scenario: Scenario, **prepare) -> _Problem:
             )
     if issues:
         raise ScenarioError(issues)
-    return problem
+    return problems
 
 
 def load_scenario(path: str) -> Scenario:
@@ -289,18 +293,18 @@ def load_scenario_with_outputs(
     """The prepared problem of a scenario file, that of compare's second file
     ``path2`` (else None), and the first file's outputs.
 
-    Both files are checked field by field before either is prepared, because
-    they share one lattice kind: the quotient unless a terminal reads ``tau``.
-    A run that reads nodes by label, a CSV node table or the stopping oracles,
-    keeps the full lattice's size bound."""
+    Both files are checked field by field, and as a comparison pair, before
+    either is prepared, because they share one lattice.  A run that reads
+    nodes by label, a CSV node table or the stopping oracles, keeps the full
+    lattice's size bound."""
     doc = _read_doc(path)
     scenarios = [_scenario_from_doc(doc)]
     if path2 is not None:
         scenarios.append(_scenario_from_doc(_read_doc(path2)))
+        cmp._check_pair(*scenarios)
     outputs = set(doc.get("outputs", []))
     full_size = fmt == "csv" or "stopping" in _workflows(command, outputs)
-    quotient = not any(sc.terminal.uses("tau") for sc in scenarios)
-    problems = [_gate(sc, quotient=quotient, full_size=full_size) for sc in scenarios]
+    problems = _gate(scenarios, full_size=full_size)
     return problems[0], problems[1] if path2 is not None else None, outputs
 
 
@@ -580,13 +584,17 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
         except EnumerationError as exc:
             stopping_data["brute_force"] = None
             stopping_data["skipped"] = str(exc)
-        krep = stp.k_running_max_check(solution, scenario)
-        checks.append(_check("k_running_max", flags.tol, krep.max_gap))
-        stopping_data["k_running_max"] = {
-            "max_gap": krep.max_gap,
-            "max_gap_z_only": krep.max_gap_z_only,
-            "n_paths": krep.n_paths,
-        }
+        try:
+            krep = stp.k_running_max_check(solution, scenario)
+        except EnumerationError as exc:
+            stopping_data["k_running_max"] = {"skipped": str(exc)}
+        else:
+            checks.append(_check("k_running_max", flags.tol, krep.max_gap))
+            stopping_data["k_running_max"] = {
+                "max_gap": krep.max_gap,
+                "max_gap_z_only": krep.max_gap_z_only,
+                "n_paths": krep.n_paths,
+            }
         data["stopping"] = stopping_data
         timings["stopping"] = time.perf_counter() - t1
 
@@ -598,7 +606,7 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
             scenario1=scenario, scenario2=flags.problem2.scenario,
             grid=GridSpec.for_horizon(scenario.horizon),
         ), solution, flags.problem2)
-        verdict = cmp.run_comparison(case, lattice=lattice, tol=flags.tol)
+        verdict = cmp.run_comparison(case, tol=flags.tol)
         checks.append(_check("comparison_min_gap", flags.tol, max(0.0, -verdict.min_gap)))
         data["comparison"] = {
             "min_gap": verdict.min_gap,
@@ -614,7 +622,7 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
             },
         }
         if flags.iterate_n > 0:
-            trace = cmp.iterate_sequence(case, flags.iterate_n, lattice=lattice)
+            trace = cmp.iterate_sequence(case, flags.iterate_n)
             checks.append(_check("iterate_limit_gap", 1e-8, trace.final_gap))
             data["comparison"]["iterates"] = {
                 "count": trace.count,
@@ -657,8 +665,9 @@ def run_suite(
     """Randomized comparison sweep, chunked deterministically (chunk size is
     fixed so the result does not depend on the worker count).  The size guard
     and the default probability lambda*dt < 1 are checked first, before any
-    lattice or worker."""
-    too_big = oversize_message(horizon, n_steps, IntensitySpec.constant(lam, n_steps))
+    lattice or worker; the guard counts the quotient's nodes, as generated
+    terminals never read tau."""
+    too_big = oversize_message(horizon, n_steps, IntensitySpec.constant(lam, n_steps), quotient=True)
     if too_big:
         raise ScenarioError([("--steps", too_big)])
     p = lam * (horizon / n_steps)  # the lattice's default probability per step
@@ -740,7 +749,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario2", required=True, help="second scenario JSON file")
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--tol", type=_POSITIVE, default=1e-10)
+        p.add_argument("--tol", type=_POSITIVE, default=None,
+                       help="check tolerance (default 1e-10), and picard's own (default 1e-12)")
         p.add_argument("--seed", action=_Refused, help=argparse.SUPPRESS)
         p.add_argument("--timing", action="store_true")
 
@@ -809,12 +819,15 @@ def main(argv=None) -> int:
             command=args.command, fmt=args.format,
         )
         load_s = time.perf_counter() - t0
-        flags = RunFlags(tol=args.tol, timing=args.timing, problem2=problem2,
+        flags = RunFlags(timing=args.timing, problem2=problem2,
                          workflows=_workflows(args.command, file_outputs))
+        if args.tol is not None:
+            flags.tol = args.tol
         if args.command == "solve":
             flags.oracle = args.oracle
         elif args.command == "picard":
-            flags.picard_tol = args.tol if args.tol != 1e-10 else 1e-12
+            if args.tol is not None:
+                flags.picard_tol = args.tol
             flags.picard_rho = args.rho
             flags.picard_beta = args.beta
             flags.picard_max_iter = args.max_iter

@@ -21,8 +21,8 @@ import numpy as np
 from .driver import (BinOp, Call, DriverExpr, DriverForm, Expr, GridSpec, Neg, Num, TransformedDriver,
                      Var, _as_lambda_of_t, _free_vars, _grid_env, _grid_values, _row)
 from .errors import DriverEvalError, HypothesisError, MonotonicityError, SolverError
-from .lattice import DefaultLattice, IntensitySpec
-from .solver import Scenario, Scheme, Solution, _max, _min, _Problem, _prepare, _solve
+from .lattice import IntensitySpec
+from .solver import Scenario, Scheme, Solution, _lattice_for, _max, _min, _Problem, _prepare, _solve
 
 COMPARISON_DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "u"})
 
@@ -148,34 +148,33 @@ class ComparisonCase:
     scenario1: Scenario
     scenario2: Scenario
     grid: GridSpec
-    # (lattice, report) of the first passing check: the one that accepted a
-    # generated case, else the first run_comparison or iterate_sequence
-    _accepted: tuple[DefaultLattice, HypothesisReport] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    # scenario 1 or 2 -> its prepared problem and its solution on the last grid
-    # asked for, filled by _problem and _solved so that the generator, the checks
-    # and the solves on one case prepare and solve each scenario once per grid
+    # the report of the first passing check: the one that accepted a generated
+    # case, else the first run_comparison or iterate_sequence
+    _accepted: HypothesisReport | None = field(default=None, init=False, compare=False, repr=False)
+    # scenario 1 or 2 -> its prepared problem (both on one lattice) and its
+    # solution, filled by _problem and _solved so that the generator, the checks
+    # and the solves on one case prepare and solve each scenario once
     _problems: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _solutions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        s1, s2 = self.scenario1, self.scenario2
-        if (
-            s1.horizon != s2.horizon
-            or s1.n_steps != s2.n_steps
-            or s1.intensity != s2.intensity
-        ):
-            raise HypothesisError("comparison scenarios must share the lattice")
-        if s1.delta_steps != s2.delta_steps:
-            raise HypothesisError("comparison scenarios must share the anticipation lag")
-        for s in (s1, s2):
-            extra = s.driver.base.free_vars - COMPARISON_DRIVER_VARS
-            if extra:
-                raise HypothesisError(
-                    f"comparison drivers may not use {sorted(extra)} "
-                    "(anticipation is restricted to the y-slot)"
-                )
+        _check_pair(self.scenario1, self.scenario2)
+
+
+def _check_pair(s1: Scenario, s2: Scenario) -> None:
+    """Raise HypothesisError unless the two scenarios can be compared: one
+    lattice, one anticipation lag, drivers anticipating in the y-slot only."""
+    if (s1.horizon, s1.n_steps, s1.intensity) != (s2.horizon, s2.n_steps, s2.intensity):
+        raise HypothesisError("comparison scenarios must share the lattice")
+    if s1.delta_steps != s2.delta_steps:
+        raise HypothesisError("comparison scenarios must share the anticipation lag")
+    for s in (s1, s2):
+        extra = s.driver.base.free_vars - COMPARISON_DRIVER_VARS
+        if extra:
+            raise HypothesisError(
+                f"comparison drivers may not use {sorted(extra)} "
+                "(anticipation is restricted to the y-slot)"
+            )
 
 
 @dataclass(frozen=True)
@@ -213,28 +212,21 @@ class HypothesisReport:
         return out
 
 
-def _problem(case: ComparisonCase, which: int, lat: DefaultLattice) -> _Problem:
-    """Scenario ``which`` (1 or 2) of the case prepared on this grid, on the
-    first call, and kept on the case; raises SolverError as ``_prepare`` does."""
-    prob = case._problems.get(which)
-    if prob is None or not lat.same_grid(prob.lattice):
-        prob = case._problems[which] = _prepare(case.scenario1 if which == 1 else case.scenario2, lat)
-    return prob
+def _problem(case: ComparisonCase, which: int) -> _Problem:
+    """Scenario ``which`` (1 or 2) of the case prepared; the first call prepares
+    both on the pair's ``_lattice_for`` lattice and keeps them on the case.
+    Raises SolverError as ``_prepare`` does."""
+    if not case._problems:
+        lat = _lattice_for(case.scenario1, case.scenario2)
+        case._problems.update({1: _prepare(case.scenario1, lat), 2: _prepare(case.scenario2, lat)})
+    return case._problems[which]
 
 
-def _lattice(case: ComparisonCase, lattice: DefaultLattice | None) -> DefaultLattice:
-    """``lattice``, else the case's own: the quotient unless a terminal reads tau."""
-    if lattice is not None:
-        return lattice
-    tau = any(s.terminal.uses("tau") for s in (case.scenario1, case.scenario2))
-    return case.scenario1.build_lattice(quotient=not tau)
-
-
-def check_hypotheses(case: ComparisonCase, lattice: DefaultLattice | None = None) -> HypothesisReport:
+def check_hypotheses(case: ComparisonCase) -> HypothesisReport:
     """Grid-check the five hypotheses; raises SolverError when a scenario's
     terminal or obstacle fails ``_prepare``'s checks on the lattice."""
-    lat = _lattice(case, lattice)
-    p1, p2 = _problem(case, 1, lat), _problem(case, 2, lat)
+    p1, p2 = _problem(case, 1), _problem(case, 2)
+    lat = p1.lattice
     obstacle_gap = min(
         float(np.min(p1.obstacle.step(k) - p2.obstacle.step(k))) for k in range(lat.n_steps + 1)
     )
@@ -251,34 +243,32 @@ def check_hypotheses(case: ComparisonCase, lattice: DefaultLattice | None = None
     )
 
 
-def _passing_hypotheses(case: ComparisonCase, lat: DefaultLattice) -> HypothesisReport:
-    """The case's passing report on this grid, else a fresh check that the
-    case then keeps; raises HypothesisError when a hypothesis fails."""
-    if case._accepted is not None and lat.same_grid(case._accepted[0]):
-        return case._accepted[1]
-    report = check_hypotheses(case, lat)
-    if not report.all_pass:
-        raise HypothesisError(
-            f"comparison hypotheses failed: {', '.join(report.failed_names())}",
-            report,
-        )
-    object.__setattr__(case, "_accepted", (lat, report))
-    return report
+def _passing_hypotheses(case: ComparisonCase) -> HypothesisReport:
+    """The case's passing report, else a fresh check that the case then keeps;
+    raises HypothesisError when a hypothesis fails."""
+    if case._accepted is None:
+        report = check_hypotheses(case)
+        if not report.all_pass:
+            raise HypothesisError(
+                f"comparison hypotheses failed: {', '.join(report.failed_names())}",
+                report,
+            )
+        object.__setattr__(case, "_accepted", report)
+    return case._accepted
 
 
-def _solved(case: ComparisonCase, which: int, lat: DefaultLattice) -> Solution:
-    """Scenario ``which`` (1 or 2) of the case solved on this grid, once."""
-    sol = case._solutions.get(which)
-    if sol is None or not lat.same_grid(sol.lattice):
-        sol = case._solutions[which] = _solve(_problem(case, which, lat))
-    return sol
+def _solved(case: ComparisonCase, which: int) -> Solution:
+    """Scenario ``which`` (1 or 2) of the case solved, once."""
+    if which not in case._solutions:
+        case._solutions[which] = _solve(_problem(case, which))
+    return case._solutions[which]
 
 
 def _given_solution(case: ComparisonCase, solution: Solution, problem2: _Problem) -> ComparisonCase:
     """Hand the case the solved dominating scenario and the dominated one's
     prepared problem, so that the checks and solves on the case redo neither."""
-    case._problems[1], case._solutions[1] = solution.problem, solution
-    case._problems[2] = problem2
+    case._problems.update({1: solution.problem, 2: problem2})
+    case._solutions[1] = solution
     return case
 
 
@@ -290,25 +280,18 @@ class ComparisonVerdict:
     passed: bool
 
 
-def run_comparison(
-    case: ComparisonCase,
-    *,
-    lattice: DefaultLattice | None = None,
-    tol: float = 1e-10,
-) -> ComparisonVerdict:
+def run_comparison(case: ComparisonCase, *, tol: float = 1e-10) -> ComparisonVerdict:
     """Check the hypotheses, solve both scenarios, and compare node-wise.
 
     The case keeps the first passing report (a case from
-    ``random_comparison_case`` already holds the one that accepted it), which
-    is reused on a lattice with the same grid; the case also keeps both
-    solutions for ``iterate_sequence`` on that grid.  Raises HypothesisError
-    when a hypothesis fails (the ordering is not asserted then).
+    ``random_comparison_case`` already holds the one that accepted it), and
+    both solutions for ``iterate_sequence``.  Raises HypothesisError when a
+    hypothesis fails (the ordering is not asserted then).
     """
-    lat = _lattice(case, lattice)
-    report = _passing_hypotheses(case, lat)
-    sol1, sol2 = _solved(case, 1, lat), _solved(case, 2, lat)
+    report = _passing_hypotheses(case)
+    sol1, sol2 = _solved(case, 1), _solved(case, 2)
     min_gap = functools.reduce(
-        _min, (np.min(sol1.y.step(k) - sol2.y.step(k)) for k in range(lat.n_steps + 1)), math.inf
+        _min, (np.min(sol1.y.step(k) - sol2.y.step(k)) for k in range(sol1.lattice.n_steps + 1)), math.inf
     )
     return ComparisonVerdict(
         hypotheses=report,
@@ -348,7 +331,6 @@ def iterate_sequence(
     case: ComparisonCase,
     n_max: int,
     *,
-    lattice: DefaultLattice | None = None,
     tol: float = 1e-10,
     stop_tol: float = 1e-13,
 ) -> IterateTrace:
@@ -358,12 +340,12 @@ def iterate_sequence(
     must decrease node-wise (up to ``tol``); a violation raises
     MonotonicityError naming the node.  Stops after ``n_max`` iterates or when
     successive iterates agree within ``stop_tol``.  Both scenarios are solved
-    once per case and grid (``run_comparison`` on the same case shares them),
-    and every iterate reuses the dominated scenario's prepared problem.
+    once per case (``run_comparison`` on the same case shares them), and every
+    iterate reuses the dominated scenario's prepared problem.
     """
-    lat = _lattice(case, lattice)
-    _passing_hypotheses(case, lat)
-    sol1, sol2 = _solved(case, 1, lat), _solved(case, 2, lat)
+    _passing_hypotheses(case)
+    sol1, sol2 = _solved(case, 1), _solved(case, 2)
+    lat = sol2.lattice
     sup_diffs: list[float] = []
     prev = sol1
     for _ in range(n_max):
@@ -450,7 +432,6 @@ def random_comparison_case(
     horizon: float = 1.0,
     lam: float = 0.3,
     delta_steps: int | None = None,
-    lattice: DefaultLattice | None = None,
     max_tries: int = 400,
 ) -> ComparisonCase:
     """Generate a case satisfying all five hypotheses.
@@ -464,8 +445,6 @@ def random_comparison_case(
     """
     delta = int(rng.integers(0, 3)) if delta_steps is None else delta_steps
     intensity = IntensitySpec.constant(lam, n_steps)
-    # the generated terminals never read tau, so the case's own lattice is the quotient
-    lat = lattice if lattice is not None else DefaultLattice(horizon, n_steps, intensity, quotient=True)
     grid = GridSpec.for_horizon(horizon, points=5, n_base=12, seed=int(rng.integers(0, 2**31)))
 
     def scenario(driver: DriverExpr, obstacle: DriverExpr, terminal: DriverExpr) -> Scenario:
@@ -515,16 +494,18 @@ def random_comparison_case(
         obs1 = _sum(obs2, ("+", _term(c_obs)))
 
         case = ComparisonCase(scenario1=scenario(g1, obs1, xi1), scenario2=scenario(g2, obs2, xi2), grid=grid)
-        # terminal feasibility on the actual lattice, for both scenarios
+        # terminal feasibility on the case's lattice, for both scenarios
         try:
-            if any(float(np.min(p.xi - p.obstacle.step(lat.n_steps))) < 1e-9
-                   for p in (_problem(case, which, lat) for which in (1, 2))):
+            if any(float(np.min(p.xi - p.obstacle.step(n_steps))) < 1e-9
+                   for p in (_problem(case, which) for which in (1, 2))):
                 continue
-        except SolverError:  # xi < S_N, which _prepare rejects
+        except SolverError as exc:  # xi < S_N, which _prepare rejects
+            if exc.pointer == "/steps":
+                raise
             continue
-        report = check_hypotheses(case, lat)
+        report = check_hypotheses(case)
         if report.all_pass:
-            object.__setattr__(case, "_accepted", (lat, report))
+            object.__setattr__(case, "_accepted", report)
             return case
     raise HypothesisError(f"no admissible case found in {max_tries} tries")
 
@@ -549,16 +530,12 @@ def run_random_suite(
     """Randomized comparison sweep; the zero-lag subcases exercise the
     non-anticipated ordering result."""
     rng = np.random.default_rng(seed)
-    intensity = IntensitySpec.constant(lam, n_steps)
-    lat = DefaultLattice(horizon, n_steps, intensity)
     min_gap = math.inf
     failures = 0
     deltas = [0, 0, 0]
     for _ in range(n_cases):
-        case = random_comparison_case(
-            rng, n_steps=n_steps, horizon=horizon, lam=lam, lattice=lat
-        )
-        verdict = run_comparison(case, lattice=lat, tol=tol)
+        case = random_comparison_case(rng, n_steps=n_steps, horizon=horizon, lam=lam)
+        verdict = run_comparison(case, tol=tol)
         min_gap = _min(min_gap, verdict.min_gap)
         deltas[case.scenario1.delta_steps] += 1
         if not verdict.passed:

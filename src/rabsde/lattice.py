@@ -477,11 +477,9 @@ class ProcessField:
         return float(self.step(node.step)[self.lattice.index(node)])
 
 
-def build_lattice(
-    horizon: float, n_steps: int, intensity: IntensitySpec, *, quotient: bool = False
-) -> DefaultLattice:
-    """Construct the filtered lattice; rejects p_k >= 1 and negative intensities."""
-    return DefaultLattice(horizon, n_steps, intensity, quotient=quotient)
+def build_lattice(horizon: float, n_steps: int, intensity: IntensitySpec) -> DefaultLattice:
+    """Construct the full filtered lattice; rejects p_k >= 1 and negative intensities."""
+    return DefaultLattice(horizon, n_steps, intensity)
 
 
 def oversize_message(

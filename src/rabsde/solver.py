@@ -36,13 +36,7 @@ from .driver import (
     estimate_lipschitz,
 )
 from .errors import DriverEvalError, LatticeError, PicardConvergenceError, SolverError
-from .lattice import (
-    DefaultLattice,
-    IntensitySpec,
-    ProcessField,
-    build_lattice,
-    oversize_message,
-)
+from .lattice import DefaultLattice, IntensitySpec, ProcessField, oversize_message
 
 DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "ez", "u"})
 OBSTACLE_VARS = frozenset({"t", "w", "h"})
@@ -78,9 +72,6 @@ class Scenario:
     @property
     def delta(self) -> float:
         return self.delta_steps * self.horizon / self.n_steps
-
-    def build_lattice(self, *, quotient: bool = False) -> DefaultLattice:
-        return build_lattice(self.horizon, self.n_steps, self.intensity, quotient=quotient)
 
 
 @dataclass(frozen=True)
@@ -244,29 +235,28 @@ def _node_data(scenario: Scenario, lattice: DefaultLattice) -> tuple[ProcessFiel
     return obstacle, xi
 
 
-def _prepare(
-    scenario: Scenario,
-    lattice: DefaultLattice | None = None,
-    *,
-    quotient: bool = True,
-    full_size: bool = False,
-) -> _Problem:
-    """The scenario checked and set up on ``lattice``, else on a lattice of its
-    own that the size guard (pointer ``/steps``) has cleared before it is built:
-    the quotient lattice when ``quotient`` holds and the terminal does not read
-    ``tau``, else the full one.  The guard counts the nodes of that lattice, or
-    with ``full_size`` those of the full lattice (for output that writes one
-    row per labelled node)."""
-    tau = scenario.terminal.uses("tau")
-    quotient = lattice.quotient if lattice is not None else quotient and not tau
-    too_big = oversize_message(scenario.horizon, scenario.n_steps, scenario.intensity,
+def _lattice_for(*scenarios: Scenario, full_size: bool = False) -> DefaultLattice:
+    """The one lattice a run of these scenarios solves on, built on the first
+    one's grid once the size guard (pointer ``/steps``) has cleared it: the
+    quotient unless a terminal reads ``tau``.  The guard counts the nodes of
+    that lattice, or with ``full_size`` those of the full lattice (for output
+    that writes one row per labelled node)."""
+    sc = scenarios[0]
+    quotient = not any(s.terminal.uses("tau") for s in scenarios)
+    too_big = oversize_message(sc.horizon, sc.n_steps, sc.intensity,
                                quotient=quotient and not full_size)
     if too_big:
         raise SolverError(too_big, pointer="/steps")
-    lat = lattice if lattice is not None else scenario.build_lattice(quotient=quotient)
-    if lat.horizon != scenario.horizon or lat.n_steps != scenario.n_steps:
+    return DefaultLattice(sc.horizon, sc.n_steps, sc.intensity, quotient=quotient)
+
+
+def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Problem:
+    """The scenario checked and set up on ``lattice``, else on its own
+    ``_lattice_for`` lattice."""
+    lat = lattice if lattice is not None else _lattice_for(scenario)
+    if (lat.horizon, lat.n_steps, lat.intensity) != (scenario.horizon, scenario.n_steps, scenario.intensity):
         raise LatticeError("lattice does not match scenario grid")
-    if lat.quotient and tau:
+    if lat.quotient and scenario.terminal.uses("tau"):
         raise LatticeError("a terminal that reads tau needs the full lattice, not a quotient")
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
     _check_vars(scenario.obstacle, OBSTACLE_VARS, "obstacle")

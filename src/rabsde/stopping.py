@@ -130,13 +130,17 @@ def brute_force_value(
     N = lat.n_steps
     if batch_size < 1:
         raise EnumerationError(f"batch_size must be at least 1, got {batch_size}")
-    masks = _descendant_masks(lat, from_node)
-    counts = [int(np.count_nonzero(masks[k - k0])) for k in range(k0, N)]
+    # decision nodes per step: k-k0+1 up-counts in each reachable block, the
+    # alive one and, from an alive node, one per default step in (k0, k]
+    n0 = len(lat.default_steps(k0))
+    counts = [(k - k0 + 1) * (1 + (len(lat.default_steps(k)) - n0 if from_node.is_alive else 0))
+              for k in range(k0, N)]
     m = sum(counts)
     if m > max_nodes:
         raise EnumerationError(
             f"{m} decision nodes exceed the enumeration cap of {max_nodes}"
         )
+    masks = _descendant_masks(lat, from_node)
     obstacle = solution.obstacle_field()
     # bit layout: step-major, node-index-minor, starting at from_node's step
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)

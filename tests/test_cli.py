@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_scenario
-from rabsde import IntensitySpec, cli, comparison, solver
+from rabsde import IntensitySpec, build_lattice, cli, comparison, solver
 from rabsde.cli import (
     RunFlags,
     RunReport,
@@ -281,9 +281,9 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
     prepared, solved, iterated = [], [], []
     prepare, solve = solver._prepare, solver._solve
 
-    def counted_prepare(scenario, lattice=None, **kinds):
+    def counted_prepare(scenario, lattice=None):
         prepared.append(scenario.name)
-        return prepare(scenario, lattice, **kinds)
+        return prepare(scenario, lattice)
 
     def counted_solve(prob, frozen_ey=None, frozen=None):
         (solved if frozen_ey is None else iterated).append(prob.scenario.name)
@@ -342,15 +342,23 @@ def test_compare_checks_the_hypotheses_once(tmp_path, monkeypatch):
     calls = []
     check = comparison.check_hypotheses
 
-    def counted_check(case, lattice=None):
-        calls.append(lattice)
-        return check(case, lattice)
+    def counted_check(case):
+        calls.append(case)
+        return check(case)
 
     monkeypatch.setattr(comparison, "check_hypotheses", counted_check)
     out = tmp_path / "cmp.json"
     assert main(["compare", "--scenario", p1, "--scenario2", p2, "--iterates", "3", "--out", str(out)]) == 3
     assert json.loads(out.read_text(encoding="utf-8"))["comparison"]["iterates"]["count"] == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("change", [{"steps": 4}, {"horizon": 2.0}, {"lambda": 0.3}])
+def test_compare_on_two_grids_exits_2_naming_the_pair(tmp_path, capsys, change):
+    p1 = _write(tmp_path, {**_WORKFLOW_DOC, **change, "terminal": f"{_WORKFLOW_DOC['terminal']} + 0.5"}, "s1.json")
+    p2 = _write(tmp_path, _WORKFLOW_DOC, "s2.json")
+    assert main(["compare", "--scenario", p1, "--scenario2", p2]) == 2
+    assert capsys.readouterr().err == "error: comparison scenarios must share the lattice\n"
 
 
 def test_main_compare_constant_drivers(tmp_path):
@@ -376,12 +384,12 @@ def test_oversized_lattice_rejected_before_allocating(tmp_path, capsys):
 
 
 def test_suite_refuses_an_oversized_lattice_before_building_one(capsys, monkeypatch):
-    # 3000 steps at the default intensity: about 9e9 nodes, 500 GB of node fields
+    # 100000 steps at the default intensity: about 1e10 quotient nodes, 560 GB of node fields
     def no_lattice(*args, **kwargs):
         raise AssertionError("the suite built a lattice")
 
     monkeypatch.setattr(DefaultLattice, "__init__", no_lattice)
-    assert main(["suite", "--steps", "3000", "--cases", "1"]) == 2
+    assert main(["suite", "--steps", "100000", "--cases", "1"]) == 2
     err = capsys.readouterr().err
     assert "--steps: N too large, estimated" in err and "Traceback" not in err
 
@@ -466,12 +474,40 @@ class _Recorder:
         pass
 
 
+def test_an_explicit_picard_tol_applies_even_at_the_checks_default(tmp_path):
+    path = _write(tmp_path, _WORKFLOW_DOC)
+
+    def tolerances(*tol):
+        out = tmp_path / "picard.json"
+        assert main(["picard", "--scenario", path, *tol, "--out", str(out)]) == 0
+        return {c["name"]: c["tolerance"] for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+
+    # without --tol the checks keep 1e-10 and Picard iterates to 1e-12
+    assert tolerances() == {**tolerances("--tol", "1e-10"), "picard_vs_backward": 10.0 * 1e-12}
+    assert tolerances("--tol", "1e-10")["picard_vs_backward"] == 10.0 * 1e-10
+    assert tolerances("--tol", "1.1e-10")["picard_vs_backward"] == 10.0 * 1.1e-10
+
+
+def test_stopping_beyond_both_oracle_caps_reports_both_skips(tmp_path):
+    # N = 18: 19 * 2^18 labelled paths, over the 2^20 cap, and 2109 decision nodes
+    path = _write(tmp_path, {**_WORKFLOW_DOC, "steps": 18})
+    out = tmp_path / "stopping.json"
+    assert main(["stopping", "--scenario", path, "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["stopping"]["brute_force"] is None
+    assert data["stopping"]["skipped"] == "2109 decision nodes exceed the enumeration cap of 22"
+    assert data["stopping"]["k_running_max"] == {"skipped": "4980736 paths exceed the cap of 1048576"}
+    assert {c["name"] for c in data["checks"]} == {"equation_residual", "k_decrease", "skorokhod_product",
+                                                   "obstacle_violation"}
+
+
 def test_csv_is_written_one_step_at_a_time(tmp_path, monkeypatch):
     path = _write(tmp_path, {**MINIMAL, "steps": 5, "lambda": 0.3, "terminal": "w + h"})
     sink = _Recorder()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["solve", "--scenario", path, "--format", "csv"]) == 0
-    lat = load_scenario(path).build_lattice()
+    sc = load_scenario(path)
+    lat = build_lattice(sc.horizon, sc.n_steps, sc.intensity)  # one row per labelled node
     header, *steps = sink.writes
     assert header == "step,up_count,default_step,Y,Z,U,dK,psi,S\n"
     assert len(steps) == lat.n_steps + 1

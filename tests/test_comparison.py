@@ -28,7 +28,6 @@ from rabsde.comparison import (
 )
 from rabsde.driver import DriverExpr, GridSpec, eval_driver, parse_driver
 from rabsde.errors import DriverEvalError, HypothesisError, SolverError
-from rabsde.lattice import DefaultLattice, IntensitySpec
 from rabsde.solver import solve_backward
 
 GRID = GridSpec(points=5, n_base=16, seed=0)
@@ -320,9 +319,9 @@ def test_suite_checks_hypotheses_once_per_candidate(monkeypatch):
     accepted = []
     check, generate = comparison.check_hypotheses, comparison.random_comparison_case
 
-    def counting_check(case, lattice=None):
+    def counting_check(case):
         checked.append(case)
-        return check(case, lattice)
+        return check(case)
 
     def recording_generate(*args, **kwargs):
         accepted.append(generate(*args, **kwargs))
@@ -406,16 +405,19 @@ def test_accepted_report_reused_only_on_the_same_grid(monkeypatch):
     calls = []
     check = comparison.check_hypotheses
     monkeypatch.setattr(comparison, "check_hypotheses",
-                        lambda c, lat=None: calls.append(c) or check(c, lat))
-    run_comparison(case)  # builds an equal lattice: the accepted report holds
+                        lambda c: calls.append(c) or check(c))
+    run_comparison(case)  # the report that accepted the case holds
     iterate_sequence(case, 2)
     assert calls == []
     verdict = run_comparison(dataclasses.replace(case))  # a copy carries no report
     assert len(calls) == 1 and verdict.hypotheses.all_pass
-    s = case.scenario1
-    other = DefaultLattice(s.horizon, s.n_steps, IntensitySpec.constant(0.3, s.n_steps, 9.0))
-    run_comparison(case, lattice=other)  # not the grid the case was accepted on
-    assert len(calls) == 2
+
+
+def test_generator_refuses_an_oversized_lattice():
+    # the size guard's SolverError is not an infeasible candidate to skip
+    with pytest.raises(SolverError, match="N too large, estimated") as exc:
+        random_comparison_case(np.random.default_rng(0), n_steps=100_000)
+    assert exc.value.pointer == "/steps"
 
 
 def test_random_suite_seed_0_is_pinned():

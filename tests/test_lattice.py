@@ -404,9 +404,20 @@ def test_node_data_is_evaluated_only_by_the_gate():
 
 def test_size_and_node_data_are_checked_only_by_the_gate_and_the_suite_guard():
     # one preparation per scenario: the load, the solvers and the comparison
-    # harness all go through _prepare; the suite checks its size before any lattice
+    # harness all go through _prepare, on a lattice the rule has sized; the
+    # suite checks its size before any lattice
     _assert_call_sites({"_node_data", "oversize_message"}, ast.Name,
-                       {("solver.py", "_prepare"), ("cli.py", "run_suite")})
+                       {("solver.py", "_prepare"), ("solver.py", "_lattice_for"), ("cli.py", "run_suite")})
+
+
+def test_only_the_lattice_rule_picks_a_lattice():
+    # _lattice_for decides every run's lattice; labelled() builds the full
+    # lattice a quotient's labels name, and build_lattice is the public
+    # constructor of a full lattice
+    names = {"DefaultLattice", "build_lattice"}
+    _assert_call_sites(names, ast.Name, {("solver.py", "_lattice_for"), ("lattice.py", "build_lattice"),
+                                         ("lattice.py", "DefaultLattice.labelled")})
+    _assert_call_sites(names, ast.Attribute, set())
 
 
 def test_one_backward_sweep_evaluates_the_driver():

@@ -14,7 +14,7 @@ from conftest import make_scenario, random_scenario, step_intensities
 from rabsde import IntensitySpec, build_lattice
 from rabsde import stopping as stp
 from rabsde.errors import LatticeError, PicardConvergenceError
-from rabsde.lattice import ALIVE, NodeId
+from rabsde.lattice import ALIVE, DefaultLattice, NodeId
 from rabsde.solver import PicardOptions, _picard, _prepare, _solve, solve_backward
 
 _FIELDS = ("y", "z", "u", "psi", "dk", "driver_values")
@@ -38,7 +38,7 @@ def _blocks_match(quotient, full) -> None:
 
 def _both(sc):
     """The scenario prepared on its own lattice (the quotient) and on the full one."""
-    return _prepare(sc), _prepare(sc, sc.build_lattice())
+    return _prepare(sc), _prepare(sc, build_lattice(sc.horizon, sc.n_steps, sc.intensity))
 
 
 @st.composite
@@ -81,16 +81,17 @@ def test_a_terminal_that_reads_tau_gets_the_full_lattice():
     assert not _prepare(tau).lattice.quotient
     assert not solve_backward(tau).lattice.quotient
     assert _prepare(make_scenario(n_steps=4, terminal="w + h")).lattice.quotient
-    assert not _prepare(make_scenario(n_steps=4, terminal="w"), quotient=False).lattice.quotient
+    plain = make_scenario(n_steps=4, terminal="w")
+    assert not _prepare(plain, build_lattice(1.0, 4, plain.intensity)).lattice.quotient
     with pytest.raises(LatticeError, match="reads tau"):
-        _prepare(tau, tau.build_lattice(quotient=True))
+        _prepare(tau, DefaultLattice(1.0, 4, tau.intensity, quotient=True))
 
 
 @pytest.mark.parametrize("method", ["node_at", "nodes", "default_step_codes", "tau_values",
                                     "compensator_values"])
 def test_storage_to_label_methods_raise_on_a_quotient(method):
     spec = IntensitySpec(values=(0.3, 0.0, 0.5, 0.2), lambda_max=0.5)
-    lat = build_lattice(1.0, 4, spec, quotient=True)
+    lat = DefaultLattice(1.0, 4, spec, quotient=True)
     args = (3, 0) if method == "node_at" else (3,)
     with pytest.raises(LatticeError, match=method):
         getattr(lat, method)(*args)
@@ -101,7 +102,7 @@ def test_storage_to_label_methods_raise_on_a_quotient(method):
 
 def test_labels_map_onto_the_shared_block():
     spec = IntensitySpec(values=(0.3, 0.0, 0.5, 0.2), lambda_max=0.5)
-    lat, full = build_lattice(1.0, 4, spec, quotient=True), build_lattice(1.0, 4, spec)
+    lat, full = DefaultLattice(1.0, 4, spec, quotient=True), build_lattice(1.0, 4, spec)
     assert not lat.same_grid(full) and lat.labelled().same_grid(full)
     assert lat.default_steps(4) == full.default_steps(4) == (1, 3, 4)
     assert [lat.n_nodes(k) for k in range(5)] == [1, 4, 6, 8, 10]

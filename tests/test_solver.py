@@ -460,9 +460,9 @@ def test_solve_rejects_oversized_lattice():
 
 @pytest.mark.parametrize("solve", [solve_backward, solve_picard])
 def test_size_guard_runs_before_the_lattice_is_built(solve):
-    # at lambda = 0.3 the lattice object itself is quadratic in N: about 430 MB
-    # at N = 10000, for 3.3e11 nodes (19 TB of fields) that could never be solved
-    sc = make_scenario(n_steps=10_000, lam=0.3, obstacle="w", terminal="w + 1")
+    # at N = 100000 and lambda = 0.3 even the quotient holds 1e10 nodes (560 GB
+    # of fields): refused without allocating anything of that size
+    sc = make_scenario(n_steps=100_000, lam=0.3, obstacle="w", terminal="w + 1")
     tracemalloc.start()
     try:
         with pytest.raises(SolverError, match="N too large, estimated") as exc:

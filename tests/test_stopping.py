@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario, step_intensities
 from rabsde import ALIVE, EnumerationError, IntensitySpec, NodeId
+from rabsde import stopping
 from rabsde.crr import american_put_scenario
 from rabsde.solver import solve_backward, obstacle_field
 from rabsde.stopping import (
@@ -195,6 +196,28 @@ def test_brute_force_matches_every_rule_evaluated_one_by_one(inputs):
     for batch_size in (1 << 4, 1 << 8, 1 << 30):
         other, other_rule = brute_force_value(sol, sc, node, batch_size=batch_size)
         assert other.hex() == value.hex() and other_rule.same_rule(rule)
+
+
+@pytest.mark.parametrize("node", [NodeId(0, 0, ALIVE), NodeId(2, 1, ALIVE), NodeId(3, 2, 1), NodeId(4, 0, 3)])
+def test_brute_force_cap_counts_the_reachable_decision_nodes(node):
+    # zero intensities on steps 1 and 4 leave default steps 2 and 5 unreachable
+    sc = make_scenario(n_steps=6, lam=[0.3, 0.0, 0.5, 0.2, 0.0, 0.4], terminal="w")
+    sol = solve_backward(sc)
+    m = len(_decision_nodes(sol.labelled().lattice, node))
+    with pytest.raises(EnumerationError, match=f"^{m} decision nodes exceed the enumeration cap of {m - 1}$"):
+        brute_force_value(sol, sc, node, max_nodes=m - 1)
+
+
+def test_brute_force_cap_is_checked_before_the_lattice_is_walked(monkeypatch):
+    sc = make_scenario(n_steps=64, lam=0.3, terminal="w")
+    sol = solve_backward(sc)
+
+    def no_walk(*args):
+        raise AssertionError("walked the lattice node by node")
+
+    monkeypatch.setattr(stopping, "_descendant_masks", no_walk)
+    with pytest.raises(EnumerationError, match="^89440 decision nodes exceed the enumeration cap of 22$"):
+        brute_force_value(sol, sc, sol.lattice.root())
 
 
 def test_brute_force_rejects_an_empty_batch():
