@@ -11,10 +11,11 @@ be measured in one call, with their runs interleaved, to compare two commits:
 
 The output is JSON: every run (exit status, wall seconds from spawn to exit,
 ``ru_maxrss`` in MB, the run's own ``--timing`` phases, and for a CSV the
-sha256 of the table, for a JSON report its y0, ``k_max_path_total`` and pass
-flag, for a refused run its last stderr line) and, per format and N, the median
-wall time and largest peak RSS of each tree.  The exit status is 1 when two
-trees, or two runs of one tree, wrote different CSV bytes at some N.
+sha256 of the table, for a JSON report its y0, ``k_max_path_total``, pass
+flag and check values, for a refused run its last stderr line) and, per format
+and N, the median wall time and largest peak RSS of each tree.  The exit
+status is 1 when two trees, or two runs of one tree, wrote different CSV bytes
+or JSON check values at some N.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ sys.path.insert(0, ROOT)
 from perfbench.workloads import put_family  # noqa: E402
 
 _MAIN = "import sys; from rabsde.cli import main; sys.exit(main(sys.argv[1:]))"
+# the solution checks a JSON report carries, each under checks/violation
+_CHECKS = ("equation_residual", "k_decrease", "skorokhod_product", "obstacle_violation")
+
+
+def _check_values(report: dict) -> dict:
+    """The validation values of a JSON report, as written (NaN as "nan")."""
+    values = {c["name"]: c["violation"] for c in report["checks"] if c["name"] in _CHECKS}
+    values["max_representation_residual"] = report["solve"]["max_representation_residual"]
+    values["driver_square_sum"] = report["validate"]["driver_square_sum"]
+    return values
 
 
 def _sha256(path: str) -> str:
@@ -69,7 +80,7 @@ def run_once(tree: str, scenario: str, out: str, fmt: str = "csv") -> dict:
             report = json.load(fh)
         record["timing"] = report.pop("timing", None)
         record.update(y0=report["solve"]["y0"], k_max_path_total=report["solve"]["k_max_path_total"],
-                      passed=report["pass"])
+                      passed=report["pass"], checks=_check_values(report))
     if lines and lines[-1].startswith('{"timing"'):
         record["timing"] = json.loads(lines[-1])["timing"]
     elif lines:
@@ -104,9 +115,11 @@ def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str,
                          "exits": sorted({r["exit"] for r in done})}
             if fmt == "csv":
                 row[name]["sha256"] = sorted({r.get("sha256") or "missing" for r in done})
-                hashes.update(row[name]["sha256"])
-        if fmt == "csv":
-            row["sha256_equal"] = len(hashes) == 1 and "missing" not in hashes
+            else:
+                row[name]["checks"] = sorted({json.dumps(r.get("checks"), sort_keys=True) for r in done})
+            hashes.update(row[name]["sha256" if fmt == "csv" else "checks"])
+        key = "sha256_equal" if fmt == "csv" else "checks_equal"
+        row[key] = len(hashes) == 1 and not hashes & {"missing", "null"}
         summary[str(n)] = row
     return {"runs": runs, "summary": summary}
 
@@ -140,8 +153,8 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    csv = result.get("csv", {"summary": {}})["summary"].values()
-    return 0 if all(row["sha256_equal"] for row in csv) else 1
+    rows = [row for fmt in args.format for row in result[fmt]["summary"].values()]
+    return 0 if all(row.get("sha256_equal", row.get("checks_equal")) for row in rows) else 1
 
 
 if __name__ == "__main__":

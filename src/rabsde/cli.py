@@ -34,7 +34,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,33 +242,36 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 
 def _gate(scenarios: list[Scenario], *, full_size: bool = False) -> list[_Problem]:
     """The whole-scenario checks of a run: every scenario prepared on the run's
-    one lattice (``_lattice_for``), then each explicit scheme's C' bound;
-    collects every issue."""
+    one lattice (``_lattice_for``), then its C' bound (kept on the problem, for
+    Picard's default beta); collects every issue, those of a second scenario
+    under ``--scenario2``."""
     issues: list[tuple[str, str]] = []
+    lattice = problem = None
     try:
         lattice = _lattice_for(*scenarios, full_size=full_size)
-        problems = [_prepare(scenario, lattice) for scenario in scenarios]
-    except LatticeError as exc:
-        issues.append(("/lambda", str(exc)))
-    except SolverError as exc:
-        issues.append((exc.pointer, str(exc)))
-    for scenario in scenarios:
+    except (LatticeError, SolverError) as exc:  # a lattice error is the intensity's
+        issues.append(("/lambda" if isinstance(exc, LatticeError) else exc.pointer, str(exc)))
+    problems = []
+    for source, scenario in zip(("", "--scenario2"), scenarios):
+        found: list[tuple[str, str]] = []
+        try:
+            problem = None if lattice is None else _prepare(scenario, lattice)
+        except (LatticeError, SolverError) as exc:
+            found.append(("/lambda" if isinstance(exc, LatticeError) else exc.pointer or "", str(exc)))
         try:
             cp = estimate_c_prime(scenario)
         except RabsdeError as exc:
-            issues.append(("/driver", str(exc)))
-            continue
-        cp_dt = cp * scenario.horizon / scenario.n_steps
-        if not math.isfinite(cp):
-            issues.append(
-                ("/driver", "driver depends on u where the intensity vanishes")
-            )
-        elif scenario.scheme is Scheme.EXPLICIT and cp_dt > 0.5:
-            issues.append(
-                ("/scheme",
-                 f"explicit scheme needs C'*dt <= 0.5 (estimated {cp_dt:.3g}); "
-                 "use the implicit scheme or more steps")
-            )
+            found.append(("/driver", str(exc)))
+        else:
+            cp_dt = cp * scenario.horizon / scenario.n_steps
+            if not math.isfinite(cp):
+                found.append(("/driver", "driver depends on u where the intensity vanishes"))
+            elif scenario.scheme is Scheme.EXPLICIT and cp_dt > 0.5:
+                found.append(("/scheme", f"explicit scheme needs C'*dt <= 0.5 (estimated {cp_dt:.3g}); "
+                                         "use the implicit scheme or more steps"))
+        issues += [(source + pointer, message) for pointer, message in found]
+        if not issues:
+            problems.append(replace(problem, c_prime=cp))
     if issues:
         raise ScenarioError(issues)
     return problems
@@ -300,7 +303,10 @@ def load_scenario_with_outputs(
     doc = _read_doc(path)
     scenarios = [_scenario_from_doc(doc)]
     if path2 is not None:
-        scenarios.append(_scenario_from_doc(_read_doc(path2)))
+        try:
+            scenarios.append(_scenario_from_doc(_read_doc(path2)))
+        except ScenarioError as exc:
+            raise ScenarioError([("--scenario2" + ptr, msg) for ptr, msg in exc.issues]) from None
         cmp._check_pair(*scenarios)
     outputs = set(doc.get("outputs", []))
     full_size = fmt == "csv" or "stopping" in _workflows(command, outputs)

@@ -189,27 +189,16 @@ class HypothesisReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.monotone.passed
-            and self.terminal_gap >= -1e-12
-            and self.obstacle_gap >= -1e-12
-            and self.theta.passed
-            and self.dominance.passed
-        )
+        return not self.failed_names()
 
     def failed_names(self) -> list[str]:
-        out = []
-        if not self.monotone.passed:
-            out.append("monotone_in_anticipation")
-        if self.terminal_gap < -1e-12:
-            out.append("terminal_ordering")
-        if self.obstacle_gap < -1e-12:
-            out.append("obstacle_ordering")
-        if not self.theta.passed:
-            out.append("theta_condition")
-        if not self.dominance.passed:
-            out.append("driver_dominance")
-        return out
+        """The hypotheses that fail, a NaN gap included."""
+        checks = (("monotone_in_anticipation", self.monotone.passed),
+                  ("terminal_ordering", self.terminal_gap >= -1e-12),
+                  ("obstacle_ordering", self.obstacle_gap >= -1e-12),
+                  ("theta_condition", self.theta.passed),
+                  ("driver_dominance", self.dominance.passed))
+        return [name for name, passed in checks if not passed]
 
 
 def _problem(case: ComparisonCase, which: int) -> _Problem:

@@ -101,6 +101,15 @@ def _free_vars(node: Expr) -> frozenset[str]:
 
 
 def _compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
+    """The closure of ``node``, built once and kept on the node, so that trees
+    that share a subtree (a dominating expression built on the dominated one)
+    compile it once."""
+    if "_fn" not in node.__dict__:
+        object.__setattr__(node, "_fn", _closure(node))
+    return node.__dict__["_fn"]
+
+
+def _closure(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
     """Closure-tree compiler; works elementwise on numpy arrays."""
     if isinstance(node, Num):
         v = node.value

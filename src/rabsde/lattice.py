@@ -34,6 +34,9 @@ from .errors import LatticeError
 # Sentinel default_step value of a node that has not defaulted.
 ALIVE = None
 
+# Nodes of w a lattice keeps (its later steps are built per call); N = 96 has 9,506
+_W_CACHE_NODES = 1 << 16
+
 
 @dataclass(frozen=True)
 class IntensitySpec:
@@ -130,6 +133,7 @@ class DefaultLattice:
         self._def_blocks = [min(n, 1) if self.quotient else n for n in self._n_labels]
         self._full: DefaultLattice | None = None
         self._probs: list[np.ndarray | None] = [None] * (self.n_steps + 1)
+        self._w, self._w_room, self._h = [None] * (self.n_steps + 1), _W_CACHE_NODES, None
         # lambda * dt prefix sums: _hazard[k] = sum_{i<k} lambda_i dt
         self._hazard = np.concatenate([[0.0], np.cumsum(self.p)])
 
@@ -212,14 +216,25 @@ class DefaultLattice:
     # -- per-step node data ----------------------------------------------------
 
     def w_values(self, k: int) -> np.ndarray:
-        j = np.arange(k + 1, dtype=float)
-        w = (2.0 * j - k) * self.sqrt_dt
-        return np.tile(w, 1 + self._def_blocks[k])
+        """W per stored node at step k, read-only; built on first use and kept
+        while the lattice holds at most _W_CACHE_NODES of them."""
+        w = self._w[k]
+        if w is None:
+            w = np.tile((2.0 * np.arange(k + 1, dtype=float) - k) * self.sqrt_dt, 1 + self._def_blocks[k])
+            w.flags.writeable = False
+            if w.size <= self._w_room:
+                self._w_room -= w.size
+                self._w[k] = w
+        return w
 
     def h_values(self, k: int) -> np.ndarray:
-        h = np.zeros(self.n_nodes(k))
-        h[k + 1 :] = 1.0
-        return h
+        """H per stored node at step k (0 alive, 1 defaulted), read-only: a window
+        of one buffer, N+1 zeros and then ones, built on first use."""
+        N = self.n_steps
+        if self._h is None:
+            self._h = np.repeat([0.0, 1.0], [N + 1, self.n_nodes(N) - N - 1])
+            self._h.flags.writeable = False
+        return self._h[N - k : N - k + self.n_nodes(k)]
 
     def default_step_codes(self, k: int) -> np.ndarray:
         """Default step per node as an integer, 0 for alive nodes."""

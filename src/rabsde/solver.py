@@ -129,11 +129,8 @@ class Solution:
                        psi=lift(self.psi), dk=lift(self.dk), driver_values=lift(self.driver_values))
 
     def per_step_expected_dk(self) -> tuple[float, ...]:
-        out = []
-        for k in range(self.lattice.n_steps + 1):
-            probs = self.lattice.node_probabilities(k)
-            out.append(float(np.dot(probs, self.dk.step(k))))
-        return tuple(out)
+        lat = self.lattice
+        return tuple(float(np.dot(lat.node_probabilities(k), self.dk.step(k))) for k in range(lat.n_steps + 1))
 
     def expected_total_k(self) -> float:
         return float(sum(self.per_step_expected_dk()))
@@ -177,6 +174,7 @@ class _Problem:
     xi: np.ndarray
     need_ey: bool
     need_ez: bool
+    c_prime: float | None = None  # the load gate's estimate_c_prime, when it ran
 
 
 def _check_vars(expr: DriverExpr, allowed: frozenset[str], what: str) -> None:
@@ -274,19 +272,16 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Prob
     )
 
 
-def _driver_values(
-    prob: _Problem,
-    k: int,
-    env: dict,
-    u: np.ndarray,
-    h: np.ndarray,
-) -> np.ndarray:
+def _driver_values(prob: _Problem, k: int, env: dict, jump: np.ndarray | None) -> np.ndarray:
+    """The driver at step k in dM form: the compiled driver less ``jump``, the
+    dH->dM correction lambda_k * (1 - h) * u (None for an M-form driver)."""
     vals = np.asarray(prob.driver_fn(env), dtype=float)
-    if prob.scenario.driver.form is DriverForm.H:
-        lam = prob.lattice.intensity.values[k]
-        vals = vals - lam * (1.0 - h) * u
-    vals = np.broadcast_to(vals, u.shape)
-    if not np.all(np.isfinite(vals)):
+    if jump is not None:
+        vals = vals - jump
+    shape = env["h"].shape
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape)
+    if not np.isfinite(vals).all():
         raise SolverError(f"driver produced a non-finite value at step {k}")
     return vals
 
@@ -302,36 +297,34 @@ def _step_values(
     """Solve one backward step; returns (y, z, u, psi, dk, y_tilde, fv).  The
     driver reads (y-argument, z, u) from the step's own projection, or from
     ``frozen`` when given; ey and ez default to the y- and z-arguments."""
-    lat = prob.lattice
-    dt = lat.dt
+    lat, dt = prob.lattice, prob.lattice.dt
     mean, z, u, psi = lat.project_martingale(k, y_next)
     yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
     h = lat.h_values(k)
     env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
            "ez": zarg if ez is None else ez}
-    if frozen is not None or prob.scenario.scheme is Scheme.EXPLICIT:
-        env["y"] = yarg
-        env["ey"] = yarg if ey is None else ey
-        fv = _driver_values(prob, k, env, uarg, h)
+    jump = lat.intensity.values[k] * (1.0 - h) * uarg if prob.scenario.driver.form is DriverForm.H else None
+    # the implicit scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt from the mean
+    implicit = frozen is None and prob.scenario.scheme is Scheme.IMPLICIT
+    ycur = yarg
+    for _ in range(prob.scenario.implicit_max_iter if implicit else 1):
+        env["y"] = ycur
+        env["ey"] = ycur if ey is None else ey
+        fv = _driver_values(prob, k, env, jump)
+        if not implicit:
+            break
+        ynew = mean + fv * dt
+        if float(np.abs(ynew - ycur).max()) <= prob.scenario.implicit_tol:
+            break
+        ycur = ynew
     else:
-        ycur = mean
-        for _ in range(prob.scenario.implicit_max_iter):
-            env["y"] = ycur
-            env["ey"] = ycur if ey is None else ey
-            fv = _driver_values(prob, k, env, uarg, h)
-            ynew = mean + fv * dt
-            if float(np.max(np.abs(ynew - ycur))) <= prob.scenario.implicit_tol:
-                break
-            ycur = ynew
-        else:
-            raise SolverError(
-                f"implicit inner loop did not converge at step {k} within "
-                f"{prob.scenario.implicit_max_iter} iterations; "
-                "dt is too large relative to the driver's Lipschitz constant"
-            )
+        raise SolverError(
+            f"implicit inner loop did not converge at step {k} within "
+            f"{prob.scenario.implicit_max_iter} iterations; "
+            "dt is too large relative to the driver's Lipschitz constant"
+        )
     y_tilde = mean + fv * dt
-    s = prob.obstacle.step(k)
-    y = np.maximum(y_tilde, s)
+    y = np.maximum(y_tilde, prob.obstacle.step(k))
     dk = y - y_tilde
     return y, z, u, psi, dk, y_tilde, fv
 
@@ -388,12 +381,7 @@ def _solve(
     lat = prob.lattice
     N = lat.n_steps
     delta = prob.scenario.delta_steps
-    y: list[np.ndarray] = [None] * (N + 1)  # type: ignore[list-item]
-    z: list[np.ndarray] = [None] * (N + 1)  # type: ignore[list-item]
-    u: list[np.ndarray] = [None] * (N + 1)  # type: ignore[list-item]
-    psi: list[np.ndarray] = [None] * (N + 1)  # type: ignore[list-item]
-    dk: list[np.ndarray] = [None] * (N + 1)  # type: ignore[list-item]
-    fvals: list[np.ndarray] = [None] * (N + 1)  # type: ignore[list-item]
+    y, z, u, psi, dk, fvals = ([None] * (N + 1) for _ in range(6))
     nN = lat.n_nodes(N)
     y[N] = prob.xi.copy()
     for arr in (z, u, psi, dk, fvals):
@@ -444,51 +432,6 @@ def _min(acc: float, value) -> float:
     """Python's min(acc, value), except that a NaN on either side propagates."""
     value = float(value)
     return value if value < acc or math.isnan(value) else acc
-
-
-def _representation_residual(sol: Solution, k: int, mean: np.ndarray) -> float:
-    """Max error of Y_{k+1} = mean + z dW + u dM + psi dW dM over the reachable
-    edges out of step k, including |u| and |psi| where dM = 0; ``mean`` is
-    E[Y_{k+1} | step k].  Runs inside validate_solution's np.errstate."""
-    lat, y_next = sol.lattice, sol.y.step(k + 1)
-    z, u, psi = sol.z.step(k), sol.u.step(k), sol.psi.step(k)
-    V = lat._blocks(k + 1, y_next)
-    s = lat.sqrt_dt
-    p = lat.p[k]
-    width = k + 1
-    best = 0.0
-    za, ua, pa, ma = z[:width], u[:width], psi[:width], mean[:width]
-    alive = V[0]
-    if p > 0.0:
-        dm_alive, dm_def = -p, 1.0 - p
-        dnew = V[-1]
-        for sign in (1.0, -1.0):
-            actual = alive[1:] if sign > 0 else alive[:-1]
-            pred = ma + sign * za * s + ua * dm_alive + pa * sign * s * dm_alive
-            best = _max(best, np.max(np.abs(actual - pred)))
-            actual = dnew[1:] if sign > 0 else dnew[:-1]
-            pred = ma + sign * za * s + ua * dm_def + pa * sign * s * dm_def
-            best = _max(best, np.max(np.abs(actual - pred)))
-    else:
-        for sign in (1.0, -1.0):
-            actual = alive[1:] if sign > 0 else alive[:-1]
-            pred = ma + sign * za * s
-            best = _max(best, np.max(np.abs(actual - pred)))
-    n_def = lat._blocks(k, z).shape[0] - 1
-    if n_def:
-        B = V[1 : n_def + 1]
-        zb = z[width:].reshape(n_def, width)
-        mb = mean[width:].reshape(n_def, width)
-        for sign in (1.0, -1.0):
-            actual = B[:, 1:] if sign > 0 else B[:, :-1]
-            pred = mb + sign * zb * s
-            best = _max(best, np.max(np.abs(actual - pred)))
-    # u and psi multiply dM, which vanishes after default and on zero-intensity
-    # steps; there they must be exactly 0 (and a NaN must not hide behind dM = 0)
-    start = width if p > 0.0 else 0
-    best = _max(best, np.max(np.abs(u[start:]), initial=0.0))
-    best = _max(best, np.max(np.abs(psi[start:]), initial=0.0))
-    return best
 
 
 def solve_backward(scenario: Scenario) -> Solution:
@@ -577,7 +520,7 @@ def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[
     if opts.beta is not None:
         beta = opts.beta
     else:
-        c_prime = estimate_c_prime(scenario)
+        c_prime = prob.c_prime if prob.c_prime is not None else estimate_c_prime(scenario)
         if not math.isfinite(c_prime):
             raise SolverError(
                 "cannot resolve the default weight: the driver depends on u "
@@ -641,43 +584,81 @@ class ValidationReport:
         return all(math.isfinite(v) for v in values) and self.max_violation <= tol
 
 
+# validate_solution takes the steps whose first node falls in one window of
+# this many nodes (of the whole lattice's) as one chunk
+_CHUNK_NODES = 1 << 10
+
+
+def _edges(p: np.ndarray, sizes: list[int], k0: int, k1: int):
+    """For steps k0..k1-1's nodes: the down child's index in steps k0..k1, all
+    concatenated (``off[k+1] + b*(k+2) + j`` for node (k, block b, j); the up child
+    is one further on), the mask and indices of the jump nodes (alive, p_k > 0),
+    their p_k, and their new-default down child (in step k+1's last block)."""
+    ks, n = np.arange(k0, k1), np.array(sizes[k0:k1])
+    step = np.repeat(ks, n)
+    g = np.arange(step.size)
+    block = (g - np.repeat(np.cumsum(n) - n, n)) // (step + 1)
+    down = g + np.repeat(n, n) + block
+    jump = (block == 0) & (p[step] > 0.0)
+    J = np.flatnonzero(jump)
+    new = down[J] + (np.array(sizes[k0 + 1 : k1 + 1]) - (ks + 2))[step[J] - k0]
+    return down, jump, J, p[step[J]], new
+
+
+def _representation_errors(Y, down, jump, J, pJ, new, mean, z, u, psi, s):
+    """The errors of Y_{k+1} = mean + z dW + u dM + psi dW dM on a chunk's edges,
+    one array at a time (``mean`` and ``z`` are overwritten): dM = -p_k on a jump
+    node's alive pair and 1 - p_k on its new-default pair; where dM = 0, u and
+    psi must be exactly 0 (and a NaN must not hide behind it)."""
+    yield u[~jump]
+    yield psi[~jump]
+    zs = np.multiply(z, s, out=z)
+    up, dn = mean + zs, np.subtract(mean, zs, out=mean)
+    uJ, psJ, dm = u[J], psi[J] * s, 1.0 - pJ
+    yield Y[new + 1] - ((up[J] + uJ * dm) + psJ * dm)
+    yield Y[new] - ((dn[J] + uJ * dm) - psJ * dm)
+    up[J], dn[J] = (up[J] - uJ * pJ) - psJ * pJ, (dn[J] - uJ * pJ) + psJ * pJ
+    yield Y[down + 1] - up
+    yield Y[down] - dn
+
+
 def validate_solution(solution: Solution, scenario: Scenario) -> ValidationReport:
     """Check the four defining conditions on a solved scenario; never raises.
     ``scenario`` is the scenario the solution solves: the checks read the
-    obstacle field the solution was prepared with."""
-    lat = solution.lattice
-    N = lat.n_steps
-    obstacle = solution.obstacle_field()
-    sq = 0.0
-    residual = 0.0
-    representation = 0.0
-    k_dec = 0.0
-    skorokhod = 0.0
-    obs_viol = 0.0
-    # a NaN or inf in the solution must reach the report, where passes() rejects
-    # it, without a floating-point warning on the way (here and in the residual)
+    obstacle field the solution was prepared with.  One pass over chunks of
+    consecutive steps, concatenated, independent of the slicing kernel."""
+    lat, obstacle = solution.lattice, solution.obstacle_field()
+    N, dt, s = lat.n_steps, lat.dt, lat.sqrt_dt
+    sizes = [lat.n_nodes(k) for k in range(N + 1)]
+    window = (np.cumsum(sizes) - sizes) // _CHUNK_NODES
+    cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), N + 1]
+    sq = residual = representation = k_dec = skorokhod = obs_viol = 0.0
+    # a NaN or inf must reach the report, which passes() rejects, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
-            yk = solution.y.step(k)
-            sk = obstacle.step(k)
-            dkk = solution.dk.step(k)
-            probs = lat.node_probabilities(k)
-            obs_viol = _max(obs_viol, np.max(sk - yk))
-            k_dec = _max(k_dec, np.max(-dkk))
-            skorokhod = _max(skorokhod, np.max(np.abs(dkk * (yk - sk))))
-            if k < N:
-                fv = solution.driver_values.step(k)
-                sq += lat.dt * float(np.dot(probs, fv * fv))
-                mean = lat.step_expectation(k, solution.y.step(k + 1))
-                eq = yk - (mean + fv * lat.dt + dkk)
-                residual = _max(residual, np.max(np.abs(eq)))
-                representation = _max(representation, _representation_residual(solution, k, mean))
-                residual = _max(residual, representation)
-    return ValidationReport(
-        driver_square_sum=sq,
-        equation_residual=residual,
-        k_decrease=_max(k_dec, 0.0),
-        skorokhod_product=skorokhod,
-        obstacle_violation=_max(obs_viol, 0.0),
-        representation_residual=representation,
-    )
+        for k0, k1 in zip(cuts, cuts[1:]):
+            ke = min(k1, N)  # steps k0 .. ke-1 have children, in steps up to ke
+            Y = np.concatenate(solution.y.values[k0 : ke + 1])
+            y, dk = Y[: sum(sizes[k0:k1])], np.concatenate(solution.dk.values[k0:k1])
+            gap = y - np.concatenate(obstacle.values[k0:k1])
+            obs_viol = _max(obs_viol, np.max(-gap))
+            k_dec = _max(k_dec, np.max(-dk))
+            skorokhod = _max(skorokhod, np.max(np.abs(dk * gap)))
+            if ke == k0:
+                continue
+            fv, at = np.concatenate(solution.driver_values.values[k0:ke]), 0
+            for k in range(k0, ke):
+                f = fv[at : at + sizes[k]]
+                sq += dt * float(np.dot(lat.node_probabilities(k), f * f))
+                at += sizes[k]
+            down, jump, J, pJ, new = _edges(lat.p, sizes, k0, ke)
+            mean = 0.5 * (Y[down + 1] + Y[down])
+            mean[J] = (0.5 * (1.0 - pJ)) * (Y[down[J] + 1] + Y[down[J]]) + (0.5 * pJ) * (Y[new + 1] + Y[new])
+            residual = _max(residual, np.max(np.abs(y[:at] - (mean + fv * dt + dk[:at]))))
+            del gap, dk, fv  # each chunk array goes once read, to keep the pass small
+            z, u, psi = (np.concatenate(f.values[k0:ke]) for f in (solution.z, solution.u, solution.psi))
+            errors = _representation_errors(Y, down, jump, J, pJ, new, mean, z, u, psi, s)
+            representation = functools.reduce(_max, (np.max(np.abs(e), initial=0.0) for e in errors),
+                                              representation)
+    return ValidationReport(driver_square_sum=sq, equation_residual=_max(residual, representation),
+                            k_decrease=k_dec, skorokhod_product=skorokhod, obstacle_violation=obs_viol,
+                            representation_residual=representation)

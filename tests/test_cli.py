@@ -361,6 +361,46 @@ def test_compare_on_two_grids_exits_2_naming_the_pair(tmp_path, capsys, change):
     assert capsys.readouterr().err == "error: comparison scenarios must share the lattice\n"
 
 
+@pytest.mark.parametrize("second, first_issue", [
+    ({"terminal": "-5"}, "--scenario2/terminal: terminal payoff falls below the obstacle"),
+    ({"steps": 0}, "--scenario2/steps: must be a positive integer"),
+    ({"driver": {"text": "y +", "form": "M"}}, "--scenario2/driver/text: unexpected end of input"),
+])
+def test_compare_names_the_second_file_in_its_load_errors(tmp_path, capsys, second, first_issue):
+    p1 = _write(tmp_path, {**_WORKFLOW_DOC, "terminal": f"{_WORKFLOW_DOC['terminal']} + 0.5"}, "s1.json")
+    p2 = _write(tmp_path, {**_WORKFLOW_DOC, **second}, "s2.json")
+    assert main(["compare", "--scenario", p1, "--scenario2", p2]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid scenario: {first_issue}")
+    # the first file's issues keep their bare pointers
+    assert main(["compare", "--scenario", p2, "--scenario2", p1]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid scenario: {first_issue[len('--scenario2'):]}")
+
+
+def test_compare_names_a_second_file_that_is_not_json(tmp_path, capsys):
+    p1 = _write(tmp_path, _WORKFLOW_DOC, "s1.json")
+    p2 = tmp_path / "s2.json"
+    p2.write_text("{", encoding="utf-8")
+    assert main(["compare", "--scenario", p1, "--scenario2", str(p2)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid scenario: --scenario2: not valid JSON")
+
+
+def test_picard_without_beta_estimates_c_prime_once(tmp_path, monkeypatch):
+    path = _write(tmp_path, _WORKFLOW_DOC)
+    beta = 1.0 + 10.0 * 1.0 * solver.estimate_c_prime(scenario_from_dict(_WORKFLOW_DOC)) ** 2
+    calls = []
+    estimate = solver.estimate_lipschitz
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "estimate_lipschitz", counted)
+    out = tmp_path / "picard.json"
+    assert main(["picard", "--scenario", path, "--out", str(out)]) == 0
+    assert len(calls) == 1  # the load gate's; Picard's default beta reuses it
+    assert json.loads(out.read_text(encoding="utf-8"))["picard"]["beta"] == beta
+
+
 def test_main_compare_constant_drivers(tmp_path):
     base = {"horizon": 1.0, "steps": 4, "lambda": 0.3, "obstacle": "-1e9", "terminal": "w"}
     p1 = _write(tmp_path, {**base, "driver": {"text": "0.1", "form": "M"}}, "s1.json")

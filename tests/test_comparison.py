@@ -447,3 +447,32 @@ def test_check_hypotheses_raises_on_a_scenario_the_gate_rejects():
     with pytest.raises(SolverError, match="falls below the obstacle") as exc:
         comparison.check_hypotheses(ComparisonCase(case.scenario1, low, case.grid))
     assert exc.value.pointer == "/terminal"
+
+
+def _below(node):
+    """The ids of every node strictly below ``node`` in its expression tree."""
+    children = [*getattr(node, "args", ()), *(getattr(node, a) for a in ("left", "right", "operand")
+                                              if hasattr(node, a))]
+    return [i for child in children for i in (id(child), *_below(child))]
+
+
+def test_a_subtree_shared_by_two_expressions_is_compiled_once(monkeypatch):
+    y, z, max_w = ("y", driver.Var("y")), ("z", driver.Var("z")), ("max(w, 0)", driver.Call(
+        "max", (driver.Var("w"), driver.Num(0.0))))
+    g2 = comparison._sum(comparison._term(0.3, y), comparison._signed(-0.2, z))
+    g1 = comparison._sum(g2, ("+", comparison._term(0.1)), ("+", comparison._term(0.2, max_w)))
+    built = []
+    closure = driver._closure
+    monkeypatch.setattr(driver, "_closure", lambda node: built.append(id(node)) or closure(node))
+    # the dominating expression first, as a comparison case prepares scenario 1 first
+    f1, f2 = g1.compiled(), g2.compiled()
+    assert sorted(built) == sorted({id(g1.root), *_below(g1.root)})  # every node once
+    env = {"y": np.array([0.5, -1.0]), "z": np.array([2.0, 0.25]), "w": np.array([-0.3, 0.7])}
+    assert f1(env).tobytes() == parse_driver(g1.source).compiled()(env).tobytes()
+    assert f2(env).tobytes() == parse_driver(g2.source).compiled()(env).tobytes()
+    # the suite builds each dominating expression on the dominated one's tree
+    case = random_comparison_case(np.random.default_rng(7))
+    for name in ("driver", "obstacle", "terminal"):
+        e1, e2 = (getattr(sc, name) for sc in (case.scenario1, case.scenario2))
+        e1, e2 = (e.base if name == "driver" else e for e in (e1, e2))
+        assert id(e2.root) in _below(e1.root)

@@ -263,6 +263,28 @@ def test_tower_property(data):
         assert nested == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("quotient", [False, True])
+def test_node_data_arrays_are_read_only_and_built_once(monkeypatch, quotient):
+    intensity = IntensitySpec(values=(0.3, 0.0, 0.5, 0.2), lambda_max=0.5)
+    lat = lattice_module.DefaultLattice(1.0, 4, intensity, quotient=quotient)
+    for k in range(5):
+        w, h = lat.w_values(k), lat.h_values(k)
+        j = np.arange(k + 1, dtype=float)
+        assert w.tobytes() == np.tile((2.0 * j - k) * lat.sqrt_dt, lat.n_nodes(k) // (k + 1)).tobytes()
+        assert h.tobytes() == np.repeat([0.0, 1.0], [k + 1, lat.n_nodes(k) - k - 1]).tobytes()
+        assert lat.w_values(k) is w
+        for values in (w, h):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+    # past the cache's budget a step's w is built per call, read-only too
+    monkeypatch.setattr(lattice_module, "_W_CACHE_NODES", 0)
+    lat = lattice_module.DefaultLattice(1.0, 4, intensity, quotient=quotient)
+    w = lat.w_values(3)
+    assert w is not lat.w_values(3)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+
+
 def test_process_field_accessors():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     field = ProcessField.from_arrays(lat, [lat.w_values(k) for k in range(3)])
@@ -425,6 +447,15 @@ def test_one_backward_sweep_evaluates_the_driver():
     # anticipation window and one driver env per step
     _assert_call_sites({"_Anticipation", "_driver_values"}, ast.Name,
                        {("solver.py", "_solve"), ("solver.py", "_step_values")})
+
+
+def test_validation_reads_no_kernel():
+    # the whole-lattice check finds children by its own index arithmetic, so it
+    # stays independent of the slicing kernel it checks
+    kernel = {"step_expectation", "project_martingale", "pullback", "push", "_blocks"}
+    solver_py = pathlib.Path(__file__).resolve().parents[1] / "src" / "rabsde" / "solver.py"
+    sites = {scope for _, scope in _call_sites(solver_py, kernel, ast.Attribute)}
+    assert sites & {"validate_solution", "_edges", "_chunks"} == set()
 
 
 def test_oversize_message_counts_nodes_exactly(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -548,10 +549,11 @@ def test_one_kernel_call_per_step_for_anticipation(monkeypatch, driver):
     counts = _count_calls(monkeypatch, "step_expectation", "pullback")
     sol = solve_backward(sc)
     assert counts == {"step_expectation": 12, "pullback": 0}
+    # validation finds children by index arithmetic: no kernel call at all
     report = validate_solution(sol, sc)
-    assert counts == {"step_expectation": 24, "pullback": 0}
+    assert counts == {"step_expectation": 12, "pullback": 0}
     assert report.representation_residual <= 1e-12  # carried by the report: no further call
-    assert counts == {"step_expectation": 24, "pullback": 0}
+    assert counts == {"step_expectation": 12, "pullback": 0}
 
 
 def test_explicit_picard_reads_the_y_argument_from_the_window(monkeypatch):
@@ -562,6 +564,119 @@ def test_explicit_picard_reads_the_y_argument_from_the_window(monkeypatch):
     assert passes > 1
     # one stacked call per step for the window, none for E[Y_{k+1} | F_k]
     assert counts == {"step_expectation": 12 * passes, "pullback": 0}
+
+
+# -- the whole-lattice validation against a per-step reference --------------------
+
+
+def _reference_representation(sol, k, mean):
+    """Max error of Y_{k+1} = mean + z dW + u dM + psi dW dM over the edges out
+    of step k, by the slicing kernel's block layout, including |u| and |psi|
+    where dM = 0; ``mean`` is E[Y_{k+1} | step k]."""
+    lat, y_next = sol.lattice, sol.y.step(k + 1)
+    z, u, psi = sol.z.step(k), sol.u.step(k), sol.psi.step(k)
+    V = lat._blocks(k + 1, y_next)
+    s = lat.sqrt_dt
+    p = lat.p[k]
+    width = k + 1
+    best = 0.0
+    za, ua, pa, ma = z[:width], u[:width], psi[:width], mean[:width]
+    alive = V[0]
+    if p > 0.0:
+        dm_alive, dm_def = -p, 1.0 - p
+        dnew = V[-1]
+        for sign in (1.0, -1.0):
+            actual = alive[1:] if sign > 0 else alive[:-1]
+            pred = ma + sign * za * s + ua * dm_alive + pa * sign * s * dm_alive
+            best = solver._max(best, np.max(np.abs(actual - pred)))
+            actual = dnew[1:] if sign > 0 else dnew[:-1]
+            pred = ma + sign * za * s + ua * dm_def + pa * sign * s * dm_def
+            best = solver._max(best, np.max(np.abs(actual - pred)))
+    else:
+        for sign in (1.0, -1.0):
+            actual = alive[1:] if sign > 0 else alive[:-1]
+            pred = ma + sign * za * s
+            best = solver._max(best, np.max(np.abs(actual - pred)))
+    n_def = lat._blocks(k, z).shape[0] - 1
+    if n_def:
+        B = V[1 : n_def + 1]
+        zb = z[width:].reshape(n_def, width)
+        mb = mean[width:].reshape(n_def, width)
+        for sign in (1.0, -1.0):
+            actual = B[:, 1:] if sign > 0 else B[:, :-1]
+            pred = mb + sign * zb * s
+            best = solver._max(best, np.max(np.abs(actual - pred)))
+    start = width if p > 0.0 else 0
+    best = solver._max(best, np.max(np.abs(u[start:]), initial=0.0))
+    best = solver._max(best, np.max(np.abs(psi[start:]), initial=0.0))
+    return best
+
+
+def _reference_validation(solution):
+    """validate_solution as one loop over the steps, reading E[Y_{k+1} | F_k]
+    from the slicing kernel (``step_expectation``)."""
+    _max = solver._max
+    lat = solution.lattice
+    N = lat.n_steps
+    obstacle = solution.obstacle_field()
+    sq = residual = representation = k_dec = skorokhod = obs_viol = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N + 1):
+            yk, sk, dkk = solution.y.step(k), obstacle.step(k), solution.dk.step(k)
+            obs_viol = _max(obs_viol, np.max(sk - yk))
+            k_dec = _max(k_dec, np.max(-dkk))
+            skorokhod = _max(skorokhod, np.max(np.abs(dkk * (yk - sk))))
+            if k < N:
+                fv = solution.driver_values.step(k)
+                sq += lat.dt * float(np.dot(lat.node_probabilities(k), fv * fv))
+                mean = lat.step_expectation(k, solution.y.step(k + 1))
+                eq = yk - (mean + fv * lat.dt + dkk)
+                residual = _max(residual, np.max(np.abs(eq)))
+                representation = _max(representation, _reference_representation(solution, k, mean))
+                residual = _max(residual, representation)
+    return solver.ValidationReport(
+        driver_square_sum=sq, equation_residual=residual, k_decrease=_max(k_dec, 0.0),
+        skorokhod_product=skorokhod, obstacle_violation=_max(obs_viol, 0.0),
+        representation_residual=representation,
+    )
+
+
+def _same_report(a, b):
+    """Field by field: the same float, sign of zero included, or both NaN."""
+    return all((x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (math.isnan(x) and math.isnan(y))
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
+@st.composite
+def _validation_cases(draw):
+    n = draw(st.integers(2, 6))
+    sc = make_scenario(
+        n_steps=n, lam=draw(step_intensities(n)), delta_steps=draw(st.integers(0, 3)),
+        driver=draw(st.sampled_from(["0.2*y + 0.1*ey - 0.1*u", "0.1*z - 0.2*y", "0.3*ez + 0.1*w"])),
+        form=draw(st.sampled_from(["H", "M"])), scheme=draw(st.sampled_from(["explicit", "implicit"])),
+        obstacle="max(0.3 - w, 0) - 0.1*t", terminal="max(0.3 - w, 0) + 0.4*h",
+    )
+    lat = DefaultLattice(sc.horizon, n, sc.intensity, quotient=draw(st.booleans()))
+    sol = solver._solve(solver._prepare(sc, lat))
+    field = draw(st.sampled_from([None, "y", "z", "u", "psi", "dk", "driver_values"]))
+    if field is not None:
+        arrays = [a.copy() for a in getattr(sol, field).values]
+        k = draw(st.integers(0, n))
+        arrays[k][draw(st.integers(0, arrays[k].size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(lat, arrays)})
+    return sol, draw(st.integers(1, 40))
+
+
+@given(_validation_cases())
+@settings(max_examples=200, deadline=None)
+def test_whole_lattice_validation_equals_the_per_step_reference(case):
+    sol, budget = case
+    want = _reference_validation(sol)
+    # a budget of a few nodes puts chunk boundaries inside the lattice
+    for chunk_nodes in (budget, solver._CHUNK_NODES):
+        with unittest.mock.patch.object(solver, "_CHUNK_NODES", chunk_nodes):
+            got = validate_solution(sol, sol.scenario)
+        assert _same_report(got, want), (chunk_nodes, got, want)
 
 
 # -- the representation residual against a per-edge oracle ----------------------
