@@ -246,11 +246,11 @@ def _gate(scenarios: list[Scenario], *, full_size: bool = False) -> list[_Proble
     Picard's default beta); collects every issue, those of a second scenario
     under ``--scenario2``."""
     issues: list[tuple[str, str]] = []
-    lattice = problem = None
+    lattice = None
     try:
         lattice = _lattice_for(*scenarios, full_size=full_size)
     except (LatticeError, SolverError) as exc:  # a lattice error is the intensity's
-        issues.append(("/lambda" if isinstance(exc, LatticeError) else exc.pointer, str(exc)))
+        issues.append(("/lambda" if isinstance(exc, LatticeError) else exc.pointer or "", str(exc)))
     problems = []
     for source, scenario in zip(("", "--scenario2"), scenarios):
         found: list[tuple[str, str]] = []

@@ -457,8 +457,9 @@ def _below(node):
 
 
 def test_a_subtree_shared_by_two_expressions_is_compiled_once(monkeypatch):
-    y, z, max_w = ("y", driver.Var("y")), ("z", driver.Var("z")), ("max(w, 0)", driver.Call(
-        "max", (driver.Var("w"), driver.Num(0.0))))
+    # fresh leaves, so that no node is compiled already
+    y, z = ("y", driver.Var("y")), ("z", driver.Var("z"))
+    max_w = ("max(w, 0)", driver.Call("max", (driver.Var("w"), driver.Num(0.0))))
     g2 = comparison._sum(comparison._term(0.3, y), comparison._signed(-0.2, z))
     g1 = comparison._sum(g2, ("+", comparison._term(0.1)), ("+", comparison._term(0.2, max_w)))
     built = []

@@ -453,9 +453,13 @@ def test_validation_reads_no_kernel():
     # the whole-lattice check finds children by its own index arithmetic, so it
     # stays independent of the slicing kernel it checks
     kernel = {"step_expectation", "project_martingale", "pullback", "push", "_blocks"}
+    validation = {"validate_solution", "_edges", "_representation_errors"}
     solver_py = pathlib.Path(__file__).resolve().parents[1] / "src" / "rabsde" / "solver.py"
+    defined = {node.name for node in ast.walk(ast.parse(solver_py.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert validation <= defined, "stale name in the validation list"
     sites = {scope for _, scope in _call_sites(solver_py, kernel, ast.Attribute)}
-    assert sites & {"validate_solution", "_edges", "_chunks"} == set()
+    assert sites & validation == set()
 
 
 def test_oversize_message_counts_nodes_exactly(monkeypatch):
