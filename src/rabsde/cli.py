@@ -52,6 +52,7 @@ from .errors import (
 )
 from .lattice import IntensitySpec, oversize_message
 from .solver import (
+    CHECK_TOL,
     DRIVER_VARS,
     OBSTACLE_VARS,
     TERMINAL_VARS,
@@ -92,12 +93,7 @@ def _is_num(x) -> bool:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and fully validate a Scenario; collects every issue found."""
-    return _problem_from_dict(doc).scenario
-
-
-def _problem_from_dict(doc: dict) -> _Problem:
-    """``scenario_from_dict``, returning the problem its gate prepared."""
-    return _gate([_scenario_from_doc(doc)])[0]
+    return _gate([_scenario_from_doc(doc)])[0].scenario
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
@@ -118,6 +114,9 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     steps = doc.get("steps")
     if not _is_int(steps) or steps <= 0:
         issues.append(("/steps", "must be a positive integer"))
+        steps = 1
+    elif too_big := oversize_message(horizon, steps):  # before any per-step list
+        issues.append(("/steps", too_big))
         steps = 1
     delta = doc.get("delta_steps", 0)
     if not _is_int(delta) or delta < 0:
@@ -187,14 +186,14 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     if scheme_raw not in ("explicit", "implicit"):
         issues.append(("/scheme", "must be 'explicit' or 'implicit'"))
         scheme_raw = "explicit"
-    implicit_tol = doc.get("implicit_tol", 1e-13)
+    implicit_tol = doc.get("implicit_tol", Scenario.implicit_tol)
     if not _is_num(implicit_tol) or implicit_tol <= 0:
         issues.append(("/implicit_tol", "must be a positive number"))
-        implicit_tol = 1e-13
-    implicit_max_iter = doc.get("implicit_max_iter", 500)
+        implicit_tol = Scenario.implicit_tol
+    implicit_max_iter = doc.get("implicit_max_iter", Scenario.implicit_max_iter)
     if not _is_int(implicit_max_iter) or implicit_max_iter <= 0:
         issues.append(("/implicit_max_iter", "must be a positive integer"))
-        implicit_max_iter = 500
+        implicit_max_iter = Scenario.implicit_max_iter
 
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, list) or any(o not in _KNOWN_OUTPUTS for o in outputs):
@@ -315,10 +314,10 @@ def load_scenario_with_outputs(
 
 
 def _workflows(command: str, outputs: set[str]) -> set[str]:
-    """The workflows a subcommand runs; ``solve`` adds the file's outputs."""
-    extra = {"solve": outputs - {"compare"}, "picard": {"picard"},
-             "stopping": {"stopping"}, "compare": {"compare"}}[command]
-    return {"solve", "validate"} | extra
+    """The optional workflows a subcommand runs, after the solve and its
+    validation that every run makes; ``solve`` takes the file's outputs."""
+    return {"solve": outputs & {"picard", "stopping"}, "picard": {"picard"},
+            "stopping": {"stopping"}, "compare": {"compare"}}[command]
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -464,14 +463,11 @@ def emit_report(report: RunReport, fmt: str, path: str) -> None:
 
 @dataclass
 class RunFlags:
-    workflows: set[str] = field(default_factory=lambda: {"solve", "validate"})
-    tol: float = 1e-10
+    workflows: set[str] = field(default_factory=set)  # of "picard", "stopping", "compare"
+    tol: float = CHECK_TOL
     oracle: str = "none"
     timing: bool = False
-    picard_tol: float = 1e-12
-    picard_rho: float = 1.0
-    picard_beta: float | None = None
-    picard_max_iter: int = 60
+    picard: PicardOptions = field(default_factory=PicardOptions)
     problem2: _Problem | None = None  # the dominated scenario of compare, prepared
     iterate_n: int = 0
 
@@ -486,7 +482,8 @@ def _check(name: str, tolerance: float, violation: float) -> dict:
 
 
 def run(problem: _Problem, flags: RunFlags) -> RunReport:
-    """Execute the requested workflows on a prepared scenario and assemble the report."""
+    """Solve and validate a prepared scenario, run the requested workflows and
+    assemble the report."""
     t0 = time.perf_counter()
     scenario, lattice = problem.scenario, problem.lattice
     data: dict = {"scenario": scenario_to_dict(scenario)}
@@ -512,13 +509,12 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
     }
     timings["report"] = time.perf_counter() - t1
 
-    if "validate" in flags.workflows:
-        for name, violation in validation.checks():
-            checks.append(_check(name, flags.tol, violation))
-        data["validate"] = {
-            "driver_square_sum": validation.driver_square_sum,
-            "max_violation": validation.max_violation,
-        }
+    for name, violation in validation.checks():
+        checks.append(_check(name, flags.tol, violation))
+    data["validate"] = {
+        "driver_square_sum": validation.driver_square_sum,
+        "max_violation": validation.max_violation,
+    }
 
     if flags.oracle == "crr":
         params = scenario.oracle_params
@@ -543,16 +539,10 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
 
     if "picard" in flags.workflows:
         t1 = time.perf_counter()
-        opts = PicardOptions(
-            rho=flags.picard_rho,
-            beta=flags.picard_beta,
-            tol=flags.picard_tol,
-            max_iter=flags.picard_max_iter,
-        )
-        pic_solution, history = _picard(problem, opts)
+        pic_solution, history = _picard(problem, flags.picard)
         gap = functools.reduce(_max, (np.max(np.abs(pic_solution.y.step(k) - solution.y.step(k)))
                                       for k in range(lattice.n_steps + 1)), 0.0)
-        checks.append(_check("picard_vs_backward", 10.0 * flags.picard_tol, gap))
+        checks.append(_check("picard_vs_backward", 10.0 * flags.picard.tol, gap))
         data["picard"] = {
             "beta": pic_solution.diagnostics["picard_beta"],
             "iterations": pic_solution.diagnostics["picard_iterations"],
@@ -665,15 +655,17 @@ def run_suite(
     n_steps: int = 6,
     horizon: float = 1.0,
     lam: float = 0.3,
-    tol: float = 1e-10,
+    tol: float = CHECK_TOL,
     workers: int = 1,
 ) -> dict:
     """Randomized comparison sweep, chunked deterministically (chunk size is
     fixed so the result does not depend on the worker count).  The size guard
     and the default probability lambda*dt < 1 are checked first, before any
-    lattice or worker; the guard counts the quotient's nodes, as generated
-    terminals never read tau."""
-    too_big = oversize_message(horizon, n_steps, IntensitySpec.constant(lam, n_steps), quotient=True)
+    lattice or worker; the guard checks the floor of every lattice on
+    ``n_steps`` before it builds the intensity, then counts the quotient's
+    nodes, as generated terminals never read tau."""
+    too_big = (oversize_message(horizon, n_steps)
+               or oversize_message(horizon, n_steps, IntensitySpec.constant(lam, n_steps), quotient=True))
     if too_big:
         raise ScenarioError([("--steps", too_big)])
     p = lam * (horizon / n_steps)  # the lattice's default probability per step
@@ -756,7 +748,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--tol", type=_POSITIVE, default=None,
-                       help="check tolerance (default 1e-10), and picard's own (default 1e-12)")
+                       help=f"check tolerance (default {CHECK_TOL:g}), and picard's own (default {PicardOptions.tol:g})")
         p.add_argument("--seed", action=_Refused, help=argparse.SUPPRESS)
         p.add_argument("--timing", action="store_true")
 
@@ -766,9 +758,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_picard = sub.add_parser("picard", help="fixed-point iteration with history")
     common(p_picard)
-    p_picard.add_argument("--rho", type=_RHO, default=1.0)
-    p_picard.add_argument("--beta", type=_POSITIVE, default=None)
-    p_picard.add_argument("--max-iter", type=_AT_LEAST_ONE, default=60)
+    p_picard.add_argument("--rho", type=_RHO)
+    p_picard.add_argument("--beta", type=_POSITIVE)
+    p_picard.add_argument("--max-iter", type=_AT_LEAST_ONE)
 
     p_stop = sub.add_parser("stopping", help="Snell oracle, tau rules, running-max")
     common(p_stop)
@@ -784,7 +776,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--steps", type=_AT_LEAST_ONE, default=6)
     p_suite.add_argument("--horizon", type=_POSITIVE, default=1.0)
     p_suite.add_argument("--intensity", type=_INTENSITY, default=0.3)
-    p_suite.add_argument("--tol", type=_POSITIVE, default=1e-10)
+    p_suite.add_argument("--tol", type=_POSITIVE, default=CHECK_TOL)
     p_suite.add_argument("--out", default=None)
     return parser
 
@@ -825,18 +817,15 @@ def main(argv=None) -> int:
             command=args.command, fmt=args.format,
         )
         load_s = time.perf_counter() - t0
+        # Picard's options from the flags this subcommand has, the rest at their defaults
+        picard = {name: getattr(args, name, None) for name in ("tol", "rho", "beta", "max_iter")}
         flags = RunFlags(timing=args.timing, problem2=problem2,
-                         workflows=_workflows(args.command, file_outputs))
+                         workflows=_workflows(args.command, file_outputs),
+                         picard=PicardOptions(**{k: v for k, v in picard.items() if v is not None}))
         if args.tol is not None:
             flags.tol = args.tol
         if args.command == "solve":
             flags.oracle = args.oracle
-        elif args.command == "picard":
-            if args.tol is not None:
-                flags.picard_tol = args.tol
-            flags.picard_rho = args.rho
-            flags.picard_beta = args.beta
-            flags.picard_max_iter = args.max_iter
         elif args.command == "compare":
             flags.iterate_n = args.iterates
         report = run(problem, flags)

@@ -22,9 +22,12 @@ from .driver import (BinOp, Call, DriverExpr, DriverForm, Expr, GridSpec, Neg, N
                      Var, _as_lambda_of_t, _free_vars, _grid_env, _grid_values, _row)
 from .errors import DriverEvalError, HypothesisError, MonotonicityError, SolverError
 from .lattice import IntensitySpec
-from .solver import Scenario, Scheme, Solution, _lattice_for, _max, _min, _Problem, _prepare, _solve
+from .solver import CHECK_TOL, Scenario, Scheme, Solution, _lattice_for, _max, _min, _Problem, _prepare, _solve
 
 COMPARISON_DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "u"})
+
+# iterate_sequence stops once successive iterates agree within this sup distance
+_ITERATES_AGREE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,7 @@ class ComparisonVerdict:
     passed: bool
 
 
-def run_comparison(case: ComparisonCase, *, tol: float = 1e-10) -> ComparisonVerdict:
+def run_comparison(case: ComparisonCase, *, tol: float = CHECK_TOL) -> ComparisonVerdict:
     """Check the hypotheses, solve both scenarios, and compare node-wise.
 
     The case keeps the first passing report (a case from
@@ -316,19 +319,13 @@ class IterateTrace:
         return (None,) * (self.count - 1) + (self.last,) if self.count else ()
 
 
-def iterate_sequence(
-    case: ComparisonCase,
-    n_max: int,
-    *,
-    tol: float = 1e-10,
-    stop_tol: float = 1e-13,
-) -> IterateTrace:
+def iterate_sequence(case: ComparisonCase, n_max: int) -> IterateTrace:
     """Solve the dominated scenario repeatedly with frozen anticipation.
 
     Each iterate freezes the anticipated slot at the previous solution, which
-    must decrease node-wise (up to ``tol``); a violation raises
+    must decrease node-wise (up to ``CHECK_TOL``); a violation raises
     MonotonicityError naming the node.  Stops after ``n_max`` iterates or when
-    successive iterates agree within ``stop_tol``.  Both scenarios are solved
+    successive iterates agree within ``_ITERATES_AGREE``.  Both scenarios are solved
     once per case (``run_comparison`` on the same case shares them), and every
     iterate reuses the dominated scenario's prepared problem.
     """
@@ -343,7 +340,7 @@ def iterate_sequence(
         for k in range(lat.n_steps + 1):
             gap = prev.y.step(k) - cur.y.step(k)
             worst = float(np.min(gap))
-            if worst < -tol:  # the first such node by label, on the lift of a quotient
+            if worst < -CHECK_TOL:  # the first such node by label, on the lift of a quotient
                 i = int(np.argmin(lat.lift(k, gap)))
                 raise MonotonicityError(
                     f"iterate increased by {-worst:.3g} at node {lat.labelled().node_at(k, i)}"
@@ -351,7 +348,7 @@ def iterate_sequence(
             sup = _max(sup, np.max(np.abs(gap)))
         sup_diffs.append(sup)
         prev = cur
-        if sup <= stop_tol:
+        if sup <= _ITERATES_AGREE:
             break
     final_gap = functools.reduce(
         _max, (np.max(np.abs(prev.y.step(k) - sol2.y.step(k))) for k in range(lat.n_steps + 1)), 0.0
@@ -514,7 +511,7 @@ def run_random_suite(
     n_steps: int = 6,
     horizon: float = 1.0,
     lam: float = 0.3,
-    tol: float = 1e-10,
+    tol: float = CHECK_TOL,
 ) -> SuiteResult:
     """Randomized comparison sweep; the zero-lag subcases exercise the
     non-anticipated ordering result."""

@@ -115,27 +115,31 @@ class DefaultLattice:
         self.intensity = intensity
         self.dt = self.horizon / self.n_steps
         self.sqrt_dt = float(np.sqrt(self.dt))
-        self.p = np.asarray(intensity.values, dtype=float) * self.dt
-        bad = np.nonzero(self.p >= 1.0)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise LatticeError(
-                f"default probability p_{k} = {self.p[k]:.6g} >= 1; "
-                "intensity too large for this step size"
-            )
-        # the labels: the default steps d <= k that are actually reachable
-        # (p_{d-1} > 0) are the first _n_labels[k] entries of _defaults
-        self._defaults = tuple(int(d) for d in np.nonzero(self.p > 0.0)[0] + 1)
+        # one pass over the steps: the labels, the default steps d <= k that are
+        # actually reachable (p_{d-1} > 0), are the first _n_labels[k] entries of
+        # _defaults; _hazard[k] = sum_{i<k} lambda_i dt, the lambda * dt prefix sums
+        p, defaults, self._n_labels, hazard = [], [], [0], [0.0]
+        for k, lam in enumerate(intensity.values):
+            pk = lam * self.dt
+            if pk >= 1.0:
+                raise LatticeError(
+                    f"default probability p_{k} = {pk:.6g} >= 1; "
+                    "intensity too large for this step size"
+                )
+            p.append(pk)
+            if pk > 0.0:
+                defaults.append(k + 1)
+            self._n_labels.append(len(defaults))
+            hazard.append(hazard[-1] + pk)
+        self.p, self._hazard = np.array(p), np.array(hazard)
+        self._defaults = tuple(defaults)
         self._label_pos = {d: m for m, d in enumerate(self._defaults, start=1)}
-        self._n_labels = np.concatenate([[0], np.cumsum(self.p > 0.0)]).tolist()
         # the storage: _def_blocks[k] default blocks follow the alive block at step k
         self.quotient = bool(quotient)
         self._def_blocks = [min(n, 1) if self.quotient else n for n in self._n_labels]
         self._full: DefaultLattice | None = None
         self._probs: list[np.ndarray | None] = [None] * (self.n_steps + 1)
         self._w, self._w_room, self._h = [None] * (self.n_steps + 1), _W_CACHE_NODES, None
-        # lambda * dt prefix sums: _hazard[k] = sum_{i<k} lambda_i dt
-        self._hazard = np.concatenate([[0.0], np.cumsum(self.p)])
 
     # -- structure -----------------------------------------------------------
 
@@ -413,14 +417,12 @@ class DefaultLattice:
     def n_paths(self) -> int:
         # 2^N diffusion choices per default profile: never-default plus one
         # profile per reachable default step.
-        n = self.n_steps
-        profiles = 1 + sum(1 for d in range(1, n + 1) if self.p[d - 1] > 0.0)
-        return profiles * 2**n
+        return (1 + len(self._defaults)) * 2**self.n_steps
 
     def iter_paths(self) -> Iterator["LatticePath"]:
         """Enumerate all positive-probability paths from the root."""
         n = self.n_steps
-        for d in [0] + [d for d in range(1, n + 1) if self.p[d - 1] > 0.0]:
+        for d in (0,) + self._defaults:
             for moves in range(2**n):
                 ups = [(moves >> i) & 1 for i in range(n)]
                 idx = [0]
@@ -498,16 +500,21 @@ def build_lattice(horizon: float, n_steps: int, intensity: IntensitySpec) -> Def
 
 
 def oversize_message(
-    horizon: float, n_steps: int, intensity: IntensitySpec, *, quotient: bool = False
+    horizon: float, n_steps: int, intensity: IntensitySpec | None = None, *, quotient: bool = False
 ) -> str | None:
     """Why the node fields would not fit in physical memory, or None.  Step k
     holds k+1 nodes per block: one alive, one per reachable default step (on a
-    quotient, one shared block once a default step is reachable)."""
-    dt = float(horizon) / int(n_steps)
-    nodes = defaults = 0
-    for k, lam in enumerate((0.0,) + intensity.values):
-        defaults += lam * dt > 0.0
-        nodes += (k + 1) * (1 + (min(defaults, 1) if quotient else defaults))
+    quotient, one shared block once a default step is reachable).  Without an
+    intensity it counts the alive blocks alone, (N+1)(N+2)/2 nodes in closed
+    form: a floor for every lattice on N steps, for a caller to check before it
+    builds any per-step list."""
+    n = int(n_steps)
+    nodes = (n + 1) * (n + 2) // 2
+    if intensity is not None:
+        dt, defaults = float(horizon) / n, 0
+        for k, lam in enumerate(intensity.values, start=1):
+            defaults += lam * dt > 0.0
+            nodes += (k + 1) * (min(defaults, 1) if quotient else defaults)
     estimate = nodes * 7 * 8  # float64 y, z, u, psi, dk, driver values and obstacle
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -42,6 +42,9 @@ DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "ez", "u"})
 OBSTACLE_VARS = frozenset({"t", "w", "h"})
 TERMINAL_VARS = frozenset({"w", "h", "tau"})
 
+# the default tolerance of the checks a run reports
+CHECK_TOL = 1e-10
+
 
 class Scheme(str, Enum):
     EXPLICIT = "explicit"
@@ -294,7 +297,7 @@ def _step_values(
     ez: np.ndarray | None,
     frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
-    """Solve one backward step; returns (y, z, u, psi, dk, y_tilde, fv).  The
+    """Solve one backward step; returns (y, z, u, psi, dk, fv).  The
     driver reads (y-argument, z, u) from the step's own projection, or from
     ``frozen`` when given; ey and ez default to the y- and z-arguments."""
     lat, dt = prob.lattice, prob.lattice.dt
@@ -326,7 +329,7 @@ def _step_values(
     y_tilde = mean + fv * dt
     y = np.maximum(y_tilde, prob.obstacle.step(k))
     dk = y - y_tilde
-    return y, z, u, psi, dk, y_tilde, fv
+    return y, z, u, psi, dk, fv
 
 
 class _Anticipation:
@@ -405,7 +408,7 @@ def _solve(
                 ey = yarg
             else:
                 fixed = (yarg, zs[k], frozen.u.step(k))
-        y[k], z[k], u[k], psi[k], dk[k], _, fvals[k] = _step_values(
+        y[k], z[k], u[k], psi[k], dk[k], fvals[k] = _step_values(
             prob, k, y[k + 1], ey, ez, fixed
         )
         window.insert(k)
@@ -487,13 +490,11 @@ def beta_norm(a, b, beta: float) -> float:
     return total
 
 
-def estimate_c_prime(scenario: Scenario, grid: GridSpec | None = None) -> float:
+def estimate_c_prime(scenario: Scenario) -> float:
     """Grid estimate of the dM-form driver's Lipschitz constant."""
-    if grid is None:
-        grid = GridSpec.for_horizon(scenario.horizon)
     dt = scenario.horizon / scenario.n_steps
     lam_of_t = lambda t: scenario.intensity.at_time(t, dt)
-    est = estimate_lipschitz(scenario.driver.base, grid, lam_of_t)
+    est = estimate_lipschitz(scenario.driver.base, GridSpec.for_horizon(scenario.horizon), lam_of_t)
     if scenario.driver.form is DriverForm.H:
         return check_M_form_lipschitz(est, scenario.intensity.lambda_max).overall
     return est.overall
@@ -579,7 +580,7 @@ class ValidationReport:
     def max_violation(self) -> float:
         return functools.reduce(_max, (v for _, v in self.checks()))
 
-    def passes(self, tol: float = 1e-10) -> bool:
+    def passes(self, tol: float = CHECK_TOL) -> bool:
         values = [self.driver_square_sum] + [v for _, v in self.checks()]
         return all(math.isfinite(v) for v in values) and self.max_violation <= tol
 

@@ -21,9 +21,11 @@ import numpy as np
 
 from .errors import EnumerationError, LatticeError
 from .lattice import DefaultLattice, NodeId
-from .solver import Scenario, Solution, _max
+from .solver import CHECK_TOL, Scenario, Solution, _max
 
 DEFAULT_ENUMERATION_CAP = 22
+# k_running_max_check walks at most this many paths
+_PATH_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,9 @@ def brute_force_value(
 
 
 def tau_characterizations(
-    solution: Solution, scenario: Scenario, t_index: int = 0, tol: float = 1e-10
+    solution: Solution, scenario: Scenario, t_index: int = 0
 ) -> tuple[StoppingRule, StoppingRule, bool]:
-    """Both optimal-time characterizations: first Y <= S and first K increase.
+    """Both optimal-time characterizations: first Y <= S + CHECK_TOL and first K increase.
 
     Returns (y_rule, k_rule, coincide); the rules coincide node-by-node on
     every generic scenario because reflection pins Y to S exactly where K
@@ -200,11 +202,8 @@ def tau_characterizations(
         if k < t_index:
             stop_y.append(np.zeros(lat.n_nodes(k), dtype=bool))
             stop_k.append(np.zeros(lat.n_nodes(k), dtype=bool))
-        elif k == N:
-            stop_y.append(np.ones(lat.n_nodes(k), dtype=bool))
-            stop_k.append(np.ones(lat.n_nodes(k), dtype=bool))
-        else:
-            stop_y.append(solution.y.step(k) - obstacle.step(k) <= tol)
+        else:  # from_arrays makes every terminal node stop
+            stop_y.append(solution.y.step(k) - obstacle.step(k) <= CHECK_TOL)
             stop_k.append(solution.dk.step(k) > 0.0)
     y_rule = StoppingRule.from_arrays(lat, stop_y)
     k_rule = StoppingRule.from_arrays(lat, stop_k)
@@ -231,14 +230,12 @@ def snell_report(
     solution: Solution,
     scenario: Scenario,
     from_node: NodeId | None = None,
-    *,
-    max_nodes: int = DEFAULT_ENUMERATION_CAP,
 ) -> StoppingReport:
     solution = solution.labelled()
     lat = solution.lattice
     node = from_node if from_node is not None else lat.root()
     snell = float(solution.y.step(node.step)[lat.index(node)])
-    value, best_rule = brute_force_value(solution, scenario, node, max_nodes=max_nodes)
+    value, best_rule = brute_force_value(solution, scenario, node)
     y_rule, k_rule, same = tau_characterizations(solution, scenario, node.step)
     tau_payoff = stopping_payoff(y_rule, solution, scenario, node)
     k_payoff = stopping_payoff(k_rule, solution, scenario, node)
@@ -265,9 +262,7 @@ class KRunningMaxReport:
     n_paths: int
 
 
-def k_running_max_check(
-    solution: Solution, scenario: Scenario, *, max_paths: int = 1 << 20
-) -> KRunningMaxReport:
+def k_running_max_check(solution: Solution, scenario: Scenario) -> KRunningMaxReport:
     """Compare suffix sums of dK with the pathwise running max of the negative
     part of (terminal payoff + remaining driver - remaining martingale part
     - obstacle).
@@ -277,8 +272,8 @@ def k_running_max_check(
     terms, which coincides whenever the intensity vanishes.
     """
     lat = solution.lattice
-    if lat.n_paths() > max_paths:
-        raise EnumerationError(f"{lat.n_paths()} paths exceed the cap of {max_paths}")
+    if lat.n_paths() > _PATH_CAP:
+        raise EnumerationError(f"{lat.n_paths()} paths exceed the cap of {_PATH_CAP}")
     N = lat.n_steps
     obstacle = solution.obstacle_field()
     fv = [solution.driver_values.step(k) for k in range(N)]

@@ -44,7 +44,7 @@ MINIMAL = {
 
 def _problem(doc):
     """The prepared problem that ``run`` takes, loaded as the CLI loads a file."""
-    return cli._problem_from_dict(doc)
+    return cli._gate([cli._scenario_from_doc(doc)])[0]
 
 
 def _write(tmp_path, doc, name="scenario.json"):
@@ -161,7 +161,7 @@ def test_run_picard_history_decreases():
             "scheme": "implicit",
         }
     )
-    flags = RunFlags(workflows={"solve", "validate", "picard"}, picard_tol=1e-12)
+    flags = RunFlags(workflows={"picard"}, picard=solver.PicardOptions(tol=1e-12))
     report = run(problem, flags)
     assert report.passed
     hist = report.data["picard"]["distances"]
@@ -434,6 +434,21 @@ def test_suite_refuses_an_oversized_lattice_before_building_one(capsys, monkeypa
     assert "--steps: N too large, estimated" in err and "Traceback" not in err
 
 
+def test_an_impossible_step_count_is_refused_before_any_per_step_list(tmp_path):
+    # CPython refuses a list of 2^62 entries without allocating it: only the
+    # closed-form floor, the alive blocks' (N+1)(N+2)/2 nodes, can refuse this
+    steps = 2**62
+    floor = f"N too large, estimated {(steps + 1) * (steps + 2) // 2 * 56 / 1e9:.3g} GB for " \
+            f"{(steps + 1) * (steps + 2) // 2} nodes"
+    path = _write(tmp_path, {**MINIMAL, "steps": steps})
+    for argv, pointer in ((["solve", "--scenario", path], "/steps"),
+                          (["suite", "--steps", str(steps), "--cases", "1"], "--steps")):
+        cmd, env = _fresh_cli(*argv)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert f"{pointer}: {floor}" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_main_suite_subcommand(tmp_path):
     out = str(tmp_path / "suite.json")
     assert main(["suite", "--cases", "6", "--seed", "4", "--out", out]) == 0
@@ -526,6 +541,17 @@ def test_an_explicit_picard_tol_applies_even_at_the_checks_default(tmp_path):
     assert tolerances() == {**tolerances("--tol", "1e-10"), "picard_vs_backward": 10.0 * 1e-12}
     assert tolerances("--tol", "1e-10")["picard_vs_backward"] == 10.0 * 1e-10
     assert tolerances("--tol", "1.1e-10")["picard_vs_backward"] == 10.0 * 1.1e-10
+    # solve on a file whose outputs list picard hands --tol to Picard just as picard does
+    both = _write(tmp_path, {**_WORKFLOW_DOC, "outputs": ["picard"]}, name="both.json")
+    for tol in ([], ["--tol", "1e-10"], ["--tol", "1e-6"]):
+        reports = []
+        for command in ("picard", "solve"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--scenario", both, *tol, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+        picard, solve = ({c["name"]: c["tolerance"] for c in r["checks"]} for r in reports)
+        assert solve["picard_vs_backward"] == picard["picard_vs_backward"], tol
+        assert reports[1]["picard"] == reports[0]["picard"], tol
 
 
 def test_stopping_beyond_both_oracle_caps_reports_both_skips(tmp_path):

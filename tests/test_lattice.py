@@ -427,9 +427,11 @@ def test_node_data_is_evaluated_only_by_the_gate():
 def test_size_and_node_data_are_checked_only_by_the_gate_and_the_suite_guard():
     # one preparation per scenario: the load, the solvers and the comparison
     # harness all go through _prepare, on a lattice the rule has sized; the
-    # suite checks its size before any lattice
+    # suite checks its size before any lattice, and the loader checks the step
+    # count's floor before it builds the per-step intensity
     _assert_call_sites({"_node_data", "oversize_message"}, ast.Name,
-                       {("solver.py", "_prepare"), ("solver.py", "_lattice_for"), ("cli.py", "run_suite")})
+                       {("solver.py", "_prepare"), ("solver.py", "_lattice_for"), ("cli.py", "run_suite"),
+                        ("cli.py", "_scenario_from_doc")})
 
 
 def test_only_the_lattice_rule_picks_a_lattice():
