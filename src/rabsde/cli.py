@@ -112,11 +112,11 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     horizon = float(horizon)
 
     steps = doc.get("steps")
-    if not _is_int(steps) or steps <= 0:
-        issues.append(("/steps", "must be a positive integer"))
-        steps = 1
-    elif too_big := oversize_message(horizon, steps):  # before any per-step list
-        issues.append(("/steps", too_big))
+    # the floor is checked before any per-step list
+    bad_steps = ("must be a positive integer" if not _is_int(steps) or steps <= 0
+                 else oversize_message(horizon, steps))
+    if bad_steps:
+        issues.append(("/steps", bad_steps))
         steps = 1
     delta = doc.get("delta_steps", 0)
     if not _is_int(delta) or delta < 0:
@@ -127,7 +127,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     if _is_num(lam_raw):
         lam_values = [float(lam_raw)] * steps
     elif isinstance(lam_raw, list) and lam_raw and all(_is_num(v) for v in lam_raw):
-        if len(lam_raw) != steps:
+        if len(lam_raw) != steps and not bad_steps:  # not against the fallback step count
             issues.append(("/lambda", f"array must have one value per step ({steps})"))
             lam_values = [0.0] * steps
         else:

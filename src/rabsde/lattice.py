@@ -37,6 +37,18 @@ ALIVE = None
 # Nodes of w a lattice keeps built (0.5 MB); the steps past them build w per call
 _W_CACHE_NODES = 1 << 16
 
+# _BINOMIAL[n] holds the n-step walk's weights C(n, i) / 2^n, i = 0..n
+_BINOMIAL = [np.ones(1)]
+
+
+def _binomial(n: int) -> np.ndarray:
+    """The n-step binomial weights, each n built from n-1 by one halving (2^n
+    overflows a float past n = 1023)."""
+    while len(_BINOMIAL) <= n:
+        w = _BINOMIAL[-1]
+        _BINOMIAL.append(0.5 * (np.append(w, 0.0) + np.insert(w, 0, 0.0)))
+    return _BINOMIAL[n]
+
 
 @dataclass(frozen=True)
 class IntensitySpec:
@@ -281,39 +293,33 @@ class DefaultLattice:
                 )
         return out
 
-    def _blocks(self, k: int, values: np.ndarray, *, stacked: bool = False) -> np.ndarray:
-        """A step-k field (with ``stacked``, a stack along leading axes) as (..., blocks, k+1)."""
+    def _blocks(self, k: int, values: np.ndarray) -> np.ndarray:
+        """A step-k field as (blocks, k+1)."""
         n = self.n_nodes(k)
-        if values.shape[-1:] != (n,) or (values.ndim != 1 and not stacked):
+        if values.shape != (n,):
             raise LatticeError(
                 f"field has {values.shape} values, step {k} has {n} nodes"
             )
-        return values.reshape(values.shape[:-1] + (1 + self._def_blocks[k], k + 1))
+        return values.reshape(1 + self._def_blocks[k], k + 1)
 
-    def step_expectation(
-        self, k: int, values_next: np.ndarray, *, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """One-step conditional expectation: E[field at k+1 | node at k].  Leading
-        axes pass through: a stack of fields costs one call, bit-identical per row.
-        The result is written to ``out`` when given, else to a new array."""
+    def step_expectation(self, k: int, values_next: np.ndarray) -> np.ndarray:
+        """One-step conditional expectation: E[field at k+1 | node at k]."""
         self._check_step(k + 1)
-        V = self._blocks(k + 1, np.asarray(values_next, dtype=float), stacked=True)
-        lead = V.shape[:-2]
+        V = self._blocks(k + 1, np.asarray(values_next, dtype=float))
         p = self.p[k]
         n_def = self._def_blocks[k]
-        if out is None:
-            out = np.empty(lead + (self.n_nodes(k),))
+        out = np.empty(self.n_nodes(k))
         width = k + 1
-        pairs = V[..., 1:] + V[..., :-1]  # up child + down child, per block
-        alive = out[..., :width]
+        pairs = V[:, 1:] + V[:, :-1]  # up child + down child, per block
+        alive = out[:width]
         if p > 0.0:
-            dnew = pairs[..., -1, :]  # block of nodes defaulting exactly at step k+1
-            np.multiply(0.5 * (1.0 - p), pairs[..., 0, :], out=alive)
+            dnew = pairs[-1]  # block of nodes defaulting exactly at step k+1
+            np.multiply(0.5 * (1.0 - p), pairs[0], out=alive)
             alive += 0.5 * p * dnew
         else:
-            np.multiply(0.5, pairs[..., 0, :], out=alive)
+            np.multiply(0.5, pairs[0], out=alive)
         if n_def:
-            np.multiply(0.5, pairs[..., 1 : n_def + 1, :].reshape(lead + (-1,)), out=out[..., width:])
+            np.multiply(0.5, pairs[1 : n_def + 1].reshape(-1), out=out[width:])
         return out
 
     def project_martingale(self, k: int, values_next: np.ndarray):
@@ -364,6 +370,33 @@ class DefaultLattice:
         for k in range(from_step - 1, to_step - 1, -1):
             out = self.step_expectation(k, out)
         return out
+
+    def expectation(self, values: np.ndarray, from_step: int, to_step: int) -> np.ndarray:
+        """E[field at from_step | node at to_step] in closed form (``pullback``
+        takes the tower).  The walk moves independently of the default clock, so
+        each block gets its own n-step binomial average B (n = from_step -
+        to_step), and an alive node S * B(alive) + sum_d q_d * B(block of d): S is
+        the survival over steps to_step .. from_step-1, q_d the probability of
+        defaulting first at label d in (to_step, from_step]."""
+        m, k = from_step, to_step
+        if k > m:
+            raise LatticeError(f"cannot condition step-{m} data on later step {k}")
+        self._check_step(k)
+        V = self._blocks(m, np.ascontiguousarray(values, dtype=float))
+        # windows[b, j, i] = V[b, j + i]: the values node j reaches, read in place
+        windows = np.ndarray((V.shape[0], k + 1, m - k + 1), buffer=V,
+                             strides=(V.strides[0], V.itemsize, V.itemsize))
+        B = np.dot(windows, _binomial(m - k))  # one BLAS dot per node
+        S, q = 1.0, []
+        for pk in self.p[k:m].tolist():
+            if pk > 0.0:  # a reachable label: the first default comes in this step
+                q.append(S * pk)
+            S *= 1.0 - pk
+        # one block per label in (k, m], so that both lattice kinds sum alike: on
+        # a quotient every label clips to the shared block, repeated
+        labels = np.arange(self._n_labels[k] + 1, self._n_labels[m] + 1)
+        B[0] = S * B[0] + np.dot(q, B.take(labels, axis=0, mode="clip"))
+        return B[: 1 + self._def_blocks[k]].reshape(-1)
 
     def push(self, k: int, values: np.ndarray, *, combine: str = "sum") -> np.ndarray:
         """Carry a step-k field onto its children: per child, the sum of
@@ -521,7 +554,7 @@ def oversize_message(
     except (AttributeError, ValueError, OSError):
         return None
     # a solve and its validation peak at 1.3-1.5x the seven fields (the kernel's
-    # temporaries, the anticipation window, the node law): keep them to half
+    # temporaries, the binomial weights, the node law): keep them to half
     if 2 * estimate <= physical:
         return None
     return (

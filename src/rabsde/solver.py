@@ -332,45 +332,6 @@ def _step_values(
     return y, z, u, psi, dk, fv
 
 
-class _Anticipation:
-    """Anticipated values E[X_{min(k+delta, N)} | F_k] of node fields X, one
-    stacked kernel call per step going backward.
-
-    Before step k the window holds E[X_m | F_{k+1}] for m = k+1 .. min(k+delta, N);
-    ``condition(k)`` conditions it on step k and returns its last row per source
-    (None for a source that is off, or for delta = 0).  ``insert(k)`` then puts
-    the step-k fields in front and drops the row that step k-1 no longer reads.
-    Sources are (per-step arrays, on) pairs; the window starts at the horizon.
-    After ``condition(k)``, ``rows[s, 0]`` is E[X_{k+1} | F_k] of the s-th source on.
-    The kernel writes each step's window behind a free front row, which
-    ``insert`` fills, so the window is never copied.
-    """
-
-    def __init__(self, lat: DefaultLattice, delta: int, *sources):
-        self.lat, self.delta = lat, delta
-        self.on = [bool(on) and delta > 0 for _, on in sources]
-        self.sources = [arrays for (arrays, _), on in zip(sources, self.on) if on]
-        self.rows = self._buf = None
-        if self.sources:
-            self.rows = np.stack([arrays[lat.n_steps] for arrays in self.sources])[:, None, :]
-
-    def condition(self, k: int) -> list:
-        if not self.sources:
-            return [None] * len(self.on)
-        n_src, n_rows, _ = self.rows.shape
-        self._buf = np.empty((n_src, n_rows + 1, self.lat.n_nodes(k)))
-        self.rows = self.lat.step_expectation(k, self.rows, out=self._buf[:, 1:])
-        last = iter(self.rows[:, -1].copy())  # a kept view would pin the whole window
-        return [next(last) if on else None for on in self.on]
-
-    def insert(self, k: int) -> None:
-        if self.sources:
-            keep = min(self.delta, self.lat.n_steps - k + 1) - 1
-            for s, arrays in enumerate(self.sources):
-                self._buf[s, 0] = arrays[k]
-            self.rows = self._buf[:, : keep + 1]
-
-
 def _solve(
     prob: _Problem,
     frozen_ey: Solution | None = None,
@@ -392,16 +353,15 @@ def _solve(
     past = frozen if frozen is not None else frozen_ey
     ys = y if past is None else past.y.values
     zs = z if frozen is None else frozen.z.values
-    # ey and ez stay None for delta == 0: the y- and z-arguments double as them
-    window = _Anticipation(lat, delta, (ys, prob.need_ey), (zs, prob.need_ez))
     for k in range(N - 1, -1, -1):
-        ey, ez = window.condition(k)
+        # ey and ez stay None for delta == 0: the y- and z-arguments double as them
+        m = min(k + delta, N)
+        ey = lat.expectation(ys[m], m, k) if prob.need_ey and delta else None
+        ez = lat.expectation(zs[m], m, k) if prob.need_ez and delta else None
         fixed = None
         if frozen is not None or (frozen_ey is not None and delta == 0 and prob.need_ey):
             if prob.scenario.scheme is Scheme.IMPLICIT:
                 yarg = ys[k]
-            elif ey is not None:  # the window holds Y: its first row is E[Y_{k+1} | F_k]
-                yarg = window.rows[0, 0].copy()
             else:
                 yarg = lat.step_expectation(k, ys[k + 1])
             if frozen is None:
@@ -411,7 +371,6 @@ def _solve(
         y[k], z[k], u[k], psi[k], dk[k], fvals[k] = _step_values(
             prob, k, y[k + 1], ey, ez, fixed
         )
-        window.insert(k)
     diagnostics = {"scheme": prob.scenario.scheme.value}
     return Solution(
         problem=prob,

@@ -423,6 +423,15 @@ def test_oversized_lattice_rejected_before_allocating(tmp_path, capsys):
     assert "N too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [0, 2**62])
+def test_a_refused_step_count_is_the_only_issue_of_a_lambda_array(steps):
+    # a lambda array's length is checked against a valid step count only, not
+    # against the fallback a refused one leaves
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({**MINIMAL, "steps": steps, "lambda": [0.1, 0.2]})
+    assert [ptr for ptr, _ in exc.value.issues] == ["/steps"]
+
+
 def test_suite_refuses_an_oversized_lattice_before_building_one(capsys, monkeypatch):
     # 100000 steps at the default intensity: about 1e10 quotient nodes, 560 GB of node fields
     def no_lattice(*args, **kwargs):

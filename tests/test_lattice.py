@@ -8,7 +8,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rabsde import (
     ALIVE,
@@ -342,32 +342,40 @@ def test_push_rejects_unknown_combine_and_wrong_shape():
 
 
 @st.composite
-def _stack_case(draw):
-    lat, k, _ = draw(_push_case())
-    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
-    n = lat.n_nodes(k + 1)
-    values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n))
-    scale = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=int(np.prod(lead)),
-                                   max_size=int(np.prod(lead)))))
-    return lat, k, scale.reshape(lead + (1,)) * np.array(values)
+def _expectation_case(draw):
+    """(quotient, per-step intensities with zero steps likely, to_step k,
+    from_step m > k, seed of the field at m)."""
+    n = draw(st.integers(1, 8))
+    lam = tuple(draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.9]), min_size=n, max_size=n)))
+    k = draw(st.integers(0, n - 1))
+    return draw(st.booleans()), lam, k, draw(st.integers(k + 1, n)), draw(st.integers(0, 2**32 - 1))
 
 
-@given(_stack_case())
-@settings(max_examples=80, deadline=None)
-def test_stacked_step_expectation_equals_row_by_row(case):
-    lat, k, stack = case
-    out = lat.step_expectation(k, stack)
-    assert out.shape == stack.shape[:-1] + (lat.n_nodes(k),)
-    for idx in np.ndindex(stack.shape[:-1]):
-        assert out[idx].tobytes() == lat.step_expectation(k, stack[idx]).tobytes()
+@given(_expectation_case())
+@example((False, (0.3, 0.0, 0.0, 0.3), 1, 3, 0))  # no label is reachable in (1, 3]
+@example((True, (0.3, 0.0, 0.0, 0.3), 1, 3, 0))
+@example((False, (0.0, 0.3, 0.0, 0.9), 1, 4, 1))  # labels 2 and 4: 4 is made at step m
+@example((True, (0.0, 0.3, 0.0, 0.9), 1, 4, 1))
+@example((False, (0.9, 0.3, 0.0, 0.9), 2, 4, 2))  # default blocks at k, and label 4 at m
+@settings(max_examples=200, deadline=None)
+def test_closed_form_expectation_equals_the_tower(case):
+    quotient, lam, k, m, seed = case
+    lat = lattice_module.DefaultLattice(1.0, len(lam), IntensitySpec(values=lam, lambda_max=0.9),
+                                        quotient=quotient)
+    values = np.random.default_rng(seed).normal(size=lat.n_nodes(m)) * 10.0 ** (seed % 7 - 3)
+    got = lat.expectation(values, m, k)
+    assert got.shape == (lat.n_nodes(k),)
+    assert np.max(np.abs(got - lat.pullback(values, m, k))) <= 1e-13 * np.max(np.abs(values))
 
 
-def test_only_step_expectation_takes_a_stack():
+def test_no_kernel_method_takes_a_stack():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError):
         lat.push(1, np.ones((2, 4)))
     with pytest.raises(LatticeError):
         lat.project_martingale(0, np.ones((2, 4)))
+    with pytest.raises(LatticeError):
+        lat.step_expectation(0, np.ones((2, 4)))
     with pytest.raises(LatticeError):
         lat.step_expectation(0, np.ones((4, 2)))
     with pytest.raises(LatticeError):
@@ -446,15 +454,15 @@ def test_only_the_lattice_rule_picks_a_lattice():
 
 def test_one_backward_sweep_evaluates_the_driver():
     # solves, Picard passes and the iterate bridge all run in _solve: one
-    # anticipation window and one driver env per step
-    _assert_call_sites({"_Anticipation", "_driver_values"}, ast.Name,
-                       {("solver.py", "_solve"), ("solver.py", "_step_values")})
+    # closed-form anticipation per source and one driver env per step
+    _assert_call_sites({"expectation"}, ast.Attribute, {("solver.py", "_solve")})
+    _assert_call_sites({"_driver_values"}, ast.Name, {("solver.py", "_step_values")})
 
 
 def test_validation_reads_no_kernel():
     # the whole-lattice check finds children by its own index arithmetic, so it
     # stays independent of the slicing kernel it checks
-    kernel = {"step_expectation", "project_martingale", "pullback", "push", "_blocks"}
+    kernel = {"step_expectation", "expectation", "project_martingale", "pullback", "push", "_blocks"}
     validation = {"validate_solution", "_edges", "_representation_errors"}
     solver_py = pathlib.Path(__file__).resolve().parents[1] / "src" / "rabsde" / "solver.py"
     defined = {node.name for node in ast.walk(ast.parse(solver_py.read_text(encoding="utf-8")))

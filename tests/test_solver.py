@@ -475,19 +475,17 @@ def test_size_guard_runs_before_the_lattice_is_built(solve):
     assert exc.value.pointer == "/steps"
 
 
-# -- the anticipation window against per-step pullbacks -------------------------
+# -- the closed-form anticipation against per-step pullbacks -------------------
 
 
-def _pullback_anticipation(sol, k, delta, mean):
-    """ey and ez at step k by one m-step pullback each (delta == 0: the y- and
-    z-arguments themselves)."""
+def _anticipation(sol, k, delta, mean, expect):
+    """ey and ez at step k by ``expect(values, m, k)``, the closed form or the
+    pullback (delta == 0: the y- and z-arguments themselves)."""
     lat, N = sol.lattice, sol.lattice.n_steps
     if delta == 0:
         return mean, sol.z.step(k)
     m = min(k + delta, N)
-    ey = lat.pullback(sol.y.step(m), m, k)
-    ez = np.zeros(lat.n_nodes(k)) if k + delta >= N else lat.pullback(sol.z.step(k + delta), k + delta, k)
-    return ey, ez
+    return expect(sol.y.step(m), m, k), expect(sol.z.step(m), m, k)
 
 
 @st.composite
@@ -495,39 +493,84 @@ def _anticipating_scenarios(draw):
     n = draw(st.integers(2, 7))
     lam = draw(step_intensities(n))
     driver = draw(st.sampled_from(["ey", "ez", "ey - 0.5*ez", "0.3*ey + 0.2*ez + 0.1*y - 0.2*z"]))
+    # a terminal that reads tau solves on the full lattice, the other on the quotient
+    terminal = draw(st.sampled_from(["max(0.3 - w, 0) + 0.4*h + 0.1*tau", "max(0.3 - w, 0) + 0.4*h"]))
     return make_scenario(
         n_steps=n, lam=lam, delta_steps=draw(st.integers(0, n + 1)), driver=driver,
-        obstacle="max(0.3 - w, 0) - 0.1*t", terminal="max(0.3 - w, 0) + 0.4*h + 0.1*tau",
+        obstacle="max(0.3 - w, 0) - 0.1*t", terminal=terminal,
     )
 
 
 @given(_anticipating_scenarios())
 @settings(max_examples=120, deadline=None)
-def test_anticipation_window_equals_pullbacks_at_every_step(sc):
+def test_sweep_reads_the_closed_form_anticipation_at_every_step(sc):
     sol = solve_backward(sc)
     lat, N, delta = sol.lattice, sc.n_steps, sc.delta_steps
     fn = sc.driver.base.compiled()
     prob = solver._prepare(sc, lat)
     for k in range(N):
         mean = lat.step_expectation(k, sol.y.step(k + 1))
-        ey, ez = _pullback_anticipation(sol, k, delta, mean)
+        ey, ez = _anticipation(sol, k, delta, mean, lat.expectation)
         env = {"t": k * lat.dt, "w": lat.w_values(k), "h": lat.h_values(k), "y": mean,
                "z": sol.z.step(k), "u": sol.u.step(k), "ey": ey, "ez": ez}
         expected = np.broadcast_to(np.asarray(fn(env), dtype=float), ey.shape).tobytes()
         assert sol.driver_values.step(k).tobytes() == expected
-        # one step recomputed from the pullbacks gives the solution's fields
+        # one step recomputed from the closed form gives the solution's fields
         window = (None, None) if delta == 0 else (ey, ez)
         step = solver._step_values(prob, k, sol.y.step(k + 1), *window)
         for got, field in zip(step, (sol.y, sol.z, sol.u, sol.psi, sol.dk)):
             assert got.tobytes() == field.step(k).tobytes()
     # a Picard pass and an iterate-bridge pass frozen at the solution reproduce
-    # it, driver values included: their windows read the same pullbacks
+    # it, driver values included: they read the same closed form
     again = (solver._solve(prob, frozen=solver._Triple(sol.y, sol.z, sol.u)),
              solver._solve(prob, frozen_ey=sol))
     for other in again:
         for name in ("y", "z", "u", "psi", "dk", "driver_values"):
             got, want = getattr(other, name).values, getattr(sol, name).values
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], name
+
+
+@given(_anticipating_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_anticipation_equals_pullbacks_at_every_step(sc):
+    sol = solve_backward(sc)
+    lat, N, delta = sol.lattice, sc.n_steps, sc.delta_steps
+    for k in range(N):
+        mean = lat.step_expectation(k, sol.y.step(k + 1))
+        closed = _anticipation(sol, k, delta, mean, lat.expectation)
+        tower = _anticipation(sol, k, delta, mean, lat.pullback)
+        m = min(k + delta, N)
+        for got, want, field in zip(closed, tower, (sol.y, sol.z)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(field.step(m)))
+
+
+def _tower_longdouble(lat, values, m, k):
+    """E[field at m | node at k] by the one-step tower in long double: the
+    reference of the accuracy test."""
+    out = np.asarray(values, dtype=np.longdouble)
+    for i in range(m - 1, k - 1, -1):
+        V, p = lat._blocks(i + 1, out), np.longdouble(lat.p[i])
+        pairs = V[:, 1:] + V[:, :-1]
+        alive = (1 - p) / 2 * pairs[0] + (p / 2 * pairs[-1] if lat.p[i] > 0.0 else 0)
+        out = np.concatenate([alive, pairs[1 : 1 + lat._def_blocks[i]].reshape(-1) / 2])
+    return out
+
+
+def test_closed_form_anticipation_is_as_accurate_as_the_tower():
+    # the benchmark's put family at N = 256, delta = 32, on the quotient
+    sc = make_scenario(n_steps=256, lam=0.3, delta_steps=32, driver="-0.4*y + 0.1*ey - 0.1*u + 0.05",
+                       form="H", obstacle="max(0.6 - w, 0) - 0.1*t", terminal="max(0.6 - w, 0) + 0.3*h")
+    sol = solve_backward(sc)
+    lat, N = sol.lattice, sc.n_steps
+    assert lat.quotient
+    closed = tower = 0.0
+    for k in range(N):
+        m = min(k + sc.delta_steps, N)
+        y = sol.y.step(m)
+        ref = _tower_longdouble(lat, y, m, k)
+        closed = max(closed, float(np.max(np.abs(lat.expectation(y, m, k) - ref))))
+        tower = max(tower, float(np.max(np.abs(lat.pullback(y, m, k) - ref))))
+    assert closed <= tower
 
 
 def _count_calls(monkeypatch, *names):
@@ -546,24 +589,27 @@ def _count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("driver", ["0.2*y + 0.1*ey", "0.1*ez + 0.2*y", "0.1*ey - 0.1*ez"])
 def test_one_kernel_call_per_step_for_anticipation(monkeypatch, driver):
     sc = make_scenario(n_steps=12, lam=0.3, delta_steps=4, driver=driver, scheme="implicit")
-    counts = _count_calls(monkeypatch, "step_expectation", "pullback")
+    counts = _count_calls(monkeypatch, "expectation", "step_expectation", "pullback")
+    # one closed form per step for each of ey and ez that the driver reads
+    want = {"expectation": 12 * (("ey" in driver) + ("ez" in driver)), "step_expectation": 0,
+            "pullback": 0}
     sol = solve_backward(sc)
-    assert counts == {"step_expectation": 12, "pullback": 0}
+    assert counts == want
     # validation finds children by index arithmetic: no kernel call at all
     report = validate_solution(sol, sc)
-    assert counts == {"step_expectation": 12, "pullback": 0}
+    assert counts == want
     assert report.representation_residual <= 1e-12  # carried by the report: no further call
-    assert counts == {"step_expectation": 12, "pullback": 0}
+    assert counts == want
 
 
-def test_explicit_picard_reads_the_y_argument_from_the_window(monkeypatch):
+def test_explicit_picard_reads_one_y_argument_per_step(monkeypatch):
     sc = make_scenario(n_steps=12, lam=0.3, delta_steps=2, driver="0.2*y + 0.1*ey")
-    counts = _count_calls(monkeypatch, "step_expectation", "pullback")
+    counts = _count_calls(monkeypatch, "expectation", "step_expectation", "pullback")
     sol, _history = solve_picard(sc, PicardOptions(beta=4.0))
     passes = sol.diagnostics["picard_iterations"]
     assert passes > 1
-    # one stacked call per step for the window, none for E[Y_{k+1} | F_k]
-    assert counts == {"step_expectation": 12 * passes, "pullback": 0}
+    # per step and pass: one E[Y_{k+1} | F_k] for the frozen y-argument, one closed form for ey
+    assert counts == {"expectation": 12 * passes, "step_expectation": 12 * passes, "pullback": 0}
 
 
 # -- the whole-lattice validation against a per-step reference --------------------
