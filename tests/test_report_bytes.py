@@ -1,0 +1,82 @@
+"""The exact bytes of each subcommand's report, pinned by sha256.
+
+Every scenario document is written here.  A change to how a report is
+assembled must leave these bytes as they are; a change that means to move a
+number changes its pin and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from rabsde.cli import main
+
+# 3 steps, one step of anticipation, a default that can happen at every step
+DOC = {
+    "horizon": 1.0,
+    "steps": 3,
+    "delta_steps": 1,
+    "lambda": 0.4,
+    "driver": {"text": "-0.3*y + 0.05*ey - 0.1*u", "form": "H"},
+    "obstacle": "0.8 - w - 0.2*h",
+    "terminal": "max(0.8 - w - 0.2*h, 0)",
+    "name": "pinned",
+}
+# the same problem raised everywhere, so that it dominates DOC
+DOMINATING = {
+    **DOC,
+    "driver": {"text": "-0.3*y + 0.05*ey - 0.1*u + 0.05", "form": "H"},
+    "obstacle": "0.85 - w - 0.2*h",
+    "terminal": "max(0.8 - w - 0.2*h, 0) + 0.1",
+}
+# 8 steps: more decision nodes than the brute-force Snell oracle enumerates,
+# few enough paths for the running-max check
+PAST_CAP = {**DOC, "steps": 8}
+CRR = {
+    "horizon": 1.0,
+    "steps": 8,
+    "lambda": 0.0,
+    "driver": "-0.04*y",
+    "obstacle": "max(1 - exp(w), 0)",
+    "terminal": "max(1 - exp(w), 0)",
+    "oracle": {"kind": "crr", "spot": 1.0, "strike": 1.0, "rate": 0.04, "sigma": 1.0},
+}
+
+CASES = {
+    "solve_json": (["solve", "--scenario", DOC],
+                   "447955b04c2426f5b2dcc690cbbf06833c57f36a7f43dd52926a88a468ecb8e3"),
+    "solve_csv": (["solve", "--scenario", DOC, "--format", "csv"],
+                  "58b96b56078ef0209f31c74b176ebd7a7dc59dca495d858ae11c53f94db00499"),
+    "solve_outputs": (["solve", "--scenario", {**DOC, "outputs": ["validate", "picard", "stopping"]}],
+                      "34c0c04b6abeae403d1a2e34cafe798ba8af6b9e08459344d4f647fcfa27135d"),
+    "solve_oracle_crr": (["solve", "--scenario", CRR, "--oracle", "crr"],
+                         "411a84e79898a7835e466aed6cfa974002360db3d7229977e68f0ce63a160f5a"),
+    "picard_beta_4": (["picard", "--scenario", DOC, "--beta", "4"],
+                      "096a04c9f44009a71dc9cf5fe217f381723e0cfc1d82bbb3725fe05fde0ce86e"),
+    "stopping": (["stopping", "--scenario", DOC],
+                 "3464cc626c346276bd36aae43194b2682dab3b3e9edfcaea473b09223a2abf5b"),
+    "stopping_past_cap": (["stopping", "--scenario", PAST_CAP],
+                          "5b01b7e6f1928beaaf710bbe9200cb77ea9be26b4c0f77fb8b94e885093b8977"),
+    "compare_iterates_30": (["compare", "--scenario", DOMINATING, "--scenario2", DOC, "--iterates", "30"],
+                            "d0d1bb2cb3fb87d882785be04dbe38925e0bb560940c9476baff2b15b1ce23ca"),
+    "suite_7": (["suite", "--cases", "7"],
+                "bd9c0df3db41d9bf8e86c3a09d9059d5a6259a3eb23067f85b7056a5c78e3ca5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_are_pinned(tmp_path, case):
+    argv, sha = CASES[case]
+    args = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            arg = str(path)
+        args.append(arg)
+    out = tmp_path / "report"
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
