@@ -27,7 +27,6 @@ from .driver import (
     TransformedDriver,
     check_M_form_lipschitz,
     estimate_lipschitz,
-    eval_driver,
     parse_driver,
 )
 from .errors import (

@@ -60,6 +60,7 @@ from .solver import (
     Scenario,
     Scheme,
     Solution,
+    ValidationReport,
     _lattice_for,
     _max,
     _min,
@@ -276,11 +277,6 @@ def _gate(scenarios: list[Scenario], *, full_size: bool = False) -> list[_Proble
     return problems
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read, parse and validate a scenario file."""
-    return load_scenario_with_outputs(path)[0].scenario
-
-
 def _read_doc(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -315,7 +311,8 @@ def load_scenario_with_outputs(
 
 def _workflows(command: str, outputs: set[str]) -> set[str]:
     """The optional workflows a subcommand runs, after the solve and its
-    validation that every run makes; ``solve`` takes the file's outputs."""
+    validation that every run makes; ``solve`` takes the file's outputs (and
+    ``main`` adds ``oracle`` under ``--oracle crr``)."""
     return {"solve": outputs & {"picard", "stopping"}, "picard": {"picard"},
             "stopping": {"stopping"}, "compare": {"compare"}}[command]
 
@@ -463,9 +460,8 @@ def emit_report(report: RunReport, fmt: str, path: str) -> None:
 
 @dataclass
 class RunFlags:
-    workflows: set[str] = field(default_factory=set)  # of "picard", "stopping", "compare"
+    workflows: set[str] = field(default_factory=set)  # of "oracle", "picard", "stopping", "compare"
     tol: float = CHECK_TOL
-    oracle: str = "none"
     timing: bool = False
     picard: PicardOptions = field(default_factory=PicardOptions)
     problem2: _Problem | None = None  # the dominated scenario of compare, prepared
@@ -481,155 +477,157 @@ def _check(name: str, tolerance: float, violation: float) -> dict:
     }
 
 
+def _fields(obj, *names: str) -> dict:
+    """The report entries of ``obj``'s attributes ``names``, under their own names."""
+    return {name: getattr(obj, name) for name in names}
+
+
+def _solve_sections(solution: Solution, validation: ValidationReport) -> dict:
+    """The scenario and solve sections; the representation residual comes
+    from the validation pass."""
+    scenario = solution.scenario
+    return {
+        "scenario": scenario_to_dict(scenario),
+        "solve": {
+            "y0": solution.y0,
+            "k_expected_total": solution.expected_total_k(),
+            "k_max_path_total": solution.max_path_total_k(),
+            "k_per_step_expected": list(solution.per_step_expected_dk()),
+            "max_abs_psi": solution.max_abs_psi(),
+            "weighted_psi": solution.weighted_psi(),
+            "max_representation_residual": validation.representation_residual,
+            "scheme": scenario.scheme.value,
+        },
+    }
+
+
+def _oracle_section(problem: _Problem, solution: Solution, flags: RunFlags) -> tuple[dict, list[dict]]:
+    scenario = problem.scenario
+    params = scenario.oracle_params
+    if not params:
+        raise ScenarioError(
+            [("/oracle", "scenario carries no oracle parameters for --oracle crr")]
+        )
+    price = crr_american_put(
+        spot=float(params["spot"]),
+        strike=float(params["strike"]),
+        rate=float(params["rate"]),
+        sigma=float(params["sigma"]),
+        horizon=scenario.horizon,
+        n_steps=scenario.n_steps,
+        scheme=scenario.scheme,
+    )
+    gap = abs(price - solution.y0)
+    return {"kind": "crr", "price": price, "gap": gap}, [_check("crr_cross_check", flags.tol, gap)]
+
+
+def _picard_section(problem: _Problem, solution: Solution, flags: RunFlags) -> tuple[dict, list[dict]]:
+    pic_solution, history = _picard(problem, flags.picard)
+    gap = functools.reduce(_max, (np.max(np.abs(pic_solution.y.step(k) - solution.y.step(k)))
+                                  for k in range(solution.lattice.n_steps + 1)), 0.0)
+    section = {
+        "beta": pic_solution.diagnostics["picard_beta"],
+        "iterations": pic_solution.diagnostics["picard_iterations"],
+        "distances": list(history),
+        "converged": True,
+        "gap_vs_backward": gap,
+    }
+    return section, [_check("picard_vs_backward", 10.0 * flags.picard.tol, gap)]
+
+
+def _stopping_section(problem: _Problem, solution: Solution, flags: RunFlags) -> tuple[dict, list[dict]]:
+    """Each oracle past its enumeration cap reports ``skipped`` and no check."""
+    section: dict = {}
+    checks: list[dict] = []
+    try:
+        report = stp.snell_report(solution, problem.scenario)
+    except EnumerationError as exc:
+        section["brute_force"] = None
+        section["skipped"] = str(exc)
+    else:
+        checks.append(_check("snell_vs_brute_force", flags.tol, report.gap))
+        checks.append(_check("tau_achieves_snell", flags.tol, report.tau_gap))
+        checks.append(
+            _check(
+                "tau_characterizations_coincide",
+                0.0,
+                0.0 if report.tau_rules_coincide else 1.0,
+            )
+        )
+        section.update(_fields(report, "snell_value", "brute_force", "gap", "tau_payoff", "tau_gap",
+                               "k_rule_payoff", "tau_rules_coincide"))
+    try:
+        krep = stp.k_running_max_check(solution, problem.scenario)
+    except EnumerationError as exc:
+        section["k_running_max"] = {"skipped": str(exc)}
+    else:
+        checks.append(_check("k_running_max", flags.tol, krep.max_gap))
+        section["k_running_max"] = _fields(krep, "max_gap", "max_gap_z_only", "n_paths")
+    return section, checks
+
+
+def _compare_section(problem: _Problem, solution: Solution, flags: RunFlags) -> tuple[dict, list[dict]]:
+    if flags.problem2 is None:
+        raise ScenarioError([("", "compare requires --scenario2")])
+    scenario = problem.scenario
+    case = cmp._given_solution(cmp.ComparisonCase(
+        scenario1=scenario, scenario2=flags.problem2.scenario,
+        grid=GridSpec.for_horizon(scenario.horizon),
+    ), solution, flags.problem2)
+    verdict = cmp.run_comparison(case, tol=flags.tol)
+    # a NaN gap fails the check
+    checks = [_check("comparison_min_gap", flags.tol, _max(0.0, -verdict.min_gap))]
+    hypotheses = verdict.hypotheses
+    section = {
+        **_fields(verdict, "min_gap", "y0_gap", "passed"),
+        "hypotheses": {
+            "monotone_in_anticipation": hypotheses.monotone.passed,
+            "terminal_gap": hypotheses.terminal_gap,
+            "obstacle_gap": hypotheses.obstacle_gap,
+            "theta": hypotheses.theta.theta,
+            "theta_passed": hypotheses.theta.passed,
+            "dominance_min_gap": hypotheses.dominance.min_gap,
+        },
+    }
+    if flags.iterate_n > 0:
+        trace = cmp.iterate_sequence(case, flags.iterate_n)
+        checks.append(_check("iterate_limit_gap", 1e-8, trace.final_gap))
+        section["iterates"] = _fields(trace, "count", "sup_diffs", "final_gap")
+    return section, checks
+
+
+# (workflow and timing phase, report key, builder), in report order; a builder
+# takes (problem, solution, flags) and returns its section and its checks
+_SECTIONS = (
+    ("oracle", "oracle", _oracle_section),
+    ("picard", "picard", _picard_section),
+    ("stopping", "stopping", _stopping_section),
+    ("compare", "comparison", _compare_section),
+)
+
+
 def run(problem: _Problem, flags: RunFlags) -> RunReport:
     """Solve and validate a prepared scenario, run the requested workflows and
     assemble the report."""
-    t0 = time.perf_counter()
-    scenario, lattice = problem.scenario, problem.lattice
-    data: dict = {"scenario": scenario_to_dict(scenario)}
-    checks: list[dict] = []
-    solution = _solve(problem)
-    timings = {"solve": time.perf_counter() - t0}
+    timings: dict[str, float] = {}
 
-    # the report's representation residual comes from the validation pass
-    t1 = time.perf_counter()
-    validation = validate_solution(solution, scenario)
-    timings["validate"] = time.perf_counter() - t1
+    def timed(phase: str, work, *args):
+        t0 = time.perf_counter()
+        out = work(*args)
+        timings[phase] = time.perf_counter() - t0
+        return out
 
-    t1 = time.perf_counter()
-    data["solve"] = {
-        "y0": solution.y0,
-        "k_expected_total": solution.expected_total_k(),
-        "k_max_path_total": solution.max_path_total_k(),
-        "k_per_step_expected": list(solution.per_step_expected_dk()),
-        "max_abs_psi": solution.max_abs_psi(),
-        "weighted_psi": solution.weighted_psi(),
-        "max_representation_residual": validation.representation_residual,
-        "scheme": scenario.scheme.value,
-    }
-    timings["report"] = time.perf_counter() - t1
-
-    for name, violation in validation.checks():
-        checks.append(_check(name, flags.tol, violation))
-    data["validate"] = {
-        "driver_square_sum": validation.driver_square_sum,
-        "max_violation": validation.max_violation,
-    }
-
-    if flags.oracle == "crr":
-        params = scenario.oracle_params
-        if not params:
-            raise ScenarioError(
-                [("/oracle", "scenario carries no oracle parameters for --oracle crr")]
-            )
-        t1 = time.perf_counter()
-        price = crr_american_put(
-            spot=float(params["spot"]),
-            strike=float(params["strike"]),
-            rate=float(params["rate"]),
-            sigma=float(params["sigma"]),
-            horizon=scenario.horizon,
-            n_steps=scenario.n_steps,
-            scheme=scenario.scheme,
-        )
-        gap = abs(price - solution.y0)
-        checks.append(_check("crr_cross_check", flags.tol, gap))
-        data["oracle"] = {"kind": "crr", "price": price, "gap": gap}
-        timings["oracle"] = time.perf_counter() - t1
-
-    if "picard" in flags.workflows:
-        t1 = time.perf_counter()
-        pic_solution, history = _picard(problem, flags.picard)
-        gap = functools.reduce(_max, (np.max(np.abs(pic_solution.y.step(k) - solution.y.step(k)))
-                                      for k in range(lattice.n_steps + 1)), 0.0)
-        checks.append(_check("picard_vs_backward", 10.0 * flags.picard.tol, gap))
-        data["picard"] = {
-            "beta": pic_solution.diagnostics["picard_beta"],
-            "iterations": pic_solution.diagnostics["picard_iterations"],
-            "distances": list(history),
-            "converged": True,
-            "gap_vs_backward": gap,
-        }
-        timings["picard"] = time.perf_counter() - t1
-
-    if "stopping" in flags.workflows:
-        t1 = time.perf_counter()
-        stopping_data: dict = {}
-        try:
-            report = stp.snell_report(solution, scenario)
-            checks.append(_check("snell_vs_brute_force", flags.tol, report.gap))
-            checks.append(_check("tau_achieves_snell", flags.tol, report.tau_gap))
-            checks.append(
-                _check(
-                    "tau_characterizations_coincide",
-                    0.0,
-                    0.0 if report.tau_rules_coincide else 1.0,
-                )
-            )
-            stopping_data.update(
-                {
-                    "snell_value": report.snell_value,
-                    "brute_force": report.brute_force,
-                    "gap": report.gap,
-                    "tau_payoff": report.tau_payoff,
-                    "tau_gap": report.tau_gap,
-                    "k_rule_payoff": report.k_rule_payoff,
-                    "tau_rules_coincide": report.tau_rules_coincide,
-                }
-            )
-        except EnumerationError as exc:
-            stopping_data["brute_force"] = None
-            stopping_data["skipped"] = str(exc)
-        try:
-            krep = stp.k_running_max_check(solution, scenario)
-        except EnumerationError as exc:
-            stopping_data["k_running_max"] = {"skipped": str(exc)}
-        else:
-            checks.append(_check("k_running_max", flags.tol, krep.max_gap))
-            stopping_data["k_running_max"] = {
-                "max_gap": krep.max_gap,
-                "max_gap_z_only": krep.max_gap_z_only,
-                "n_paths": krep.n_paths,
-            }
-        data["stopping"] = stopping_data
-        timings["stopping"] = time.perf_counter() - t1
-
-    if "compare" in flags.workflows:
-        if flags.problem2 is None:
-            raise ScenarioError([("", "compare requires --scenario2")])
-        t1 = time.perf_counter()
-        case = cmp._given_solution(cmp.ComparisonCase(
-            scenario1=scenario, scenario2=flags.problem2.scenario,
-            grid=GridSpec.for_horizon(scenario.horizon),
-        ), solution, flags.problem2)
-        verdict = cmp.run_comparison(case, tol=flags.tol)
-        checks.append(_check("comparison_min_gap", flags.tol, max(0.0, -verdict.min_gap)))
-        data["comparison"] = {
-            "min_gap": verdict.min_gap,
-            "y0_gap": verdict.y0_gap,
-            "passed": verdict.passed,
-            "hypotheses": {
-                "monotone_in_anticipation": verdict.hypotheses.monotone.passed,
-                "terminal_gap": verdict.hypotheses.terminal_gap,
-                "obstacle_gap": verdict.hypotheses.obstacle_gap,
-                "theta": verdict.hypotheses.theta.theta,
-                "theta_passed": verdict.hypotheses.theta.passed,
-                "dominance_min_gap": verdict.hypotheses.dominance.min_gap,
-            },
-        }
-        if flags.iterate_n > 0:
-            trace = cmp.iterate_sequence(case, flags.iterate_n)
-            checks.append(_check("iterate_limit_gap", 1e-8, trace.final_gap))
-            data["comparison"]["iterates"] = {
-                "count": trace.count,
-                "sup_diffs": list(trace.sup_diffs),
-                "final_gap": trace.final_gap,
-            }
-        timings["compare"] = time.perf_counter() - t1
-
-    ok = all(c["pass"] for c in checks)
+    solution = timed("solve", _solve, problem)
+    validation = timed("validate", validate_solution, solution, problem.scenario)
+    data = timed("report", _solve_sections, solution, validation)
+    checks = [_check(name, flags.tol, violation) for name, violation in validation.checks()]
+    data["validate"] = _fields(validation, "driver_square_sum", "max_violation")
+    for workflow, key, build in _SECTIONS:
+        if workflow in flags.workflows:
+            data[key], found = timed(workflow, build, problem, solution, flags)
+            checks += found
     data["checks"] = checks
-    data["pass"] = ok
+    data["pass"] = all(c["pass"] for c in checks)
     if flags.timing:
         data["timing"] = timings
     return RunReport(data=data, solution=solution)
@@ -824,8 +822,8 @@ def main(argv=None) -> int:
                          picard=PicardOptions(**{k: v for k, v in picard.items() if v is not None}))
         if args.tol is not None:
             flags.tol = args.tol
-        if args.command == "solve":
-            flags.oracle = args.oracle
+        if args.command == "solve" and args.oracle == "crr":
+            flags.workflows.add("oracle")
         elif args.command == "compare":
             flags.iterate_n = args.iterates
         report = run(problem, flags)

@@ -328,11 +328,6 @@ def parse_driver(text: str) -> DriverExpr:
     return DriverExpr(root=root, source=text, free_vars=_free_vars(root))
 
 
-def eval_driver(expr: DriverExpr, env: Mapping[str, float]) -> float:
-    """Scalar value of the compiled expression at one point."""
-    return float(expr.compiled()(env))
-
-
 class DriverForm(str, Enum):
     """Which martingale the scenario's jump integral is written against."""
 

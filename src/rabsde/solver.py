@@ -72,10 +72,6 @@ class Scenario:
         if self.delta_steps < 0 or int(self.delta_steps) != self.delta_steps:
             raise SolverError(f"delta_steps must be a non-negative integer, got {self.delta_steps}")
 
-    @property
-    def delta(self) -> float:
-        return self.delta_steps * self.horizon / self.n_steps
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -526,6 +522,8 @@ class ValidationReport:
     obstacle_violation: float
     # the representation part of equation_residual alone, for the report; not a check
     representation_residual: float
+    # the report was asked for against a scenario the solution does not solve
+    foreign_scenario: bool = False
 
     def checks(self) -> tuple[tuple[str, float], ...]:
         return (
@@ -541,7 +539,8 @@ class ValidationReport:
 
     def passes(self, tol: float = CHECK_TOL) -> bool:
         values = [self.driver_square_sum] + [v for _, v in self.checks()]
-        return all(math.isfinite(v) for v in values) and self.max_violation <= tol
+        return (not self.foreign_scenario and all(math.isfinite(v) for v in values)
+                and self.max_violation <= tol)
 
 
 # validate_solution takes the steps whose first node falls in one window of
@@ -585,8 +584,9 @@ def _representation_errors(Y, down, jump, J, pJ, new, mean, z, u, psi, s):
 def validate_solution(solution: Solution, scenario: Scenario) -> ValidationReport:
     """Check the four defining conditions on a solved scenario; never raises.
     ``scenario`` is the scenario the solution solves: the checks read the
-    obstacle field the solution was prepared with.  One pass over chunks of
-    consecutive steps, concatenated, independent of the slicing kernel."""
+    obstacle field the solution was prepared with, and the report on any
+    other scenario does not pass.  One pass over chunks of consecutive steps,
+    concatenated, independent of the slicing kernel."""
     lat, obstacle = solution.lattice, solution.obstacle_field()
     N, dt, s = lat.n_steps, lat.dt, lat.sqrt_dt
     sizes = [lat.n_nodes(k) for k in range(N + 1)]
@@ -621,4 +621,5 @@ def validate_solution(solution: Solution, scenario: Scenario) -> ValidationRepor
                                               representation)
     return ValidationReport(driver_square_sum=sq, equation_residual=_max(residual, representation),
                             k_decrease=k_dec, skorokhod_product=skorokhod, obstacle_violation=obs_viol,
-                            representation_residual=representation)
+                            representation_residual=representation,
+                            foreign_scenario=scenario is not solution.scenario and scenario != solution.scenario)

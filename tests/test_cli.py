@@ -20,7 +20,7 @@ from rabsde.cli import (
     RunReport,
     emit_report,
     format_json,
-    load_scenario,
+    load_scenario_with_outputs,
     main,
     run,
     scenario_from_dict,
@@ -54,7 +54,7 @@ def _write(tmp_path, doc, name="scenario.json"):
 
 
 def test_load_minimal_scenario(tmp_path):
-    scenario = load_scenario(_write(tmp_path, MINIMAL))
+    scenario = load_scenario_with_outputs(_write(tmp_path, MINIMAL))[0].scenario
     assert scenario.n_steps == 2
     assert scenario.driver.base.source == "0"
     sol = solve_backward(scenario)
@@ -64,21 +64,21 @@ def test_load_minimal_scenario(tmp_path):
 def test_load_rejects_fractional_delta(tmp_path):
     doc = {**MINIMAL, "delta_steps": 1.5}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario(_write(tmp_path, doc))
+        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
     assert any(ptr == "/delta_steps" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_terminal_below_obstacle(tmp_path):
     doc = {**MINIMAL, "obstacle": "w + 1", "terminal": "w"}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario(_write(tmp_path, doc))
+        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
     assert any(ptr == "/terminal" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_unknown_key_and_bad_expression(tmp_path):
     doc = {**MINIMAL, "driver": {"text": "y + ", "form": "M"}, "typo_key": 1}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario(_write(tmp_path, doc))
+        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
     pointers = {ptr for ptr, _ in exc.value.issues}
     assert "/typo_key" in pointers
     assert "/driver/text" in pointers
@@ -87,21 +87,21 @@ def test_load_rejects_unknown_key_and_bad_expression(tmp_path):
 def test_load_rejects_wrong_lambda_length(tmp_path):
     doc = {**MINIMAL, "lambda": [0.1, 0.2, 0.3]}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario(_write(tmp_path, doc))
+        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
     assert any(ptr == "/lambda" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_hazard_above_one(tmp_path):
     doc = {**MINIMAL, "horizon": 1.0, "steps": 4, "lambda": 5.0}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario(_write(tmp_path, doc))
+        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
     assert any(ptr == "/lambda" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_obstacle_with_solution_variables(tmp_path):
     doc = {**MINIMAL, "obstacle": "y"}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario(_write(tmp_path, doc))
+        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
     assert any(ptr == "/obstacle" for ptr, _ in exc.value.issues)
 
 
@@ -113,7 +113,7 @@ def test_scenario_round_trip_solves_identically(tmp_path):
         "driver": {"text": "0.2*y + 0.1*ey - 0.1*u", "form": "H"},
         "terminal": "w + 0.5*h",
     }
-    scenario = load_scenario(_write(tmp_path, doc))
+    scenario = load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
     redone = scenario_from_dict(scenario_to_dict(scenario))
     a = solve_backward(scenario)
     b = solve_backward(redone)
@@ -143,7 +143,7 @@ def test_run_crr_oracle_check():
             "oracle": {"kind": "crr", "spot": 1.0, "strike": 1.0, "rate": 0.04, "sigma": 1.0},
         }
     )
-    flags = RunFlags(oracle="crr")
+    flags = RunFlags(workflows={"oracle"})
     report = run(problem, flags)
     assert report.passed
     oracle = report.data["oracle"]
@@ -260,6 +260,19 @@ def test_main_compare_subcommand(tmp_path):
     data = json.loads(Path(out).read_text(encoding="utf-8"))
     assert data["comparison"]["min_gap"] >= -1e-10
     assert data["comparison"]["iterates"]["final_gap"] <= 1e-8
+
+
+def test_a_nan_comparison_gap_fails_its_check(tmp_path):
+    # a driver of 1e308 overflows Y to inf, so the node-wise gap Y1 - Y2 is NaN
+    path = _write(tmp_path, {"horizon": 1.0, "steps": 40, "lambda": 0.0, "driver": "1e308",
+                             "obstacle": "-1e9", "terminal": "w"})
+    out = tmp_path / "cmp.json"
+    with np.errstate(all="ignore"):
+        assert main(["compare", "--scenario", path, "--scenario2", path, "--out", str(out)]) == 3
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["comparison"]["min_gap"] == "nan"
+    check = next(c for c in data["checks"] if c["name"] == "comparison_min_gap")
+    assert check["violation"] == "nan" and check["pass"] is False
 
 
 def test_compare_iterates_converge_at_zero_lag(tmp_path):
@@ -581,7 +594,7 @@ def test_csv_is_written_one_step_at_a_time(tmp_path, monkeypatch):
     sink = _Recorder()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["solve", "--scenario", path, "--format", "csv"]) == 0
-    sc = load_scenario(path)
+    sc = load_scenario_with_outputs(path)[0].scenario
     lat = build_lattice(sc.horizon, sc.n_steps, sc.intensity)  # one row per labelled node
     header, *steps = sink.writes
     assert header == "step,up_count,default_step,Y,Z,U,dK,psi,S\n"

@@ -26,7 +26,7 @@ from rabsde.comparison import (
     run_comparison,
     run_random_suite,
 )
-from rabsde.driver import DriverExpr, GridSpec, eval_driver, parse_driver
+from rabsde.driver import DriverExpr, GridSpec, parse_driver
 from rabsde.errors import DriverEvalError, HypothesisError, SolverError
 from rabsde.solver import solve_backward
 
@@ -44,7 +44,7 @@ def test_monotone_decreasing_with_witness():
     env, lo, hi, g_lo, g_hi = report.witness
     assert lo < hi and g_lo > g_hi  # the witness really violates the inequality
     expr = parse_driver("-ey")
-    assert eval_driver(expr, {**env, "ey": lo}) > eval_driver(expr, {**env, "ey": hi})
+    assert float(expr.compiled()({**env, "ey": lo})) > float(expr.compiled()({**env, "ey": hi}))
 
 
 def test_monotone_saturating():
@@ -67,7 +67,7 @@ def test_theta_violated_by_steep_negative_slope():
     assert report.theta == pytest.approx(-4.0, abs=1e-12)
     env, u_lo, u_hi, ratio = report.witness
     expr = parse_driver("-2*u")
-    lhs = eval_driver(expr, {**env, "u": u_hi}) - eval_driver(expr, {**env, "u": u_lo})
+    lhs = float(expr.compiled()({**env, "u": u_hi})) - float(expr.compiled()({**env, "u": u_lo}))
     assert lhs < -1.0 * 0.5 * (u_hi - u_lo)  # steeper down than theta = -1 allows
 
 

@@ -16,7 +16,6 @@ from rabsde.driver import (
     GridSpec,
     check_M_form_lipschitz,
     estimate_lipschitz,
-    eval_driver,
     parse_driver,
 )
 from rabsde.errors import DriverEvalError, DriverParseError
@@ -28,7 +27,7 @@ ENV_VARS = ("t", "w", "h", "y", "z", "ey", "ez", "u", "tau")
 def test_parse_constant_zero():
     expr = parse_driver("0")
     assert expr.free_vars == frozenset()
-    assert eval_driver(expr, {}) == 0.0
+    assert float(expr.compiled()({})) == 0.0
 
 
 def test_parse_collects_variables():
@@ -59,27 +58,27 @@ def test_parse_arity_error():
 
 def test_precedence_unary_minus_binds_tightest():
     expr = parse_driver("-0.05*y")
-    assert eval_driver(expr, {"y": 100.0}) == -5.0
+    assert float(expr.compiled()({"y": 100.0})) == -5.0
 
 
 def test_left_associativity():
-    assert eval_driver(parse_driver("8/4/2"), {}) == 1.0
-    assert eval_driver(parse_driver("8-4-2"), {}) == 2.0
+    assert float(parse_driver("8/4/2").compiled()({})) == 1.0
+    assert float(parse_driver("8-4-2").compiled()({})) == 2.0
 
 
 def test_eval_min():
-    assert eval_driver(parse_driver("min(ey, y)"), {"ey": 2.0, "y": 3.0}) == 2.0
+    assert float(parse_driver("min(ey, y)").compiled()({"ey": 2.0, "y": 3.0})) == 2.0
 
 
 def test_eval_functions():
-    assert eval_driver(parse_driver("exp(0)"), {}) == 1.0
-    assert eval_driver(parse_driver("abs(-3.5)"), {}) == 3.5
+    assert float(parse_driver("exp(0)").compiled()({})) == 1.0
+    assert float(parse_driver("abs(-3.5)").compiled()({})) == 3.5
 
 
 def test_eval_division_by_zero():
     expr = parse_driver("u/(1-h)")
     with pytest.raises(DriverEvalError):
-        eval_driver(expr, {"u": 1.0, "h": 1.0})
+        float(expr.compiled()({"u": 1.0, "h": 1.0}))
 
 
 def test_compiled_scalar_division_by_zero_raises_driver_error():
@@ -96,12 +95,12 @@ def test_compiled_scalar_division_by_zero_raises_driver_error():
 
 def test_eval_unbound_variable():
     with pytest.raises(DriverEvalError):
-        eval_driver(parse_driver("y"), {})
+        float(parse_driver("y").compiled()({}))
 
 
 def test_scientific_literals():
-    assert eval_driver(parse_driver("-1e9"), {}) == -1e9
-    assert eval_driver(parse_driver("2.5e-3"), {}) == 2.5e-3
+    assert float(parse_driver("-1e9").compiled()({})) == -1e9
+    assert float(parse_driver("2.5e-3").compiled()({})) == 2.5e-3
 
 
 @st.composite
@@ -137,7 +136,7 @@ def test_engine_matches_python_eval(text, env):
     except ArithmeticError:
         assume(False)
     assume(math.isfinite(expected))
-    got = eval_driver(parse_driver(text), env)
+    got = float(parse_driver(text).compiled()(env))
     if "exp" in text:  # np.exp and math.exp may differ in the last bit
         assert got == pytest.approx(expected, rel=1e-14, abs=0)
     else:  # == rather than bytes: np.minimum(0.0, -0.0) is -0.0, min() gives 0.0
@@ -146,12 +145,12 @@ def test_engine_matches_python_eval(text, env):
 
 def test_engine_follows_numpy_where_python_would_raise_or_drop_nan():
     nan = math.nan
-    assert math.isnan(eval_driver(parse_driver("min(y, 1)"), {"y": nan}))
-    assert math.isnan(eval_driver(parse_driver("max(1, y)"), {"y": nan}))
-    assert eval_driver(parse_driver("exp(1000)"), {}) == math.inf
+    assert math.isnan(float(parse_driver("min(y, 1)").compiled()({"y": nan})))
+    assert math.isnan(float(parse_driver("max(1, y)").compiled()({"y": nan})))
+    assert float(parse_driver("exp(1000)").compiled()({})) == math.inf
     # a NumPy scalar operand divides with IEEE semantics: 0/0 through abs is NaN
-    assert math.isnan(eval_driver(parse_driver("t/(t/(1+abs(t)))"), {"t": 0.0}))
-    assert eval_driver(parse_driver("1/abs(t)"), {"t": 0.0}) == math.inf
+    assert math.isnan(float(parse_driver("t/(t/(1+abs(t)))").compiled()({"t": 0.0})))
+    assert float(parse_driver("1/abs(t)").compiled()({"t": 0.0})) == math.inf
 
 
 def test_compiled_closure_is_built_once_and_is_strict():
@@ -182,9 +181,9 @@ def test_parse_rejects_expressions_nested_past_the_bound(text, offset):
 
 def test_parse_accepts_expressions_at_the_bound():
     env = {"y": 0.5}
-    assert eval_driver(parse_driver("(" * MAX_DEPTH + "y" + ")" * MAX_DEPTH), env) == 0.5
-    assert eval_driver(parse_driver("-" * (MAX_DEPTH - 1) + "y"), env) == -0.5
-    assert eval_driver(parse_driver("+".join(["y"] * MAX_DEPTH)), env) == 0.5 * MAX_DEPTH
+    assert float(parse_driver("(" * MAX_DEPTH + "y" + ")" * MAX_DEPTH).compiled()(env)) == 0.5
+    assert float(parse_driver("-" * (MAX_DEPTH - 1) + "y").compiled()(env)) == -0.5
+    assert float(parse_driver("+".join(["y"] * MAX_DEPTH)).compiled()(env)) == 0.5 * MAX_DEPTH
 
 
 _H_DRIVER = "0.3*y - 0.2*z + 0.5*u + min(ey, 1)"
@@ -218,7 +217,7 @@ def test_compiled_matches_scalar_eval():
     y, ey, u, w = env["y"], env["ey"], env["u"], env["w"]
     expected = 0.3*y - 0.2*ey + min(u, 1.5) - math.exp(w/4)
     assert fn(env) == pytest.approx(expected, rel=1e-15)
-    assert eval_driver(expr, env) == pytest.approx(expected, rel=1e-15)
+    assert float(expr.compiled()(env)) == pytest.approx(expected, rel=1e-15)
     arr_env = {k: np.full(5, v) for k, v in env.items()}
     assert np.allclose(fn(arr_env), expected)
 

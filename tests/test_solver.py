@@ -359,6 +359,26 @@ def test_validate_flags_corrupted_y():
     assert report.k_decrease == 0.0
 
 
+def _anticipated_put(delta_steps: int = 2):
+    return make_scenario(n_steps=8, lam=0.3, delta_steps=delta_steps, driver="-0.05*y + 0.1*ey - 0.1*u",
+                         form="H", obstacle="max(1 - exp(w), 0)", terminal="max(1 - exp(w), 0) + 0.1*h")
+
+
+def test_validate_does_not_pass_a_scenario_the_solution_does_not_solve():
+    sol = solve_backward(_anticipated_put())
+    assert validate_solution(sol, sol.scenario).passes()
+    report = validate_solution(sol, _anticipated_put(delta_steps=3))
+    assert not report.passes()
+    assert len(report.checks()) == 4 and report.max_violation <= 1e-10
+
+
+def test_validate_passes_an_equal_copy_of_the_solved_scenario():
+    sol = solve_backward(_anticipated_put())
+    copy = _anticipated_put()
+    assert copy is not sol.scenario and copy == sol.scenario
+    assert validate_solution(sol, copy).passes()
+
+
 def test_validate_flags_decreasing_k():
     sc = make_scenario(n_steps=4, lam=0.4, driver="0.2*y", terminal="w + h")
     sol = solve_backward(sc)
