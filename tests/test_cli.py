@@ -64,21 +64,21 @@ def test_load_minimal_scenario(tmp_path):
 def test_load_rejects_fractional_delta(tmp_path):
     doc = {**MINIMAL, "delta_steps": 1.5}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
+        load_scenario_with_outputs(_write(tmp_path, doc))
     assert any(ptr == "/delta_steps" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_terminal_below_obstacle(tmp_path):
     doc = {**MINIMAL, "obstacle": "w + 1", "terminal": "w"}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
+        load_scenario_with_outputs(_write(tmp_path, doc))
     assert any(ptr == "/terminal" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_unknown_key_and_bad_expression(tmp_path):
     doc = {**MINIMAL, "driver": {"text": "y + ", "form": "M"}, "typo_key": 1}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
+        load_scenario_with_outputs(_write(tmp_path, doc))
     pointers = {ptr for ptr, _ in exc.value.issues}
     assert "/typo_key" in pointers
     assert "/driver/text" in pointers
@@ -87,21 +87,21 @@ def test_load_rejects_unknown_key_and_bad_expression(tmp_path):
 def test_load_rejects_wrong_lambda_length(tmp_path):
     doc = {**MINIMAL, "lambda": [0.1, 0.2, 0.3]}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
+        load_scenario_with_outputs(_write(tmp_path, doc))
     assert any(ptr == "/lambda" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_hazard_above_one(tmp_path):
     doc = {**MINIMAL, "horizon": 1.0, "steps": 4, "lambda": 5.0}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
+        load_scenario_with_outputs(_write(tmp_path, doc))
     assert any(ptr == "/lambda" for ptr, _ in exc.value.issues)
 
 
 def test_load_rejects_obstacle_with_solution_variables(tmp_path):
     doc = {**MINIMAL, "obstacle": "y"}
     with pytest.raises(ScenarioError) as exc:
-        load_scenario_with_outputs(_write(tmp_path, doc))[0].scenario
+        load_scenario_with_outputs(_write(tmp_path, doc))
     assert any(ptr == "/obstacle" for ptr, _ in exc.value.issues)
 
 
