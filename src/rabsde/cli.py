@@ -61,6 +61,7 @@ from .solver import (
     Scheme,
     Solution,
     ValidationReport,
+    _beta_overflow,
     _lattice_for,
     _max,
     _min,
@@ -779,6 +780,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# no numpy warning reaches the user: the finite checks report a non-finite value
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -822,6 +825,11 @@ def main(argv=None) -> int:
                          picard=PicardOptions(**{k: v for k, v in picard.items() if v is not None}))
         if args.tol is not None:
             flags.tol = args.tol
+        overflow = flags.picard.beta is not None and _beta_overflow(problem.lattice, flags.picard.beta)
+        if overflow:  # the flag, not the scenario, is at fault
+            line = f"error: argument --beta: {overflow}\n"
+            _quietly(sys.stderr, lambda fh: fh.write(line))
+            return 2
         if args.command == "solve" and args.oracle == "crr":
             flags.workflows.add("oracle")
         elif args.command == "compare":

@@ -340,24 +340,21 @@ class DefaultLattice:
         z = np.empty(n)
         u = np.zeros(n)
         psi = np.zeros(n)
-        alive = V[0]
-        slope_alive = (alive[1:] - alive[:-1]) / s2
+        # per block: up child + down child, and the slope between them; row 0
+        # is the alive block, row -1 the block defaulting at step k+1
+        sums = V[:, 1:] + V[:, :-1]
+        slopes = (V[:, 1:] - V[:, :-1]) / s2
         if p > 0.0:
-            dnew = V[-1]
-            slope_def = (dnew[1:] - dnew[:-1]) / s2
-            mean[:width] = 0.5 * (1.0 - p) * (alive[1:] + alive[:-1]) + 0.5 * p * (
-                dnew[1:] + dnew[:-1]
-            )
-            z[:width] = (1.0 - p) * slope_alive + p * slope_def
-            u[:width] = 0.5 * ((dnew[1:] + dnew[:-1]) - (alive[1:] + alive[:-1]))
-            psi[:width] = slope_def - slope_alive
+            mean[:width] = 0.5 * (1.0 - p) * sums[0] + 0.5 * p * sums[-1]
+            z[:width] = (1.0 - p) * slopes[0] + p * slopes[-1]
+            u[:width] = 0.5 * (sums[-1] - sums[0])
+            psi[:width] = slopes[-1] - slopes[0]
         else:
-            mean[:width] = 0.5 * (alive[1:] + alive[:-1])
-            z[:width] = slope_alive
+            mean[:width] = 0.5 * sums[0]
+            z[:width] = slopes[0]
         if n_def:
-            B = V[1 : n_def + 1]
-            mean[width:] = (0.5 * (B[:, 1:] + B[:, :-1])).reshape(-1)
-            z[width:] = ((B[:, 1:] - B[:, :-1]) / s2).reshape(-1)
+            mean[width:] = (0.5 * sums[1 : n_def + 1]).reshape(-1)
+            z[width:] = slopes[1 : n_def + 1].reshape(-1)
         return mean, z, u, psi
 
     def pullback(self, values: np.ndarray, from_step: int, to_step: int) -> np.ndarray:

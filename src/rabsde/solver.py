@@ -445,6 +445,15 @@ def beta_norm(a, b, beta: float) -> float:
     return total
 
 
+def _beta_overflow(lat: DefaultLattice, beta: float) -> str | None:
+    """Why ``beta_norm``'s largest weight, e^(beta t) at t = T - dt, overflows; None if it does not."""
+    try:
+        math.exp(beta * (lat.n_steps - 1) * lat.dt)
+    except OverflowError:
+        return f"beta = {beta:.6g} overflows the Picard weight e^(beta t) at t = T - dt"
+    return None
+
+
 def estimate_c_prime(scenario: Scenario) -> float:
     """Grid estimate of the dM-form driver's Lipschitz constant."""
     dt = scenario.horizon / scenario.n_steps
@@ -483,6 +492,9 @@ def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[
                 "where the intensity vanishes; pass beta explicitly"
             )
         beta = 1.0 + 10.0 * opts.rho * c_prime**2
+    overflow = _beta_overflow(lat, beta)
+    if overflow is not None:
+        raise SolverError(f"{overflow}; pass a smaller beta (--beta)")
     prev = _Triple(
         y=ProcessField.zeros(lat),
         z=ProcessField.zeros(lat),
@@ -500,9 +512,11 @@ def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[
             solution.diagnostics["picard_beta"] = beta
             solution.diagnostics["picard_distances"] = tuple(history)
             return solution, history
+        if math.isnan(dist):  # no later pass can reach tol
+            break
         prev = cur
     raise PicardConvergenceError(
-        f"Picard iteration did not reach tol={opts.tol} within {opts.max_iter} "
+        f"Picard iteration did not reach tol={opts.tol} within {len(history)} "
         f"iterations (last distance {history[-1]:.3g})",
         history,
     )

@@ -14,6 +14,7 @@ nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,11 +22,12 @@ import numpy as np
 
 from .errors import EnumerationError, LatticeError
 from .lattice import DefaultLattice, NodeId
-from .solver import CHECK_TOL, Scenario, Solution, _max
+from .solver import CHECK_TOL, Scenario, Solution
 
 DEFAULT_ENUMERATION_CAP = 22
 # k_running_max_check walks at most this many paths
 _PATH_CAP = 1 << 20
+_PATH_BATCH = 1 << 11  # paths per batch: under about 10 MB at the cap (N <= 20)
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class StoppingRule:
         out[lattice.n_steps][:] = True
         return cls(lattice, tuple(out))
 
-    def same_rule(self, other: "StoppingRule", from_step: int = 0) -> bool:
-        for k in range(from_step, self.lattice.n_steps + 1):
+    def same_rule(self, other: "StoppingRule") -> bool:
+        for k in range(self.lattice.n_steps + 1):
             if not np.array_equal(self.stop[k], other.stop[k]):
                 return False
         return True
@@ -184,7 +186,7 @@ def brute_force_value(
 
 
 def tau_characterizations(
-    solution: Solution, scenario: Scenario, t_index: int = 0
+    solution: Solution, scenario: Scenario
 ) -> tuple[StoppingRule, StoppingRule, bool]:
     """Both optimal-time characterizations: first Y <= S + CHECK_TOL and first K increase.
 
@@ -198,23 +200,18 @@ def tau_characterizations(
     obstacle = solution.obstacle_field()
     stop_y = []
     stop_k = []
-    for k in range(N + 1):
-        if k < t_index:
-            stop_y.append(np.zeros(lat.n_nodes(k), dtype=bool))
-            stop_k.append(np.zeros(lat.n_nodes(k), dtype=bool))
-        else:  # from_arrays makes every terminal node stop
-            stop_y.append(solution.y.step(k) - obstacle.step(k) <= CHECK_TOL)
-            stop_k.append(solution.dk.step(k) > 0.0)
+    for k in range(N + 1):  # from_arrays makes every terminal node stop
+        stop_y.append(solution.y.step(k) - obstacle.step(k) <= CHECK_TOL)
+        stop_k.append(solution.dk.step(k) > 0.0)
     y_rule = StoppingRule.from_arrays(lat, stop_y)
     k_rule = StoppingRule.from_arrays(lat, stop_k)
-    return y_rule, k_rule, y_rule.same_rule(k_rule, from_step=t_index)
+    return y_rule, k_rule, y_rule.same_rule(k_rule)
 
 
 @dataclass(frozen=True)
 class StoppingReport:
-    """Snell-value cross-check at one node."""
+    """Snell-value cross-check at the root."""
 
-    node: NodeId
     snell_value: float
     brute_force: float
     gap: float
@@ -226,21 +223,15 @@ class StoppingReport:
     tau_rules_coincide: bool
 
 
-def snell_report(
-    solution: Solution,
-    scenario: Scenario,
-    from_node: NodeId | None = None,
-) -> StoppingReport:
+def snell_report(solution: Solution, scenario: Scenario) -> StoppingReport:
     solution = solution.labelled()
-    lat = solution.lattice
-    node = from_node if from_node is not None else lat.root()
-    snell = float(solution.y.step(node.step)[lat.index(node)])
+    node = solution.lattice.root()
+    snell = solution.y0
     value, best_rule = brute_force_value(solution, scenario, node)
-    y_rule, k_rule, same = tau_characterizations(solution, scenario, node.step)
+    y_rule, k_rule, same = tau_characterizations(solution, scenario)
     tau_payoff = stopping_payoff(y_rule, solution, scenario, node)
     k_payoff = stopping_payoff(k_rule, solution, scenario, node)
     return StoppingReport(
-        node=node,
         snell_value=snell,
         brute_force=value,
         gap=abs(snell - value),
@@ -265,7 +256,7 @@ class KRunningMaxReport:
 def k_running_max_check(solution: Solution, scenario: Scenario) -> KRunningMaxReport:
     """Compare suffix sums of dK with the pathwise running max of the negative
     part of (terminal payoff + remaining driver - remaining martingale part
-    - obstacle).
+    - obstacle), on ``iter_paths``'s paths taken ``_PATH_BATCH`` at a time.
 
     ``max_gap`` uses the full one-step martingale part (z dW + u dM +
     psi dW dM) and is exact up to round-off; ``max_gap_z_only`` drops the jump
@@ -276,41 +267,29 @@ def k_running_max_check(solution: Solution, scenario: Scenario) -> KRunningMaxRe
         raise EnumerationError(f"{lat.n_paths()} paths exceed the cap of {_PATH_CAP}")
     N = lat.n_steps
     obstacle = solution.obstacle_field()
-    fv = [solution.driver_values.step(k) for k in range(N)]
-    zs = [solution.z.step(k) for k in range(N)]
-    us = [solution.u.step(k) for k in range(N)]
-    ps = [solution.psi.step(k) for k in range(N)]
-    dks = [solution.dk.step(k) for k in range(N + 1)]
-    hs = [lat.h_values(k) for k in range(N)]
-    obs = [obstacle.step(k) for k in range(N + 1)]
-    xi = solution.y.step(N)
-    max_gap = 0.0
-    max_gap_z = 0.0
+    fields = (solution.driver_values.step, solution.z.step, solution.u.step, solution.psi.step,
+              solution.dk.step, lat.h_values)
+
+    def suffix_sums(x):  # along the last axis, the sums over entries r.. for r = 0..n (0 at n)
+        tails = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
+        return np.concatenate([tails, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+
+    gaps = np.zeros(2)  # max_gap, max_gap_z_only
     n_paths = 0
-    for path in lat.iter_paths():
-        n_paths += 1
-        idx = path.indices
-        fpath = np.array([fv[r][idx[r]] for r in range(N)]) * lat.dt
-        zpath = np.array([zs[r][idx[r]] for r in range(N)])
-        upath = np.array([us[r][idx[r]] for r in range(N)])
-        ppath = np.array([ps[r][idx[r]] for r in range(N)])
-        alive = np.array([1.0 - hs[r][idx[r]] for r in range(N)])
-        dm = path.dh - lat.p[:N] * alive
-        mart = zpath * path.dw + upath * dm + ppath * path.dw * dm
-        mart_z = zpath * path.dw
-        spath = np.array([obs[v][idx[v]] for v in range(N + 1)])
-        dkpath = np.array([dks[r][idx[r]] for r in range(N)])
-        xi_v = float(xi[idx[N]])
-        for mpart, tracker in ((mart, "full"), (mart_z, "z")):
-            tail_f = np.concatenate([np.cumsum(fpath[::-1])[::-1], [0.0]])
-            tail_m = np.concatenate([np.cumsum(mpart[::-1])[::-1], [0.0]])
-            a = xi_v + tail_f - tail_m - spath
-            neg = np.maximum(-a, 0.0)
-            run_max = np.maximum.accumulate(neg[::-1])[::-1]
-            target = np.concatenate([np.cumsum(dkpath[::-1])[::-1], [0.0]])
-            gap = float(np.max(np.abs(target - run_max)))
-            if tracker == "full":
-                max_gap = _max(max_gap, gap)
-            else:
-                max_gap_z = _max(max_gap_z, gap)
-    return KRunningMaxReport(max_gap=max_gap, max_gap_z_only=max_gap_z, n_paths=n_paths)
+    paths = lat.iter_paths()
+    while batch := list(itertools.islice(paths, _PATH_BATCH)):
+        n_paths += len(batch)
+        # arrays of shape (paths, steps), one gather per field per step
+        idx = np.array([path.indices for path in batch])
+        dw = np.array([path.dw for path in batch])
+        fv, z, u, psi, dk, h = (np.stack([step(r)[idx[:, r]] for r in range(N)], axis=1)
+                                for step in fields)
+        spath = np.stack([obstacle.step(r)[idx[:, r]] for r in range(N + 1)], axis=1)
+        dm = np.array([path.dh for path in batch]) - lat.p[:N] * (1.0 - h)
+        xi_f = solution.y.step(N)[idx[:, N], None] + suffix_sums(fv * lat.dt)  # xi + remaining driver
+        target = suffix_sums(dk)
+        mart = np.stack([z * dw + u * dm + psi * dw * dm, z * dw])  # full, z only
+        neg = np.maximum(-(xi_f - suffix_sums(mart) - spath), 0.0)
+        run_max = np.maximum.accumulate(neg[..., ::-1], axis=-1)[..., ::-1]
+        gaps = np.maximum(gaps, np.max(np.abs(target - run_max), axis=(1, 2)))  # a NaN stays
+    return KRunningMaxReport(max_gap=float(gaps[0]), max_gap_z_only=float(gaps[1]), n_paths=n_paths)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,8 +268,7 @@ def test_a_nan_comparison_gap_fails_its_check(tmp_path):
     path = _write(tmp_path, {"horizon": 1.0, "steps": 40, "lambda": 0.0, "driver": "1e308",
                              "obstacle": "-1e9", "terminal": "w"})
     out = tmp_path / "cmp.json"
-    with np.errstate(all="ignore"):
-        assert main(["compare", "--scenario", path, "--scenario2", path, "--out", str(out)]) == 3
+    assert main(["compare", "--scenario", path, "--scenario2", path, "--out", str(out)]) == 3
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["comparison"]["min_gap"] == "nan"
     check = next(c for c in data["checks"] if c["name"] == "comparison_min_gap")
@@ -387,6 +387,24 @@ def test_compare_names_the_second_file_in_its_load_errors(tmp_path, capsys, seco
     # the first file's issues keep their bare pointers
     assert main(["compare", "--scenario", p2, "--scenario2", p1]) == 2
     assert capsys.readouterr().err.startswith(f"error: invalid scenario: {first_issue[len('--scenario2'):]}")
+
+
+def test_compare_with_two_lags_exits_2_naming_the_pair(tmp_path, capsys):
+    p1 = _write(tmp_path, {**_WORKFLOW_DOC, "delta_steps": 2, "terminal": f"{_WORKFLOW_DOC['terminal']} + 0.5"},
+                "s1.json")
+    p2 = _write(tmp_path, _WORKFLOW_DOC, "s2.json")
+    assert main(["compare", "--scenario", p1, "--scenario2", p2]) == 2
+    assert capsys.readouterr().err == "error: comparison scenarios must share the anticipation lag\n"
+
+
+@pytest.mark.parametrize("change, issue", [
+    ({"steps": 4, "driver": "-10*y"}, "/scheme: explicit scheme needs C'*dt <= 0.5 (estimated 2.5); "
+                                      "use the implicit scheme or more steps"),
+    ({"steps": 2, "lambda": [0.3, 0.0], "driver": "u"}, "/driver: driver depends on u where the intensity vanishes"),
+])
+def test_the_gate_refuses_a_driver_the_grid_cannot_carry(tmp_path, capsys, change, issue):
+    assert main(["solve", "--scenario", _write(tmp_path, {**MINIMAL, **change})]) == 2
+    assert capsys.readouterr().err == f"error: invalid scenario: {issue}\n"
 
 
 def test_compare_names_a_second_file_that_is_not_json(tmp_path, capsys):
@@ -970,3 +988,62 @@ def test_bad_numeric_flag_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+def _largest_picard_beta(n_steps, dt):
+    """The largest beta whose weight e^(beta t) at t = T - dt is a finite float."""
+    def overflows(beta):
+        try:
+            math.exp(beta * (n_steps - 1) * dt)
+        except OverflowError:
+            return True
+        return False
+
+    beta = math.log(sys.float_info.max) / ((n_steps - 1) * dt)
+    while overflows(beta):
+        beta = math.nextafter(beta, 0.0)
+    while not overflows(math.nextafter(beta, math.inf)):
+        beta = math.nextafter(beta, math.inf)
+    return beta
+
+
+def test_picard_refuses_a_beta_whose_weight_overflows(tmp_path, capsys):
+    # a driver free of y, z and u: the second pass repeats the first, at any beta
+    path = _write(tmp_path, {**MINIMAL, "steps": 4, "lambda": 0.3, "driver": "0.1"})
+    top = _largest_picard_beta(4, 0.25)
+    out = tmp_path / "picard.json"
+    assert main(["picard", "--scenario", path, "--beta", repr(top), "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["picard"]["beta"] == top
+    capsys.readouterr()
+    for beta in (math.nextafter(top, math.inf), 1000.0):
+        assert main(["picard", "--scenario", path, "--beta", repr(beta)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument --beta: beta = {beta:.6g} overflows the Picard weight")
+        assert err.count("\n") == 1
+    # the default beta, 1 + 10 * C'^2 = 811, against a bound of 721 on 64 steps
+    implicit = _write(tmp_path, {"horizon": 1.0, "steps": 64, "lambda": 0.3, "scheme": "implicit",
+                                 "driver": "-9*y", "obstacle": "max(0.5 - w, 0)",
+                                 "terminal": "max(0.5 - w, 0)"}, "implicit.json")
+    assert main(["picard", "--scenario", implicit]) == 3
+    assert capsys.readouterr().err == (
+        "error: beta = 811 overflows the Picard weight e^(beta t) at t = T - dt; pass a smaller beta (--beta)\n")
+
+
+_OVERFLOWING = {"horizon": 1.0, "steps": 40, "lambda": 0.0, "driver": "1e308", "obstacle": "-1e9", "terminal": "w"}
+
+
+def test_picard_stops_at_a_nan_distance(tmp_path, capsys):
+    path = _write(tmp_path, _OVERFLOWING)
+    assert main(["picard", "--scenario", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: Picard iteration did not reach tol=1e-12 within 1 iterations (last distance nan)\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "picard"])
+def test_an_overflowing_run_prints_no_numpy_warning(tmp_path, command):
+    path = _write(tmp_path, _OVERFLOWING)
+    cmd, env = _fresh_cli(command, "--scenario", path, *(["--scenario2", path] if command == "compare" else []),
+                          "--out", str(tmp_path / "report.json"))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr

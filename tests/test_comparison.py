@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -27,7 +28,7 @@ from rabsde.comparison import (
     run_random_suite,
 )
 from rabsde.driver import DriverExpr, GridSpec, parse_driver
-from rabsde.errors import DriverEvalError, HypothesisError, SolverError
+from rabsde.errors import DriverEvalError, HypothesisError, MonotonicityError, SolverError
 from rabsde.solver import solve_backward
 
 GRID = GridSpec(points=5, n_base=16, seed=0)
@@ -439,6 +440,18 @@ def test_comparison_gaps_propagate_nan():
     # Y at the root is never anticipated, so the first iterate is finite
     trace = iterate_sequence(_case_with_nan_in_solution1(0), 1)
     assert math.isnan(trace.sup_diffs[0])
+
+
+def test_an_iterate_above_its_predecessor_raises_naming_the_node():
+    # lowering solution 1's Y at one terminal node puts the first iterate above it there
+    case = random_comparison_case(np.random.default_rng(7))
+    sol1 = solve_backward(case.scenario1)
+    n = sol1.lattice.n_steps
+    sol1.y.step(n)[0] -= 10.0
+    node = sol1.lattice.labelled().node_at(n, 0)
+    case = comparison._given_solution(case, sol1, case._problems[2])
+    with pytest.raises(MonotonicityError, match=rf"^iterate increased by \S+ at node {re.escape(str(node))}$"):
+        iterate_sequence(case, 1)
 
 
 def test_check_hypotheses_raises_on_a_scenario_the_gate_rejects():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import step_intensities
 from rabsde import (
     ALIVE,
     IntensitySpec,
@@ -481,3 +482,43 @@ def test_oversize_message_counts_nodes_exactly(monkeypatch):
     assert oversize_message(1.0, 5, spec).startswith(
         f"N too large, estimated {nodes * 7 * 8 / 1e9:.3g} GB for {nodes} nodes"
     )
+
+
+def _reference_projection(lat, k, values_next):
+    """``project_martingale`` as it was before it formed each block's pair sums
+    and slopes once: its reference, equal byte for byte."""
+    V = values_next.reshape(-1, k + 2)
+    p, n_def, width, s2 = lat.p[k], lat._def_blocks[k], k + 1, 2.0 * lat.sqrt_dt
+    n = lat.n_nodes(k)
+    mean, z, u, psi = np.empty(n), np.empty(n), np.zeros(n), np.zeros(n)
+    alive = V[0]
+    slope_alive = (alive[1:] - alive[:-1]) / s2
+    if p > 0.0:
+        dnew = V[-1]
+        slope_def = (dnew[1:] - dnew[:-1]) / s2
+        mean[:width] = 0.5 * (1.0 - p) * (alive[1:] + alive[:-1]) + 0.5 * p * (dnew[1:] + dnew[:-1])
+        z[:width] = (1.0 - p) * slope_alive + p * slope_def
+        u[:width] = 0.5 * ((dnew[1:] + dnew[:-1]) - (alive[1:] + alive[:-1]))
+        psi[:width] = slope_def - slope_alive
+    else:
+        mean[:width] = 0.5 * (alive[1:] + alive[:-1])
+        z[:width] = slope_alive
+    if n_def:
+        B = V[1 : n_def + 1]
+        mean[width:] = (0.5 * (B[:, 1:] + B[:, :-1])).reshape(-1)
+        z[width:] = ((B[:, 1:] - B[:, :-1]) / s2).reshape(-1)
+    return mean, z, u, psi
+
+
+@given(st.integers(2, 9), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_project_martingale_equals_the_per_block_formulas(n, quotient, seed, data):
+    lam = data.draw(step_intensities(n))
+    lat = lattice_module.DefaultLattice(1.0, n, IntensitySpec(values=tuple(lam), lambda_max=max(lam)),
+                                        quotient=quotient)
+    k = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(seed)
+    size = lat.n_nodes(k + 1)
+    values = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)
+    for got, want in zip(lat.project_martingale(k, values), _reference_projection(lat, k, values)):
+        assert got.tobytes() == want.tobytes()

@@ -331,6 +331,32 @@ def test_picard_rho_below_one_rejected():
         PicardOptions(rho=0.5)
 
 
+def test_picard_refuses_a_beta_whose_weight_overflows():
+    # the weight e^(beta t) at t = T - dt overflows a float for beta above ln(float max) / (T - dt)
+    explicit = make_scenario(n_steps=4, lam=0.3, driver="0.1", terminal="w")
+    with pytest.raises(SolverError, match=r"^beta = 1000 overflows the Picard weight e\^\(beta t\) at t = T - dt; "):
+        solve_picard(explicit, PicardOptions(beta=1000.0))
+    # the default 1 + 10 * C'^2 = 811 on 64 steps, where the bound is 721
+    default = make_scenario(n_steps=64, lam=0.3, driver="-9*y", scheme="implicit",
+                            obstacle="max(0.5 - w, 0)", terminal="max(0.5 - w, 0)")
+    with pytest.raises(SolverError, match=r"^beta = 811 overflows .*; pass a smaller beta \(--beta\)$"):
+        solve_picard(default)
+
+
+def test_a_nan_picard_distance_ends_the_iteration():
+    sc = make_scenario(n_steps=40, lam=0.0, driver="1e308", obstacle="-1e9", terminal="w")
+    with np.errstate(all="ignore"), pytest.raises(PicardConvergenceError, match=r"\(last distance nan\)$") as exc:
+        solve_picard(sc)  # Y overflows, so every pass's distance is NaN
+    assert len(exc.value.history) < 60 and math.isnan(exc.value.history[-1])
+
+
+def test_a_non_finite_driver_value_names_its_step():
+    # 1/w is finite at step 3, whose w values are odd multiples of sqrt(dt), and inf at w = 0
+    sc = make_scenario(n_steps=4, lam=0.3, driver="1/w", terminal="w")
+    with pytest.raises(SolverError, match="^driver produced a non-finite value at step 2$"):
+        solve_backward(sc)
+
+
 def test_estimate_c_prime_includes_jump_unit():
     sc = make_scenario(n_steps=8, lam=0.5, driver="0.3*y", form="H")
     cp = estimate_c_prime(sc)

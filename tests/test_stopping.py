@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_scenario, random_scenario, step_intensities
 from rabsde import ALIVE, EnumerationError, IntensitySpec, NodeId
 from rabsde import stopping
+from rabsde.solver import _max
 from rabsde.crr import american_put_scenario
 from rabsde.solver import solve_backward, obstacle_field
 from rabsde.stopping import (
@@ -362,3 +364,78 @@ def test_k_running_max_gap_propagates_nan():
     sol.dk.step(1)[0] = math.nan
     rep = k_running_max_check(sol, sc)
     assert math.isnan(rep.max_gap) and math.isnan(rep.max_gap_z_only)
+
+
+def _reference_running_max(solution):
+    """The per-path loop that ``k_running_max_check`` replaced, kept as its
+    reference: (max_gap, max_gap_z_only, n_paths)."""
+    lat = solution.lattice
+    N = lat.n_steps
+    obstacle = solution.obstacle_field()
+    fv = [solution.driver_values.step(k) for k in range(N)]
+    zs = [solution.z.step(k) for k in range(N)]
+    us = [solution.u.step(k) for k in range(N)]
+    ps = [solution.psi.step(k) for k in range(N)]
+    dks = [solution.dk.step(k) for k in range(N + 1)]
+    hs = [lat.h_values(k) for k in range(N)]
+    obs = [obstacle.step(k) for k in range(N + 1)]
+    xi = solution.y.step(N)
+    max_gap = 0.0
+    max_gap_z = 0.0
+    n_paths = 0
+    for path in lat.iter_paths():
+        n_paths += 1
+        idx = path.indices
+        fpath = np.array([fv[r][idx[r]] for r in range(N)]) * lat.dt
+        zpath = np.array([zs[r][idx[r]] for r in range(N)])
+        upath = np.array([us[r][idx[r]] for r in range(N)])
+        ppath = np.array([ps[r][idx[r]] for r in range(N)])
+        alive = np.array([1.0 - hs[r][idx[r]] for r in range(N)])
+        dm = path.dh - lat.p[:N] * alive
+        mart = zpath * path.dw + upath * dm + ppath * path.dw * dm
+        mart_z = zpath * path.dw
+        spath = np.array([obs[v][idx[v]] for v in range(N + 1)])
+        dkpath = np.array([dks[r][idx[r]] for r in range(N)])
+        xi_v = float(xi[idx[N]])
+        for mpart, tracker in ((mart, "full"), (mart_z, "z")):
+            tail_f = np.concatenate([np.cumsum(fpath[::-1])[::-1], [0.0]])
+            tail_m = np.concatenate([np.cumsum(mpart[::-1])[::-1], [0.0]])
+            a = xi_v + tail_f - tail_m - spath
+            neg = np.maximum(-a, 0.0)
+            run_max = np.maximum.accumulate(neg[::-1])[::-1]
+            target = np.concatenate([np.cumsum(dkpath[::-1])[::-1], [0.0]])
+            gap = float(np.max(np.abs(target - run_max)))
+            if tracker == "full":
+                max_gap = _max(max_gap, gap)
+            else:
+                max_gap_z = _max(max_gap_z, gap)
+    return max_gap, max_gap_z, n_paths
+
+
+_PLANTED = ("y", "z", "u", "psi", "dk", "driver_values", "obstacle")
+
+
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_running_max_equals_the_per_path_loop(n, seed, data):
+    """Random binding scenarios with zero-intensity steps likely, on the
+    quotient and on the full lattice, with a NaN planted in one field, in
+    batches of one path, a few paths or all of them."""
+    sc = random_scenario(np.random.default_rng(seed), n_steps=n, lam=0.3)
+    lam = data.draw(step_intensities(n))
+    sc = dataclasses.replace(sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=max(lam)))
+    sol = solve_backward(sc)
+    if data.draw(st.booleans(), label="full lattice"):
+        sol = sol.labelled()
+    name = data.draw(st.sampled_from((None,) + _PLANTED), label="NaN in")
+    if name is not None:
+        field = sol.obstacle_field() if name == "obstacle" else getattr(sol, name)
+        k = data.draw(st.integers(0, n), label="step")
+        field.step(k)[data.draw(st.integers(0, sol.lattice.n_nodes(k) - 1), label="node")] = math.nan
+    batch = data.draw(st.sampled_from([1, 3, stopping._PATH_BATCH]), label="batch")
+    with mock.patch.object(stopping, "_PATH_BATCH", batch):
+        report = k_running_max_check(sol, sc)
+    max_gap, max_gap_z, n_paths = _reference_running_max(sol)
+    assert report.max_gap.hex() == max_gap.hex()
+    assert report.max_gap_z_only.hex() == max_gap_z.hex()
+    assert report.n_paths == n_paths
