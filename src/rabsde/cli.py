@@ -434,26 +434,30 @@ class RunReport:
 
     data: dict
     solution: Solution | None = None
+    timings: dict[str, float] = field(default_factory=dict)  # seconds per phase
 
     @property
     def passed(self) -> bool:
         return bool(self.data.get("pass", False))
 
 
-def emit_report(report: RunReport, fmt: str, path: str) -> None:
-    """Write the report deterministically; csv emits the per-node table."""
+def emit_report(report: RunReport, fmt: str, path: str | None = None) -> None:
+    """Write the report deterministically to ``path``, or to stdout when it is
+    None; csv emits the per-node table."""
     if fmt == "json":
         text = format_json(report.data) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        return
-    if fmt == "csv":
+        write = lambda fh: fh.write(text)
+    elif fmt == "csv":
         if report.solution is None:
             raise ScenarioError([("", "csv output requires a solved scenario")])
+        write = functools.partial(_write_node_table, report.solution)
+    else:
+        raise ScenarioError([("", f"unknown report format '{fmt}'")])
+    if path is None:
+        _quietly(sys.stdout, write)
+    else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            _write_node_table(report.solution, fh)
-        return
-    raise ScenarioError([("", f"unknown report format '{fmt}'")])
+            write(fh)
 
 
 # -- workflows -------------------------------------------------------------------
@@ -463,7 +467,6 @@ def emit_report(report: RunReport, fmt: str, path: str) -> None:
 class RunFlags:
     workflows: set[str] = field(default_factory=set)  # of "oracle", "picard", "stopping", "compare"
     tol: float = CHECK_TOL
-    timing: bool = False
     picard: PicardOptions = field(default_factory=PicardOptions)
     problem2: _Problem | None = None  # the dominated scenario of compare, prepared
     iterate_n: int = 0
@@ -609,7 +612,7 @@ _SECTIONS = (
 
 def run(problem: _Problem, flags: RunFlags) -> RunReport:
     """Solve and validate a prepared scenario, run the requested workflows and
-    assemble the report."""
+    assemble the report, with each phase's time on ``RunReport.timings``."""
     timings: dict[str, float] = {}
 
     def timed(phase: str, work, *args):
@@ -629,9 +632,7 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
             checks += found
     data["checks"] = checks
     data["pass"] = all(c["pass"] for c in checks)
-    if flags.timing:
-        data["timing"] = timings
-    return RunReport(data=data, solution=solution)
+    return RunReport(data=data, solution=solution, timings=timings)
 
 
 # -- suite ----------------------------------------------------------------------
@@ -780,6 +781,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, line: str) -> int:
+    """Write a refusal line to stderr and return its exit code."""
+    _quietly(sys.stderr, lambda fh: fh.write(line + "\n"))
+    return code
+
+
 # no numpy warning reaches the user: the finite checks report a non-finite value
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
@@ -793,9 +800,7 @@ def main(argv=None) -> int:
             try:
                 workers = int(threads)
             except ValueError:
-                line = f"error: RABSDE_THREADS must be an integer, got {threads!r}\n"
-                _quietly(sys.stderr, lambda fh: fh.write(line))
-                return 2
+                return _fail(2, f"error: RABSDE_THREADS must be an integer, got {threads!r}")
             data = run_suite(
                 args.seed,
                 args.cases,
@@ -805,11 +810,7 @@ def main(argv=None) -> int:
                 tol=args.tol,
                 workers=max(workers, 1),
             )
-            report = RunReport(data=data, solution=None)
-            if args.out:
-                emit_report(report, "json", args.out)
-            else:
-                _quietly(sys.stdout, lambda fh: fh.write(format_json(data) + "\n"))
+            emit_report(RunReport(data=data), "json", args.out or None)
             return 0 if data["pass"] else 3
 
         t0 = time.perf_counter()
@@ -820,47 +821,35 @@ def main(argv=None) -> int:
         load_s = time.perf_counter() - t0
         # Picard's options from the flags this subcommand has, the rest at their defaults
         picard = {name: getattr(args, name, None) for name in ("tol", "rho", "beta", "max_iter")}
-        flags = RunFlags(timing=args.timing, problem2=problem2,
+        flags = RunFlags(problem2=problem2,
                          workflows=_workflows(args.command, file_outputs),
                          picard=PicardOptions(**{k: v for k, v in picard.items() if v is not None}))
         if args.tol is not None:
             flags.tol = args.tol
         overflow = flags.picard.beta is not None and _beta_overflow(problem.lattice, flags.picard.beta)
         if overflow:  # the flag, not the scenario, is at fault
-            line = f"error: argument --beta: {overflow}\n"
-            _quietly(sys.stderr, lambda fh: fh.write(line))
-            return 2
+            return _fail(2, f"error: argument --beta: {overflow}")
         if args.command == "solve" and args.oracle == "crr":
             flags.workflows.add("oracle")
         elif args.command == "compare":
             flags.iterate_n = args.iterates
         report = run(problem, flags)
-        if args.timing:
-            report.data["timing"]["load"] = load_s
-        if args.format == "csv":
-            t1 = time.perf_counter()
-            if args.out:
-                emit_report(report, "csv", args.out)
-            else:
-                _quietly(sys.stdout, functools.partial(_write_node_table, report.solution))
-            if args.timing:  # the table holds no timing; it goes to stderr
-                report.data["timing"]["emit"] = time.perf_counter() - t1
-                line = json.dumps({"timing": report.data["timing"]}, sort_keys=True) + "\n"
-                _quietly(sys.stderr, lambda fh: fh.write(line))
-        elif args.out:
-            emit_report(report, "json", args.out)
-        else:
-            _quietly(sys.stdout, lambda fh: fh.write(format_json(report.data) + "\n"))
+        report.timings["load"] = load_s
+        if args.timing and args.format == "json":
+            report.data["timing"] = report.timings
+        t1 = time.perf_counter()
+        emit_report(report, args.format, args.out or None)
+        if args.timing and args.format == "csv":  # the table holds no timing; it goes to stderr
+            report.timings["emit"] = time.perf_counter() - t1
+            line = json.dumps({"timing": report.timings}, sort_keys=True) + "\n"
+            _quietly(sys.stderr, lambda fh: fh.write(line))
         return 0 if report.passed else 3
     except (ScenarioError, HypothesisError) as exc:
-        _quietly(sys.stderr, lambda fh: fh.write(f"error: {exc}\n"))
-        return 2
+        return _fail(2, f"error: {exc}")
     except OSError as exc:
-        _quietly(sys.stderr, lambda fh: fh.write(f"i/o error: {exc}\n"))
-        return 4
+        return _fail(4, f"i/o error: {exc}")
     except RabsdeError as exc:  # a solver, Picard, enumeration or other numerical failure
-        _quietly(sys.stderr, lambda fh: fh.write(f"error: {exc}\n"))
-        return 3
+        return _fail(3, f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -272,6 +272,7 @@ class ComparisonVerdict:
     passed: bool
 
 
+@np.errstate(all="ignore")
 def run_comparison(case: ComparisonCase, *, tol: float = CHECK_TOL) -> ComparisonVerdict:
     """Check the hypotheses, solve both scenarios, and compare node-wise.
 
@@ -319,6 +320,7 @@ class IterateTrace:
         return (None,) * (self.count - 1) + (self.last,) if self.count else ()
 
 
+@np.errstate(all="ignore")
 def iterate_sequence(case: ComparisonCase, n_max: int) -> IterateTrace:
     """Solve the dominated scenario repeatedly with frozen anticipation.
 

@@ -304,23 +304,7 @@ class DefaultLattice:
 
     def step_expectation(self, k: int, values_next: np.ndarray) -> np.ndarray:
         """One-step conditional expectation: E[field at k+1 | node at k]."""
-        self._check_step(k + 1)
-        V = self._blocks(k + 1, np.asarray(values_next, dtype=float))
-        p = self.p[k]
-        n_def = self._def_blocks[k]
-        out = np.empty(self.n_nodes(k))
-        width = k + 1
-        pairs = V[:, 1:] + V[:, :-1]  # up child + down child, per block
-        alive = out[:width]
-        if p > 0.0:
-            dnew = pairs[-1]  # block of nodes defaulting exactly at step k+1
-            np.multiply(0.5 * (1.0 - p), pairs[0], out=alive)
-            alive += 0.5 * p * dnew
-        else:
-            np.multiply(0.5, pairs[0], out=alive)
-        if n_def:
-            np.multiply(0.5, pairs[1 : n_def + 1].reshape(-1), out=out[width:])
-        return out
+        return self.project_martingale(k, values_next)[0]
 
     def project_martingale(self, k: int, values_next: np.ndarray):
         """Exact orthogonal decomposition of a step-(k+1) field seen from step k.

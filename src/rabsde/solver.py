@@ -328,6 +328,7 @@ def _step_values(
     return y, z, u, psi, dk, fv
 
 
+@np.errstate(all="ignore")  # library callers see inf and nan values, not numpy warnings
 def _solve(
     prob: _Problem,
     frozen_ey: Solution | None = None,
@@ -424,6 +425,7 @@ class _Triple:
     u: ProcessField
 
 
+@np.errstate(all="ignore")
 def beta_norm(a, b, beta: float) -> float:
     """Squared exponentially-weighted distance between two solution triples.
 
@@ -433,6 +435,9 @@ def beta_norm(a, b, beta: float) -> float:
     lat = a.y.lattice
     if not (lat is b.y.lattice or lat.same_grid(b.y.lattice)):
         raise LatticeError("beta_norm requires both triples on the same lattice")
+    overflow = _beta_overflow(lat, beta)
+    if overflow is not None:
+        raise SolverError(overflow)
     total = 0.0
     for k in range(lat.n_steps):
         probs = lat.node_probabilities(k)

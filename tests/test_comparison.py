@@ -28,8 +28,8 @@ from rabsde.comparison import (
     run_random_suite,
 )
 from rabsde.driver import DriverExpr, GridSpec, parse_driver
-from rabsde.errors import DriverEvalError, HypothesisError, MonotonicityError, SolverError
-from rabsde.solver import solve_backward
+from rabsde.errors import DriverEvalError, HypothesisError, MonotonicityError, PicardConvergenceError, SolverError
+from rabsde.solver import solve_backward, solve_picard
 
 GRID = GridSpec(points=5, n_base=16, seed=0)
 
@@ -440,6 +440,19 @@ def test_comparison_gaps_propagate_nan():
     # Y at the root is never anticipated, so the first iterate is finite
     trace = iterate_sequence(_case_with_nan_in_solution1(0), 1)
     assert math.isnan(trace.sup_diffs[0])
+
+
+def test_library_calls_on_an_overflowing_scenario_raise_no_numpy_warning():
+    # under the pyproject filter a RuntimeWarning from rabsde fails the test; Y
+    # overflows to inf, and the values, not numpy warnings, say so
+    sc = make_scenario(n_steps=40, lam=0.0, driver="1e308", obstacle="-1e9", terminal="w")
+    assert math.isinf(solve_backward(sc).y0)
+    with pytest.raises(PicardConvergenceError, match=r"\(last distance nan\)$"):
+        solve_picard(sc)
+    verdict = run_comparison(ComparisonCase(scenario1=sc, scenario2=sc, grid=GRID))
+    assert math.isnan(verdict.min_gap) and not verdict.passed
+    trace = iterate_sequence(ComparisonCase(scenario1=sc, scenario2=sc, grid=GRID), 3)
+    assert math.isnan(trace.final_gap) and all(math.isnan(d) for d in trace.sup_diffs)
 
 
 def test_an_iterate_above_its_predecessor_raises_naming_the_node():

@@ -67,9 +67,8 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_report_bytes_are_pinned(tmp_path, case):
-    argv, sha = CASES[case]
+def _args(tmp_path, argv) -> list[str]:
+    """The case's command line, each document written to a file."""
     args = []
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):
@@ -77,6 +76,21 @@ def test_report_bytes_are_pinned(tmp_path, case):
             path.write_text(json.dumps(arg), encoding="utf-8")
             arg = str(path)
         args.append(arg)
+    return args
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_are_pinned(tmp_path, case):
+    argv, sha = CASES[case]
     out = tmp_path / "report"
-    assert main(args + ["--out", str(out)]) == 0
+    assert main(_args(tmp_path, argv) + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_on_stdout_are_the_pinned_bytes(tmp_path, capsys, case):
+    argv, sha = CASES[case]
+    assert main(_args(tmp_path, argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == sha

@@ -262,6 +262,12 @@ def test_beta_norm_hand_computed_single_step():
     assert val == pytest.approx(2.0 * 0.09 + 0.04 + 0.5 * 0.01, abs=1e-15)  # = 0.225
 
 
+def test_beta_norm_refuses_a_beta_whose_weight_overflows():
+    sol = solve_backward(make_scenario(n_steps=4, lam=0.3, driver="0.1", terminal="w"))
+    with pytest.raises(SolverError, match=r"^beta = 1000 overflows the Picard weight e\^\(beta t\) at t = T - dt$"):
+        beta_norm(sol, sol, 1000.0)
+
+
 def test_beta_norm_lattice_mismatch():
     a = solve_backward(make_scenario(n_steps=3, lam=0.5, terminal="w"))
     b = solve_backward(make_scenario(n_steps=4, lam=0.5, terminal="w"))
@@ -345,7 +351,7 @@ def test_picard_refuses_a_beta_whose_weight_overflows():
 
 def test_a_nan_picard_distance_ends_the_iteration():
     sc = make_scenario(n_steps=40, lam=0.0, driver="1e308", obstacle="-1e9", terminal="w")
-    with np.errstate(all="ignore"), pytest.raises(PicardConvergenceError, match=r"\(last distance nan\)$") as exc:
+    with pytest.raises(PicardConvergenceError, match=r"\(last distance nan\)$") as exc:
         solve_picard(sc)  # Y overflows, so every pass's distance is NaN
     assert len(exc.value.history) < 60 and math.isnan(exc.value.history[-1])
 
