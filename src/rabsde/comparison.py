@@ -62,7 +62,7 @@ def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec) -> MonotoneRep
     names = sorted(g.free_vars - {"ey"})
     base = grid.base_sample(names)
     sweep = grid.axis("ey")
-    vals = _grid_values(g.compiled(), _grid_env(names, base, "ey", sweep), "ey")
+    vals = _grid_values(g.compiled(), _grid_env(names, base, {"ey": sweep}))[0]
     finite = np.all(np.isfinite(vals), axis=1)
     with np.errstate(invalid="ignore"):
         bad = np.diff(vals) < -1e-12
@@ -100,7 +100,7 @@ def check_theta_condition(
         return vacuous
     base, lam = base[kept], lam[kept]
     sweep = grid.axis("u")
-    vals = _grid_values(g.compiled(), _grid_env(names, base, "u", sweep), "u")
+    vals = _grid_values(g.compiled(), _grid_env(names, base, {"u": sweep}))[0]
     if not np.all(np.isfinite(vals)):
         raise DriverEvalError("non-finite driver value on the theta grid")
     ratios = np.diff(vals) / (lam[:, None] * np.diff(sweep))
@@ -116,31 +116,34 @@ def check_theta_condition(
 
 
 def check_dominance(g1: DriverExpr, g2: DriverExpr, grid: GridSpec) -> DominanceReport:
-    """Grid test of g1 >= g2 over sweeps of every shared driver variable."""
+    """Grid test of g1 >= g2 over sweeps of every shared driver variable: one
+    call per driver on the stacked sweeps of every variable but h, and one on
+    the sweep of h over {0, 1}.  The witness sweeps the first variable, in name
+    order, that reaches the smallest gap."""
     f1 = g1.compiled()
     f2 = g2.compiled()
     names = sorted(g1.free_vars | g2.free_vars)
     base = grid.base_sample(names)
-    min_gap = math.inf
-    worst = None  # (row, swept variable, its value) of the smallest gap
-    for var in names or ["y"]:
-        sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
-        env = _grid_env(names, base, var, sweep)
-        v1, v2 = _grid_values(f1, env, var), _grid_values(f2, env, var)
+    smallest = {}  # swept variable -> (its smallest gap, the row, the swept value)
+    order = names or ["y"]
+    stacked = {var: grid.axis(var) for var in order if var != "h"}
+    for sweeps in (stacked, {"h": np.array([0.0, 1.0])} if "h" in names else {}):
+        if not sweeps:
+            continue
+        env = _grid_env(names, base, sweeps)
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
-            gap = v1 - v2
+            gap = (_grid_values(f1, env) - _grid_values(f2, env)).reshape(len(sweeps), -1)
         if not np.all(np.isfinite(gap)):
             raise DriverEvalError("non-finite driver value on the dominance grid")
-        r, i = divmod(int(np.argmin(gap)), sweep.size)
-        if float(gap[r, i]) < min_gap:
-            min_gap = float(gap[r, i])
-            worst = (r, var, float(sweep[i]))
-    if not math.isfinite(min_gap):
-        min_gap = 0.0
-    passed = min_gap >= -1e-12
-    if passed:
+        for (var, sweep), row, at in zip(sweeps.items(), gap, np.argmin(gap, axis=1).tolist()):
+            r, i = divmod(at, sweep.size)
+            smallest[var] = (float(row[at]), r, float(sweep[i]))
+    least = min(gap for gap, _, _ in smallest.values())
+    # the first variable in name order, whose own gap (the sign of a zero included) is reported
+    var = next(var for var in order if smallest[var][0] == least)
+    min_gap, r, value = smallest[var]
+    if min_gap >= -1e-12:
         return DominanceReport(passed=True, min_gap=min_gap, witness=None)
-    r, var, value = worst
     return DominanceReport(passed=False, min_gap=min_gap, witness={**_row(names, base, r), var: value})
 
 
@@ -219,9 +222,7 @@ def check_hypotheses(case: ComparisonCase) -> HypothesisReport:
     terminal or obstacle fails ``_prepare``'s checks on the lattice."""
     p1, p2 = _problem(case, 1), _problem(case, 2)
     lat = p1.lattice
-    obstacle_gap = min(
-        float(np.min(p1.obstacle.step(k) - p2.obstacle.step(k))) for k in range(lat.n_steps + 1)
-    )
+    obstacle_gap = float(np.min(np.concatenate(p1.obstacle.values) - np.concatenate(p2.obstacle.values)))
     dt = lat.dt
     lam_of_t = lambda t: lat.intensity.at_time(t, dt)
     return HypothesisReport(

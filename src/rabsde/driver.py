@@ -23,6 +23,7 @@ raises DriverEvalError, as does an unbound variable.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -385,14 +386,18 @@ class GridSpec:
         return -2.0, 2.0
 
     def base_sample(self, variables: Sequence[str]) -> np.ndarray:
-        """The base values as an (n_base, len(variables)) array.
+        """The base values as a read-only (n_base, len(variables)) array, drawn
+        once per grid and variable list.
 
         The stream is the one a per-value loop over rows, then over
         ``variables``, would draw: each h is its own ``integers(0, 2)`` call,
         and each run of other values between two h draws is one vectorized
         uniform call over their boxes.
         """
-        names = list(variables)
+        return self._base_sample(tuple(variables))
+
+    @functools.lru_cache(maxsize=64)
+    def _base_sample(self, names: tuple[str, ...]) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         box = np.array([self.bound_for(name) for name in names]).reshape(-1, 2)
         lo, hi = np.tile(box, (self.n_base, 1)).T
@@ -406,30 +411,43 @@ class GridSpec:
             if pos < flat.size:
                 flat[pos] = rng.integers(0, 2)
             start = pos + 1
+        flat.flags.writeable = False
         return flat.reshape(self.n_base, len(names))
 
+    @functools.lru_cache(maxsize=64)
     def axis(self, name: str) -> np.ndarray:
+        """The ``points`` equispaced values of ``name``'s box, read-only."""
         lo, hi = self.bound_for(name)
-        return np.linspace(lo, hi, self.points)
+        sweep = np.linspace(lo, hi, self.points)
+        sweep.flags.writeable = False
+        return sweep
 
 
-def _grid_env(names: Sequence[str], base: np.ndarray, var: str, sweep: np.ndarray) -> dict[str, np.ndarray]:
-    """Every grid variable as a contiguous (n_base, points) array: the base
-    sample's columns down the rows, the sweep of ``var`` along the columns."""
-    env = {
-        name: np.repeat(base[:, j, None], sweep.size, axis=1)
-        for j, name in enumerate(names)
-        if name != var
-    }
-    env[var] = np.repeat(sweep[None, :], base.shape[0], axis=0)
+def _grid_env(names: Sequence[str], base: np.ndarray, sweeps: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every grid variable as a contiguous (len(sweeps), n_base, points) array,
+    one layer per swept variable: layer v sweeps the v-th variable of ``sweeps``
+    along the columns, and every variable of ``names`` it does not sweep takes
+    the base sample's column down the rows.  A swept variable outside ``names``
+    takes its sweep in every layer."""
+    shape = (len(sweeps), base.shape[0], len(next(iter(sweeps.values()))))
+    env = {}
+    for j, name in enumerate(names):
+        env[name] = np.empty(shape)
+        env[name][...] = base[:, j, None]
+    for v, (var, sweep) in enumerate(sweeps.items()):
+        if var in env:
+            env[var][v] = sweep
+        else:
+            env[var] = np.empty(shape)
+            env[var][...] = sweep
     return env
 
 
-def _grid_values(fn: Callable, env: dict[str, np.ndarray], var: str) -> np.ndarray:
+def _grid_values(fn: Callable, env: dict[str, np.ndarray]) -> np.ndarray:
     """One compiled call over a ``_grid_env``, broadcast to its shape so that a
     constant expression works too."""
     vals = np.asarray(fn(env), dtype=float)
-    shape = env[var].shape
+    shape = next(iter(env.values())).shape
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
@@ -472,28 +490,26 @@ def estimate_lipschitz(
     expr: DriverExpr, grid: GridSpec, lam_profile: float | Callable[[float], float] = 0.0
 ) -> LipschitzEstimate:
     """Max finite-difference ratio per solution slot over the sampling grid."""
-    lam_of_t = _as_lambda_of_t(lam_profile)
-    fn = expr.compiled()
-    out: dict[str, float] = {}
+    out = dict.fromkeys(LIPSCHITZ_SLOTS, 0.0)
+    slots = [slot for slot in LIPSCHITZ_SLOTS if slot in expr.free_vars]
+    if not slots:
+        return LipschitzEstimate(*out.values(), grid=grid)
     names = sorted(VARIABLES)
     base = grid.base_sample(names)
-    for slot in LIPSCHITZ_SLOTS:
-        if slot not in expr.free_vars:
-            out[slot] = 0.0
-            continue
-        sweep = grid.axis(slot)
-        vals = _grid_values(fn, _grid_env(names, base, slot, sweep), slot)
-        if not np.all(np.isfinite(vals)):
+    sweeps = {slot: grid.axis(slot) for slot in slots}
+    vals = _grid_values(expr.compiled(), _grid_env(names, base, sweeps))
+    for slot, finite in zip(slots, np.isfinite(vals).all(axis=(1, 2))):
+        if not finite:
             raise DriverEvalError(f"non-finite driver value while sweeping '{slot}' on the grid")
-        r = np.max(np.abs(np.diff(vals)) / np.diff(sweep), axis=1)
+    ratios = np.max(np.abs(np.diff(vals)) / np.diff(np.array(list(sweeps.values())))[:, None, :], axis=2)
+    for slot, r in zip(slots, ratios):
         if slot == "u":
+            lam_of_t = _as_lambda_of_t(lam_profile)
             lam = np.array([lam_of_t(t) for t in base[:, names.index("t")].tolist()], dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.where(r == 0.0, 0.0, np.where(lam == 0.0, math.inf, r / lam))
         out[slot] = float(np.max(r, initial=0.0))
-    return LipschitzEstimate(
-        c_y=out["y"], c_z=out["z"], c_ey=out["ey"], c_ez=out["ez"], c_u=out["u"], grid=grid
-    )
+    return LipschitzEstimate(*out.values(), grid=grid)
 
 
 def check_M_form_lipschitz(estimate: LipschitzEstimate, lambda_max: float) -> LipschitzEstimate:

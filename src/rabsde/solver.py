@@ -20,7 +20,9 @@ iterate instead (see ``_solve``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
@@ -101,6 +103,11 @@ class Solution:
     @property
     def lattice(self) -> DefaultLattice:
         return self.problem.lattice
+
+    def solves(self, scenario: Scenario) -> bool:
+        """Whether ``scenario`` is the one this solution solves: its own object
+        or one equal to it.  A check asked for on any other scenario does not pass."""
+        return scenario is self.scenario or scenario == self.scenario
 
     @property
     def y0(self) -> float:
@@ -185,13 +192,21 @@ def _check_vars(expr: DriverExpr, allowed: frozenset[str], what: str) -> None:
 
 
 def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
-    """The obstacle per node, evaluated as is (NaN and inf included)."""
-    fn = scenario.obstacle.compiled()
-    arrays = []
-    for k in range(lattice.n_steps + 1):
-        env = {"t": k * lattice.dt, "w": lattice.w_values(k), "h": lattice.h_values(k)}
-        arrays.append(np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(k),)).copy())
-    return ProcessField.from_arrays(lattice, arrays)
+    """The obstacle per node, evaluated as is (NaN and inf included): one
+    compiled call over the whole lattice's t, w and h, split into per-step views."""
+    N = lattice.n_steps
+    sizes = [lattice.n_nodes(k) for k in range(N + 1)]
+    whole = {
+        "t": lambda: np.repeat(np.arange(N + 1) * lattice.dt, sizes),
+        "w": lambda: np.concatenate([lattice.w_values(k) for k in range(N + 1)]),
+        "h": lambda: np.concatenate([lattice.h_values(k) for k in range(N + 1)]),
+    }
+    env = {name: column() for name, column in whole.items() if scenario.obstacle.uses(name)}
+    ends = list(itertools.accumulate(sizes))
+    values = np.asarray(scenario.obstacle.compiled()(env), dtype=float)
+    if values.shape != (ends[-1],):
+        values = np.broadcast_to(values, (ends[-1],)).copy()
+    return ProcessField.from_arrays(lattice, [values[end - size : end] for size, end in zip(sizes, ends)])
 
 
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
@@ -219,9 +234,11 @@ def _node_data(scenario: Scenario, lattice: DefaultLattice) -> tuple[ProcessFiel
         obstacle = obstacle_field(scenario, lattice)
     except DriverEvalError as exc:
         raise SolverError(str(exc), pointer="/obstacle") from None
-    for k, arr in enumerate(obstacle.values):
-        if not np.all(np.isfinite(arr)):
-            raise SolverError(f"obstacle evaluates to a non-finite value at step {k}", pointer="/obstacle")
+    finite = np.isfinite(np.concatenate(obstacle.values))
+    if not finite.all():
+        ends = np.cumsum([arr.size for arr in obstacle.values])
+        k = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+        raise SolverError(f"obstacle evaluates to a non-finite value at step {k}", pointer="/obstacle")
     worst = float(np.min(xi - obstacle.step(lattice.n_steps)))
     if worst < -1e-12:
         raise SolverError(
@@ -232,19 +249,30 @@ def _node_data(scenario: Scenario, lattice: DefaultLattice) -> tuple[ProcessFiel
     return obstacle, xi
 
 
+# the live lattice of each grid: the memo holds none of them alive
+_LIVE_LATTICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _lattice_for(*scenarios: Scenario, full_size: bool = False) -> DefaultLattice:
-    """The one lattice a run of these scenarios solves on, built on the first
-    one's grid once the size guard (pointer ``/steps``) has cleared it: the
-    quotient unless a terminal reads ``tau``.  The guard counts the nodes of
-    that lattice, or with ``full_size`` those of the full lattice (for output
-    that writes one row per labelled node)."""
+    """The one lattice a run of these scenarios solves on, on the first one's
+    grid once the size guard (pointer ``/steps``) has cleared it: the quotient
+    unless a terminal reads ``tau``.  The guard counts the nodes of that
+    lattice, or with ``full_size`` those of the full lattice (for output that
+    writes one row per labelled node).  A lattice of the same grid and kind
+    that is still alive is returned as it is; else one is built."""
     sc = scenarios[0]
     quotient = not any(s.terminal.uses("tau") for s in scenarios)
     too_big = oversize_message(sc.horizon, sc.n_steps, sc.intensity,
                                quotient=quotient and not full_size)
     if too_big:
         raise SolverError(too_big, pointer="/steps")
-    return DefaultLattice(sc.horizon, sc.n_steps, sc.intensity, quotient=quotient)
+    # 0.0 == -0.0, but the dH->dM rewrite reads the lattice's intensity: the
+    # key tells the two zeros apart
+    key = (sc.horizon, sc.n_steps, sc.intensity, np.signbit(sc.intensity.values).tobytes(), quotient)
+    lattice = _LIVE_LATTICES.get(key)
+    if lattice is None:
+        lattice = _LIVE_LATTICES[key] = DefaultLattice(sc.horizon, sc.n_steps, sc.intensity, quotient=quotient)
+    return lattice
 
 
 def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Problem:
@@ -641,4 +669,4 @@ def validate_solution(solution: Solution, scenario: Scenario) -> ValidationRepor
     return ValidationReport(driver_square_sum=sq, equation_residual=_max(residual, representation),
                             k_decrease=k_dec, skorokhod_product=skorokhod, obstacle_violation=obs_viol,
                             representation_residual=representation,
-                            foreign_scenario=scenario is not solution.scenario and scenario != solution.scenario)
+                            foreign_scenario=not solution.solves(scenario))

@@ -2,9 +2,12 @@
 pathwise running-max identity for the reflection process.
 
 Each check takes a solution and the scenario it solves, and reads the obstacle
-field the solution was prepared with.  The oracles name nodes by label, so a
-solution on a quotient lattice is read through its exact lift
-(``Solution.labelled``); the path enumeration maps each label onto its block.
+field the solution was prepared with.  Asked on any other scenario, a check
+does not raise for it, and its result does not pass: the values it compares
+are NaN and the two optimal-time rules do not coincide.  The oracles name
+nodes by label, so a solution on a quotient lattice is read through its exact
+lift (``Solution.labelled``); the path enumeration maps each label onto its
+block.
 
 The brute-force oracle enumerates every adapted stopping rule (a stop flag per
 reachable non-terminal node) and therefore stays independent of the dynamic
@@ -80,7 +83,7 @@ def stopping_payoff(
     for k in range(N - 1, from_node.step - 1, -1):
         cont = solution.driver_values.step(k) * lat.dt + lat.step_expectation(k, v)
         v = np.where(rule.stop[k], obstacle.step(k), cont)
-    return float(v[lat.index(from_node)])
+    return float(v[lat.index(from_node)]) if solution.solves(scenario) else math.nan
 
 
 def _descendant_masks(lat: DefaultLattice, from_node: NodeId) -> list[np.ndarray]:
@@ -182,7 +185,7 @@ def brute_force_value(
             stop[k][int(i)] = bool((best_id >> bit) & 1)
             bit += 1
     rule = StoppingRule.from_arrays(lat, stop)
-    return best_val, rule
+    return (best_val if solution.solves(scenario) else math.nan), rule
 
 
 def tau_characterizations(
@@ -205,7 +208,7 @@ def tau_characterizations(
         stop_k.append(solution.dk.step(k) > 0.0)
     y_rule = StoppingRule.from_arrays(lat, stop_y)
     k_rule = StoppingRule.from_arrays(lat, stop_k)
-    return y_rule, k_rule, y_rule.same_rule(k_rule)
+    return y_rule, k_rule, solution.solves(scenario) and y_rule.same_rule(k_rule)
 
 
 @dataclass(frozen=True)
@@ -292,4 +295,6 @@ def k_running_max_check(solution: Solution, scenario: Scenario) -> KRunningMaxRe
         neg = np.maximum(-(xi_f - suffix_sums(mart) - spath), 0.0)
         run_max = np.maximum.accumulate(neg[..., ::-1], axis=-1)[..., ::-1]
         gaps = np.maximum(gaps, np.max(np.abs(target - run_max), axis=(1, 2)))  # a NaN stays
+    if not solution.solves(scenario):
+        gaps[:] = math.nan
     return KRunningMaxReport(max_gap=float(gaps[0]), max_gap_z_only=float(gaps[1]), n_paths=n_paths)

@@ -342,9 +342,9 @@ def test_a_run_evaluates_each_scenarios_node_data_at_load_and_at_prepare_only(tm
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert len(loaded) == (2 if command == "compare" else 1)
     # the load's preparation is the only one: an obstacle field is one closure
-    # call per step, a terminal one call
+    # call over the whole lattice, a terminal one call
     for sc in loaded:
-        assert calls[id(sc.obstacle)] == sc.n_steps + 1
+        assert calls[id(sc.obstacle)] == 1
         assert calls[id(sc.terminal)] == 1
 
 
@@ -806,6 +806,18 @@ def test_constant_division_by_zero_in_node_data_is_located(tmp_path, capsys, poi
     assert exc.value.issues == [(pointer, "division by zero")]
     assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
     assert f"{pointer}: division by zero" in capsys.readouterr().err
+
+
+def test_an_obstacle_dividing_by_t_is_refused_at_its_first_non_finite_step(tmp_path, capsys):
+    # the obstacle is one call over the whole lattice, so 1/t divides an array
+    # and is inf at t = 0 (it was a Python float and "division by zero" before)
+    doc = {**MINIMAL, "obstacle": "1/t"}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.issues == [("/obstacle", "obstacle evaluates to a non-finite value at step 0")]
+    assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "/obstacle: obstacle evaluates to a non-finite value at step 0" in err and "Traceback" not in err
 
 
 def test_scenario_seed_key_is_unknown(tmp_path, capsys):

@@ -205,6 +205,51 @@ def test_dominance_check_matches_per_env_loop(text1, text2, c, grid):
         assert outcome(check_dominance, g1, g2, grid) == outcome(_ref_dominance, g1, g2, grid)
 
 
+def _per_variable_dominance(g1, g2, grid):
+    """``check_dominance`` as it was before it stacked the sweeps: one call per
+    driver and swept variable, on a contiguous (n_base, points) grid; its
+    reference, equal byte for byte."""
+    f1, f2 = g1.compiled(), g2.compiled()
+    names = sorted(g1.free_vars | g2.free_vars)
+    base = grid.base_sample(names)
+    min_gap, worst = math.inf, None
+    for var in names or ["y"]:
+        sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
+        env = {name: np.repeat(base[:, j, None], sweep.size, axis=1) for j, name in enumerate(names) if name != var}
+        env[var] = np.repeat(sweep[None, :], base.shape[0], axis=0)
+        v1, v2 = (np.broadcast_to(np.asarray(f(env), dtype=float), env[var].shape) for f in (f1, f2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = v1 - v2
+        if not np.all(np.isfinite(gap)):
+            raise DriverEvalError("non-finite driver value on the dominance grid")
+        r, i = divmod(int(np.argmin(gap)), sweep.size)
+        if float(gap[r, i]) < min_gap:
+            min_gap, worst = float(gap[r, i]), (r, var, float(sweep[i]))
+    passed = min_gap >= -1e-12
+    if passed:
+        return DominanceReport(passed=True, min_gap=min_gap, witness=None)
+    r, var, value = worst
+    return DominanceReport(passed=False, min_gap=min_gap,
+                           witness={**dict(zip(names, base[r].tolist())), var: value})
+
+
+@given(driver_texts(_CHECK_VARS), driver_texts(_CHECK_VARS), st.sampled_from(["0", "h", "-h", "0.5 - h", "h*y"]),
+       grids())
+@settings(max_examples=150, deadline=None)
+def test_stacked_dominance_equals_the_per_variable_loop(text1, text2, extra, grid):
+    # repr tells -0.0 from 0.0 and names NaN, so equal reprs are equal bytes
+    for a, b in ((text1, text2), (f"({text2}) + {extra}", text2), (text1, extra), (extra, "0.25")):
+        g1, g2 = parse_driver(a), parse_driver(b)
+        assert repr(outcome(check_dominance, g1, g2, grid)) == repr(outcome(_per_variable_dominance, g1, g2, grid))
+
+
+@pytest.mark.parametrize("a, b", [("1", "0"), ("0", "1"), ("-0.0", "0"), ("h", "0.5"), ("0.5", "h"),
+                                  ("h - 1", "-h"), ("0.1*y", "0.1*y"), ("-0.0*t", "0*t"), ("y", "y + 0.1")])
+def test_stacked_dominance_on_constants_and_h_sweeps(a, b):
+    g1, g2 = parse_driver(a), parse_driver(b)
+    assert repr(check_dominance(g1, g2, GRID)) == repr(_per_variable_dominance(g1, g2, GRID))
+
+
 def _case_pair(driver1, driver2, *, xi_shift=0.0, obs_shift=0.0, delta=1):
     common = dict(
         n_steps=5, lam=0.3, delta_steps=delta, form="M",

@@ -325,6 +325,60 @@ def test_lipschitz_matches_per_env_loop(text, lam, grid):
         assert got == outcome(_ref_lipschitz, e, grid, lam)
 
 
+def _per_slot_lipschitz(expr, grid, lam_profile):
+    """``estimate_lipschitz`` as it was before it stacked the slots: one call per
+    swept slot on a contiguous (n_base, points) grid; its reference, equal byte
+    for byte."""
+    lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
+    fn = expr.compiled()
+    names = sorted(VARIABLES)
+    base = grid.base_sample(names)
+    out = []
+    for slot in LIPSCHITZ_SLOTS:
+        if slot not in expr.free_vars:
+            out.append(0.0)
+            continue
+        sweep = grid.axis(slot)
+        env = {name: np.repeat(base[:, j, None], sweep.size, axis=1) for j, name in enumerate(names) if name != slot}
+        env[slot] = np.repeat(sweep[None, :], base.shape[0], axis=0)
+        vals = np.broadcast_to(np.asarray(fn(env), dtype=float), env[slot].shape)
+        if not np.all(np.isfinite(vals)):
+            raise DriverEvalError(f"non-finite driver value while sweeping '{slot}' on the grid")
+        r = np.max(np.abs(np.diff(vals)) / np.diff(sweep), axis=1)
+        if slot == "u":
+            lam = np.array([lam_of_t(t) for t in base[:, names.index("t")].tolist()], dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(r == 0.0, 0.0, np.where(lam == 0.0, math.inf, r / lam))
+        out.append(float(np.max(r, initial=0.0)))
+    return tuple(out)
+
+
+@given(driver_texts(), lambda_profiles(), grids())
+@settings(max_examples=200, deadline=None)
+def test_stacked_lipschitz_equals_the_per_slot_loop(text, lam, grid):
+    # repr tells -0.0 from 0.0 and names NaN, so equal reprs are equal bytes
+    for e in (parse_driver(text), parse_driver(f"({text}) * u"), parse_driver(f"({text}) + y*z - ez")):
+        got = outcome(lambda: estimate_lipschitz(e, grid, lam).as_tuple())
+        assert repr(got) == repr(outcome(_per_slot_lipschitz, e, grid, lam))
+
+
+def test_a_grid_draws_each_sample_once_and_hands_it_out_read_only():
+    grid = GridSpec.for_horizon(2.0, points=5, n_base=12, seed=7)
+    names = ["u", "h", "t", "w"]
+    sample, sweep = grid.base_sample(names), grid.axis("u")
+    # a list or a tuple of the same names, and an equal grid, get the one drawn array
+    assert grid.base_sample(tuple(names)) is sample
+    assert GridSpec.for_horizon(2.0, points=5, n_base=12, seed=7).base_sample(names) is sample
+    assert grid.axis("u") is sweep
+    fresh = GridSpec._base_sample.__wrapped__(grid, tuple(names))  # a draw past the memo
+    assert sample.tobytes() == fresh.tobytes() and sample.shape == fresh.shape
+    assert sweep.tobytes() == np.linspace(-2.0, 2.0, 5).tobytes()
+    for arr in (sample, sweep):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def _ref_base_envs(grid, variables):
     """The per-value draw that GridSpec.base_sample vectorizes: one rng call per value."""
     rng = np.random.default_rng(grid.seed)

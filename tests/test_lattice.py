@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import gc
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import step_intensities
+from conftest import make_scenario, step_intensities
 from rabsde import (
     ALIVE,
     IntensitySpec,
@@ -22,7 +25,9 @@ from rabsde import (
     martingale_M,
 )
 from rabsde import lattice as lattice_module
+from rabsde.errors import SolverError
 from rabsde.lattice import oversize_message
+from rabsde.solver import _lattice_for
 
 
 def test_zero_intensity_degenerates_to_binomial():
@@ -471,6 +476,66 @@ def test_validation_reads_no_kernel():
     assert validation <= defined, "stale name in the validation list"
     sites = {scope for _, scope in _call_sites(solver_py, kernel, ast.Attribute)}
     assert sites & validation == set()
+
+
+def _counting_builds(monkeypatch) -> list:
+    """Patch DefaultLattice.__init__ to record a weak reference to every lattice
+    it builds (a strong one would keep the lattice alive)."""
+    built, init = [], lattice_module.DefaultLattice.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lattice_module.DefaultLattice, "__init__", counted)
+    return built
+
+
+# each test below draws its own horizon, so that no lattice of an earlier test is on its grid
+def test_a_live_lattice_serves_every_scenario_on_its_grid(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    sc = make_scenario(horizon=1.25, n_steps=5, lam=[0.3, 0.0, 0.5, 0.0, 0.2], obstacle="w - 1")
+    lat = _lattice_for(sc)
+    # another scenario on an equal grid, the pair rule and the full-size guard get that same lattice
+    other = dataclasses.replace(sc, intensity=IntensitySpec(values=(0.3, 0.0, 0.5, 0.0, 0.2), lambda_max=0.5),
+                                obstacle=make_scenario(obstacle="-w").obstacle)
+    assert _lattice_for(other) is lat and _lattice_for(sc, other) is lat and _lattice_for(sc, full_size=True) is lat
+    assert [ref() for ref in built] == [lat] and lat.quotient
+    # a terminal that reads tau, another grid, or a zero intensity of the other sign gets its own
+    with_tau = dataclasses.replace(sc, terminal=make_scenario(terminal="w + tau").terminal)
+    tau = _lattice_for(with_tau)
+    assert not tau.quotient and _lattice_for(sc, with_tau) is tau
+    others = [_lattice_for(dataclasses.replace(sc, **change)) for change in (
+        {"horizon": 2.5},
+        {"n_steps": 4, "intensity": IntensitySpec(values=(0.3, 0.0, 0.5, 0.0), lambda_max=0.5)},
+        {"intensity": IntensitySpec(values=(0.3, 0.0, 0.5, 0.0, 0.3), lambda_max=0.5)},
+        {"intensity": IntensitySpec(values=(0.3, -0.0, 0.5, 0.0, 0.2), lambda_max=0.5)},
+    )]
+    assert [ref() for ref in built] == [lat, tau, *others]
+    assert len({id(x) for x in [lat, tau, *others]}) == 6
+
+
+def test_the_size_guard_refuses_before_a_live_lattice_is_returned(monkeypatch):
+    sc = make_scenario(horizon=1.5, n_steps=5, lam=0.3)
+    lat = _lattice_for(sc)
+    built = _counting_builds(monkeypatch)
+    monkeypatch.setattr(lattice_module.os, "sysconf", lambda name: 1)  # a 1-byte machine
+    with pytest.raises(SolverError) as exc:
+        _lattice_for(sc)
+    assert exc.value.pointer == "/steps" and str(exc.value).startswith("N too large")
+    assert built == [] and lat.n_steps == 5
+
+
+def test_a_lattice_nothing_holds_is_built_again(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    sc = make_scenario(horizon=1.75, n_steps=5, lam=0.3)
+    lat = _lattice_for(sc)
+    assert _lattice_for(sc) is lat and len(built) == 1
+    del lat
+    gc.collect()
+    assert built[0]() is None  # the memo holds no lattice alive
+    fresh = _lattice_for(sc)
+    assert len(built) == 2 and built[1]() is fresh
 
 
 def test_oversize_message_counts_nodes_exactly(monkeypatch):

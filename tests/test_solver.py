@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_scenario, random_scenario, step_intensities
+from conftest import driver_texts, make_scenario, outcome, random_scenario, step_intensities
 from rabsde import IntensitySpec, PicardConvergenceError, SolverError, solver
 from rabsde.crr import american_put_scenario, crr_american_put
 from rabsde.driver import parse_driver
-from rabsde.errors import LatticeError
+from rabsde.errors import DriverEvalError, LatticeError
 from rabsde.lattice import DefaultLattice, ProcessField
 from rabsde.solver import (
     PicardOptions,
     beta_norm,
     estimate_c_prime,
+    obstacle_field,
     solve_backward,
     solve_picard,
     validate_solution,
@@ -94,6 +95,74 @@ def test_prepare_names_the_scenario_field_at_fault(obstacle, terminal, pointer, 
     with pytest.raises(SolverError, match=message) as exc:
         solve_backward(sc)
     assert exc.value.pointer == pointer
+
+
+def _per_step_obstacle(scenario, lattice, t=float):
+    """``obstacle_field`` as it was before it made one compiled call over the
+    whole lattice: one call per step, with ``t`` a Python float; its reference.
+    With ``t=np.float64`` the per-step values follow numpy's division rules."""
+    fn = scenario.obstacle.compiled()
+    arrays = []
+    for k in range(lattice.n_steps + 1):
+        env = {"t": t(k * lattice.dt), "w": lattice.w_values(k), "h": lattice.h_values(k)}
+        arrays.append(np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(k),)).copy())
+    return arrays
+
+
+def _bytes(fields):
+    return [a.tobytes() for a in fields]
+
+
+_OBSTACLE_LAMBDAS = [0.3, 0.0, 0.5, 0.0, 0.2, 0.1]
+
+
+@given(driver_texts(("t", "w", "h")), st.integers(2, 6), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_whole_lattice_obstacle_equals_the_per_step_loop(text, n, quotient, data):
+    lam = data.draw(step_intensities(n))
+    lat = DefaultLattice(1.0, n, IntensitySpec(values=tuple(lam), lambda_max=max(lam)), quotient=quotient)
+    sc = make_scenario(n_steps=n, lam=lam, obstacle=text)
+    got = outcome(lambda: _bytes(obstacle_field(sc, lat).values))
+    want = outcome(lambda: _bytes(_per_step_obstacle(sc, lat)))
+    if want == (DriverEvalError, "division by zero") and got != want:
+        # the loop divided the Python float t by zero; the whole-lattice t gives IEEE inf or NaN there
+        want = _bytes(_per_step_obstacle(sc, lat, t=np.float64))
+    assert got == want
+
+
+@pytest.mark.parametrize("text", [
+    "exp(800*w)", "-exp(800*w) + h", "(w - w) / (w - w)", "exp(800*t) - exp(800*t)", "exp(900*t) * h",
+    "min(w, 0) / max(h, 0)", "-1e308 * (1 + t)", "abs(w) - 0.25*t", "max(w, t) / (1 + abs(w))", "1.5", "-0.5*t",
+])
+@pytest.mark.parametrize("quotient", [False, True])
+def test_node_data_names_the_first_non_finite_step_as_the_per_step_loop(text, quotient):
+    sc = make_scenario(n_steps=6, lam=_OBSTACLE_LAMBDAS, obstacle=text, terminal="1e308")
+    lat = DefaultLattice(1.0, 6, sc.intensity, quotient=quotient)
+    want = _per_step_obstacle(sc, lat)
+    assert _bytes(obstacle_field(sc, lat).values) == _bytes(want)
+    bad = [k for k, a in enumerate(want) if not np.isfinite(a).all()]
+    if not bad:
+        assert _bytes(solver._node_data(sc, lat)[0].values) == _bytes(want)
+        return
+    with pytest.raises(SolverError, match=f"^obstacle evaluates to a non-finite value at step {bad[0]}$") as exc:
+        solver._node_data(sc, lat)
+    assert exc.value.pointer == "/obstacle"
+
+
+def test_an_obstacle_that_divides_by_t_follows_numpy_at_t_zero():
+    # the per-step loop raised "division by zero" at t = 0, where t was a Python
+    # float; t is an array now, so 1/t is inf there, and min(1/t, 5) is 5
+    for text, first_bad in (("1/t", 0), ("min(1/t, 5) - w", None), ("1/(t - 0.5)", 2)):
+        sc = make_scenario(n_steps=4, lam=0.3, obstacle=text, terminal="1e308")
+        lat = DefaultLattice(1.0, 4, sc.intensity, quotient=True)
+        with pytest.raises(DriverEvalError, match="^division by zero$"):
+            _per_step_obstacle(sc, lat)
+        assert _bytes(obstacle_field(sc, lat).values) == _bytes(_per_step_obstacle(sc, lat, t=np.float64))
+        if first_bad is None:
+            solver._node_data(sc, lat)
+            continue
+        with pytest.raises(SolverError, match=f"^obstacle evaluates to a non-finite value at step {first_bad}$"):
+            solver._node_data(sc, lat)
 
 
 def test_solve_martingale_terminal_fields():

@@ -439,3 +439,35 @@ def test_batched_running_max_equals_the_per_path_loop(n, seed, data):
     assert report.max_gap.hex() == max_gap.hex()
     assert report.max_gap_z_only.hex() == max_gap_z.hex()
     assert report.n_paths == n_paths
+
+
+def _stopping_outcomes(sol, sc):
+    """Every stopping check on ``sc``, as the numbers and flags that decide a pass."""
+    root = sol.lattice.root()
+    report = snell_report(sol, sc)
+    y_rule, _k_rule, same = tau_characterizations(sol, sc)
+    krep = k_running_max_check(sol, sc)
+    return {
+        "brute_force": brute_force_value(sol, sc, root)[0],
+        "payoff": stopping_payoff(y_rule, sol, sc, root),
+        "coincide": same,
+        "gap": report.gap, "tau_gap": report.tau_gap, "report_coincide": report.tau_rules_coincide,
+        "k_gap": krep.max_gap, "k_gap_z_only": krep.max_gap_z_only,
+    }
+
+
+def test_stopping_checks_on_a_foreign_scenario_do_not_pass():
+    sc = make_scenario(n_steps=3, lam=0.4, driver="0.1*y", form="M",
+                       obstacle="0.8 - w - 0.2*h", terminal="max(0.8 - w - 0.2*h, 0) + 0.4")
+    sol = solve_backward(sc)
+    own = _stopping_outcomes(sol, sc)
+    assert own["gap"] <= 1e-10 and own["tau_gap"] <= 1e-10 and own["k_gap"] <= 1e-10 and own["coincide"]
+    # an equal scenario is the solution's own; a scenario the solution does not solve is not
+    assert _stopping_outcomes(sol, dataclasses.replace(sc)) == own
+    for foreign in (dataclasses.replace(sc, obstacle=make_scenario(obstacle="0.7 - w").obstacle),
+                    dataclasses.replace(sc, delta_steps=1)):
+        got = _stopping_outcomes(sol, foreign)  # raises nothing
+        assert not got["coincide"] and not got["report_coincide"]
+        numbers = [v for v in got.values() if not isinstance(v, bool)]
+        assert all(math.isnan(v) for v in numbers)
+        assert not any(v <= 1e-10 for v in numbers)
