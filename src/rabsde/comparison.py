@@ -222,7 +222,7 @@ def check_hypotheses(case: ComparisonCase) -> HypothesisReport:
     terminal or obstacle fails ``_prepare``'s checks on the lattice."""
     p1, p2 = _problem(case, 1), _problem(case, 2)
     lat = p1.lattice
-    obstacle_gap = float(np.min(np.concatenate(p1.obstacle.values) - np.concatenate(p2.obstacle.values)))
+    obstacle_gap = float(np.min(p1.obstacle.nodes - p2.obstacle.nodes))
     dt = lat.dt
     lam_of_t = lambda t: lat.intensity.at_time(t, dt)
     return HypothesisReport(
@@ -523,6 +523,8 @@ def run_random_suite(
     failures = 0
     deltas = [0, 0, 0]
     for _ in range(n_cases):
+        # every case is on one grid, and ``case`` holds the previous case's
+        # lattice while the next is drawn: only the first case builds lattices
         case = random_comparison_case(rng, n_steps=n_steps, horizon=horizon, lam=lam)
         verdict = run_comparison(case, tol=tol)
         min_gap = _min(min_gap, verdict.min_gap)

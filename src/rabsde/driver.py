@@ -23,7 +23,6 @@ raises DriverEvalError, as does an unbound variable.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -386,18 +385,14 @@ class GridSpec:
         return -2.0, 2.0
 
     def base_sample(self, variables: Sequence[str]) -> np.ndarray:
-        """The base values as a read-only (n_base, len(variables)) array, drawn
-        once per grid and variable list.
+        """The base values as an (n_base, len(variables)) array.
 
         The stream is the one a per-value loop over rows, then over
         ``variables``, would draw: each h is its own ``integers(0, 2)`` call,
         and each run of other values between two h draws is one vectorized
         uniform call over their boxes.
         """
-        return self._base_sample(tuple(variables))
-
-    @functools.lru_cache(maxsize=64)
-    def _base_sample(self, names: tuple[str, ...]) -> np.ndarray:
+        names = list(variables)
         rng = np.random.default_rng(self.seed)
         box = np.array([self.bound_for(name) for name in names]).reshape(-1, 2)
         lo, hi = np.tile(box, (self.n_base, 1)).T
@@ -411,16 +406,11 @@ class GridSpec:
             if pos < flat.size:
                 flat[pos] = rng.integers(0, 2)
             start = pos + 1
-        flat.flags.writeable = False
         return flat.reshape(self.n_base, len(names))
 
-    @functools.lru_cache(maxsize=64)
     def axis(self, name: str) -> np.ndarray:
-        """The ``points`` equispaced values of ``name``'s box, read-only."""
         lo, hi = self.bound_for(name)
-        sweep = np.linspace(lo, hi, self.points)
-        sweep.flags.writeable = False
-        return sweep
+        return np.linspace(lo, hi, self.points)
 
 
 def _grid_env(names: Sequence[str], base: np.ndarray, sweeps: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -23,8 +23,9 @@ nodes keep their labels: a label maps onto the block that stores it, and
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -474,10 +475,13 @@ class LatticePath:
 
 @dataclass(frozen=True)
 class ProcessField:
-    """Node-indexed real process over steps 0..N."""
+    """Node-indexed real process over steps 0..N.  A field made ``from_nodes``
+    keeps ``nodes``, every node's value step after step, and its steps are
+    views of that one array; else ``nodes`` is None."""
 
     lattice: DefaultLattice
     values: tuple[np.ndarray, ...]
+    nodes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) != self.lattice.n_steps + 1:
@@ -494,6 +498,12 @@ class ProcessField:
     @classmethod
     def from_arrays(cls, lattice: DefaultLattice, arrays: Sequence[np.ndarray]) -> "ProcessField":
         return cls(lattice, tuple(np.asarray(a, dtype=float) for a in arrays))
+
+    @classmethod
+    def from_nodes(cls, lattice: DefaultLattice, nodes: np.ndarray) -> "ProcessField":
+        sizes = [lattice.n_nodes(k) for k in range(lattice.n_steps + 1)]
+        ends = itertools.accumulate(sizes)
+        return cls(lattice, tuple(nodes[end - size : end] for size, end in zip(sizes, ends)), nodes)
 
     @classmethod
     def zeros(cls, lattice: DefaultLattice) -> "ProcessField":

@@ -20,7 +20,6 @@ iterate instead (see ``_solve``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -193,20 +192,22 @@ def _check_vars(expr: DriverExpr, allowed: frozenset[str], what: str) -> None:
 
 def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     """The obstacle per node, evaluated as is (NaN and inf included): one
-    compiled call over the whole lattice's t, w and h, split into per-step views."""
+    compiled call over the whole lattice's t, w and h (the lattice's per-step
+    node data, step after step), split into per-step views."""
     N = lattice.n_steps
     sizes = [lattice.n_nodes(k) for k in range(N + 1)]
-    whole = {
-        "t": lambda: np.repeat(np.arange(N + 1) * lattice.dt, sizes),
-        "w": lambda: np.concatenate([lattice.w_values(k) for k in range(N + 1)]),
-        "h": lambda: np.concatenate([lattice.h_values(k) for k in range(N + 1)]),
-    }
-    env = {name: column() for name, column in whole.items() if scenario.obstacle.uses(name)}
-    ends = list(itertools.accumulate(sizes))
+    uses = scenario.obstacle.uses
+    env = {}
+    if uses("t"):
+        env["t"] = np.repeat(np.arange(N + 1) * lattice.dt, sizes)
+    if uses("w"):
+        env["w"] = np.concatenate([lattice.w_values(k) for k in range(N + 1)])
+    if uses("h"):
+        env["h"] = np.concatenate([lattice.h_values(k) for k in range(N + 1)])
     values = np.asarray(scenario.obstacle.compiled()(env), dtype=float)
-    if values.shape != (ends[-1],):
-        values = np.broadcast_to(values, (ends[-1],)).copy()
-    return ProcessField.from_arrays(lattice, [values[end - size : end] for size, end in zip(sizes, ends)])
+    if values.shape != (sum(sizes),):
+        values = np.broadcast_to(values, (sum(sizes),)).copy()
+    return ProcessField.from_nodes(lattice, values)
 
 
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
@@ -234,10 +235,8 @@ def _node_data(scenario: Scenario, lattice: DefaultLattice) -> tuple[ProcessFiel
         obstacle = obstacle_field(scenario, lattice)
     except DriverEvalError as exc:
         raise SolverError(str(exc), pointer="/obstacle") from None
-    finite = np.isfinite(np.concatenate(obstacle.values))
-    if not finite.all():
-        ends = np.cumsum([arr.size for arr in obstacle.values])
-        k = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+    if not np.isfinite(obstacle.nodes).all():
+        k = next(k for k, arr in enumerate(obstacle.values) if not np.isfinite(arr).all())
         raise SolverError(f"obstacle evaluates to a non-finite value at step {k}", pointer="/obstacle")
     worst = float(np.min(xi - obstacle.step(lattice.n_steps)))
     if worst < -1e-12:
@@ -259,7 +258,9 @@ def _lattice_for(*scenarios: Scenario, full_size: bool = False) -> DefaultLattic
     unless a terminal reads ``tau``.  The guard counts the nodes of that
     lattice, or with ``full_size`` those of the full lattice (for output that
     writes one row per labelled node).  A lattice of the same grid and kind
-    that is still alive is returned as it is; else one is built."""
+    that is still alive is returned as it is; else one is built.  The memo
+    keeps none alive: a caller shares one lattice across calls only while it
+    holds it (``run_random_suite`` does, through the previous case)."""
     sc = scenarios[0]
     quotient = not any(s.terminal.uses("tau") for s in scenarios)
     too_big = oversize_message(sc.horizon, sc.n_steps, sc.intensity,

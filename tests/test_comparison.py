@@ -29,7 +29,8 @@ from rabsde.comparison import (
 )
 from rabsde.driver import DriverExpr, GridSpec, parse_driver
 from rabsde.errors import DriverEvalError, HypothesisError, MonotonicityError, PicardConvergenceError, SolverError
-from rabsde.solver import solve_backward, solve_picard
+from rabsde.lattice import DefaultLattice
+from rabsde.solver import obstacle_field, solve_backward, solve_picard
 
 GRID = GridSpec(points=5, n_base=16, seed=0)
 
@@ -248,6 +249,20 @@ def test_stacked_dominance_equals_the_per_variable_loop(text1, text2, extra, gri
 def test_stacked_dominance_on_constants_and_h_sweeps(a, b):
     g1, g2 = parse_driver(a), parse_driver(b)
     assert repr(check_dominance(g1, g2, GRID)) == repr(_per_variable_dominance(g1, g2, GRID))
+
+
+@pytest.mark.parametrize("obstacle1, obstacle2", [
+    ("w - 1 + 0.5*t", "w - 0.5"),  # smallest at the root
+    ("w - t", "w"),  # at the horizon
+    ("w - 0.3*h", "w - 0.1*h*t"),  # on the default nodes of step 1
+    ("abs(w) - 0.2*t", "-abs(w)"),
+])
+def test_obstacle_gap_is_the_smallest_gap_over_every_node(obstacle1, obstacle2):
+    s1, s2 = (make_scenario(n_steps=5, lam=0.3, obstacle=text, terminal="abs(w) + 2") for text in (obstacle1, obstacle2))
+    lat = DefaultLattice(1.0, 5, s1.intensity, quotient=True)
+    per_step = zip(obstacle_field(s1, lat).values, obstacle_field(s2, lat).values)
+    want = min(float(np.min(a - b)) for a, b in per_step)
+    assert comparison.check_hypotheses(ComparisonCase(s1, s2, GRID)).obstacle_gap == want
 
 
 def _case_pair(driver1, driver2, *, xi_shift=0.0, obs_shift=0.0, delta=1):

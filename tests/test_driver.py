@@ -362,23 +362,6 @@ def test_stacked_lipschitz_equals_the_per_slot_loop(text, lam, grid):
         assert repr(got) == repr(outcome(_per_slot_lipschitz, e, grid, lam))
 
 
-def test_a_grid_draws_each_sample_once_and_hands_it_out_read_only():
-    grid = GridSpec.for_horizon(2.0, points=5, n_base=12, seed=7)
-    names = ["u", "h", "t", "w"]
-    sample, sweep = grid.base_sample(names), grid.axis("u")
-    # a list or a tuple of the same names, and an equal grid, get the one drawn array
-    assert grid.base_sample(tuple(names)) is sample
-    assert GridSpec.for_horizon(2.0, points=5, n_base=12, seed=7).base_sample(names) is sample
-    assert grid.axis("u") is sweep
-    fresh = GridSpec._base_sample.__wrapped__(grid, tuple(names))  # a draw past the memo
-    assert sample.tobytes() == fresh.tobytes() and sample.shape == fresh.shape
-    assert sweep.tobytes() == np.linspace(-2.0, 2.0, 5).tobytes()
-    for arr in (sample, sweep):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-
-
 def _ref_base_envs(grid, variables):
     """The per-value draw that GridSpec.base_sample vectorizes: one rng call per value."""
     rng = np.random.default_rng(grid.seed)

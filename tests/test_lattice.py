@@ -25,6 +25,7 @@ from rabsde import (
     martingale_M,
 )
 from rabsde import lattice as lattice_module
+from rabsde.comparison import run_random_suite
 from rabsde.errors import SolverError
 from rabsde.lattice import oversize_message
 from rabsde.solver import _lattice_for
@@ -296,6 +297,11 @@ def test_process_field_accessors():
     field = ProcessField.from_arrays(lat, [lat.w_values(k) for k in range(3)])
     assert field.at(NodeId(1, 1, ALIVE)) == pytest.approx(lat.sqrt_dt)
     assert sum(arr.size for arr in field.values) == 1 + 4 + 9
+    assert field.nodes is None
+    nodes = np.arange(14.0)
+    split = ProcessField.from_nodes(lat, nodes)
+    assert [a.tolist() for a in split.values] == [[0.0], [1.0, 2.0, 3.0, 4.0], [float(x) for x in range(5, 14)]]
+    assert split.nodes is nodes and all(np.shares_memory(a, nodes) for a in split.values)
 
 
 def test_process_field_shape_mismatch():
@@ -536,6 +542,18 @@ def test_a_lattice_nothing_holds_is_built_again(monkeypatch):
     assert built[0]() is None  # the memo holds no lattice alive
     fresh = _lattice_for(sc)
     assert len(built) == 2 and built[1]() is fresh
+
+
+def test_a_suite_builds_lattices_only_for_its_first_case(monkeypatch):
+    # every case of a suite is on one grid, and each case holds its lattice
+    # while the next is drawn; rejected candidates of the first case build anew
+    built = _counting_builds(monkeypatch)
+    run_random_suite(3, 1, horizon=1.375, n_steps=5)
+    gc.collect()
+    first = len(built)
+    assert first >= 1 and all(ref() is None for ref in built)
+    run_random_suite(3, 12, horizon=1.375, n_steps=5)
+    assert len(built) == 2 * first
 
 
 def test_oversize_message_counts_nodes_exactly(monkeypatch):
