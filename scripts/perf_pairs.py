@@ -1,0 +1,126 @@
+"""Alternating perfbench pairs of two source trees: the parent and the change.
+
+Each pair runs ``<tree>/perfbench/run.py --workload W --seed S`` once for each
+tree, one after the other, in fresh processes; the tree that runs first
+alternates from pair to pair (the parent first in even pairs), so a drift of
+the host's speed falls on both sides alike.  After each run the script reads
+the record the run wrote to ``<tree>/.perfbench/results/`` (every end-to-end
+metric, the raw ``wall_*`` times, the calibration loop and the output digest):
+
+    python scripts/perf_pairs.py --parent /path/to/parent/checkout --change . \\
+        --workload solve_kernel --seed 0 401 --pairs 10 --out BENCH_21.json
+
+It prints, per workload, seed and side, the median and quartiles of scaled
+``op_p50_s`` and raw ``wall_op_p50_s``, and the share of pairs in which the
+change's value is lower.  The JSON output holds every run and that summary,
+with the medians of every end-to-end metric.  The exit status is 1 when a run
+fails (an op failed or perfbench exited non-zero) or the two trees' output
+digests differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+# the end-to-end metrics of a perfbench run, all read from its results record
+END_TO_END = ("op_p50_s", "op_p90_s", "ops_per_s", "setup_s", "peak_rss_mb", "ok_frac")
+RAW = ("wall_op_p50_s", "wall_op_p90_s", "wall_setup_s", "calibration_p50_s")
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
+    """One perfbench run of ``tree``, as its results record tells it."""
+    argv = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"exit": proc.returncode, "stderr": proc.stderr.strip().splitlines()[-1:]}
+    path = os.path.join(tree, ".perfbench", "results", f"{workload}-seed{seed}-trace0.json")
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    return {"exit": 0, **record["metrics"], **{key: record[key] for key in RAW},
+            "failed": record["failed"], "output_digest": record["output_digest"]}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def summarize(runs: dict) -> dict:
+    """Per side, the quartiles of op_p50_s and wall_op_p50_s and every metric's
+    median; the share of pairs the change's value is lower; digests equal."""
+    ok = all(r["exit"] == 0 and r["failed"] == 0 for side in SIDES for r in runs[side])
+    if not ok:
+        return {"ok": False}
+    out: dict = {"ok": True, "pairs": len(runs["change"])}
+    for side in SIDES:
+        done = runs[side]
+        out[side] = {key: quartiles([r[key] for r in done]) for key in ("op_p50_s", "wall_op_p50_s")}
+        out[side]["medians"] = {key: statistics.median(r[key] for r in done) for key in END_TO_END + RAW}
+    for key in ("op_p50_s", "wall_op_p50_s"):
+        wins = sum(c[key] < p[key] for p, c in zip(runs["parent"], runs["change"]))
+        parent, change = out["parent"][key]["median"], out["change"][key]["median"]
+        out[f"{key}_change_wins"] = wins / len(runs["change"])
+        out[f"{key}_median_change_frac"] = change / parent - 1.0
+        out[f"{key}_median_gap_over_parent_iqr"] = (
+            (parent - change) / (out["parent"][key]["q3"] - out["parent"][key]["q1"] or float("nan")))
+    out["digests_equal"] = len({r["output_digest"] for side in SIDES for r in runs[side]}) == 1
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="source tree of the parent (holds perfbench/ and src/)")
+    ap.add_argument("--change", required=True, help="source tree of the change")
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--seed", type=int, nargs="+", default=[0])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--out", default=None, help="JSON output path (default: none)")
+    args = ap.parse_args(argv)
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    for side, tree in trees.items():
+        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+            ap.error(f"--{side} {tree!r}: no perfbench/run.py there")
+    result: dict = {"runs": {}, "summary": {}}
+    for workload in args.workload:
+        for seed in args.seed:
+            key = f"{workload}/seed{seed}"
+            runs = result["runs"][key] = {side: [] for side in SIDES}
+            for pair in range(args.pairs):
+                for side in SIDES if pair % 2 == 0 else reversed(SIDES):
+                    record = run_once(trees[side], workload, seed, args.seconds)
+                    runs[side].append({"pair": pair, **record})
+                    print(f"{key} pair {pair} {side}: op_p50_s {record.get('op_p50_s', float('nan')) * 1e3:.2f} ms, "
+                          f"wall {record.get('wall_op_p50_s', float('nan')) * 1e3:.2f} ms", file=sys.stderr)
+            summary = result["summary"][key] = summarize(runs)
+            if not summary["ok"]:
+                print(f"{key}: a run failed")
+                continue
+            for side in SIDES:
+                line = ", ".join(f"{metric} {s['median'] * 1e3:.2f} ms [{s['q1'] * 1e3:.2f}, {s['q3'] * 1e3:.2f}]"
+                                 for metric, s in ((m, summary[side][m]) for m in ("op_p50_s", "wall_op_p50_s")))
+                print(f"{key} {side}: {line}")
+            print(f"{key} change wins: op_p50_s {summary['op_p50_s_change_wins']:.0%}, "
+                  f"wall_op_p50_s {summary['wall_op_p50_s_change_wins']:.0%}; "
+                  f"digests equal: {summary['digests_equal']}")
+    result["host"] = {"python": platform.python_version(), "machine": platform.machine(),
+                      "cpus": os.cpu_count()}
+    result["method"] = (f"perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0 "
+                        f"per tree, {args.pairs} pairs per workload and seed, the parent first in even pairs")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    good = all(s["ok"] and s["digests_equal"] for s in result["summary"].values())
+    return 0 if good else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -481,6 +481,13 @@ def _check(name: str, tolerance: float, violation: float) -> dict:
     }
 
 
+def _finite(obj) -> bool:
+    """Whether every float in a report body is finite."""
+    if isinstance(obj, (dict, list, tuple)):
+        return all(map(_finite, obj.values() if isinstance(obj, dict) else obj))
+    return not isinstance(obj, (float, np.floating)) or math.isfinite(obj)
+
+
 def _fields(obj, *names: str) -> dict:
     """The report entries of ``obj``'s attributes ``names``, under their own names."""
     return {name: getattr(obj, name) for name in names}
@@ -631,7 +638,8 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
             data[key], found = timed(workflow, build, problem, solution, flags)
             checks += found
     data["checks"] = checks
-    data["pass"] = all(c["pass"] for c in checks)
+    # an inf or NaN anywhere in the body never passes, whatever the checks read
+    data["pass"] = all(c["pass"] for c in checks) and _finite(data)
     return RunReport(data=data, solution=solution, timings=timings)
 
 

@@ -14,11 +14,12 @@ min(a, b), max(a, b).  Unary minus binds tighter than * and /, which bind
 tighter than + and -; binary operators associate to the left.  Nesting and
 tree depth are capped at MAX_DEPTH.
 
-One engine evaluates: a closure tree, compiled once per expression, that
-takes floats or NumPy arrays with NumPy's semantics, without floating-point
-warnings.  min and max propagate NaN, exp overflows to inf, and division by
-zero gives IEEE inf or NaN unless both operands are Python floats, which
-raises DriverEvalError, as does an unbound variable.
+One engine evaluates: a closure tree, compiled once per node, that takes floats
+or NumPy arrays with NumPy's semantics.  min and max propagate NaN, exp overflows
+to inf, and division by zero gives IEEE inf or NaN unless both operands are Python
+floats, which raises DriverEvalError, as does an unbound variable.  ``compiled()``
+runs it without floating-point warnings; the backward sweep runs the bare tree
+under its one np.errstate and checks finiteness once per step.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ class DriverExpr:
     _fn: Callable | None = field(default=None, init=False, compare=False, repr=False)
 
     def compiled(self) -> Callable[[Mapping[str, Any]], Any]:
-        """The closure tree, compiled on the first call and kept.  It runs under
-        one np.errstate, so overflow, invalid operations and division by zero
-        give inf or NaN without a warning; the callers' finite checks decide."""
+        """The closure tree, compiled on the first call and kept.  Each call runs
+        under its own np.errstate, so overflow, invalid operations and division by
+        zero give inf or NaN without a warning; the callers' finite checks decide.
+        The backward sweep runs the bare tree, ``_compile(root)``, under its own."""
         if self._fn is None:
             tree = _compile(self.root)
 

@@ -484,16 +484,13 @@ class ProcessField:
     nodes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.values) != self.lattice.n_steps + 1:
-            raise LatticeError(
-                f"field has {len(self.values)} step arrays, lattice has {self.lattice.n_steps + 1} steps"
-            )
-        for k, arr in enumerate(self.values):
-            if arr.shape != (self.lattice.n_nodes(k),):
-                raise LatticeError(
-                    f"field array at step {k} has shape {arr.shape}, "
-                    f"expected ({self.lattice.n_nodes(k)},)"
-                )
+        # every step's shape in one comparison; a mismatch is then located
+        shapes = [((k + 1) * (1 + b),) for k, b in enumerate(self.lattice._def_blocks)]
+        if [arr.shape for arr in self.values] != shapes:
+            if len(self.values) != len(shapes):
+                raise LatticeError(f"field has {len(self.values)} step arrays, lattice has {len(shapes)} steps")
+            k = next(k for k, arr in enumerate(self.values) if arr.shape != shapes[k])
+            raise LatticeError(f"field array at step {k} has shape {self.values[k].shape}, expected {shapes[k]}")
 
     @classmethod
     def from_arrays(cls, lattice: DefaultLattice, arrays: Sequence[np.ndarray]) -> "ProcessField":

@@ -14,7 +14,8 @@ y_arg = E[Y_{k+1} | node]; the implicit scheme solves the inner fixed point
 y_arg = y_tilde.  Drivers declared in dH form are rewritten on the fly by
 subtracting lambda_k * (1 - h) * u.  A Picard pass and an iterate of the
 comparison bridge run the same sweep with arguments read from the previous
-iterate instead (see ``_solve``).
+iterate instead (see ``_solve``).  The sweep runs the driver's bare closure tree
+under its one np.errstate and checks the driver values once per step for finiteness.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .driver import (
     DriverForm,
     GridSpec,
     TransformedDriver,
+    _compile,
     check_M_form_lipschitz,
     estimate_lipschitz,
 )
@@ -292,7 +294,7 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Prob
     return _Problem(
         scenario=scenario,
         lattice=lat,
-        driver_fn=base.compiled(),
+        driver_fn=_compile(base.root),
         obstacle=obstacle,
         xi=xi,
         need_ey=base.uses("ey"),
@@ -300,18 +302,11 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Prob
     )
 
 
-def _driver_values(prob: _Problem, k: int, env: dict, jump: np.ndarray | None) -> np.ndarray:
-    """The driver at step k in dM form: the compiled driver less ``jump``, the
-    dH->dM correction lambda_k * (1 - h) * u (None for an M-form driver)."""
-    vals = np.asarray(prob.driver_fn(env), dtype=float)
-    if jump is not None:
-        vals = vals - jump
-    shape = env["h"].shape
-    if vals.shape != shape:
-        vals = np.broadcast_to(vals, shape)
-    if not np.isfinite(vals).all():
-        raise SolverError(f"driver produced a non-finite value at step {k}")
-    return vals
+def _driver_values(prob: _Problem, env: dict, jump: np.ndarray | None):
+    """The driver in dM form, unchecked and maybe a scalar: the bare closure tree
+    less ``jump``, the dH->dM correction lambda_k * (1 - h) * u (None for M form)."""
+    vals = prob.driver_fn(env)
+    return vals if jump is None else vals - jump
 
 
 def _step_values(
@@ -338,11 +333,13 @@ def _step_values(
     for _ in range(prob.scenario.implicit_max_iter if implicit else 1):
         env["y"] = ycur
         env["ey"] = ycur if ey is None else ey
-        fv = _driver_values(prob, k, env, jump)
+        fv = _driver_values(prob, env, jump)
         if not implicit:
             break
         ynew = mean + fv * dt
-        if float(np.abs(ynew - ycur).max()) <= prob.scenario.implicit_tol:
+        gap = float(np.abs(ynew - ycur).max())
+        # a non-finite fv makes the gap inf or NaN; a finite fv whose iterate overflows iterates on
+        if gap <= prob.scenario.implicit_tol or not math.isfinite(gap) and not np.isfinite(fv).all():
             break
         ycur = ynew
     else:
@@ -351,7 +348,11 @@ def _step_values(
             f"{prob.scenario.implicit_max_iter} iterations; "
             "dt is too large relative to the driver's Lipschitz constant"
         )
-    y_tilde = mean + fv * dt
+    if not np.isfinite(fv).all():
+        raise SolverError(f"driver produced a non-finite value at step {k}")
+    y_tilde = ynew if implicit else mean + fv * dt
+    if np.shape(fv) != h.shape:
+        fv = np.broadcast_to(fv, h.shape)
     y = np.maximum(y_tilde, prob.obstacle.step(k))
     dk = y - y_tilde
     return y, z, u, psi, dk, fv
@@ -397,17 +398,9 @@ def _solve(
         y[k], z[k], u[k], psi[k], dk[k], fvals[k] = _step_values(
             prob, k, y[k + 1], ey, ez, fixed
         )
-    diagnostics = {"scheme": prob.scenario.scheme.value}
-    return Solution(
-        problem=prob,
-        y=ProcessField.from_arrays(lat, y),
-        z=ProcessField.from_arrays(lat, z),
-        u=ProcessField.from_arrays(lat, u),
-        psi=ProcessField.from_arrays(lat, psi),
-        dk=ProcessField.from_arrays(lat, dk),
-        driver_values=ProcessField.from_arrays(lat, fvals),
-        diagnostics=diagnostics,
-    )
+    y, z, u, psi, dk, fvals = (ProcessField.from_arrays(lat, arrays) for arrays in (y, z, u, psi, dk, fvals))
+    return Solution(problem=prob, y=y, z=z, u=u, psi=psi, dk=dk, driver_values=fvals,
+                    diagnostics={"scheme": prob.scenario.scheme.value})
 
 
 def _max(acc: float, value) -> float:

@@ -1024,8 +1024,12 @@ def test_picard_refuses_a_beta_whose_weight_overflows(tmp_path, capsys):
     path = _write(tmp_path, {**MINIMAL, "steps": 4, "lambda": 0.3, "driver": "0.1"})
     top = _largest_picard_beta(4, 0.25)
     out = tmp_path / "picard.json"
-    assert main(["picard", "--scenario", path, "--beta", repr(top), "--out", str(out)]) == 0
-    assert json.loads(out.read_text(encoding="utf-8"))["picard"]["beta"] == top
+    # the largest beta is accepted, but its first weighted distance overflows
+    # to inf, so the report fails closed (exit 3) rather than being refused (exit 2)
+    assert main(["picard", "--scenario", path, "--beta", repr(top), "--out", str(out)]) == 3
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["picard"]["beta"] == top and data["picard"]["distances"][0] == "inf"
+    assert data["pass"] is False
     capsys.readouterr()
     for beta in (math.nextafter(top, math.inf), 1000.0):
         assert main(["picard", "--scenario", path, "--beta", repr(beta)]) == 2
@@ -1049,6 +1053,25 @@ def test_picard_stops_at_a_nan_distance(tmp_path, capsys):
     assert main(["picard", "--scenario", path]) == 3
     assert capsys.readouterr().err == (
         "error: Picard iteration did not reach tol=1e-12 within 1 iterations (last distance nan)\n")
+
+
+def test_a_report_with_an_inf_in_it_does_not_pass(tmp_path):
+    # beta = 946 sits just inside the weight's overflow bound on 4 steps, but
+    # beta * |dY|^2 * e^(beta t) * dt overflows: the first distance is inf
+    path = _write(tmp_path, {"horizon": 1.0, "steps": 4, "delta_steps": 1, "lambda": 0.3,
+                             "driver": "0.1*y + 0.1*ey", "obstacle": "-100", "terminal": "w"})
+    out = tmp_path / "picard.json"
+    assert main(["picard", "--scenario", path, "--beta", "946", "--out", str(out)]) == 3
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["picard"]["distances"][0] == "inf"
+    assert all(c["pass"] for c in data["checks"]) and data["pass"] is False
+
+
+def test_an_implicit_driver_that_diverges_names_its_step(tmp_path, capsys):
+    path = _write(tmp_path, {"horizon": 1.0, "steps": 4, "lambda": 0.3, "scheme": "implicit",
+                             "driver": "50*y", "obstacle": "-100", "terminal": "w"})
+    assert main(["solve", "--scenario", path]) == 3
+    assert capsys.readouterr().err == "error: driver produced a non-finite value at step 3\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "compare", "picard"])

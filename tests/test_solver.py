@@ -6,6 +6,7 @@ import dataclasses
 import math
 import tracemalloc
 import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,30 @@ def test_a_non_finite_driver_value_names_its_step():
     sc = make_scenario(n_steps=4, lam=0.3, driver="1/w", terminal="w")
     with pytest.raises(SolverError, match="^driver produced a non-finite value at step 2$"):
         solve_backward(sc)
+
+
+def test_a_non_finite_implicit_driver_value_names_its_step():
+    # the inner loop checks finiteness once per step: the same step as the explicit scheme
+    sc = make_scenario(n_steps=4, lam=0.3, driver="1/w", terminal="w", scheme="implicit")
+    with pytest.raises(SolverError, match="^driver produced a non-finite value at step 2$"):
+        solve_backward(sc)
+
+
+def test_a_diverging_implicit_iterate_names_the_step_of_its_non_finite_driver_value():
+    # y -> E[Y_{k+1}] + 50 y dt grows 12.5-fold a pass: the iterate overflows
+    # while the driver is finite, and the next pass's driver value is inf
+    sc = make_scenario(n_steps=4, lam=0.3, driver="50*y", obstacle="-100", terminal="w", scheme="implicit")
+    with pytest.raises(SolverError, match="^driver produced a non-finite value at step 3$"):
+        solve_backward(sc)
+
+
+def test_an_overflowing_implicit_solve_raises_its_error_and_no_warning():
+    # a finite driver whose iterate overflows iterates on, to the iteration cap
+    sc = make_scenario(n_steps=40, lam=0.0, driver="1e308", obstacle="-1e9", terminal="w", scheme="implicit")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="^implicit inner loop did not converge at step 3 within 500 "):
+            solve_backward(sc)
 
 
 def test_estimate_c_prime_includes_jump_unit():
