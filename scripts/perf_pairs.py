@@ -11,17 +11,24 @@ metric, the raw ``wall_*`` times, the calibration loop and the output digest):
         --workload solve_kernel --seed 0 401 --pairs 10 --out BENCH_21.json
 
 It prints, per workload, seed and side, the median and quartiles of scaled
-``op_p50_s`` and raw ``wall_op_p50_s``, and the share of pairs in which the
-change's value is lower.  The JSON output holds every run and that summary,
+``op_p50_s`` and raw ``wall_op_p50_s``, the median ``calibration_p50_s``, and
+the share of pairs in which the change's value is lower.  Then, per end-to-end
+metric, a no-regression verdict against the metric's bound in the parent's
+``BENCHMARK.json`` (read only): the change-vs-parent median ratio, and
+``worse`` when the change's median is worse than the parent's by more than
+the bound, else ``unresolved`` when the parent's own spread (interquartile
+range over median) exceeds the bound and not every change run beats every
+parent run, else ``ok``.  The JSON output holds every run and that summary,
 with the medians of every end-to-end metric.  The exit status is 1 when a run
-fails (an op failed or perfbench exited non-zero) or the two trees' output
-digests differ.
+fails (an op failed or perfbench exited non-zero), the two trees' output
+digests differ, or a metric is ``worse``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -51,6 +58,24 @@ def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
 def quartiles(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"q1": q1, "median": q2, "q3": q3}
+
+
+def verdicts(runs: dict, metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json``: the change's median over
+    the parent's, the parent's relative spread, the bound and the verdict."""
+    out = {}
+    for metric in metrics:
+        name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
+        parent, change = ([r[name] for r in runs[side]] for side in SIDES)
+        p, c = statistics.median(parent), statistics.median(change)
+        ratio = c / p if p else (1.0 if c == p else math.inf)
+        worse_by = ratio - 1.0 if lower else 1.0 - ratio
+        q = quartiles(parent)
+        spread = (q["q3"] - q["q1"]) / abs(p) if p else 0.0
+        beats = max(change) < min(parent) if lower else min(change) > max(parent)
+        verdict = "worse" if worse_by > bound else "unresolved" if spread > bound and not beats else "ok"
+        out[name] = {"ratio": ratio, "parent_spread": spread, "bound": bound, "verdict": verdict}
+    return out
 
 
 def summarize(runs: dict) -> dict:
@@ -89,6 +114,8 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             ap.error(f"--{side} {tree!r}: no perfbench/run.py there")
+    with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
     result: dict = {"runs": {}, "summary": {}}
     for workload in args.workload:
         for seed in args.seed:
@@ -110,7 +137,12 @@ def main(argv=None) -> int:
                 print(f"{key} {side}: {line}")
             print(f"{key} change wins: op_p50_s {summary['op_p50_s_change_wins']:.0%}, "
                   f"wall_op_p50_s {summary['wall_op_p50_s_change_wins']:.0%}; "
-                  f"digests equal: {summary['digests_equal']}")
+                  f"digests equal: {summary['digests_equal']}; calibration_p50_s "
+                  + ", ".join(f"{side} {summary[side]['medians']['calibration_p50_s'] * 1e3:.3f} ms" for side in SIDES))
+            summary["verdicts"] = verdicts(runs, metrics)
+            for name, v in summary["verdicts"].items():
+                print(f"{key} {name}: change/parent median {v['ratio']:.3f}, parent spread "
+                      f"{v['parent_spread']:.1%}, bound {v['bound']:.0%}: {v['verdict']}")
     result["host"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "cpus": os.cpu_count()}
     result["method"] = (f"perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0 "
@@ -118,7 +150,8 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    good = all(s["ok"] and s["digests_equal"] for s in result["summary"].values())
+    good = all(s["ok"] and s["digests_equal"] and all(v["verdict"] != "worse" for v in s["verdicts"].values())
+               for s in result["summary"].values())
     return 0 if good else 1
 
 

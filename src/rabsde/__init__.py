@@ -43,14 +43,11 @@ from .errors import (
 )
 from .lattice import (
     ALIVE,
-    BracketReport,
     DefaultLattice,
     IntensitySpec,
     NodeId,
     ProcessField,
-    bracket_checks,
     build_lattice,
-    martingale_M,
 )
 from .solver import (
     PicardOptions,

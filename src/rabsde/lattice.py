@@ -23,10 +23,9 @@ nodes keep their labels: a label maps onto the block that stores it, and
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -475,36 +474,26 @@ class LatticePath:
 
 @dataclass(frozen=True)
 class ProcessField:
-    """Node-indexed real process over steps 0..N.  A field made ``from_nodes``
-    keeps ``nodes``, every node's value step after step, and its steps are
-    views of that one array; else ``nodes`` is None."""
+    """Node-indexed real process over steps 0..N.  ``nodes`` holds every node's
+    value, step after step; ``values`` is the tuple of its per-step views,
+    derived from ``nodes`` and never passed in."""
 
     lattice: DefaultLattice
-    values: tuple[np.ndarray, ...]
-    nodes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    nodes: np.ndarray
+    values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # every step's shape in one comparison; a mismatch is then located
-        shapes = [((k + 1) * (1 + b),) for k, b in enumerate(self.lattice._def_blocks)]
-        if [arr.shape for arr in self.values] != shapes:
-            if len(self.values) != len(shapes):
-                raise LatticeError(f"field has {len(self.values)} step arrays, lattice has {len(shapes)} steps")
-            k = next(k for k, arr in enumerate(self.values) if arr.shape != shapes[k])
-            raise LatticeError(f"field array at step {k} has shape {self.values[k].shape}, expected {shapes[k]}")
-
-    @classmethod
-    def from_arrays(cls, lattice: DefaultLattice, arrays: Sequence[np.ndarray]) -> "ProcessField":
-        return cls(lattice, tuple(np.asarray(a, dtype=float) for a in arrays))
-
-    @classmethod
-    def from_nodes(cls, lattice: DefaultLattice, nodes: np.ndarray) -> "ProcessField":
-        sizes = [lattice.n_nodes(k) for k in range(lattice.n_steps + 1)]
-        ends = itertools.accumulate(sizes)
-        return cls(lattice, tuple(nodes[end - size : end] for size, end in zip(sizes, ends)), nodes)
+        end, values = 0, []
+        for k, b in enumerate(self.lattice._def_blocks):  # step k holds (k + 1) * (1 + b) nodes
+            start, end = end, end + (k + 1) * (1 + b)
+            values.append(self.nodes[start:end])
+        if self.nodes.shape != (end,):
+            raise LatticeError(f"field has shape {self.nodes.shape}, lattice has {end} nodes")
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def zeros(cls, lattice: DefaultLattice) -> "ProcessField":
-        return cls.from_arrays(lattice, [np.zeros(lattice.n_nodes(k)) for k in range(lattice.n_steps + 1)])
+        return cls(lattice, np.zeros(sum((k + 1) * (1 + b) for k, b in enumerate(lattice._def_blocks))))
 
     def step(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.lattice.n_steps:
@@ -548,61 +537,4 @@ def oversize_message(
     return (
         f"N too large, estimated {estimate / 1e9:.3g} GB for {nodes} nodes "
         f"(more than half the physical memory of {physical / 1e9:.3g} GB)"
-    )
-
-
-def martingale_M(lattice: DefaultLattice) -> ProcessField:
-    """Compensated default indicator M_k = H_k - accumulated hazard up to k ^ d."""
-    arrays = [lattice.h_values(k) - lattice.compensator_values(k) for k in range(lattice.n_steps + 1)]
-    return ProcessField.from_arrays(lattice, arrays)
-
-
-@dataclass(frozen=True)
-class BracketReport:
-    """Exact-martingale diagnostics; every entry is a max absolute violation."""
-
-    dw_mean: float
-    dm_mean: float
-    bracket_vs_h: float
-    compensator_gap: float
-
-    @property
-    def max_violation(self) -> float:
-        return max(self.dw_mean, self.dm_mean, self.bracket_vs_h, self.compensator_gap)
-
-
-def bracket_checks(lattice: DefaultLattice) -> BracketReport:
-    """Verify [M] = H pathwise and that the hazard exactly compensates H.
-
-    Checks, for every node: E[dW | node] = 0 and E[dM | node] = 0; for every
-    positive-probability edge: (dH)^2 equals the jump of H (so [M] telescopes
-    to H along every path); and for every step: E[H_k - <M>_k] = 0 under the
-    root law.
-    """
-    m_field = martingale_M(lattice)
-    dw_mean = 0.0
-    dm_mean = 0.0
-    comp_gap = 0.0
-    bracket = 0.0
-    for k in range(lattice.n_steps):
-        w_next = lattice.w_values(k + 1)
-        ew = lattice.step_expectation(k, w_next) - lattice.w_values(k)
-        dw_mean = max(dw_mean, float(np.max(np.abs(ew))))
-        em = lattice.step_expectation(k, m_field.step(k + 1)) - m_field.step(k)
-        dm_mean = max(dm_mean, float(np.max(np.abs(em))))
-        h_k = lattice.h_values(k)
-        for i in range(lattice.n_nodes(k)):
-            node = lattice.node_at(k, i)
-            for child, _prob, _dw, dh in lattice.children(node):
-                jump = lattice.h_values(k + 1)[lattice.index(child)] - h_k[i]
-                bracket = max(bracket, abs(dh * dh - jump))
-    for k in range(lattice.n_steps + 1):
-        probs = lattice.node_probabilities(k)
-        gap = float(np.dot(probs, lattice.h_values(k) - lattice.compensator_values(k)))
-        comp_gap = max(comp_gap, abs(gap))
-    return BracketReport(
-        dw_mean=dw_mean,
-        dm_mean=dm_mean,
-        bracket_vs_h=bracket,
-        compensator_gap=comp_gap,
     )

@@ -128,7 +128,10 @@ class Solution:
         full = lat.labelled()
 
         def lift(f: ProcessField) -> ProcessField:
-            return ProcessField(full, tuple(lat.lift(k, a) for k, a in enumerate(f.values)))
+            lifted = ProcessField.zeros(full)
+            for k, a in enumerate(f.values):
+                lifted.values[k][...] = lat.lift(k, a)
+            return lifted
 
         problem = replace(self.problem, lattice=full, obstacle=lift(self.problem.obstacle),
                           xi=lat.lift(lat.n_steps, self.problem.xi))
@@ -195,7 +198,7 @@ def _check_vars(expr: DriverExpr, allowed: frozenset[str], what: str) -> None:
 def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     """The obstacle per node, evaluated as is (NaN and inf included): one
     compiled call over the whole lattice's t, w and h (the lattice's per-step
-    node data, step after step), split into per-step views."""
+    node data, step after step), whose result is the field's ``nodes``."""
     N = lattice.n_steps
     sizes = [lattice.n_nodes(k) for k in range(N + 1)]
     uses = scenario.obstacle.uses
@@ -209,7 +212,7 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     values = np.asarray(scenario.obstacle.compiled()(env), dtype=float)
     if values.shape != (sum(sizes),):
         values = np.broadcast_to(values, (sum(sizes),)).copy()
-    return ProcessField.from_nodes(lattice, values)
+    return ProcessField(lattice, values)
 
 
 def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
@@ -317,9 +320,9 @@ def _step_values(
     ez: np.ndarray | None,
     frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
-    """Solve one backward step; returns (y, z, u, psi, dk, fv).  The
-    driver reads (y-argument, z, u) from the step's own projection, or from
-    ``frozen`` when given; ey and ez default to the y- and z-arguments."""
+    """Solve one backward step; returns (y, z, u, psi, dk, fv), fv maybe a
+    scalar.  The driver reads (y-argument, z, u) from the step's own projection,
+    or from ``frozen`` when given; ey and ez default to the y- and z-arguments."""
     lat, dt = prob.lattice, prob.lattice.dt
     mean, z, u, psi = lat.project_martingale(k, y_next)
     yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
@@ -351,8 +354,6 @@ def _step_values(
     if not np.isfinite(fv).all():
         raise SolverError(f"driver produced a non-finite value at step {k}")
     y_tilde = ynew if implicit else mean + fv * dt
-    if np.shape(fv) != h.shape:
-        fv = np.broadcast_to(fv, h.shape)
     y = np.maximum(y_tilde, prob.obstacle.step(k))
     dk = y - y_tilde
     return y, z, u, psi, dk, fv
@@ -372,11 +373,9 @@ def _solve(
     lat = prob.lattice
     N = lat.n_steps
     delta = prob.scenario.delta_steps
-    y, z, u, psi, dk, fvals = ([None] * (N + 1) for _ in range(6))
-    nN = lat.n_nodes(N)
-    y[N] = prob.xi.copy()
-    for arr in (z, u, psi, dk, fvals):
-        arr[N] = np.zeros(nN)
+    fields = [ProcessField.zeros(lat) for _ in range(6)]
+    y, z, u, psi, dk, fvals = (f.values for f in fields)
+    y[N][...] = prob.xi
     past = frozen if frozen is not None else frozen_ey
     ys = y if past is None else past.y.values
     zs = z if frozen is None else frozen.z.values
@@ -395,10 +394,10 @@ def _solve(
                 ey = yarg
             else:
                 fixed = (yarg, zs[k], frozen.u.step(k))
-        y[k], z[k], u[k], psi[k], dk[k], fvals[k] = _step_values(
+        y[k][...], z[k][...], u[k][...], psi[k][...], dk[k][...], fvals[k][...] = _step_values(
             prob, k, y[k + 1], ey, ez, fixed
         )
-    y, z, u, psi, dk, fvals = (ProcessField.from_arrays(lat, arrays) for arrays in (y, z, u, psi, dk, fvals))
+    y, z, u, psi, dk, fvals = fields
     return Solution(problem=prob, y=y, z=z, u=u, psi=psi, dk=dk, driver_values=fvals,
                     diagnostics={"scheme": prob.scenario.scheme.value})
 
@@ -522,11 +521,8 @@ def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[
     overflow = _beta_overflow(lat, beta)
     if overflow is not None:
         raise SolverError(f"{overflow}; pass a smaller beta (--beta)")
-    prev = _Triple(
-        y=ProcessField.zeros(lat),
-        z=ProcessField.zeros(lat),
-        u=ProcessField.zeros(lat),
-    )
+    zero = ProcessField.zeros(lat)  # the first pass only reads its triple
+    prev = _Triple(y=zero, z=zero, u=zero)
     history: list[float] = []
     for iteration in range(1, opts.max_iter + 1):
         solution = _solve(prob, frozen=prev)
@@ -542,6 +538,7 @@ def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[
         if math.isnan(dist):  # no later pass can reach tol
             break
         prev = cur
+        del solution  # its psi, dK and driver values go before the next pass is solved
     raise PicardConvergenceError(
         f"Picard iteration did not reach tol={opts.tol} within {len(history)} "
         f"iterations (last distance {history[-1]:.3g})",
@@ -589,19 +586,19 @@ class ValidationReport:
 _CHUNK_NODES = 1 << 10
 
 
-def _edges(p: np.ndarray, sizes: list[int], k0: int, k1: int):
-    """For steps k0..k1-1's nodes: the down child's index in steps k0..k1, all
-    concatenated (``off[k+1] + b*(k+2) + j`` for node (k, block b, j); the up child
+def _edges(p: np.ndarray, off: np.ndarray, k0: int, k1: int):
+    """For steps k0..k1-1's nodes: the down child's index counted from step k0's
+    first node (``off[k+1] + b*(k+2) + j`` for node (k, block b, j); the up child
     is one further on), the mask and indices of the jump nodes (alive, p_k > 0),
     their p_k, and their new-default down child (in step k+1's last block)."""
-    ks, n = np.arange(k0, k1), np.array(sizes[k0:k1])
+    ks, n = np.arange(k0, k1), np.diff(off[k0 : k1 + 1])
     step = np.repeat(ks, n)
     g = np.arange(step.size)
-    block = (g - np.repeat(np.cumsum(n) - n, n)) // (step + 1)
+    block = (g - np.repeat(off[k0:k1] - off[k0], n)) // (step + 1)
     down = g + np.repeat(n, n) + block
     jump = (block == 0) & (p[step] > 0.0)
     J = np.flatnonzero(jump)
-    new = down[J] + (np.array(sizes[k0 + 1 : k1 + 1]) - (ks + 2))[step[J] - k0]
+    new = down[J] + (np.diff(off[k0 + 1 : k1 + 2]) - (ks + 2))[step[J] - k0]
     return down, jump, J, p[step[J]], new
 
 
@@ -627,36 +624,38 @@ def validate_solution(solution: Solution, scenario: Scenario) -> ValidationRepor
     ``scenario`` is the scenario the solution solves: the checks read the
     obstacle field the solution was prepared with, and the report on any
     other scenario does not pass.  One pass over chunks of consecutive steps,
-    concatenated, independent of the slicing kernel."""
+    each a slice of every field's ``nodes``, independent of the slicing kernel."""
     lat, obstacle = solution.lattice, solution.obstacle_field()
     N, dt, s = lat.n_steps, lat.dt, lat.sqrt_dt
-    sizes = [lat.n_nodes(k) for k in range(N + 1)]
-    window = (np.cumsum(sizes) - sizes) // _CHUNK_NODES
+    off = np.cumsum([0, *(lat.n_nodes(k) for k in range(N + 1))])  # off[k]: step k's first node
+    window = off[:-1] // _CHUNK_NODES
     cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), N + 1]
     sq = residual = representation = k_dec = skorokhod = obs_viol = 0.0
+    probs = [lat.node_probabilities(k) for k in range(N)]  # up front: kept arrays amid chunk temporaries fragment the heap
     # a NaN or inf must reach the report, which passes() rejects, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in zip(cuts, cuts[1:]):
             ke = min(k1, N)  # steps k0 .. ke-1 have children, in steps up to ke
-            Y = np.concatenate(solution.y.values[k0 : ke + 1])
-            y, dk = Y[: sum(sizes[k0:k1])], np.concatenate(solution.dk.values[k0:k1])
-            gap = y - np.concatenate(obstacle.values[k0:k1])
+            n0, n1, ne = off[k0], off[k1], off[ke]  # nodes n0:n1 are steps k0 .. k1-1, n0:ne have children
+            Y = solution.y.nodes[n0 : off[ke + 1]]
+            y, dk = Y[: n1 - n0], solution.dk.nodes[n0:n1]
+            gap = y - obstacle.nodes[n0:n1]
             obs_viol = _max(obs_viol, np.max(-gap))
             k_dec = _max(k_dec, np.max(-dk))
             skorokhod = _max(skorokhod, np.max(np.abs(dk * gap)))
             if ke == k0:
                 continue
-            fv, at = np.concatenate(solution.driver_values.values[k0:ke]), 0
+            fv = solution.driver_values.nodes[n0:ne]
             for k in range(k0, ke):
-                f = fv[at : at + sizes[k]]
-                sq += dt * float(np.dot(lat.node_probabilities(k), f * f))
-                at += sizes[k]
-            down, jump, J, pJ, new = _edges(lat.p, sizes, k0, ke)
+                f = solution.driver_values.step(k)
+                sq += dt * float(np.dot(probs[k], f * f))
+            down, jump, J, pJ, new = _edges(lat.p, off, k0, ke)
             mean = 0.5 * (Y[down + 1] + Y[down])
             mean[J] = (0.5 * (1.0 - pJ)) * (Y[down[J] + 1] + Y[down[J]]) + (0.5 * pJ) * (Y[new + 1] + Y[new])
-            residual = _max(residual, np.max(np.abs(y[:at] - (mean + fv * dt + dk[:at]))))
-            del gap, dk, fv  # each chunk array goes once read, to keep the pass small
-            z, u, psi = (np.concatenate(f.values[k0:ke]) for f in (solution.z, solution.u, solution.psi))
+            residual = _max(residual, np.max(np.abs(y[: ne - n0] - (mean + fv * dt + dk[: ne - n0]))))
+            del gap  # each chunk temporary goes once read, to keep the pass small
+            # _representation_errors overwrites z: a copy, not a view of the solution
+            z, u, psi = solution.z.nodes[n0:ne].copy(), solution.u.nodes[n0:ne], solution.psi.nodes[n0:ne]
             errors = _representation_errors(Y, down, jump, J, pJ, new, mean, z, u, psi, s)
             representation = functools.reduce(_max, (np.max(np.abs(e), initial=0.0) for e in errors),
                                               representation)

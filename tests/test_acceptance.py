@@ -11,8 +11,9 @@ import time
 
 import numpy as np
 
+from bracket_oracle import bracket_checks
 from conftest import make_scenario, random_scenario
-from rabsde import IntensitySpec, bracket_checks, build_lattice
+from rabsde import IntensitySpec, build_lattice
 from rabsde.comparison import iterate_sequence, random_comparison_case, run_random_suite
 from rabsde.crr import american_put_scenario, crr_american_put
 from rabsde.solver import (

@@ -30,7 +30,7 @@ from rabsde.cli import (
 from rabsde.driver import DriverExpr
 from rabsde.errors import ScenarioError
 from rabsde import lattice as lattice_module
-from rabsde.lattice import DefaultLattice
+from rabsde.lattice import DefaultLattice, ProcessField
 from rabsde.solver import obstacle_field, solve_backward
 
 MINIMAL = {
@@ -519,7 +519,7 @@ def _with_nan_rows(sol):
     y = [arr.copy() for arr in sol.y.values]
     assert sol.lattice.n_nodes(2) == 9
     y[2][[0, 3, 6]] = np.nan
-    return dataclasses.replace(sol, y=dataclasses.replace(sol.y, values=tuple(y)))
+    return dataclasses.replace(sol, y=ProcessField(sol.lattice, np.concatenate(y)))
 
 
 def _csv_cases():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bracket_oracle import bracket_checks, martingale_M
 from conftest import make_scenario, step_intensities
 from rabsde import (
     ALIVE,
@@ -20,9 +21,7 @@ from rabsde import (
     LatticeError,
     NodeId,
     ProcessField,
-    bracket_checks,
     build_lattice,
-    martingale_M,
 )
 from rabsde import lattice as lattice_module
 from rabsde.comparison import run_random_suite
@@ -294,22 +293,24 @@ def test_node_data_arrays_are_read_only_and_built_once(monkeypatch, quotient):
 
 def test_process_field_accessors():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    field = ProcessField.from_arrays(lat, [lat.w_values(k) for k in range(3)])
+    field = ProcessField(lat, np.concatenate([lat.w_values(k) for k in range(3)]))
     assert field.at(NodeId(1, 1, ALIVE)) == pytest.approx(lat.sqrt_dt)
-    assert sum(arr.size for arr in field.values) == 1 + 4 + 9
-    assert field.nodes is None
+    assert field.step(2) is field.values[2]
+    assert sum(arr.size for arr in field.values) == field.nodes.size == 1 + 4 + 9
     nodes = np.arange(14.0)
-    split = ProcessField.from_nodes(lat, nodes)
+    split = ProcessField(lat, nodes)
     assert [a.tolist() for a in split.values] == [[0.0], [1.0, 2.0, 3.0, 4.0], [float(x) for x in range(5, 14)]]
     assert split.nodes is nodes and all(np.shares_memory(a, nodes) for a in split.values)
 
 
 def test_process_field_shape_mismatch():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    with pytest.raises(LatticeError, match="step 2 has shape"):
-        ProcessField.from_arrays(lat, [np.zeros(1), np.zeros(4), np.zeros(5)])
-    with pytest.raises(LatticeError, match="2 step arrays"):
-        ProcessField.from_arrays(lat, [np.zeros(1), np.zeros(4)])
+    with pytest.raises(LatticeError, match=r"^field has shape \(13,\), lattice has 14 nodes$"):
+        ProcessField(lat, np.zeros(13))
+    with pytest.raises(LatticeError, match=r"^field has shape \(2, 7\), lattice has 14 nodes$"):
+        ProcessField(lat, np.zeros((2, 7)))
+    with pytest.raises(LatticeError, match="does not cover step 3"):
+        ProcessField.zeros(lat).step(3)
 
 
 @st.composite
@@ -395,12 +396,11 @@ def test_no_kernel_method_takes_a_stack():
 
 
 # Functions that may still walk the lattice node by node.  The Snell oracle's
-# dense kernel and the bracket edge loop check the block kernel and must stay
-# independent of it; nodes builds a per-node view by definition;
-# iterate_sequence names the offending node in an error message.
+# dense kernel checks the block kernel and must stay independent of it; nodes
+# builds a per-node view by definition; iterate_sequence names the offending
+# node in an error message.
 _NODE_WALK_ALLOWED = {
     ("lattice.py", "DefaultLattice.nodes"),
-    ("lattice.py", "bracket_checks"),
     ("stopping.py", "_descendant_masks"),
     ("stopping.py", "_transition_matrix"),
     ("comparison.py", "iterate_sequence"),

@@ -298,9 +298,9 @@ def test_beta_norm_quadratic_scaling():
 
     class Triple:
         def __init__(self, scale):
-            self.y = ProcessField.from_arrays(lat, [scale * sol.y.step(k) for k in range(4)])
-            self.z = ProcessField.from_arrays(lat, [scale * sol.z.step(k) for k in range(4)])
-            self.u = ProcessField.from_arrays(lat, [scale * sol.u.step(k) for k in range(4)])
+            self.y = ProcessField(lat, scale * sol.y.nodes)
+            self.z = ProcessField(lat, scale * sol.z.nodes)
+            self.u = ProcessField(lat, scale * sol.u.nodes)
 
     zero = Triple(0.0)
     assert beta_norm(Triple(2.0), zero, 2.5) == pytest.approx(
@@ -316,14 +316,14 @@ def test_beta_norm_hand_computed_single_step():
 
     def shifted(dy, dz, du):
         class T:
-            y = ProcessField.from_arrays(
-                lat, [sol.y.step(0) + dy, sol.y.step(1)]
+            y = ProcessField(
+                lat, np.concatenate([sol.y.step(0) + dy, sol.y.step(1)])
             )
-            z = ProcessField.from_arrays(
-                lat, [sol.z.step(0) + dz, sol.z.step(1)]
+            z = ProcessField(
+                lat, np.concatenate([sol.z.step(0) + dz, sol.z.step(1)])
             )
-            u = ProcessField.from_arrays(
-                lat, [sol.u.step(0) + du, sol.u.step(1)]
+            u = ProcessField(
+                lat, np.concatenate([sol.u.step(0) + du, sol.u.step(1)])
             )
 
         return T()
@@ -591,7 +591,7 @@ def test_injected_non_finite_value_never_passes(field, bad, k, pos):
     sol = solve_backward(sc)
     arrays = [a.copy() for a in getattr(sol, field).values]
     arrays[k][pos % arrays[k].size] = bad
-    sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, arrays)})
+    sol = dataclasses.replace(sol, **{field: ProcessField(sol.lattice, np.concatenate(arrays))})
     report = validate_solution(sol, sc)
     assert not report.passes(1e-10)
     values = [report.driver_square_sum] + [v for _, v in report.checks()]
@@ -855,7 +855,7 @@ def _validation_cases(draw):
         arrays = [a.copy() for a in getattr(sol, field).values]
         k = draw(st.integers(0, n))
         arrays[k][draw(st.integers(0, arrays[k].size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(lat, arrays)})
+        sol = dataclasses.replace(sol, **{field: ProcessField(lat, np.concatenate(arrays))})
     return sol, draw(st.integers(1, 40))
 
 
@@ -869,6 +869,50 @@ def test_whole_lattice_validation_equals_the_per_step_reference(case):
         with unittest.mock.patch.object(solver, "_CHUNK_NODES", chunk_nodes):
             got = validate_solution(sol, sol.scenario)
         assert _same_report(got, want), (chunk_nodes, got, want)
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("chunk_nodes", [1, 1 << 10])  # one step per chunk; every step in one chunk
+def test_validation_never_writes_into_the_solution(quotient, chunk_nodes, monkeypatch):
+    sc = make_scenario(n_steps=6, lam=0.4, delta_steps=2, driver="0.2*y + 0.1*ey - 0.1*z + 0.1*u - 1",
+                       obstacle="max(0.2 - w, 0)", terminal="max(0.2 - w, 0) + 0.3*h")
+    lat = DefaultLattice(sc.horizon, sc.n_steps, sc.intensity, quotient=quotient)
+    sol = solver._solve(solver._prepare(sc, lat))
+    fields = (sol.y, sol.z, sol.u, sol.psi, sol.dk, sol.driver_values, sol.obstacle_field())
+    before = [f.nodes.tobytes() for f in fields]
+    assert np.any(sol.z.nodes != 0.0) and np.any(sol.dk.nodes != 0.0)
+    monkeypatch.setattr(solver, "_CHUNK_NODES", chunk_nodes)
+    assert validate_solution(sol, sc).passes()
+    assert [f.nodes.tobytes() for f in fields] == before
+
+
+# -- every field is one whole-lattice array ----------------------------------------
+
+
+def _assert_one_array(f):
+    lat = f.lattice
+    sizes = [lat.n_nodes(k) for k in range(lat.n_steps + 1)]
+    assert f.nodes.shape == (sum(sizes),)
+    assert [a.shape for a in f.values] == [(n,) for n in sizes]
+    assert all(np.shares_memory(a, f.nodes) for a in f.values)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_every_field_is_one_array_with_per_step_views(scheme):
+    sc = make_scenario(n_steps=5, lam=[0.3, 0.1, 0.5, 0.2, 0.4], delta_steps=2, scheme=scheme,
+                       driver="0.2*y + 0.1*ey - 0.1*u", obstacle="0.2 - w", terminal="max(0.2 - w, 0) + 0.3*h")
+    sol = solve_backward(sc)
+    assert sol.lattice.quotient
+    runs = [sol, solve_picard(sc)[0], sol.labelled(),
+            solver._solve(sol.problem, frozen=solver._Triple(sol.y, sol.z, sol.u)),  # a Picard pass
+            solver._solve(sol.problem, frozen_ey=sol)]  # an iterate of the comparison bridge
+    assert not runs[2].lattice.quotient
+    for run in runs:
+        for f in (run.y, run.z, run.u, run.psi, run.dk, run.driver_values, run.obstacle_field()):
+            assert f.lattice is run.lattice
+            _assert_one_array(f)
+    _assert_one_array(obstacle_field(sc, sol.lattice))
+    _assert_one_array(ProcessField.zeros(sol.lattice))
 
 
 # -- the representation residual against a per-edge oracle ----------------------
@@ -924,7 +968,7 @@ def test_representation_residual_matches_per_edge_oracle(seed, field, pos):
         arrays = [a.copy() for a in getattr(sol, field).values]
         k = pos % sc.n_steps + (field == "y")
         arrays[k][pos % arrays[k].size] = math.nan
-        sol = dataclasses.replace(sol, **{field: ProcessField.from_arrays(sol.lattice, arrays)})
+        sol = dataclasses.replace(sol, **{field: ProcessField(sol.lattice, np.concatenate(arrays))})
     report = validate_solution(sol, sc)
     got, want = report.representation_residual, _residual_by_edges(sol)
     assert got == want or (math.isnan(got) and math.isnan(want))
