@@ -13,7 +13,8 @@ The output is JSON: every run (exit status, wall seconds from spawn to exit,
 ``ru_maxrss`` in MB, the run's own ``--timing`` phases, and for a CSV the
 sha256 of the table, for a JSON report its y0, ``k_max_path_total``, pass
 flag and check values, for a refused run its last stderr line) and, per format
-and N, the median wall time and largest peak RSS of each tree.  The exit
+and N, each tree's median wall time, largest peak RSS and median of every
+``--timing`` phase (a CSV run's ``emit`` phase is the node table).  The exit
 status is 1 when two trees, or two runs of one tree, wrote different CSV bytes
 or JSON check values at some N.
 """
@@ -110,9 +111,12 @@ def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str,
         hashes = set()
         for name in trees:
             done = runs[name][str(n)]
+            timings = [r["timing"] for r in done if r.get("timing")]
             row[name] = {"wall_s_median": statistics.median(r["wall_s"] for r in done),
                          "maxrss_mb_max": max(r["maxrss_mb"] for r in done),
-                         "exits": sorted({r["exit"] for r in done})}
+                         "exits": sorted({r["exit"] for r in done}),
+                         "timing_s_median": {phase: statistics.median(t[phase] for t in timings if phase in t)
+                                             for phase in sorted(set().union(*timings))}}
             if fmt == "csv":
                 row[name]["sha256"] = sorted({r.get("sha256") or "missing" for r in done})
             else:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -379,27 +378,24 @@ def format_json(obj, indent: int = 0) -> str:
 def node_table_rows(solution: Solution, k: int) -> str:
     """Step ``k`` of the per-node dump: one newline-terminated row per labelled node.
 
-    The six value columns are stacked into an ``(n, 6)`` array and each
-    distinct row, told apart by its bit pattern (so ``0`` and ``-0`` and
-    different NaNs stay apart), is formatted once; each node then prefixes
-    its ``step,up_count,default_step,``.  On a quotient lattice the stored
-    rows are deduplicated and the row index is lifted, so the shared default
-    block is written once per reachable default step.
+    A row is ``step,up_count,`` then ``default_step,`` then the six values.
+    Each stored row's values are formatted once.  A stored block's text is
+    cut where the default step goes, ``["k,0,", v0 + "k,1,", ..., v_k]``, so
+    the labelled block of default step ``d`` is ``f"{d},".join(cut)``.  The
+    stored block behind each labelled block comes from ``lattice.lift``: on a
+    quotient the shared default block is joined once per reachable default step.
     """
     lat = solution.lattice
+    width = k + 1
     fields = (solution.y, solution.z, solution.u, solution.dk, solution.psi,
               solution.obstacle_field())
-    values = np.stack([f.step(k) for f in fields], axis=1)
-    bits = values.view(np.dtype((np.void, values.itemsize * len(fields)))).ravel()
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    texts = [_NODE_VALUES % row for row in map(tuple, values[first].tolist())]
-    width = k + 1
-    codes = (0,) + lat.default_steps(k)  # one per block of width labelled nodes
-    parts = [""] * (3 * width * len(codes))  # "k,j," "d," "values\n" per node
-    parts[0::3] = [f"{k},{j}," for j in range(width)] * len(codes)
-    parts[1::3] = itertools.chain.from_iterable(itertools.repeat(f"{d},", width) for d in codes)
-    parts[2::3] = map(texts.__getitem__, lat.lift(k, inverse).tolist())
-    return "".join(parts)
+    texts = [_NODE_VALUES % row for row in zip(*(f.step(k).tolist() for f in fields))]
+    heads = [f"{k},{j}," for j in range(1, width)]
+    cuts = [[f"{k},0,", *map(str.__add__, texts[s : s + k], heads), texts[s + k]]
+            for s in range(0, len(texts), width)]
+    stored = lat.lift(k, np.arange(len(texts)))[::width] // width  # per labelled block
+    codes = (0,) + lat.default_steps(k)
+    return "".join(f"{d},".join(cuts[b]) for d, b in zip(codes, stored.tolist()))
 
 
 NODE_TABLE_HEADER = ["step", "up_count", "default_step", "Y", "Z", "U", "dK", "psi", "S"]

@@ -336,12 +336,13 @@ def iterate_sequence(case: ComparisonCase, n_max: int) -> IterateTrace:
     sol1, sol2 = _solved(case, 1), _solved(case, 2)
     lat = sol2.lattice
     sup_diffs: list[float] = []
-    prev = sol1
+    prev, last = sol1.y, None  # the Y the next iterate freezes ey at, and the last iterate
     for _ in range(n_max):
-        cur = _solve(sol2.problem, frozen_ey=prev)
+        last = None  # of the previous iterate only its Y, prev, lives through the next solve
+        last = _solve(sol2.problem, frozen_ey=prev)
         sup = 0.0
         for k in range(lat.n_steps + 1):
-            gap = prev.y.step(k) - cur.y.step(k)
+            gap = prev.step(k) - last.y.step(k)
             worst = float(np.min(gap))
             if worst < -CHECK_TOL:  # the first such node by label, on the lift of a quotient
                 i = int(np.argmin(lat.lift(k, gap)))
@@ -350,16 +351,16 @@ def iterate_sequence(case: ComparisonCase, n_max: int) -> IterateTrace:
                 )
             sup = _max(sup, np.max(np.abs(gap)))
         sup_diffs.append(sup)
-        prev = cur
+        prev = last.y
         if sup <= _ITERATES_AGREE:
             break
     final_gap = functools.reduce(
-        _max, (np.max(np.abs(prev.y.step(k) - sol2.y.step(k))) for k in range(lat.n_steps + 1)), 0.0
+        _max, (np.max(np.abs(prev.step(k) - sol2.y.step(k))) for k in range(lat.n_steps + 1)), 0.0
     )
     return IterateTrace(
         solution1=sol1,
         solution2=sol2,
-        last=None if prev is sol1 else prev,
+        last=last,
         sup_diffs=tuple(sup_diffs),
         final_gap=final_gap,
     )

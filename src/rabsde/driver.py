@@ -390,25 +390,24 @@ class GridSpec:
         """The base values as an (n_base, len(variables)) array.
 
         The stream is the one a per-value loop over rows, then over
-        ``variables``, would draw: each h is its own ``integers(0, 2)`` call,
-        and each run of other values between two h draws is one vectorized
-        uniform call over their boxes.
+        ``variables``, would draw from ``default_rng(seed)``, read as one call
+        of its 64-bit words: a uniform value takes a word w, as
+        ``lo + (hi - lo) * ((w >> 11) * 2**-53)``; an h, ``integers(0, 2)``,
+        takes bit 31 of a fresh word, the next h bit 63 of it (its kept upper half).
         """
         names = list(variables)
-        rng = np.random.default_rng(self.seed)
-        box = np.array([self.bound_for(name) for name in names]).reshape(-1, 2)
-        lo, hi = np.tile(box, (self.n_base, 1)).T
-        flat = np.empty(lo.size)
-        h_cols = [j for j, name in enumerate(names) if name == "h"]
-        h_at = [r * len(names) + j for r in range(self.n_base) for j in h_cols]
-        start = 0
-        for pos in h_at + [flat.size]:
-            if pos > start:
-                flat[start:pos] = rng.uniform(lo[start:pos], hi[start:pos])
-            if pos < flat.size:
-                flat[pos] = rng.integers(0, 2)
-            start = pos + 1
-        return flat.reshape(self.n_base, len(names))
+        words = np.random.PCG64(self.seed).random_raw(self.n_base * len(names))  # at most one per value
+        h_at, bits = [], ()
+        if "h" in names:  # value p reads word p less the second h's before it; those share a word
+            h_at = [r * len(names) + j for r in range(self.n_base) for j, name in enumerate(names) if name == "h"]
+            word = np.arange(words.size) - np.searchsorted(h_at[1::2], np.arange(words.size))
+            word[h_at[1::2]] = word[h_at[0:-1:2]]
+            words = words[word]
+            bits = words[h_at] >> np.uint64([31, 63])[np.arange(len(h_at)) % 2] & 1
+        lo, hi = np.array([self.bound_for(name) for name in names]).reshape(-1, 2).T
+        flat = lo + (hi - lo) * ((words.reshape(self.n_base, len(names)) >> 11) * 2.0**-53)
+        flat.flat[h_at] = bits
+        return flat
 
     def axis(self, name: str) -> np.ndarray:
         lo, hi = self.bound_for(name)

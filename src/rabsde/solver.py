@@ -205,8 +205,11 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     env = {}
     if uses("t"):
         env["t"] = np.repeat(np.arange(N + 1) * lattice.dt, sizes)
-    if uses("w"):
-        env["w"] = np.concatenate([lattice.w_values(k) for k in range(N + 1)])
+    if uses("w"):  # written step by step: past the lattice's cache each step's w is built per call
+        env["w"], end = np.empty(sum(sizes)), 0
+        for k, size in enumerate(sizes):
+            env["w"][end : end + size] = lattice.w_values(k)
+            end += size
     if uses("h"):
         env["h"] = np.concatenate([lattice.h_values(k) for k in range(N + 1)])
     values = np.asarray(scenario.obstacle.compiled()(env), dtype=float)
@@ -362,12 +365,12 @@ def _step_values(
 @np.errstate(all="ignore")  # library callers see inf and nan values, not numpy warnings
 def _solve(
     prob: _Problem,
-    frozen_ey: Solution | None = None,
+    frozen_ey: ProcessField | None = None,
     frozen: _Triple | None = None,
 ) -> Solution:
     """The backward sweep.  With ``frozen`` (a Picard pass) the driver reads
     every argument from that previous triple; with ``frozen_ey`` (the iterate
-    bridge) it reads ey from that previous solution's Y.  A frozen y-argument
+    bridge) it reads ey from that previous solution's Y field.  A frozen y-argument
     is Y_k under the implicit scheme and E[Y_{k+1} | F_k] under the explicit
     one; with delta = 0 ey is that y-argument."""
     lat = prob.lattice
@@ -376,8 +379,8 @@ def _solve(
     fields = [ProcessField.zeros(lat) for _ in range(6)]
     y, z, u, psi, dk, fvals = (f.values for f in fields)
     y[N][...] = prob.xi
-    past = frozen if frozen is not None else frozen_ey
-    ys = y if past is None else past.y.values
+    past_y = frozen.y if frozen is not None else frozen_ey
+    ys = y if past_y is None else past_y.values
     zs = z if frozen is None else frozen.z.values
     for k in range(N - 1, -1, -1):
         # ey and ez stay None for delta == 0: the y- and z-arguments double as them

@@ -539,6 +539,10 @@ def _csv_cases():
     yield "zero_intensity", make_scenario(n_steps=4, lam=0.0, driver="-0.1*y",
                                           obstacle=put, terminal=put)
     yield "nan_rows", make_scenario(n_steps=4, lam=0.3, driver="-0.1*y", obstacle=put, terminal=put)
+    # no default is reachable before step 3: steps with 0, 1 and several labels
+    yield "late_default", make_scenario(n_steps=6, lam=[0.0, 0.0, 0.3, 0.4, 0.2, 0.5], delta_steps=2,
+                                        driver="-0.1*y + 0.05*ey", obstacle=put, terminal=put)
+    yield "one_step", make_scenario(n_steps=1, lam=0.4, driver="-0.1*y", obstacle=put, terminal=put)
 
 
 def test_emit_csv_matches_per_node_reference(tmp_path):
@@ -551,11 +555,27 @@ def test_emit_csv_matches_per_node_reference(tmp_path):
         if name == "tau":
             y_2 = sol.y.step(2)
             assert not np.array_equal(y_2[3:6], y_2[6:9])
+        if name == "late_default":
+            assert [len(sol.lattice.default_steps(k)) for k in range(7)] == [0, 0, 0, 1, 2, 3, 4]
         if name == "nan_rows":
             sol = _with_nan_rows(sol.labelled())
         path = tmp_path / f"{name}.csv"
         emit_report(RunReport(data=report.data, solution=sol), "csv", str(path))
         assert path.read_bytes() == _per_node_table(sol), name
+
+
+def test_a_quotient_solves_csv_equals_that_of_its_labelled_solution(tmp_path):
+    quotients = 0
+    for name, scenario in _csv_cases():
+        report = run(solver._prepare(scenario), RunFlags())
+        tables = []
+        for sol in (report.solution, report.solution.labelled()):
+            path = tmp_path / f"{name}.csv"
+            emit_report(RunReport(data=report.data, solution=sol), "csv", str(path))
+            tables.append(path.read_bytes())
+        quotients += report.solution.lattice.quotient
+        assert tables[0] == tables[1], name
+    assert quotients == 9
 
 
 class _Recorder:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -352,6 +353,27 @@ def test_iterate_sequence_monotone_convergence():
     assert trace.final_gap <= 1e-8
     diffs = [d for d in trace.sup_diffs if d > 0]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))  # geometric-style decay
+
+
+def test_an_iterate_is_solved_while_only_the_previous_iterates_y_is_alive(monkeypatch):
+    rng = np.random.default_rng(33)
+    case = random_comparison_case(rng, delta_steps=2)
+    solve, iterates, alive = comparison._solve, [], []
+
+    def tracked(prob, frozen_ey=None, frozen=None):
+        if frozen_ey is not None:  # an iterate: which earlier iterates' Z are still alive
+            alive.append([ref() is not None for ref, _ in iterates])
+            assert all(y() is not None for _, y in iterates[-1:])
+        sol = solve(prob, frozen_ey=frozen_ey, frozen=frozen)
+        if frozen_ey is not None:
+            iterates.append((weakref.ref(sol.z.nodes), weakref.ref(sol.y.nodes)))
+        return sol
+
+    monkeypatch.setattr(comparison, "_solve", tracked)
+    trace = iterate_sequence(case, 3)
+    assert trace.count == 3
+    assert alive == [[], [False], [False, False]]
+    assert iterates[-1][0]() is trace.last.z.nodes
 
 
 def test_zero_lag_bridge_converges_to_the_dominated_solution():

@@ -62,7 +62,7 @@ def test_quotient_solves_equal_every_full_block(sc):
     assert plain_q.max_path_total_k() == plain_f.max_path_total_k()
     assert abs(plain_q.expected_total_k() - plain_f.expected_total_k()) <= 1e-12
     # the iterate bridge, its anticipated slot frozen at the plain solution
-    _blocks_match(_solve(pq, frozen_ey=plain_q), _solve(pf, frozen_ey=plain_f))
+    _blocks_match(_solve(pq, frozen_ey=plain_q.y), _solve(pf, frozen_ey=plain_f.y))
     opts = PicardOptions(beta=4.0, tol=1e-10)
     try:
         pic_q, hist_q = _picard(pq, opts)

@@ -669,7 +669,7 @@ def test_sweep_reads_the_closed_form_anticipation_at_every_step(sc):
     # a Picard pass and an iterate-bridge pass frozen at the solution reproduce
     # it, driver values included: they read the same closed form
     again = (solver._solve(prob, frozen=solver._Triple(sol.y, sol.z, sol.u)),
-             solver._solve(prob, frozen_ey=sol))
+             solver._solve(prob, frozen_ey=sol.y))
     for other in again:
         for name in ("y", "z", "u", "psi", "dk", "driver_values"):
             got, want = getattr(other, name).values, getattr(sol, name).values
@@ -905,7 +905,7 @@ def test_every_field_is_one_array_with_per_step_views(scheme):
     assert sol.lattice.quotient
     runs = [sol, solve_picard(sc)[0], sol.labelled(),
             solver._solve(sol.problem, frozen=solver._Triple(sol.y, sol.z, sol.u)),  # a Picard pass
-            solver._solve(sol.problem, frozen_ey=sol)]  # an iterate of the comparison bridge
+            solver._solve(sol.problem, frozen_ey=sol.y)]  # an iterate of the comparison bridge
     assert not runs[2].lattice.quotient
     for run in runs:
         for f in (run.y, run.z, run.u, run.psi, run.dk, run.driver_values, run.obstacle_field()):
