@@ -78,6 +78,7 @@ _KNOWN_KEYS = {
     "outputs", "oracle", "name",
 }
 _KNOWN_OUTPUTS = {"solve", "validate", "picard", "stopping", "compare"}
+_ORACLE_PARAMS = ("spot", "strike", "rate", "sigma")
 
 
 # -- scenario loading ----------------------------------------------------------
@@ -88,8 +89,8 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(float(x)))
+    # an exact comparison: an int past the float range is refused, not converted
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -106,12 +107,16 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         if key not in _KNOWN_KEYS:
             issues.append((f"/{key}", "unknown key"))
 
-    horizon = doc.get("horizon")
-    if not _is_num(horizon) or float(horizon) <= 0:
-        issues.append(("/horizon", "must be a positive number"))
-        horizon = 1.0
-    horizon = float(horizon)
+    def take(key: str, default, ok, rule: str, fallback):
+        """``doc[key]`` (``default`` when absent) if ``ok`` accepts it, else
+        ``fallback``, with the issue that it must be ``rule``."""
+        value = doc.get(key, default)
+        if ok(value):
+            return value
+        issues.append((f"/{key}", f"must be {rule}"))
+        return fallback
 
+    horizon = float(take("horizon", None, lambda v: _is_num(v) and v > 0, "a positive number", 1.0))
     steps = doc.get("steps")
     # the floor is checked before any per-step list
     bad_steps = ("must be a positive integer" if not _is_int(steps) or steps <= 0
@@ -119,10 +124,8 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     if bad_steps:
         issues.append(("/steps", bad_steps))
         steps = 1
-    delta = doc.get("delta_steps", 0)
-    if not _is_int(delta) or delta < 0:
-        issues.append(("/delta_steps", "must be a non-negative integer (a multiple of dt)"))
-        delta = 0
+    delta = take("delta_steps", 0, lambda v: _is_int(v) and v >= 0,
+                 "a non-negative integer (a multiple of dt)", 0)
 
     lam_raw = doc.get("lambda")
     if _is_num(lam_raw):
@@ -136,14 +139,9 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     else:
         issues.append(("/lambda", "must be a number or an array of numbers"))
         lam_values = [0.0] * steps
-    lam_max_raw = doc.get("lambda_max")
-    if lam_max_raw is None:
-        lam_max = max(lam_values) if lam_values else 0.0
-    elif _is_num(lam_max_raw):
-        lam_max = float(lam_max_raw)
-    else:
-        issues.append(("/lambda_max", "must be a number"))
-        lam_max = max(lam_values) if lam_values else 0.0
+    # JSON null means absent
+    lam_max = take("lambda_max", None, lambda v: v is None or _is_num(v), "a number", None)
+    lam_max = max(lam_values) if lam_max is None else float(lam_max)
 
     driver_raw = doc.get("driver")
     form = DriverForm.H
@@ -183,22 +181,14 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     obstacle_expr = _parse("/obstacle", doc.get("obstacle"), OBSTACLE_VARS, "obstacle")
     terminal_expr = _parse("/terminal", doc.get("terminal"), TERMINAL_VARS, "terminal")
 
-    scheme_raw = doc.get("scheme", "explicit")
-    if scheme_raw not in ("explicit", "implicit"):
-        issues.append(("/scheme", "must be 'explicit' or 'implicit'"))
-        scheme_raw = "explicit"
-    implicit_tol = doc.get("implicit_tol", Scenario.implicit_tol)
-    if not _is_num(implicit_tol) or implicit_tol <= 0:
-        issues.append(("/implicit_tol", "must be a positive number"))
-        implicit_tol = Scenario.implicit_tol
-    implicit_max_iter = doc.get("implicit_max_iter", Scenario.implicit_max_iter)
-    if not _is_int(implicit_max_iter) or implicit_max_iter <= 0:
-        issues.append(("/implicit_max_iter", "must be a positive integer"))
-        implicit_max_iter = Scenario.implicit_max_iter
-
-    outputs = doc.get("outputs", [])
-    if not isinstance(outputs, list) or any(o not in _KNOWN_OUTPUTS for o in outputs):
-        issues.append(("/outputs", f"must be a list drawn from {sorted(_KNOWN_OUTPUTS)}"))
+    scheme = take("scheme", "explicit", lambda v: v in ("explicit", "implicit"),
+                  "'explicit' or 'implicit'", "explicit")
+    implicit_tol = take("implicit_tol", Scenario.implicit_tol, lambda v: _is_num(v) and v > 0,
+                        "a positive number", Scenario.implicit_tol)
+    implicit_max_iter = take("implicit_max_iter", Scenario.implicit_max_iter, lambda v: _is_int(v) and v > 0,
+                             "a positive integer", Scenario.implicit_max_iter)
+    take("outputs", [], lambda v: isinstance(v, list) and all(isinstance(o, str) and o in _KNOWN_OUTPUTS for o in v),
+         f"a list drawn from {sorted(_KNOWN_OUTPUTS)}", [])
 
     oracle = doc.get("oracle")
     if oracle is not None:
@@ -206,14 +196,12 @@ def _scenario_from_doc(doc: dict) -> Scenario:
             issues.append(("/oracle", "only {'kind': 'crr', ...} is supported"))
             oracle = None
         else:
-            for key in ("spot", "strike", "rate", "sigma"):
+            issues += [(f"/oracle/{key}", "unknown key") for key in oracle if key not in ("kind", *_ORACLE_PARAMS)]
+            for key in _ORACLE_PARAMS:
                 if not _is_num(oracle.get(key)):
                     issues.append((f"/oracle/{key}", "must be a number"))
 
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        issues.append(("/name", "must be a string"))
-        name = ""
+    name = take("name", "", lambda v: isinstance(v, str), "a string", "")
 
     intensity = None
     if not issues:
@@ -232,10 +220,10 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         driver=TransformedDriver(base=driver_expr, form=form),
         obstacle=obstacle_expr,
         terminal=terminal_expr,
-        scheme=Scheme(scheme_raw),
+        scheme=Scheme(scheme),
         implicit_tol=float(implicit_tol),
         implicit_max_iter=int(implicit_max_iter),
-        oracle_params={k: float(v) for k, v in oracle.items() if k != "kind"} if oracle else None,
+        oracle_params={key: float(oracle[key]) for key in _ORACLE_PARAMS} if oracle else None,
         name=name,
     )
 
@@ -245,19 +233,19 @@ def _gate(scenarios: list[Scenario], *, full_size: bool = False) -> list[_Proble
     one lattice (``_lattice_for``), then its C' bound (kept on the problem, for
     Picard's default beta); collects every issue, those of a second scenario
     under ``--scenario2``."""
+    def attempt(found: list, work, *args, **kwargs):
+        """``work(*args, **kwargs)``, or None with its error's issue on ``found``."""
+        try:
+            return work(*args, **kwargs)
+        except (LatticeError, SolverError) as exc:  # a lattice error is the intensity's
+            found.append(("/lambda" if isinstance(exc, LatticeError) else exc.pointer or "", str(exc)))
+
     issues: list[tuple[str, str]] = []
-    lattice = None
-    try:
-        lattice = _lattice_for(*scenarios, full_size=full_size)
-    except (LatticeError, SolverError) as exc:  # a lattice error is the intensity's
-        issues.append(("/lambda" if isinstance(exc, LatticeError) else exc.pointer or "", str(exc)))
+    lattice = attempt(issues, _lattice_for, *scenarios, full_size=full_size)
     problems = []
     for source, scenario in zip(("", "--scenario2"), scenarios):
         found: list[tuple[str, str]] = []
-        try:
-            problem = None if lattice is None else _prepare(scenario, lattice)
-        except (LatticeError, SolverError) as exc:
-            found.append(("/lambda" if isinstance(exc, LatticeError) else exc.pointer or "", str(exc)))
+        problem = None if lattice is None else attempt(found, _prepare, scenario, lattice)
         try:
             cp = estimate_c_prime(scenario)
         except RabsdeError as exc:
@@ -281,7 +269,7 @@ def _read_doc(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise ScenarioError([("", f"not valid JSON: {exc}")]) from None
 
 
@@ -644,14 +632,6 @@ def run(problem: _Problem, flags: RunFlags) -> RunReport:
 _SUITE_CHUNK = 50
 
 
-def _suite_chunk(args: tuple) -> tuple[int, float, int, tuple[int, int, int]]:
-    seed, cases, n_steps, horizon, lam, tol = args
-    res = cmp.run_random_suite(
-        seed, cases, n_steps=n_steps, horizon=horizon, lam=lam, tol=tol
-    )
-    return res.cases, res.min_gap, res.failures, res.delta_counts
-
-
 def run_suite(
     seed: int,
     n_cases: int,
@@ -676,29 +656,21 @@ def run_suite(
     if p >= 1.0:
         raise ScenarioError([("--intensity", f"default probability lambda*dt = {p:.6g} >= 1; "
                                              "lower --intensity or raise --steps")])
-    chunks = []
-    done = 0
-    idx = 0
-    while done < n_cases:
-        size = min(_SUITE_CHUNK, n_cases - done)
-        chunks.append((seed + idx, size, n_steps, horizon, lam, tol))
-        done += size
-        idx += 1
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    chunk = functools.partial(cmp.run_random_suite, n_steps=n_steps, horizon=horizon, lam=lam, tol=tol)
+    sizes = [min(_SUITE_CHUNK, n_cases - start) for start in range(0, n_cases, _SUITE_CHUNK)]
+    seeds = range(seed, seed + len(sizes))
+    workers = min(workers, len(sizes), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_suite_chunk, chunks))
+            results = list(pool.map(chunk, seeds, sizes))
     else:
-        results = [_suite_chunk(c) for c in chunks]
-    total = sum(r[0] for r in results)
-    min_gap = functools.reduce(_min, (r[1] for r in results))
-    failures = sum(r[2] for r in results)
-    deltas = tuple(sum(r[3][i] for r in results) for i in range(3))
+        results = list(map(chunk, seeds, sizes))
+    failures = sum(r.failures for r in results)
     return {
-        "cases": total,
-        "min_gap": min_gap,
+        "cases": sum(r.cases for r in results),
+        "min_gap": functools.reduce(_min, (r.min_gap for r in results)),
         "failures": failures,
-        "delta_counts": list(deltas),
+        "delta_counts": [sum(counts) for counts in zip(*(r.delta_counts for r in results))],
         "tolerance": tol,
         "pass": failures == 0,
     }

@@ -44,7 +44,6 @@ class ThetaReport:
 
     passed: bool
     theta: float  # worst difference ratio over the grid
-    sup_theta_lambda: float
     witness: tuple[dict, float, float, float] | None  # env, u, u', ratio
 
 
@@ -89,7 +88,7 @@ def check_theta_condition(
     every sampled time (the jump slot never enters the dynamics there).
     """
     lam_of_t = _as_lambda_of_t(lam_profile)
-    vacuous = ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
+    vacuous = ThetaReport(passed=True, theta=0.0, witness=None)
     if "u" not in g.free_vars:
         return vacuous
     names = sorted(g.free_vars - {"u"} | {"t"})
@@ -110,7 +109,6 @@ def check_theta_condition(
     return ThetaReport(
         passed=passed,
         theta=theta,
-        sup_theta_lambda=float(np.max(np.max(np.abs(ratios), axis=1) * lam)),
         witness=None if passed else (_row(names, base, r), float(sweep[i]), float(sweep[i + 1]), theta),
     )
 

@@ -467,7 +467,6 @@ class LipschitzEstimate:
     c_ey: float
     c_ez: float
     c_u: float
-    grid: GridSpec
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.c_y, self.c_z, self.c_ey, self.c_ez, self.c_u)
@@ -484,7 +483,7 @@ def estimate_lipschitz(
     out = dict.fromkeys(LIPSCHITZ_SLOTS, 0.0)
     slots = [slot for slot in LIPSCHITZ_SLOTS if slot in expr.free_vars]
     if not slots:
-        return LipschitzEstimate(*out.values(), grid=grid)
+        return LipschitzEstimate(*out.values())
     names = sorted(VARIABLES)
     base = grid.base_sample(names)
     sweeps = {slot: grid.axis(slot) for slot in slots}
@@ -500,7 +499,7 @@ def estimate_lipschitz(
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.where(r == 0.0, 0.0, np.where(lam == 0.0, math.inf, r / lam))
         out[slot] = float(np.max(r, initial=0.0))
-    return LipschitzEstimate(*out.values(), grid=grid)
+    return LipschitzEstimate(*out.values())
 
 
 def check_M_form_lipschitz(estimate: LipschitzEstimate, lambda_max: float) -> LipschitzEstimate:

@@ -24,6 +24,7 @@ nodes keep their labels: a label maps onto the block that stores it, and
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -70,9 +71,8 @@ class IntensitySpec:
                 )
 
     @classmethod
-    def constant(cls, lam: float, n_steps: int, lambda_max: float | None = None) -> "IntensitySpec":
-        bound = float(lam) if lambda_max is None else float(lambda_max)
-        return cls(values=tuple([float(lam)] * n_steps), lambda_max=bound)
+    def constant(cls, lam: float, n_steps: int) -> "IntensitySpec":
+        return cls(values=tuple([float(lam)] * n_steps), lambda_max=float(lam))
 
     def at_time(self, t: float, dt: float) -> float:
         """Intensity in force at calendar time t (right-open step convention)."""
@@ -108,8 +108,8 @@ class DefaultLattice:
     which lets every kernel operation run as array slicing.  With ``quotient``
     the lattice stores one block 1 for all of ``default_steps(k)``; the kernel
     is the same slicing, and the methods that name the node of a stored index
-    (``node_at``, ``nodes``, ``default_step_codes``, ``tau_values``,
-    ``compensator_values``) raise LatticeError, since that node is not unique.
+    (``node_at``, ``default_step_codes``, ``tau_values``) raise LatticeError,
+    since that node is not unique.
     """
 
     def __init__(self, horizon: float, n_steps: int, intensity: IntensitySpec,
@@ -129,8 +129,8 @@ class DefaultLattice:
         self.sqrt_dt = float(np.sqrt(self.dt))
         # one pass over the steps: the labels, the default steps d <= k that are
         # actually reachable (p_{d-1} > 0), are the first _n_labels[k] entries of
-        # _defaults; _hazard[k] = sum_{i<k} lambda_i dt, the lambda * dt prefix sums
-        p, defaults, self._n_labels, hazard = [], [], [0], [0.0]
+        # _defaults
+        p, defaults, self._n_labels = [], [], [0]
         for k, lam in enumerate(intensity.values):
             pk = lam * self.dt
             if pk >= 1.0:
@@ -142,8 +142,7 @@ class DefaultLattice:
             if pk > 0.0:
                 defaults.append(k + 1)
             self._n_labels.append(len(defaults))
-            hazard.append(hazard[-1] + pk)
-        self.p, self._hazard = np.array(p), np.array(hazard)
+        self.p = np.array(p)
         self._defaults = tuple(defaults)
         self._label_pos = {d: m for m, d in enumerate(self._defaults, start=1)}
         # the storage: _def_blocks[k] default blocks follow the alive block at step k
@@ -213,10 +212,6 @@ class DefaultLattice:
         m, j = divmod(idx, k + 1)
         d = ALIVE if m == 0 else self._defaults[m - 1]
         return NodeId(step=k, up_count=j, default_step=d)
-
-    def nodes(self, k: int) -> list[NodeId]:
-        self._labels_only("nodes")
-        return [self.node_at(k, i) for i in range(self.n_nodes(k))]
 
     def root(self) -> NodeId:
         return NodeId(step=0, up_count=0, default_step=ALIVE)
@@ -419,13 +414,6 @@ class DefaultLattice:
                 self._probs[k] = self.push(k - 1, self.node_probabilities(k - 1))
         return self._probs[k]
 
-    def compensator_values(self, k: int) -> np.ndarray:
-        """Integrated intensity up to step k ^ default step, per node."""
-        self._labels_only("compensator_values")
-        codes = self.default_step_codes(k)
-        stop = np.where(codes > 0, codes, k)
-        return self._hazard[stop]
-
     # -- paths -----------------------------------------------------------------
 
     def n_paths(self) -> int:
@@ -500,9 +488,6 @@ class ProcessField:
             raise LatticeError(f"field does not cover step {k}")
         return self.values[k]
 
-    def at(self, node: NodeId) -> float:
-        return float(self.step(node.step)[self.lattice.index(node)])
-
 
 def build_lattice(horizon: float, n_steps: int, intensity: IntensitySpec) -> DefaultLattice:
     """Construct the full filtered lattice; rejects p_k >= 1 and negative intensities."""
@@ -526,6 +511,8 @@ def oversize_message(
             defaults += lam * dt > 0.0
             nodes += (k + 1) * (min(defaults, 1) if quotient else defaults)
     estimate = nodes * 7 * 8  # float64 y, z, u, psi, dk, driver values and obstacle
+    if estimate > sys.float_info.max:  # too large for the figures below
+        return "N too large, more nodes than a float can count"
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):

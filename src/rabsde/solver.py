@@ -536,7 +536,6 @@ def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[
         if dist <= opts.tol:
             solution.diagnostics["picard_iterations"] = iteration
             solution.diagnostics["picard_beta"] = beta
-            solution.diagnostics["picard_distances"] = tuple(history)
             return solution, history
         if math.isnan(dist):  # no later pass can reach tol
             break

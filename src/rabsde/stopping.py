@@ -219,7 +219,6 @@ class StoppingReport:
     brute_force: float
     gap: float
     best_rule: StoppingRule
-    tau_rule: StoppingRule
     tau_payoff: float
     tau_gap: float
     k_rule_payoff: float
@@ -239,7 +238,6 @@ def snell_report(solution: Solution, scenario: Scenario) -> StoppingReport:
         brute_force=value,
         gap=abs(snell - value),
         best_rule=best_rule,
-        tau_rule=y_rule,
         tau_payoff=tau_payoff,
         tau_gap=abs(tau_payoff - snell),
         k_rule_payoff=k_payoff,

@@ -11,9 +11,17 @@ import numpy as np
 from rabsde.lattice import DefaultLattice, ProcessField
 
 
+def compensator_values(lattice: DefaultLattice, k: int) -> np.ndarray:
+    """Integrated intensity up to step k ^ default step, per node: a prefix sum
+    of lambda * dt."""
+    hazard = np.concatenate([[0.0], np.cumsum(lattice.p)])
+    codes = lattice.default_step_codes(k)
+    return hazard[np.where(codes > 0, codes, k)]
+
+
 def martingale_M(lattice: DefaultLattice) -> ProcessField:
     """Compensated default indicator M_k = H_k - accumulated hazard up to k ^ d."""
-    arrays = [lattice.h_values(k) - lattice.compensator_values(k) for k in range(lattice.n_steps + 1)]
+    arrays = [lattice.h_values(k) - compensator_values(lattice, k) for k in range(lattice.n_steps + 1)]
     return ProcessField(lattice, np.concatenate(arrays))
 
 
@@ -58,7 +66,7 @@ def bracket_checks(lattice: DefaultLattice) -> BracketReport:
                 bracket = max(bracket, abs(dh * dh - jump))
     for k in range(lattice.n_steps + 1):
         probs = lattice.node_probabilities(k)
-        gap = float(np.dot(probs, lattice.h_values(k) - lattice.compensator_values(k)))
+        gap = float(np.dot(probs, lattice.h_values(k) - compensator_values(lattice, k)))
         comp_gap = max(comp_gap, abs(gap))
     return BracketReport(
         dw_mean=dw_mean,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario
 from rabsde import IntensitySpec, build_lattice, cli, comparison, solver
@@ -703,8 +707,8 @@ def test_suite_clamps_workers_to_chunks_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *items):
+            return map(fn, *items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -848,6 +852,64 @@ def test_scenario_seed_key_is_unknown(tmp_path, capsys):
     assert exc.value.issues == [("/seed", "unknown key")]
     assert main(["solve", "--scenario", _write(tmp_path, doc)]) == 2
     assert "/seed: unknown key" in capsys.readouterr().err
+
+
+def _json_text(doc):
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("content, argv, located", [
+    (_json_text({**MINIMAL, "outputs": [["solve"]]}), None, ": /outputs: must be a list drawn from"),
+    (_json_text({**MINIMAL, "horizon": 10**400}), None, ": /horizon: must be a positive number"),
+    (_json_text({**MINIMAL, "steps": 10**400}), None, ": /steps: N too large"),
+    (None, ["suite", "--steps", str(10**400)], "--steps: N too large"),
+    (b'{"horizon": "\xff"}', None, ": : not valid JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, None, ": : not valid JSON"),
+    (_json_text({**MINIMAL, "oracle": {"kind": "crr", "spot": 1, "strike": 1, "rate": 0.04, "sigma": 1,
+                                       "note": "x"}}), None, ": /oracle/note: unknown key"),
+], ids=["unhashable-output", "huge-horizon", "huge-steps", "suite-huge-steps", "not-utf8", "deep-nesting",
+        "oracle-extra-key"])
+def test_malformed_input_exits_2_with_a_located_message(tmp_path, capsys, content, argv, located):
+    if argv is None:
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        argv = ["solve", "--scenario", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert located in err and "Traceback" not in err
+
+
+_FUZZ_DOC = {
+    "horizon": 1.0, "steps": 4, "delta_steps": 1, "lambda": 0.3, "lambda_max": 0.5,
+    "driver": {"text": "0.1*y + 0.1*ey", "form": "H"}, "obstacle": "w - 0.5", "terminal": "w",
+    "scheme": "implicit", "implicit_tol": 1e-12, "implicit_max_iter": 50, "outputs": ["stopping"],
+    "oracle": {"kind": "crr", "spot": 1.0, "strike": 1.0, "rate": 0.04, "sigma": 1.0}, "name": "fuzz",
+}
+_HOSTILE = st.sampled_from([
+    [["solve"]], [{"a": [1]}], {"b": {"c": []}}, [], {}, 10**400, -10**400, -0.0, "nan", "x", True, False, None,
+])
+
+
+def _hostile(key):
+    """A hostile value for ``key``; the driver and oracle blocks may instead keep
+    their keys and gain an extra one."""
+    base = _FUZZ_DOC[key]
+    return _HOSTILE | _HOSTILE.map(lambda v: {**base, "note": v}) if isinstance(base, dict) else _HOSTILE
+
+
+@given(changes=st.sets(st.sampled_from(sorted(_FUZZ_DOC)), min_size=1, max_size=4).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _hostile(key) for key in keys})))
+@settings(max_examples=200, deadline=None)
+def test_a_hostile_scenario_file_exits_cleanly(tmp_path_factory, changes):
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(json.dumps({**_FUZZ_DOC, **changes}), encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["solve", "--scenario", str(path), "--out", os.devnull])
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    if code == 2:  # every refusal names the key or flag at fault
+        assert all(re.match(r"error: (invalid scenario: /\w|argument --\w)", line)
+                   for line in err.getvalue().splitlines())
 
 
 def _fresh_cli(*argv):

@@ -128,10 +128,10 @@ def _ref_monotone(g, grid):
 def _ref_theta(g, lam_profile, grid):
     lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
     if "u" not in g.free_vars:
-        return ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
+        return ThetaReport(passed=True, theta=0.0, witness=None)
     fn = g.compiled()
     sweep = grid.axis("u")
-    theta, sup_tl, witness, tested = math.inf, 0.0, None, False
+    theta, witness, tested = math.inf, None, False
     for env in _base_envs(grid, sorted(g.free_vars - {"u"} | {"t"})):
         lam = lam_of_t(env["t"])
         if lam <= 0.0:
@@ -147,12 +147,10 @@ def _ref_theta(g, lam_profile, grid):
         if float(ratios[i]) < theta:
             theta = float(ratios[i])
             witness = (env, float(sweep[i]), float(sweep[i + 1]), theta)
-        sup_tl = max(sup_tl, float(np.max(np.abs(ratios))) * lam)
     if not tested:
-        return ThetaReport(passed=True, theta=0.0, sup_theta_lambda=0.0, witness=None)
+        return ThetaReport(passed=True, theta=0.0, witness=None)
     passed = theta >= -1.0 - 1e-12
-    return ThetaReport(passed=passed, theta=theta, sup_theta_lambda=sup_tl,
-                       witness=None if passed else witness)
+    return ThetaReport(passed=passed, theta=theta, witness=None if passed else witness)
 
 
 def _ref_dominance(g1, g2, grid):

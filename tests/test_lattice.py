@@ -32,7 +32,7 @@ from rabsde.solver import _lattice_for
 
 def test_zero_intensity_degenerates_to_binomial():
     lat = build_lattice(1.0, 1, IntensitySpec.constant(0.0, 1))
-    nodes = lat.nodes(1)
+    nodes = [lat.node_at(1, i) for i in range(lat.n_nodes(1))]
     assert nodes == [NodeId(1, 0, ALIVE), NodeId(1, 1, ALIVE)]
     children = lat.children(lat.root())
     assert len(children) == 2
@@ -150,9 +150,9 @@ def test_martingale_m_zero_intensity():
 def test_martingale_m_values():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     m = martingale_M(lat)
-    assert m.at(NodeId(1, 0, ALIVE)) == pytest.approx(-0.25, abs=0)
+    assert m.step(1)[lat.index(NodeId(1, 0, ALIVE))] == pytest.approx(-0.25, abs=0)
     # compensator frozen at the default step
-    assert m.at(NodeId(2, 1, 1)) == pytest.approx(0.75, abs=0)
+    assert m.step(2)[lat.index(NodeId(2, 1, 1))] == pytest.approx(0.75, abs=0)
 
 
 def test_martingale_m_one_step_expectation():
@@ -294,7 +294,7 @@ def test_node_data_arrays_are_read_only_and_built_once(monkeypatch, quotient):
 def test_process_field_accessors():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     field = ProcessField(lat, np.concatenate([lat.w_values(k) for k in range(3)]))
-    assert field.at(NodeId(1, 1, ALIVE)) == pytest.approx(lat.sqrt_dt)
+    assert field.step(1)[lat.index(NodeId(1, 1, ALIVE))] == pytest.approx(lat.sqrt_dt)
     assert field.step(2) is field.values[2]
     assert sum(arr.size for arr in field.values) == field.nodes.size == 1 + 4 + 9
     nodes = np.arange(14.0)
@@ -335,8 +335,8 @@ def test_push_matches_per_edge_accumulation(case):
     lat, k, values = case
     mass = np.zeros(lat.n_nodes(k + 1))
     best = np.full(lat.n_nodes(k + 1), -np.inf)
-    for i, node in enumerate(lat.nodes(k)):
-        for child, prob, _dw, _dh in lat.children(node):
+    for i in range(lat.n_nodes(k)):
+        for child, prob, _dw, _dh in lat.children(lat.node_at(k, i)):
             c = lat.index(child)
             mass[c] += prob * values[i]
             best[c] = max(best[c], values[i])
@@ -396,11 +396,9 @@ def test_no_kernel_method_takes_a_stack():
 
 
 # Functions that may still walk the lattice node by node.  The Snell oracle's
-# dense kernel checks the block kernel and must stay independent of it; nodes
-# builds a per-node view by definition; iterate_sequence names the offending
-# node in an error message.
+# dense kernel checks the block kernel and must stay independent of it;
+# iterate_sequence names the offending node in an error message.
 _NODE_WALK_ALLOWED = {
-    ("lattice.py", "DefaultLattice.nodes"),
     ("stopping.py", "_descendant_masks"),
     ("stopping.py", "_transition_matrix"),
     ("comparison.py", "iterate_sequence"),

@@ -87,8 +87,7 @@ def test_a_terminal_that_reads_tau_gets_the_full_lattice():
         _prepare(tau, DefaultLattice(1.0, 4, tau.intensity, quotient=True))
 
 
-@pytest.mark.parametrize("method", ["node_at", "nodes", "default_step_codes", "tau_values",
-                                    "compensator_values"])
+@pytest.mark.parametrize("method", ["node_at", "default_step_codes", "tau_values"])
 def test_storage_to_label_methods_raise_on_a_quotient(method):
     spec = IntensitySpec(values=(0.3, 0.0, 0.5, 0.2), lambda_max=0.5)
     lat = DefaultLattice(1.0, 4, spec, quotient=True)

@@ -935,7 +935,8 @@ def _residual_by_edges(sol):
         mean = lat.step_expectation(k, y_next)
         z, u, psi = sol.z.step(k), sol.u.step(k), sol.psi.step(k)
         p = lat.p[k]
-        for i, node in enumerate(lat.nodes(k)):
+        for i in range(lat.n_nodes(k)):
+            node = lat.node_at(k, i)
             jumps = node.is_alive and p > 0.0
             if not jumps:
                 bump(abs(float(u[i])))

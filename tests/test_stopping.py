@@ -141,7 +141,7 @@ def test_brute_force_from_interior_node():
     sol = solve_backward(sc)
     node = NodeId(1, 0, ALIVE)
     value, _ = brute_force_value(sol, sc, node)
-    assert value == pytest.approx(sol.y.at(node), abs=1e-10)
+    assert value == pytest.approx(sol.y.step(1)[sol.lattice.index(node)], abs=1e-10)
 
 
 def test_brute_force_cap():
@@ -172,7 +172,8 @@ def _oracle_inputs(draw):
     sc = dataclasses.replace(sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=max(lam)))
     sol = solve_backward(sc)
     lat = sol.lattice.labelled()
-    steps = [[node for node in lat.nodes(k) if len(_decision_nodes(lat, node)) <= 10]
+    steps = [[node for node in (lat.node_at(k, i) for i in range(lat.n_nodes(k)))
+              if len(_decision_nodes(lat, node)) <= 10]
              for k in range(n)]
     return sc, sol, draw(st.sampled_from(draw(st.sampled_from([s for s in steps if s]))))
 
