@@ -149,6 +149,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     if isinstance(driver_raw, str):
         driver_text = driver_raw
     elif isinstance(driver_raw, dict):
+        issues += [(f"/driver/{key}", "unknown key") for key in driver_raw if key not in ("text", "form")]
         driver_text = driver_raw.get("text")
         form_raw = driver_raw.get("form", "H")
         if form_raw in ("H", "M"):
@@ -694,6 +695,7 @@ def _flag(kind, ok, rule: str):
 
 _POSITIVE = _flag(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _AT_LEAST_ONE = _flag(int, lambda v: v >= 1, ">= 1")
+_CASES = _flag(int, lambda v: 1 <= v <= 10**7, "between 1 and 10**7")  # the suite lists its chunks up front
 _NON_NEGATIVE = _flag(int, lambda v: v >= 0, ">= 0")
 _RHO = _flag(float, lambda v: math.isfinite(v) and v >= 1, "finite and >= 1")
 _INTENSITY = _flag(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
@@ -747,7 +749,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the monotone iterate bridge")
 
     p_suite = sub.add_parser("suite", help="randomized comparison sweep")
-    p_suite.add_argument("--cases", type=_AT_LEAST_ONE, default=1000)
+    p_suite.add_argument("--cases", type=_CASES, default=1000)
     p_suite.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p_suite.add_argument("--steps", type=_AT_LEAST_ONE, default=6)
     p_suite.add_argument("--horizon", type=_POSITIVE, default=1.0)

@@ -24,11 +24,11 @@ class DriverEvalError(RabsdeError):
 
 
 class ScenarioError(RabsdeError):
-    """Scenario file rejected; collects all (json-pointer, message) pairs."""
+    """Scenario file rejected; collects all (json-pointer, message) pairs, "" the whole document's."""
 
     def __init__(self, issues: list[tuple[str, str]]):
         self.issues = list(issues)
-        lines = "; ".join(f"{ptr}: {msg}" for ptr, msg in self.issues)
+        lines = "; ".join(f"{ptr}: {msg}" if ptr else msg for ptr, msg in self.issues)
         super().__init__(f"invalid scenario: {lines}")
 
 

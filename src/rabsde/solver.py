@@ -11,7 +11,11 @@ where ey = E[Y_{k+delta} | node] and ez = E[Z_{k+delta} | node], both read
 from already-solved future steps (the terminal value extends Y beyond the
 horizon and Z vanishes there).  The explicit scheme evaluates the driver at
 y_arg = E[Y_{k+1} | node]; the implicit scheme solves the inner fixed point
-y_arg = y_tilde.  Drivers declared in dH form are rewritten on the fly by
+y_arg = y_tilde by plain iteration from the mean, with one Aitken step
+y1 + s1 / (1 - q) after the second evaluation at each node whose observed
+contraction q = s1 / s0 of the iteration steps s_n has |q| < 1 (exact for a driver
+affine in y: 3 evaluations a step); it ends at |y_tilde - y_arg| <= implicit_tol.
+Drivers declared in dH form are rewritten on the fly by
 subtracting lambda_k * (1 - h) * u.  A Picard pass and an iterate of the
 comparison bridge run the same sweep with arguments read from the previous
 iterate instead (see ``_solve``).  The sweep runs the driver's bare closure tree
@@ -333,21 +337,25 @@ def _step_values(
     env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
            "ez": zarg if ez is None else ez}
     jump = lat.intensity.values[k] * (1.0 - h) * uarg if prob.scenario.driver.form is DriverForm.H else None
-    # the implicit scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt from the mean
+    # the implicit scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt (see the module docstring)
     implicit = frozen is None and prob.scenario.scheme is Scheme.IMPLICIT
     ycur = yarg
-    for _ in range(prob.scenario.implicit_max_iter if implicit else 1):
+    for i in range(prob.scenario.implicit_max_iter if implicit else 1):
         env["y"] = ycur
         env["ey"] = ycur if ey is None else ey
         fv = _driver_values(prob, env, jump)
         if not implicit:
             break
         ynew = mean + fv * dt
-        gap = float(np.abs(ynew - ycur).max())
+        step = ynew - ycur
+        gap = float(np.abs(step).max())
         # a non-finite fv makes the gap inf or NaN; a finite fv whose iterate overflows iterates on
         if gap <= prob.scenario.implicit_tol or not math.isfinite(gap) and not np.isfinite(fv).all():
             break
-        ycur = ynew
+        if i == 1:  # the Aitken step, where |q| < 1; elsewhere (q NaN, inf or |q| >= 1) the plain iterate
+            q = step / prev
+            ynew = np.where(np.abs(q) < 1.0, ycur + step / (1.0 - q), ynew)
+        prev, ycur = step, ynew
     else:
         raise SolverError(
             f"implicit inner loop did not converge at step {k} within "

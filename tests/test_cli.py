@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import unittest.mock
 from collections import Counter
 from pathlib import Path
 
@@ -863,12 +864,14 @@ def _json_text(doc):
     (_json_text({**MINIMAL, "horizon": 10**400}), None, ": /horizon: must be a positive number"),
     (_json_text({**MINIMAL, "steps": 10**400}), None, ": /steps: N too large"),
     (None, ["suite", "--steps", str(10**400)], "--steps: N too large"),
-    (b'{"horizon": "\xff"}', None, ": : not valid JSON"),
-    (b"[" * 100_000 + b"]" * 100_000, None, ": : not valid JSON"),
+    (b'{"horizon": "\xff"}', None, "error: invalid scenario: not valid JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, None, "error: invalid scenario: not valid JSON"),
     (_json_text({**MINIMAL, "oracle": {"kind": "crr", "spot": 1, "strike": 1, "rate": 0.04, "sigma": 1,
                                        "note": "x"}}), None, ": /oracle/note: unknown key"),
+    (_json_text({**MINIMAL, "driver": {"text": "0", "form": "M", "note": [1]}}), None,
+     "error: invalid scenario: /driver/note: unknown key\n"),
 ], ids=["unhashable-output", "huge-horizon", "huge-steps", "suite-huge-steps", "not-utf8", "deep-nesting",
-        "oracle-extra-key"])
+        "oracle-extra-key", "driver-extra-key"])
 def test_malformed_input_exits_2_with_a_located_message(tmp_path, capsys, content, argv, located):
     if argv is None:
         path = tmp_path / "scenario.json"
@@ -910,6 +913,69 @@ def test_a_hostile_scenario_file_exits_cleanly(tmp_path_factory, changes):
     if code == 2:  # every refusal names the key or flag at fault
         assert all(re.match(r"error: (invalid scenario: /\w|argument --\w)", line)
                    for line in err.getvalue().splitlines())
+    for key in ("driver", "oracle"):  # an extra key in either block is refused
+        if isinstance(changes.get(key), dict) and "note" in changes[key]:
+            assert code == 2 and f"/{key}/note: unknown key" in err.getvalue()
+
+
+_ARGV_FLAGS = {
+    "solve": ("--scenario", "--out", "--format", "--tol", "--seed", "--timing", "--oracle"),
+    "picard": ("--scenario", "--out", "--format", "--tol", "--seed", "--rho", "--beta", "--max-iter"),
+    "stopping": ("--scenario", "--out", "--format", "--tol", "--seed"),
+    "compare": ("--scenario", "--scenario2", "--out", "--format", "--tol", "--seed", "--iterates"),
+    "suite": ("--cases", "--seed", "--steps", "--horizon", "--intensity", "--tol", "--out"),
+}
+# a value each flag accepts (none for --timing and --bogus), drawn as often as all the others together
+_ARGV_GOOD = {"--scenario": "<doc>", "--scenario2": "<doc>", "--out": "<out>", "--format": "csv", "--tol": "1e-8",
+              "--oracle": "crr", "--rho": "2", "--beta": "4", "--max-iter": "5", "--iterates": "3", "--cases": "3",
+              "--seed": "7", "--steps": "3", "--horizon": "0.5", "--intensity": "0.2"}
+# every run is short: a valid suite draws at most 10 cases of at most 10 steps, and
+# 10**400 is refused as a case or step count and left unused as an iteration cap; None leaves the value out
+_ARGV_VALUES = ["nan", "inf", "-inf", "-1", "0", "-0", "1", "2", "0.5", "1e300", "1e400", "1e-320", "abc", "",
+                "1_0", "0x10", " 2 ", "\u0663", str(10**400), "--", "csv", "json", "crr", "none", "@", "/", None]
+
+
+@given(command=st.sampled_from(sorted(_ARGV_FLAGS)), data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_malformed_flags_exit_cleanly(tmp_path_factory, command, data):
+    base = tmp_path_factory.getbasetemp() / "argv"  # also the working directory: a bare value names a file there
+    base.mkdir(exist_ok=True)
+    doc = _write(base, {**_WORKFLOW_DOC, "steps": 2}, "argv.json")
+    out = str(base / "argv-report")
+    files = {"<doc>": doc, "<text>": str(base / "text.json"), "<missing>": str(base / "missing.json"),
+             "<dir>": str(base), "<out>": out}
+    Path(files["<text>"]).write_text("{", encoding="utf-8")
+    argv = [command] + (["--cases", "2"] if command == "suite" else ["--scenario", doc])
+    argv += ["--scenario2", doc] if command == "compare" else []
+    argv += ["--out", out]
+    flags = st.sampled_from(_ARGV_FLAGS[command] + ("--beta", "--cases", "--bogus"))
+    values = st.sampled_from(_ARGV_VALUES + sorted(files)).map(lambda v: files.get(v, v))
+    for flag in data.draw(st.lists(flags, min_size=1, max_size=3)):
+        good = _ARGV_GOOD.get(flag)
+        value = data.draw(st.just(files.get(good, good)) | values)
+        argv += [flag] if value is None else [flag, value]
+    inputs = ("argv.json", "text.json")
+    for path in base.iterdir():  # a report a previous example wrote
+        if path.name not in inputs:
+            path.unlink()
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        with unittest.mock.patch.dict(os.environ, {"RABSDE_THREADS": "1"}), \
+                contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    # a refusal names the flag, the stray word or the scenario key at fault, or refuses the whole file
+    if code == 2:
+        (line,) = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert re.search(r"--[a-z]|unrecognized arguments: |: (--scenario2)?/\w|scenario: not valid JSON", line), line
+    if code == 0:  # the report, on stdout or in whichever file --out named
+        report = stdout.getvalue() + "".join(p.read_text(encoding="utf-8") for p in base.iterdir()
+                                             if p.name not in inputs)
+        assert not re.search(r"\b(inf|nan)\b", report, re.IGNORECASE)
 
 
 def _fresh_cli(*argv):

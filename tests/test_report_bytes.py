@@ -50,11 +50,11 @@ CASES = {
                    "447955b04c2426f5b2dcc690cbbf06833c57f36a7f43dd52926a88a468ecb8e3"),
     "solve_csv": (["solve", "--scenario", DOC, "--format", "csv"],
                   "58b96b56078ef0209f31c74b176ebd7a7dc59dca495d858ae11c53f94db00499"),
-    # the implicit scheme's inner loop, pinned at the sweep's per-call driver
+    # the implicit scheme's inner loop, with its one Aitken step per node
     "solve_implicit_json": (["solve", "--scenario", {**DOC, "scheme": "implicit"}],
-                            "9c2c3540d3dc80635fe3e4df651855beba30ed19c2aac5b0aaa4a162bcda1fb5"),
+                            "698e5dafbbf0abe673a4724f13b9139e7fa5adca4b558d6fc3c7566dbd39a018"),
     "solve_implicit_csv": (["solve", "--scenario", {**DOC, "scheme": "implicit"}, "--format", "csv"],
-                           "8b868a4333693db44b7d879d6931876675332594525e84f5c85724e5e6890944"),
+                           "df510c909e8262d39fc1235700dd68b8312f770dfd83242e9715499450421de2"),
     "solve_outputs": (["solve", "--scenario", {**DOC, "outputs": ["validate", "picard", "stopping"]}],
                       "34c0c04b6abeae403d1a2e34cafe798ba8af6b9e08459344d4f647fcfa27135d"),
     "solve_oracle_crr": (["solve", "--scenario", CRR, "--oracle", "crr"],

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import importlib.util
 import math
+import pathlib
 import tracemalloc
 import unittest.mock
 import warnings
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import driver_texts, make_scenario, outcome, random_scenario, step_intensities
-from rabsde import IntensitySpec, PicardConvergenceError, SolverError, solver
+from rabsde import IntensitySpec, PicardConvergenceError, SolverError, cli, solver
 from rabsde.crr import american_put_scenario, crr_american_put
 from rabsde.driver import parse_driver
 from rabsde.errors import DriverEvalError, LatticeError
@@ -455,6 +458,98 @@ def test_an_overflowing_implicit_solve_raises_its_error_and_no_warning():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="^implicit inner loop did not converge at step 3 within 500 "):
             solve_backward(sc)
+
+
+def _plain_fixed_point_step(prob, k, y_next, ey, ez, frozen=None):
+    """``solver._step_values`` as it was before the Aitken step: the implicit
+    scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt from the mean, plainly."""
+    lat, dt = prob.lattice, prob.lattice.dt
+    mean, z, u, psi = lat.project_martingale(k, y_next)
+    yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
+    h = lat.h_values(k)
+    env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
+           "ez": zarg if ez is None else ez}
+    jump = lat.intensity.values[k] * (1.0 - h) * uarg if prob.scenario.driver.form is solver.DriverForm.H else None
+    implicit = frozen is None and prob.scenario.scheme is solver.Scheme.IMPLICIT
+    ycur = yarg
+    for _ in range(prob.scenario.implicit_max_iter if implicit else 1):
+        env["y"] = ycur
+        env["ey"] = ycur if ey is None else ey
+        fv = prob.driver_fn(env)
+        fv = fv if jump is None else fv - jump
+        if not implicit:
+            break
+        ynew = mean + fv * dt
+        gap = float(np.abs(ynew - ycur).max())
+        if gap <= prob.scenario.implicit_tol or not math.isfinite(gap) and not np.isfinite(fv).all():
+            break
+        ycur = ynew
+    else:
+        raise SolverError(f"implicit inner loop did not converge at step {k}")
+    if not np.isfinite(fv).all():
+        raise SolverError(f"driver produced a non-finite value at step {k}")
+    y_tilde = ynew if implicit else mean + fv * dt
+    y = np.maximum(y_tilde, prob.obstacle.step(k))
+    return y, z, u, psi, y - y_tilde, fv
+
+
+def _plain_solve(prob):
+    with unittest.mock.patch.object(solver, "_step_values", _plain_fixed_point_step):
+        return solver._solve(prob)
+
+
+@st.composite
+def _implicit_scenarios(draw):
+    n = draw(st.integers(4, 8))
+    lam = draw(st.sampled_from([0.0, 0.3, 1.5]))
+    # affine and kinked in y.  The plain loop stops within implicit_tol * |q| / (1 - q) of the
+    # fixed point, q = (y-slope) * dt the step's contraction, so that factor stays at most 1/3
+    driver = draw(st.sampled_from([
+        "-0.4*y + 0.1*ey - 0.1*u + 0.05", "0.8*y - 0.3*ez + 0.2*z",
+        "max(y, 0.2) - 0.2*ey + 0.1*u", "abs(y - 0.1) + 0.2*ez - 0.3*u",
+        "min(0.9*y, -0.6*y) + 0.1*ey", "-1.5*y + 0.2*w",
+    ]))
+    return make_scenario(
+        n_steps=n, lam=lam, delta_steps=draw(st.sampled_from([0, 1, n // 2])), driver=driver,
+        form=draw(st.sampled_from(["H", "M"])), scheme="implicit",
+        obstacle="max(0.3 - w, 0) - 0.1*t",
+        terminal=draw(st.sampled_from(["max(0.3 - w, 0) + 0.4*h", "max(0.3 - w, 0) + 0.1*w*w"])),
+    )
+
+
+@given(_implicit_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_the_implicit_step_equals_the_plain_fixed_point_loop(sc):
+    prob = solver._prepare(sc)
+    got, want = solver._solve(prob), _plain_solve(prob)
+    bound = 1e-13 * np.maximum(1.0, np.abs(want.y.nodes))
+    for name in ("y", "z", "u", "psi", "dk"):
+        assert np.all(np.abs(getattr(got, name).nodes - getattr(want, name).nodes) <= bound), name
+    # a driver value is (y_tilde - mean) / dt
+    assert np.all(np.abs(got.driver_values.nodes - want.driver_values.nodes) * prob.lattice.dt <= bound)
+
+
+def test_an_affine_implicit_step_makes_three_driver_evaluations():
+    # solve_kernel's seed-0 inputs: 16 put-family scenarios at N = 96, implicit
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = workloads.SolveKernel(0, "").docs
+    steps, evaluations = 0, collections.Counter()
+    for doc in docs:
+        prob = solver._prepare(cli.scenario_from_dict(doc))
+        for name, solve in (("aitken", solver._solve), ("plain", _plain_solve)):
+
+            def counted(env, fn=prob.driver_fn, name=name):
+                evaluations[name] += 1
+                return fn(env)
+
+            solve(dataclasses.replace(prob, driver_fn=counted))
+        steps += prob.scenario.n_steps
+    assert (len(docs), steps) == (16, 16 * 96)
+    assert evaluations["aitken"] == 3 * steps
+    assert round(evaluations["plain"] / steps, 2) == 6.00
 
 
 def test_estimate_c_prime_includes_jump_unit():
