@@ -12,7 +12,12 @@ metric, the raw ``wall_*`` times, the calibration loop and the output digest):
 
 It prints, per workload, seed and side, the median and quartiles of scaled
 ``op_p50_s`` and raw ``wall_op_p50_s``, the median ``calibration_p50_s``, and
-the share of pairs in which the change's value is lower.  Then, per end-to-end
+the share of pairs in which the change's value is lower; then the
+change/parent ratio of the two op medians, scaled and raw, and of the two
+calibration medians, flagged ``calibration_moved`` when that ratio is off 1 by
+more than ``CALIBRATION_DRIFT``: scaled times then carry the calibration
+loop's own shift (its speed depends on the process's heap layout, which the
+source bytes and the tree's path change), so read the raw ratio.  Then, per end-to-end
 metric, a no-regression verdict against the metric's bound in the parent's
 ``BENCHMARK.json`` (read only): the change-vs-parent median ratio, and
 ``worse`` when the change's median is worse than the parent's by more than
@@ -39,6 +44,8 @@ SIDES = ("parent", "change")
 # the end-to-end metrics of a perfbench run, all read from its results record
 END_TO_END = ("op_p50_s", "op_p90_s", "ops_per_s", "setup_s", "peak_rss_mb", "ok_frac")
 RAW = ("wall_op_p50_s", "wall_op_p90_s", "wall_setup_s", "calibration_p50_s")
+# a change/parent ratio of the calibration medians this far off 1 flags the scaled times
+CALIBRATION_DRIFT = 0.05
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
@@ -80,7 +87,9 @@ def verdicts(runs: dict, metrics: list[dict]) -> dict:
 
 def summarize(runs: dict) -> dict:
     """Per side, the quartiles of op_p50_s and wall_op_p50_s and every metric's
-    median; the share of pairs the change's value is lower; digests equal."""
+    median; the share of pairs the change's value is lower; the change/parent
+    ratios of the op and calibration medians, and whether the calibration
+    moved; digests equal."""
     ok = all(r["exit"] == 0 and r["failed"] == 0 for side in SIDES for r in runs[side])
     if not ok:
         return {"ok": False}
@@ -96,6 +105,10 @@ def summarize(runs: dict) -> dict:
         out[f"{key}_median_change_frac"] = change / parent - 1.0
         out[f"{key}_median_gap_over_parent_iqr"] = (
             (parent - change) / (out["parent"][key]["q3"] - out["parent"][key]["q1"] or float("nan")))
+        out[f"{key}_ratio"] = change / parent
+    calibration = [out[side]["medians"]["calibration_p50_s"] for side in SIDES]
+    out["calibration_ratio"] = calibration[1] / calibration[0]
+    out["calibration_moved"] = abs(out["calibration_ratio"] - 1.0) > CALIBRATION_DRIFT
     out["digests_equal"] = len({r["output_digest"] for side in SIDES for r in runs[side]}) == 1
     return out
 
@@ -139,6 +152,10 @@ def main(argv=None) -> int:
                   f"wall_op_p50_s {summary['wall_op_p50_s_change_wins']:.0%}; "
                   f"digests equal: {summary['digests_equal']}; calibration_p50_s "
                   + ", ".join(f"{side} {summary[side]['medians']['calibration_p50_s'] * 1e3:.3f} ms" for side in SIDES))
+            print(f"{key} change/parent: op_p50_s {summary['op_p50_s_ratio']:.3f} scaled, "
+                  f"wall_op_p50_s {summary['wall_op_p50_s_ratio']:.3f} raw; calibration_p50_s "
+                  f"{summary['calibration_ratio']:.3f}"
+                  + (" calibration_moved: read the raw ratio" if summary["calibration_moved"] else ""))
             summary["verdicts"] = verdicts(runs, metrics)
             for name, v in summary["verdicts"].items():
                 print(f"{key} {name}: change/parent median {v['ratio']:.3f}, parent spread "

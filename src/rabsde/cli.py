@@ -65,6 +65,7 @@ from .solver import (
     _max,
     _min,
     _picard,
+    _picard_beta,
     _prepare,
     _Problem,
     _solve,
@@ -804,9 +805,10 @@ def main(argv=None) -> int:
                          picard=PicardOptions(**{k: v for k, v in picard.items() if v is not None}))
         if args.tol is not None:
             flags.tol = args.tol
-        overflow = flags.picard.beta is not None and _beta_overflow(problem.lattice, flags.picard.beta)
+        flag = "--beta" if picard["beta"] is not None else "--rho" if picard["rho"] is not None else None
+        overflow = flag and _beta_overflow(problem.lattice, _picard_beta(problem, flags.picard))
         if overflow:  # the flag, not the scenario, is at fault
-            return _fail(2, f"error: argument --beta: {overflow}")
+            return _fail(2, f"error: argument {flag}: {overflow}")
         if args.command == "solve" and args.oracle == "crr":
             flags.workflows.add("oracle")
         elif args.command == "compare":

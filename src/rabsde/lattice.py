@@ -42,12 +42,16 @@ _W_CACHE_NODES = 1 << 16
 _BINOMIAL = [np.ones(1)]
 
 
-def _binomial(n: int) -> np.ndarray:
-    """The n-step binomial weights, each n built from n-1 by one halving (2^n
+def _halve(w: np.ndarray) -> np.ndarray:
+    """The (n+1)-step binomial weights from the n-step ones by one halving (2^n
     overflows a float past n = 1023)."""
+    return 0.5 * np.concatenate((w[:1], w[1:] + w[:-1], w[-1:]))
+
+
+def _binomial(n: int) -> np.ndarray:
+    """The n-step binomial weights, kept in _BINOMIAL."""
     while len(_BINOMIAL) <= n:
-        w = _BINOMIAL[-1]
-        _BINOMIAL.append(0.5 * (np.append(w, 0.0) + np.insert(w, 0, 0.0)))
+        _BINOMIAL.append(_halve(_BINOMIAL[-1]))
     return _BINOMIAL[n]
 
 
@@ -148,8 +152,15 @@ class DefaultLattice:
         # the storage: _def_blocks[k] default blocks follow the alive block at step k
         self.quotient = bool(quotient)
         self._def_blocks = [min(n, 1) if self.quotient else n for n in self._n_labels]
+        # per-step constants: node counts, slices of a whole-lattice field, p_k's coefficients
+        self._n_nodes = [(k + 1) * (1 + b) for k, b in enumerate(self._def_blocks)]
+        ends = np.cumsum(self._n_nodes).tolist()
+        self._slices = [slice(end - n, end) for end, n in zip(ends, self._n_nodes)]
+        self._coef = [(pk, 0.5 * (1.0 - pk), 0.5 * pk, 1.0 - pk) for pk in p]
         self._full: DefaultLattice | None = None
-        self._probs: list[np.ndarray | None] = [None] * (self.n_steps + 1)
+        self._probs: list[np.ndarray] | None = None
+        # W's values on the walk, -N..N steps of sqrt(dt): step k's row is every other one
+        self._walk = np.arange(-self.n_steps, self.n_steps + 1) * self.sqrt_dt
         self._w, self._w_room, self._h = [None] * (self.n_steps + 1), _W_CACHE_NODES, None
 
     # -- structure -----------------------------------------------------------
@@ -162,7 +173,7 @@ class DefaultLattice:
     def n_nodes(self, k: int) -> int:
         """Stored nodes at step k."""
         self._check_step(k)
-        return (k + 1) * (1 + self._def_blocks[k])
+        return self._n_nodes[k]
 
     def labelled(self) -> "DefaultLattice":
         """The lattice with one block per label: this one, or for a quotient the
@@ -231,7 +242,10 @@ class DefaultLattice:
         while the lattice holds at most _W_CACHE_NODES of them."""
         w = self._w[k]
         if w is None:
-            w = np.tile((2.0 * np.arange(k + 1, dtype=float) - k) * self.sqrt_dt, 1 + self._def_blocks[k])
+            N = self.n_steps
+            w = np.empty((1 + self._def_blocks[k], k + 1))
+            w[...] = self._walk[N - k : N + k + 1 : 2]  # (2j - k) * sqrt(dt), once per block
+            w = w.reshape(-1)
             w.flags.writeable = False
             if w.size <= self._w_room:
                 self._w_room -= w.size
@@ -243,14 +257,13 @@ class DefaultLattice:
         of one buffer, N+1 zeros and then ones, built on first use."""
         N = self.n_steps
         if self._h is None:
-            self._h = np.repeat([0.0, 1.0], [N + 1, self.n_nodes(N) - N - 1])
+            self._h = np.repeat([0.0, 1.0], [N + 1, self._n_nodes[N] - N - 1])
             self._h.flags.writeable = False
         return self._h[N - k : N - k + self.n_nodes(k)]
 
     def default_step_codes(self, k: int) -> np.ndarray:
         """Default step per node as an integer, 0 for alive nodes."""
         self._labels_only("default_step_codes")
-        self._check_step(k)
         return np.repeat(np.array((0,) + self.default_steps(k)), k + 1)
 
     def tau_values(self, k: int) -> np.ndarray:
@@ -290,7 +303,8 @@ class DefaultLattice:
 
     def _blocks(self, k: int, values: np.ndarray) -> np.ndarray:
         """A step-k field as (blocks, k+1)."""
-        n = self.n_nodes(k)
+        self._check_step(k)
+        n = self._n_nodes[k]
         if values.shape != (n,):
             raise LatticeError(
                 f"field has {values.shape} values, step {k} has {n} nodes"
@@ -301,31 +315,26 @@ class DefaultLattice:
         """One-step conditional expectation: E[field at k+1 | node at k]."""
         return self.project_martingale(k, values_next)[0]
 
-    def project_martingale(self, k: int, values_next: np.ndarray):
+    def project_martingale(self, k: int, values_next: np.ndarray, out: tuple | None = None):
         """Exact orthogonal decomposition of a step-(k+1) field seen from step k.
 
-        Returns (mean, z, u, psi) such that on every reachable child
-        value = mean + z*dW + u*dM + psi*dW*dM.  Post-default nodes and
-        zero-intensity steps carry u = psi = 0.
+        Returns (mean, z, u, psi), written into the four step-k arrays ``out``
+        when given, such that on every reachable child value = mean + z*dW +
+        u*dM + psi*dW*dM.  Post-default nodes and zero-intensity steps carry u = psi = 0.
         """
-        self._check_step(k + 1)
+        self._check_step(k)
         V = self._blocks(k + 1, np.asarray(values_next, dtype=float))
-        p = self.p[k]
-        n_def = self._def_blocks[k]
-        n = self.n_nodes(k)
-        width = k + 1
-        s2 = 2.0 * self.sqrt_dt
-        mean = np.empty(n)
-        z = np.empty(n)
-        u = np.zeros(n)
-        psi = np.zeros(n)
+        p, alive, new, stay = self._coef[k]
+        n_def, width = self._def_blocks[k], k + 1
+        mean, z, u, psi = out if out is not None else (np.empty(self._n_nodes[k]) for _ in range(4))
         # per block: up child + down child, and the slope between them; row 0
         # is the alive block, row -1 the block defaulting at step k+1
         sums = V[:, 1:] + V[:, :-1]
-        slopes = (V[:, 1:] - V[:, :-1]) / s2
+        slopes = (V[:, 1:] - V[:, :-1]) / (2.0 * self.sqrt_dt)
+        u[...] = psi[...] = 0.0
         if p > 0.0:
-            mean[:width] = 0.5 * (1.0 - p) * sums[0] + 0.5 * p * sums[-1]
-            z[:width] = (1.0 - p) * slopes[0] + p * slopes[-1]
+            mean[:width] = alive * sums[0] + new * sums[-1]
+            z[:width] = stay * slopes[0] + p * slopes[-1]
             u[:width] = 0.5 * (sums[-1] - sums[0])
             psi[:width] = slopes[-1] - slopes[0]
         else:
@@ -374,44 +383,41 @@ class DefaultLattice:
         B[0] = S * B[0] + np.dot(q, B.take(labels, axis=0, mode="clip"))
         return B[: 1 + self._def_blocks[k]].reshape(-1)
 
-    def push(self, k: int, values: np.ndarray, *, combine: str = "sum") -> np.ndarray:
-        """Carry a step-k field onto its children: per child, the sum of
-        prob * value over its parents (``combine="sum"``, pushes mass) or the
-        largest parent value (``combine="max"``, max-plus), in three slice groups:
-        alive -> alive, alive -> new default block (p_k > 0), block m -> block m.
-        On a quotient the new block and block 1 are one shared block."""
+    def push(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Carry a step-k field onto its children, max-plus: per child, the
+        largest parent value, in three slice groups: alive -> alive, alive ->
+        new default block (p_k > 0), block m -> block m.  On a quotient the new
+        block and block 1 are one shared block."""
         self._check_step(k + 1)
         V = self._blocks(k, np.asarray(values, dtype=float))
-        p = self.p[k]
-        if combine == "sum":
-            ufunc, fill = np.add, 0.0
-            alive, new, old = 0.5 * (1.0 - p) * V[0], 0.5 * p * V[0], 0.5 * V[1:]
-        elif combine == "max":
-            ufunc, fill = np.maximum, -np.inf
-            alive, new, old = V[0], V[0], V[1:]
-        else:
-            raise LatticeError(f"unknown combine '{combine}'; use 'sum' or 'max'")
-        out = np.full((1 + self._def_blocks[k + 1], k + 2), fill)
+        out = np.full((1 + self._def_blocks[k + 1], k + 2), -np.inf)
 
         def spread(dst: np.ndarray, src: np.ndarray) -> None:
             # up-move lands on j+1, down-move on j
-            ufunc(dst[..., 1:], src, out=dst[..., 1:])
-            ufunc(dst[..., :-1], src, out=dst[..., :-1])
+            np.maximum(dst[..., 1:], src, out=dst[..., 1:])
+            np.maximum(dst[..., :-1], src, out=dst[..., :-1])
 
-        spread(out[0], alive)
-        spread(out[1 : V.shape[0]], old)
-        if p > 0.0:
-            spread(out[-1], new)
+        spread(out[0], V[0])
+        spread(out[1 : V.shape[0]], V[1:])
+        if self.p[k] > 0.0:
+            spread(out[-1], V[0])
         return out.reshape(-1)
 
     def node_probabilities(self, k: int) -> np.ndarray:
-        """Law of the step-k node under the root measure."""
+        """Law of the step-k node under the root measure, every step's built on
+        first use: as the walk moves independently of the default clock, a block
+        is its mass times the k-step binomial row, the survival S_k alive,
+        S_{d-1} * p_{d-1} for label d, and their sum for a quotient's shared block."""
         self._check_step(k)
-        if self._probs[k] is None:
-            if k == 0:
-                self._probs[0] = np.array([1.0])
-            else:
-                self._probs[k] = self.push(k - 1, self.node_probabilities(k - 1))
+        if self._probs is None:
+            self._probs, row, S, first, shared = [np.ones(1)], np.ones(1), 1.0, [], 0.0
+            for pk in self.p.tolist():
+                if pk > 0.0:  # a reachable label: the mass of its block
+                    first.append(S * pk)
+                    shared += S * pk
+                S, row = S * (1.0 - pk), _halve(row)
+                masses = [S, shared] if self.quotient and first else [S, *first]
+                self._probs.append(np.multiply.outer(masses, row).reshape(-1))
         return self._probs[k]
 
     # -- paths -----------------------------------------------------------------
@@ -471,17 +477,14 @@ class ProcessField:
     values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        end, values = 0, []
-        for k, b in enumerate(self.lattice._def_blocks):  # step k holds (k + 1) * (1 + b) nodes
-            start, end = end, end + (k + 1) * (1 + b)
-            values.append(self.nodes[start:end])
-        if self.nodes.shape != (end,):
-            raise LatticeError(f"field has shape {self.nodes.shape}, lattice has {end} nodes")
-        object.__setattr__(self, "values", tuple(values))
+        slices = self.lattice._slices
+        if self.nodes.shape != (slices[-1].stop,):
+            raise LatticeError(f"field has shape {self.nodes.shape}, lattice has {slices[-1].stop} nodes")
+        object.__setattr__(self, "values", tuple(self.nodes[s] for s in slices))
 
     @classmethod
     def zeros(cls, lattice: DefaultLattice) -> "ProcessField":
-        return cls(lattice, np.zeros(sum((k + 1) * (1 + b) for k, b in enumerate(lattice._def_blocks))))
+        return cls(lattice, np.zeros(lattice._slices[-1].stop))
 
     def step(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.lattice.n_steps:

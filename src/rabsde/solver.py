@@ -154,7 +154,7 @@ class Solution:
         programming: cum_{k+1} = max over parents of cum_k, plus dK_{k+1}."""
         cum = self.dk.step(0)
         for k in range(self.lattice.n_steps):
-            cum = self.lattice.push(k, cum, combine="max") + self.dk.step(k + 1)
+            cum = self.lattice.push(k, cum) + self.dk.step(k + 1)
         return float(np.max(cum))
 
     def max_abs_psi(self) -> float:
@@ -170,9 +170,8 @@ class Solution:
         """
         lat = self.lattice
         best = 0.0
-        for k in range(lat.n_steps):
-            pk = lat.p[k]
-            weight = math.sqrt(lat.dt * pk * (1.0 - pk))
+        for k, (pk, _, _, stay) in enumerate(lat._coef):
+            weight = math.sqrt(lat.dt * pk * stay)
             if weight == 0.0:
                 continue
             best = _max(best, weight * float(np.max(np.abs(self.psi.step(k)))))
@@ -210,10 +209,9 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     if uses("t"):
         env["t"] = np.repeat(np.arange(N + 1) * lattice.dt, sizes)
     if uses("w"):  # written step by step: past the lattice's cache each step's w is built per call
-        env["w"], end = np.empty(sum(sizes)), 0
-        for k, size in enumerate(sizes):
-            env["w"][end : end + size] = lattice.w_values(k)
-            end += size
+        env["w"] = np.empty(sum(sizes))
+        for k, nodes in enumerate(lattice._slices):
+            env["w"][nodes] = lattice.w_values(k)
     if uses("h"):
         env["h"] = np.concatenate([lattice.h_values(k) for k in range(N + 1)])
     values = np.asarray(scenario.obstacle.compiled()(env), dtype=float)
@@ -325,13 +323,15 @@ def _step_values(
     y_next: np.ndarray,
     ey: np.ndarray | None,
     ez: np.ndarray | None,
-    frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-):
-    """Solve one backward step; returns (y, z, u, psi, dk, fv), fv maybe a
-    scalar.  The driver reads (y-argument, z, u) from the step's own projection,
+    frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    out: tuple[np.ndarray, ...],
+) -> None:
+    """Solve one backward step into ``out``, step k's (y, z, u, psi, dk, fv)
+    arrays.  The driver reads (y-argument, z, u) from the step's own projection,
     or from ``frozen`` when given; ey and ez default to the y- and z-arguments."""
     lat, dt = prob.lattice, prob.lattice.dt
-    mean, z, u, psi = lat.project_martingale(k, y_next)
+    y, z, u, psi, dk, fvals = out
+    mean = lat.project_martingale(k, y_next, (y, z, u, psi))[0]  # the mean is y's until y_tilde is known
     yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
     h = lat.h_values(k)
     env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
@@ -365,9 +365,9 @@ def _step_values(
     if not np.isfinite(fv).all():
         raise SolverError(f"driver produced a non-finite value at step {k}")
     y_tilde = ynew if implicit else mean + fv * dt
-    y = np.maximum(y_tilde, prob.obstacle.step(k))
-    dk = y - y_tilde
-    return y, z, u, psi, dk, fv
+    fvals[...] = fv  # before y: fv may be the mean itself (a driver "y")
+    np.maximum(y_tilde, prob.obstacle.values[k], out=y)
+    np.subtract(y, y_tilde, out=dk)
 
 
 @np.errstate(all="ignore")  # library callers see inf and nan values, not numpy warnings
@@ -376,16 +376,17 @@ def _solve(
     frozen_ey: ProcessField | None = None,
     frozen: _Triple | None = None,
 ) -> Solution:
-    """The backward sweep.  With ``frozen`` (a Picard pass) the driver reads
-    every argument from that previous triple; with ``frozen_ey`` (the iterate
-    bridge) it reads ey from that previous solution's Y field.  A frozen y-argument
-    is Y_k under the implicit scheme and E[Y_{k+1} | F_k] under the explicit
-    one; with delta = 0 ey is that y-argument."""
+    """The backward sweep, each step solved into its views of six zero fields.
+    With ``frozen`` (a Picard pass) the driver reads every argument from that
+    previous triple; with ``frozen_ey`` (the iterate bridge) it reads ey from
+    that previous solution's Y field.  A frozen y-argument is Y_k under the
+    implicit scheme and E[Y_{k+1} | F_k] under the explicit one; with delta = 0
+    ey is that y-argument."""
     lat = prob.lattice
     N = lat.n_steps
     delta = prob.scenario.delta_steps
     fields = [ProcessField.zeros(lat) for _ in range(6)]
-    y, z, u, psi, dk, fvals = (f.values for f in fields)
+    y, z = fields[0].values, fields[1].values
     y[N][...] = prob.xi
     past_y = frozen.y if frozen is not None else frozen_ey
     ys = y if past_y is None else past_y.values
@@ -404,13 +405,9 @@ def _solve(
             if frozen is None:
                 ey = yarg
             else:
-                fixed = (yarg, zs[k], frozen.u.step(k))
-        y[k][...], z[k][...], u[k][...], psi[k][...], dk[k][...], fvals[k][...] = _step_values(
-            prob, k, y[k + 1], ey, ez, fixed
-        )
-    y, z, u, psi, dk, fvals = fields
-    return Solution(problem=prob, y=y, z=z, u=u, psi=psi, dk=dk, driver_values=fvals,
-                    diagnostics={"scheme": prob.scenario.scheme.value})
+                fixed = (yarg, zs[k], frozen.u.values[k])
+        _step_values(prob, k, y[k + 1], ey, ez, fixed, [f.values[k] for f in fields])
+    return Solution(prob, *fields, diagnostics={"scheme": prob.scenario.scheme.value})
 
 
 def _max(acc: float, value) -> float:
@@ -464,13 +461,21 @@ def beta_norm(a, b, beta: float) -> float:
     Discrete analogue of E[ integral of e^(beta t) (beta |dY|^2 + |dZ|^2
     + lambda |dU|^2) dt ] under the root law; quadratic in the difference.
     """
+    return float(np.exp(_log_beta_norm(a, b, beta)))
+
+
+@np.errstate(all="ignore")
+def _log_beta_norm(a, b, beta: float) -> float:
+    """The log of ``beta_norm``, summed in log-sum-exp form: step k adds
+    beta t_k + log(dt * E[quad_k]), so that the distance, e^(log / 2), stays
+    finite wherever e^(beta t) does."""
     lat = a.y.lattice
     if not (lat is b.y.lattice or lat.same_grid(b.y.lattice)):
         raise LatticeError("beta_norm requires both triples on the same lattice")
     overflow = _beta_overflow(lat, beta)
     if overflow is not None:
         raise SolverError(overflow)
-    total = 0.0
+    x = np.empty(lat.n_steps)
     for k in range(lat.n_steps):
         probs = lat.node_probabilities(k)
         lam = lat.intensity.values[k]
@@ -478,8 +483,8 @@ def beta_norm(a, b, beta: float) -> float:
         dz = a.z.step(k) - b.z.step(k)
         du = a.u.step(k) - b.u.step(k)
         quad = beta * dy * dy + dz * dz + lam * du * du
-        total += math.exp(beta * k * lat.dt) * lat.dt * float(np.dot(probs, quad))
-    return total
+        x[k] = beta * k * lat.dt + np.log(lat.dt * float(np.dot(probs, quad)))
+    return float(np.logaddexp.reduce(x))
 
 
 def _beta_overflow(lat: DefaultLattice, beta: float) -> str | None:
@@ -510,36 +515,41 @@ def solve_picard(scenario: Scenario, opts: PicardOptions | None = None) -> tuple
     scenario's scheme (one-step conditional mean for the explicit scheme, the
     iterate itself for the implicit one) so the fixed point coincides with
     ``solve_backward`` on the same scenario.  Returns the final solution and
-    the history of squared weighted distances between successive triples.
+    the history of weighted distances between successive triples.
     """
     return _picard(_prepare(scenario), opts)
 
 
+def _picard_beta(prob: _Problem, opts: PicardOptions) -> float:
+    """Picard's beta: ``opts.beta``, else 1 + 10 * rho * C'^2 from the
+    problem's C' (the load gate's, else estimated here)."""
+    if opts.beta is not None:
+        return opts.beta
+    c_prime = prob.c_prime if prob.c_prime is not None else estimate_c_prime(prob.scenario)
+    if not math.isfinite(c_prime):
+        raise SolverError(
+            "cannot resolve the default weight: the driver depends on u "
+            "where the intensity vanishes; pass beta explicitly"
+        )
+    return 1.0 + 10.0 * opts.rho * c_prime**2
+
+
+@np.errstate(all="ignore")  # a distance past float max is inf
 def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[float]]:
     """``solve_picard`` on a prepared problem."""
-    scenario, lat = prob.scenario, prob.lattice
     opts = opts if opts is not None else PicardOptions()
-    if opts.beta is not None:
-        beta = opts.beta
-    else:
-        c_prime = prob.c_prime if prob.c_prime is not None else estimate_c_prime(scenario)
-        if not math.isfinite(c_prime):
-            raise SolverError(
-                "cannot resolve the default weight: the driver depends on u "
-                "where the intensity vanishes; pass beta explicitly"
-            )
-        beta = 1.0 + 10.0 * opts.rho * c_prime**2
-    overflow = _beta_overflow(lat, beta)
+    beta = _picard_beta(prob, opts)
+    overflow = _beta_overflow(prob.lattice, beta)
     if overflow is not None:
         raise SolverError(f"{overflow}; pass a smaller beta (--beta)")
-    zero = ProcessField.zeros(lat)  # the first pass only reads its triple
+    zero = ProcessField.zeros(prob.lattice)  # the first pass only reads its triple
     prev = _Triple(y=zero, z=zero, u=zero)
     history: list[float] = []
     for iteration in range(1, opts.max_iter + 1):
         solution = _solve(prob, frozen=prev)
         cur = _Triple(y=solution.y, z=solution.z, u=solution.u)
-        # beta_norm is the quadratic form; distances are its square root
-        dist = math.sqrt(beta_norm(cur, prev, beta))
+        # beta_norm is the quadratic form; a distance is its root, from its log (finite where it overflows)
+        dist = float(np.exp(0.5 * _log_beta_norm(cur, prev, beta)))
         history.append(dist)
         if dist <= opts.tol:
             solution.diagnostics["picard_iterations"] = iteration

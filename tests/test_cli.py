@@ -1172,18 +1172,23 @@ def test_picard_refuses_a_beta_whose_weight_overflows(tmp_path, capsys):
     path = _write(tmp_path, {**MINIMAL, "steps": 4, "lambda": 0.3, "driver": "0.1"})
     top = _largest_picard_beta(4, 0.25)
     out = tmp_path / "picard.json"
-    # the largest beta is accepted, but its first weighted distance overflows
-    # to inf, so the report fails closed (exit 3) rather than being refused (exit 2)
-    assert main(["picard", "--scenario", path, "--beta", repr(top), "--out", str(out)]) == 3
+    # the largest beta is accepted, and its weighted distances, taken in
+    # log-sum-exp form, stay finite
+    assert main(["picard", "--scenario", path, "--beta", repr(top), "--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
-    assert data["picard"]["beta"] == top and data["picard"]["distances"][0] == "inf"
-    assert data["pass"] is False
+    assert data["picard"]["beta"] == top and data["pass"] is True
+    assert all(math.isfinite(d) for d in data["picard"]["distances"])
     capsys.readouterr()
     for beta in (math.nextafter(top, math.inf), 1000.0):
         assert main(["picard", "--scenario", path, "--beta", repr(beta)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: argument --beta: beta = {beta:.6g} overflows the Picard weight")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: argument --beta: beta = {beta:.6g} overflows the Picard weight e^(beta t) at t = T - dt\n")
+    # a beta resolved from --rho, 1 + 10 * rho * C'^2, names --rho; a given --beta wins over it
+    for argv, flag, beta in ((["--rho", "1e10"], "--rho", "1e+11"),
+                             (["--rho", "1e10", "--beta", "1000"], "--beta", "1000")):
+        assert main(["picard", "--scenario", path, *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: argument {flag}: beta = {beta} overflows the Picard weight e^(beta t) at t = T - dt\n")
     # the default beta, 1 + 10 * C'^2 = 811, against a bound of 721 on 64 steps
     implicit = _write(tmp_path, {"horizon": 1.0, "steps": 64, "lambda": 0.3, "scheme": "implicit",
                                  "driver": "-9*y", "obstacle": "max(0.5 - w, 0)",
@@ -1204,15 +1209,28 @@ def test_picard_stops_at_a_nan_distance(tmp_path, capsys):
 
 
 def test_a_report_with_an_inf_in_it_does_not_pass(tmp_path):
-    # beta = 946 sits just inside the weight's overflow bound on 4 steps, but
-    # beta * |dY|^2 * e^(beta t) * dt overflows: the first distance is inf
+    # Y = 1e160 from the terminal on: the first pass's beta * |dY|^2 overflows
+    # a float, so the first distance is inf while every check passes
+    path = _write(tmp_path, {"horizon": 1.0, "steps": 4, "delta_steps": 1, "lambda": 0.3,
+                             "driver": "0.1", "obstacle": "-1e300", "terminal": "1e160"})
+    out = tmp_path / "picard.json"
+    assert main(["picard", "--scenario", path, "--beta", "4", "--out", str(out)]) == 3
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["picard"]["distances"] == ["inf", 0]
+    assert all(c["pass"] for c in data["checks"]) and data["pass"] is False
+
+
+def test_picard_distances_stay_finite_wherever_the_weight_does(tmp_path):
+    # beta = 946 sits just inside the weight's overflow bound on 4 steps, where
+    # beta * |dY|^2 * e^(beta t) * dt passes float max: the distances, taken in
+    # log-sum-exp form, are finite and contract to the fixed point
     path = _write(tmp_path, {"horizon": 1.0, "steps": 4, "delta_steps": 1, "lambda": 0.3,
                              "driver": "0.1*y + 0.1*ey", "obstacle": "-100", "terminal": "w"})
     out = tmp_path / "picard.json"
-    assert main(["picard", "--scenario", path, "--beta", "946", "--out", str(out)]) == 3
-    data = json.loads(out.read_text(encoding="utf-8"))
-    assert data["picard"]["distances"][0] == "inf"
-    assert all(c["pass"] for c in data["checks"]) and data["pass"] is False
+    assert main(["picard", "--scenario", path, "--beta", "946", "--out", str(out)]) == 0
+    distances = json.loads(out.read_text(encoding="utf-8"))["picard"]["distances"]
+    assert distances[0] > 1e150 and all(math.isfinite(d) for d in distances)
+    assert all(b < a for a, b in zip(distances, distances[1:]))
 
 
 def test_an_implicit_driver_that_diverges_names_its_step(tmp_path, capsys):

@@ -333,25 +333,109 @@ def _push_case(draw):
 @settings(max_examples=80, deadline=None)
 def test_push_matches_per_edge_accumulation(case):
     lat, k, values = case
-    mass = np.zeros(lat.n_nodes(k + 1))
     best = np.full(lat.n_nodes(k + 1), -np.inf)
     for i in range(lat.n_nodes(k)):
-        for child, prob, _dw, _dh in lat.children(lat.node_at(k, i)):
+        for child, _prob, _dw, _dh in lat.children(lat.node_at(k, i)):
             c = lat.index(child)
-            mass[c] += prob * values[i]
             best[c] = max(best[c], values[i])
-    assert np.max(np.abs(lat.push(k, values) - mass)) <= 1e-15
-    assert np.array_equal(lat.push(k, values, combine="max"), best)
+    assert np.array_equal(lat.push(k, values), best)
 
 
-def test_push_rejects_unknown_combine_and_wrong_shape():
+def test_push_rejects_a_wrong_shape():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
-    with pytest.raises(LatticeError):
-        lat.push(0, np.ones(1), combine="min")
     with pytest.raises(LatticeError):
         lat.push(1, np.ones(3))
     with pytest.raises(LatticeError):
         lat.push(2, np.ones(9))
+
+
+def _pushed_law(lat) -> list:
+    """The node law by the forward mass push the lattice used before its closed
+    form: per step, 0.5 (1 - p_k) of an alive node to each alive child, 0.5 p_k
+    to each new-default child (p_k > 0), 0.5 of a defaulted node to each child."""
+    law = [np.ones(1)]
+    for k in range(lat.n_steps):
+        V, p = lat._blocks(k, law[-1]), lat.p[k]
+        out = np.zeros((1 + lat._def_blocks[k + 1], k + 2))
+
+        def spread(dst, src):
+            np.add(dst[..., 1:], src, out=dst[..., 1:])
+            np.add(dst[..., :-1], src, out=dst[..., :-1])
+
+        spread(out[0], 0.5 * (1.0 - p) * V[0])
+        spread(out[1 : V.shape[0]], 0.5 * V[1:])
+        if p > 0.0:
+            spread(out[-1], 0.5 * p * V[0])
+        law.append(out.reshape(-1))
+    return law
+
+
+@st.composite
+def _law_case(draw):
+    """(quotient, per-step intensities up to N = 8 with zero and late steps likely)."""
+    n = draw(st.integers(1, 8))
+    lam = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.9]), min_size=n, max_size=n))
+    return draw(st.booleans()), tuple(lam)
+
+
+@given(_law_case())
+@example((False, (0.0, 0.0, 0.0, 0.9)))  # the only label is made at the last step
+@example((True, (0.0, 0.0, 0.0, 0.9)))
+@example((True, (0.0,) * 5))  # no label at all: the plain binomial tree
+@example((False, (0.9, 0.0, 0.3, 0.0, 0.9, 0.3, 0.0, 0.9)))
+@example((True, (0.0, 0.9, 0.9, 0.3, 0.9, 0.3, 0.9, 0.9)))  # 7 labels share one block
+@settings(max_examples=60, deadline=None)
+def test_closed_form_node_law_equals_the_push_and_the_paths(case):
+    quotient, lam = case
+    lat = lattice_module.DefaultLattice(1.0, len(lam), IntensitySpec(values=lam, lambda_max=0.9),
+                                        quotient=quotient)
+    for k, want in enumerate(_pushed_law(lat)):
+        assert np.max(np.abs(lat.node_probabilities(k) - want)) <= 1e-15
+    # each node's paths summed exactly: a quotient's shared node gathers up to 2^8 * 8 of them
+    paths = [[] for _ in range(lat.n_nodes(lat.n_steps))]
+    for path in lat.iter_paths():
+        paths[path.indices[-1]].append(path.probability)
+    terminal = np.array([math.fsum(p) for p in paths])
+    assert np.max(np.abs(lat.node_probabilities(lat.n_steps) - terminal)) <= 1e-15
+
+
+@given(_push_case())
+@settings(max_examples=60, deadline=None)
+def test_node_law_matches_a_per_edge_mass_push(case):
+    lat, k, _values = case
+    mass = np.zeros(lat.n_nodes(k + 1))
+    for i, prob_i in enumerate(lat.node_probabilities(k)):
+        for child, prob, _dw, _dh in lat.children(lat.node_at(k, i)):
+            mass[lat.index(child)] += prob * prob_i
+    assert np.max(np.abs(lat.node_probabilities(k + 1) - mass)) <= 1e-15
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_w_from_the_walk_row_equals_the_tile_formula(quotient):
+    # up to N = 300: past the cache's 2^16 nodes on both kinds, so the steps
+    # built per call are held too
+    lam = tuple(0.0 if k % 7 == 3 else 0.3 for k in range(300))
+    lat = lattice_module.DefaultLattice(1.0, 300, IntensitySpec(values=lam, lambda_max=0.3), quotient=quotient)
+    for k in range(301):
+        blocks = lat.n_nodes(k) // (k + 1)
+        want = np.tile((2.0 * np.arange(k + 1, dtype=float) - k) * lat.sqrt_dt, blocks)
+        assert lat.w_values(k).tobytes() == want.tobytes()
+    assert lat._w[300] is None  # past the cache
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_project_martingale_writes_into_its_output_the_bytes_it_returns(quotient):
+    # k = 0, zero-intensity steps with and without default blocks, and jump steps
+    lam = (0.0, 0.9, 0.0, 0.3, 0.9)
+    lat = lattice_module.DefaultLattice(1.0, 5, IntensitySpec(values=lam, lambda_max=0.9), quotient=quotient)
+    rng = np.random.default_rng(7)
+    for k in range(5):
+        values = rng.normal(size=lat.n_nodes(k + 1))
+        out = tuple(np.full(lat.n_nodes(k), np.nan) for _ in range(4))
+        returned = lat.project_martingale(k, values, out)
+        assert all(a is b for a, b in zip(returned, out))
+        for got, want in zip(out, lat.project_martingale(k, values)):
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite

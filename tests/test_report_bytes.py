@@ -55,16 +55,18 @@ CASES = {
                             "698e5dafbbf0abe673a4724f13b9139e7fa5adca4b558d6fc3c7566dbd39a018"),
     "solve_implicit_csv": (["solve", "--scenario", {**DOC, "scheme": "implicit"}, "--format", "csv"],
                            "df510c909e8262d39fc1235700dd68b8312f770dfd83242e9715499450421de2"),
+    # Picard's distances are taken in log-sum-exp form
     "solve_outputs": (["solve", "--scenario", {**DOC, "outputs": ["validate", "picard", "stopping"]}],
-                      "34c0c04b6abeae403d1a2e34cafe798ba8af6b9e08459344d4f647fcfa27135d"),
+                      "2119105d26b54b6d32187c91b46abe5bd93fed15c4e2288e935e43446f878e47"),
     "solve_oracle_crr": (["solve", "--scenario", CRR, "--oracle", "crr"],
                          "411a84e79898a7835e466aed6cfa974002360db3d7229977e68f0ce63a160f5a"),
     "picard_beta_4": (["picard", "--scenario", DOC, "--beta", "4"],
-                      "096a04c9f44009a71dc9cf5fe217f381723e0cfc1d82bbb3725fe05fde0ce86e"),
+                      "247b341df6c8237ed2545e13dc85b83211717e6030f875ce067d972f746f51db"),
     "stopping": (["stopping", "--scenario", DOC],
                  "3464cc626c346276bd36aae43194b2682dab3b3e9edfcaea473b09223a2abf5b"),
+    # the expected dK sums dK under the closed-form node law
     "stopping_past_cap": (["stopping", "--scenario", PAST_CAP],
-                          "5b01b7e6f1928beaaf710bbe9200cb77ea9be26b4c0f77fb8b94e885093b8977"),
+                          "d4ce40c9ac0762e64c55fe1107f6311993ca6f7d8a6ddd556273b80a8b38ad77"),
     "compare_iterates_30": (["compare", "--scenario", DOMINATING, "--scenario2", DOC, "--iterates", "30"],
                             "d0d1bb2cb3fb87d882785be04dbe38925e0bb560940c9476baff2b15b1ce23ca"),
     "suite_7": (["suite", "--cases", "7"],

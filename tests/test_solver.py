@@ -460,9 +460,10 @@ def test_an_overflowing_implicit_solve_raises_its_error_and_no_warning():
             solve_backward(sc)
 
 
-def _plain_fixed_point_step(prob, k, y_next, ey, ez, frozen=None):
+def _plain_fixed_point_step(prob, k, y_next, ey, ez, frozen, out):
     """``solver._step_values`` as it was before the Aitken step: the implicit
-    scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt from the mean, plainly."""
+    scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt from the mean, plainly;
+    step k's (y, z, u, psi, dk, driver values) are written into ``out``."""
     lat, dt = prob.lattice, prob.lattice.dt
     mean, z, u, psi = lat.project_martingale(k, y_next)
     yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
@@ -490,7 +491,8 @@ def _plain_fixed_point_step(prob, k, y_next, ey, ez, frozen=None):
         raise SolverError(f"driver produced a non-finite value at step {k}")
     y_tilde = ynew if implicit else mean + fv * dt
     y = np.maximum(y_tilde, prob.obstacle.step(k))
-    return y, z, u, psi, y - y_tilde, fv
+    for dst, src in zip(out, (y, z, u, psi, y - y_tilde, fv)):
+        dst[...] = src
 
 
 def _plain_solve(prob):
@@ -758,7 +760,8 @@ def test_sweep_reads_the_closed_form_anticipation_at_every_step(sc):
         assert sol.driver_values.step(k).tobytes() == expected
         # one step recomputed from the closed form gives the solution's fields
         window = (None, None) if delta == 0 else (ey, ez)
-        step = solver._step_values(prob, k, sol.y.step(k + 1), *window)
+        step = tuple(np.empty(lat.n_nodes(k)) for _ in range(6))
+        solver._step_values(prob, k, sol.y.step(k + 1), *window, None, step)
         for got, field in zip(step, (sol.y, sol.z, sol.u, sol.psi, sol.dk)):
             assert got.tobytes() == field.step(k).tobytes()
     # a Picard pass and an iterate-bridge pass frozen at the solution reproduce
