@@ -13,8 +13,11 @@ The output is JSON: every run (exit status, wall seconds from spawn to exit,
 ``ru_maxrss`` in MB, the run's own ``--timing`` phases, and for a CSV the
 sha256 of the table, for a JSON report its y0, ``k_max_path_total``, pass
 flag and check values, for a refused run its last stderr line) and, per format
-and N, each tree's median wall time, largest peak RSS and median of every
-``--timing`` phase (a CSV run's ``emit`` phase is the node table).  The exit
+and N, each tree's median wall time, largest peak RSS, median of every
+``--timing`` phase (a CSV run's ``emit`` phase is the node table) and median
+``outside_phases_s``: a run's wall time less the sum of its phases, which is
+what no phase covers (interpreter start, imports, argument parsing and, for a
+JSON report, its emit).  The exit
 status is 1 when two trees, or two runs of one tree, wrote different CSV bytes
 or JSON check values at some N.
 """
@@ -91,6 +94,13 @@ def run_once(tree: str, scenario: str, out: str, fmt: str = "csv") -> dict:
     return record
 
 
+def outside_phases_s(runs: list[dict]) -> float | None:
+    """Median over the runs that carry ``--timing`` phases of ``wall_s`` less
+    the sum of those phases; None when no run carries them."""
+    gaps = [r["wall_s"] - sum(r["timing"].values()) for r in runs if r.get("timing")]
+    return statistics.median(gaps) if gaps else None
+
+
 def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str,
            fmt: str = "csv") -> dict:
     runs: dict = {name: {str(n): [] for n in steps} for name in trees}
@@ -116,7 +126,8 @@ def ladder(trees: dict[str, str], steps: list[int], repeats: int, workdir: str,
                          "maxrss_mb_max": max(r["maxrss_mb"] for r in done),
                          "exits": sorted({r["exit"] for r in done}),
                          "timing_s_median": {phase: statistics.median(t[phase] for t in timings if phase in t)
-                                             for phase in sorted(set().union(*timings))}}
+                                             for phase in sorted(set().union(*timings))},
+                         "outside_phases_s": outside_phases_s(done)}
             if fmt == "csv":
                 row[name]["sha256"] = sorted({r.get("sha256") or "missing" for r in done})
             else:

@@ -32,14 +32,10 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import comparison as cmp
-from . import stopping as stp
-from .crr import crr_american_put
 from .driver import DriverForm, DriverParseError, GridSpec, TransformedDriver, parse_driver
 from .errors import (
     EnumerationError,
@@ -72,6 +68,8 @@ from .solver import (
     estimate_c_prime,
     validate_solution,
 )
+# comparison, stopping, crr and concurrent.futures are imported, and their
+# functions looked up, only in the calls that use them: a solve loads none
 
 _KNOWN_KEYS = {
     "horizon", "steps", "delta_steps", "lambda", "lambda_max", "driver",
@@ -292,6 +290,7 @@ def load_scenario_with_outputs(
             scenarios.append(_scenario_from_doc(_read_doc(path2)))
         except ScenarioError as exc:
             raise ScenarioError([("--scenario2" + ptr, msg) for ptr, msg in exc.issues]) from None
+        from . import comparison as cmp
         cmp._check_pair(*scenarios)
     outputs = set(doc.get("outputs", []))
     full_size = fmt == "csv" or "stopping" in _workflows(command, outputs)
@@ -505,7 +504,8 @@ def _oracle_section(problem: _Problem, solution: Solution, flags: RunFlags) -> t
         raise ScenarioError(
             [("/oracle", "scenario carries no oracle parameters for --oracle crr")]
         )
-    price = crr_american_put(
+    from . import crr
+    price = crr.crr_american_put(
         spot=float(params["spot"]),
         strike=float(params["strike"]),
         rate=float(params["rate"]),
@@ -534,6 +534,7 @@ def _picard_section(problem: _Problem, solution: Solution, flags: RunFlags) -> t
 
 def _stopping_section(problem: _Problem, solution: Solution, flags: RunFlags) -> tuple[dict, list[dict]]:
     """Each oracle past its enumeration cap reports ``skipped`` and no check."""
+    from . import stopping as stp
     section: dict = {}
     checks: list[dict] = []
     try:
@@ -566,6 +567,7 @@ def _stopping_section(problem: _Problem, solution: Solution, flags: RunFlags) ->
 def _compare_section(problem: _Problem, solution: Solution, flags: RunFlags) -> tuple[dict, list[dict]]:
     if flags.problem2 is None:
         raise ScenarioError([("", "compare requires --scenario2")])
+    from . import comparison as cmp
     scenario = problem.scenario
     case = cmp._given_solution(cmp.ComparisonCase(
         scenario1=scenario, scenario2=flags.problem2.scenario,
@@ -658,11 +660,13 @@ def run_suite(
     if p >= 1.0:
         raise ScenarioError([("--intensity", f"default probability lambda*dt = {p:.6g} >= 1; "
                                              "lower --intensity or raise --steps")])
+    from . import comparison as cmp
     chunk = functools.partial(cmp.run_random_suite, n_steps=n_steps, horizon=horizon, lam=lam, tol=tol)
     sizes = [min(_SUITE_CHUNK, n_cases - start) for start in range(0, n_cases, _SUITE_CHUNK)]
     seeds = range(seed, seed + len(sizes))
     workers = min(workers, len(sizes), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, seeds, sizes))
     else:

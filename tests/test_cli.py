@@ -696,6 +696,8 @@ def test_suite_rejects_zero_cases(capsys):
 
 
 def test_suite_clamps_workers_to_chunks_and_cpus(monkeypatch):
+    import concurrent.futures  # run_suite looks the pool up here, only when workers > 1
+
     started = []
 
     class InlinePool:
@@ -711,7 +713,7 @@ def test_suite_clamps_workers_to_chunks_and_cpus(monkeypatch):
         def map(self, fn, *items):
             return map(fn, *items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "_SUITE_CHUNK", 2)
     serial = cli.run_suite(3, 5, n_steps=3)
