@@ -12,19 +12,22 @@ metric, the raw ``wall_*`` times, the calibration loop and the output digest):
 
 It prints, per workload, seed and side, the median and quartiles of scaled
 ``op_p50_s`` and raw ``wall_op_p50_s``, the median ``calibration_p50_s``, and
-the share of pairs in which the change's value is lower; then the
+the share of pairs in which the change's op time is better; then the
 change/parent ratio of the two op medians, scaled and raw, and of the two
 calibration medians, flagged ``calibration_moved`` when that ratio is off 1 by
 more than ``CALIBRATION_DRIFT``: scaled times then carry the calibration
 loop's own shift (its speed depends on the process's heap layout, which the
 source bytes and the tree's path change), so read the raw ratio.  Then, per end-to-end
-metric, a no-regression verdict against the metric's bound in the parent's
+metric, the evidence for a claim in its own direction (``HIGHER_BETTER``
+lists the metrics where more is better): the share of pairs the change wins
+and the change's median gain over the parent's interquartile range; and a
+no-regression verdict against the metric's bound in the parent's
 ``BENCHMARK.json`` (read only): the change-vs-parent median ratio, and
 ``worse`` when the change's median is worse than the parent's by more than
 the bound, else ``unresolved`` when the parent's own spread (interquartile
 range over median) exceeds the bound and not every change run beats every
 parent run, else ``ok``.  The JSON output holds every run and that summary,
-with the medians of every end-to-end metric.  The exit status is 1 when a run
+with the quartiles of every metric.  The exit status is 1 when a run
 fails (an op failed or perfbench exited non-zero), the two trees' output
 digests differ, or a metric is ``worse``.
 """
@@ -44,6 +47,8 @@ SIDES = ("parent", "change")
 # the end-to-end metrics of a perfbench run, all read from its results record
 END_TO_END = ("op_p50_s", "op_p90_s", "ops_per_s", "setup_s", "peak_rss_mb", "ok_frac")
 RAW = ("wall_op_p50_s", "wall_op_p90_s", "wall_setup_s", "calibration_p50_s")
+# the end-to-end metrics where higher is better; every other one is better lower
+HIGHER_BETTER = ("ops_per_s", "ok_frac")
 # a change/parent ratio of the calibration medians this far off 1 flags the scaled times
 CALIBRATION_DRIFT = 0.05
 
@@ -86,27 +91,28 @@ def verdicts(runs: dict, metrics: list[dict]) -> dict:
 
 
 def summarize(runs: dict) -> dict:
-    """Per side, the quartiles of op_p50_s and wall_op_p50_s and every metric's
-    median; the share of pairs the change's value is lower; the change/parent
-    ratios of the op and calibration medians, and whether the calibration
+    """Per side, the quartiles of every metric; per end-to-end metric and
+    ``wall_op_p50_s``, in the metric's direction, the share of pairs the
+    change wins and its median gain over the parent's interquartile range,
+    with the change/parent median ratio; the calibration ratio and whether it
     moved; digests equal."""
     ok = all(r["exit"] == 0 and r["failed"] == 0 for side in SIDES for r in runs[side])
     if not ok:
         return {"ok": False}
     out: dict = {"ok": True, "pairs": len(runs["change"])}
     for side in SIDES:
-        done = runs[side]
-        out[side] = {key: quartiles([r[key] for r in done]) for key in ("op_p50_s", "wall_op_p50_s")}
-        out[side]["medians"] = {key: statistics.median(r[key] for r in done) for key in END_TO_END + RAW}
-    for key in ("op_p50_s", "wall_op_p50_s"):
-        wins = sum(c[key] < p[key] for p, c in zip(runs["parent"], runs["change"]))
+        out[side] = {key: quartiles([r[key] for r in runs[side]]) for key in END_TO_END + RAW}
+    for key in END_TO_END + ("wall_op_p50_s",):
+        gain = 1.0 if key in HIGHER_BETTER else -1.0  # (change - parent) * gain > 0: the change is better
+        wins = sum((c[key] - p[key]) * gain > 0 for p, c in zip(runs["parent"], runs["change"]))
         parent, change = out["parent"][key]["median"], out["change"][key]["median"]
+        ratio = change / parent if parent else float("nan")
         out[f"{key}_change_wins"] = wins / len(runs["change"])
-        out[f"{key}_median_change_frac"] = change / parent - 1.0
+        out[f"{key}_median_change_frac"] = ratio - 1.0
         out[f"{key}_median_gap_over_parent_iqr"] = (
-            (parent - change) / (out["parent"][key]["q3"] - out["parent"][key]["q1"] or float("nan")))
-        out[f"{key}_ratio"] = change / parent
-    calibration = [out[side]["medians"]["calibration_p50_s"] for side in SIDES]
+            (change - parent) * gain / (out["parent"][key]["q3"] - out["parent"][key]["q1"] or float("nan")))
+        out[f"{key}_ratio"] = ratio
+    calibration = [out[side]["calibration_p50_s"]["median"] for side in SIDES]
     out["calibration_ratio"] = calibration[1] / calibration[0]
     out["calibration_moved"] = abs(out["calibration_ratio"] - 1.0) > CALIBRATION_DRIFT
     out["digests_equal"] = len({r["output_digest"] for side in SIDES for r in runs[side]}) == 1
@@ -151,14 +157,16 @@ def main(argv=None) -> int:
             print(f"{key} change wins: op_p50_s {summary['op_p50_s_change_wins']:.0%}, "
                   f"wall_op_p50_s {summary['wall_op_p50_s_change_wins']:.0%}; "
                   f"digests equal: {summary['digests_equal']}; calibration_p50_s "
-                  + ", ".join(f"{side} {summary[side]['medians']['calibration_p50_s'] * 1e3:.3f} ms" for side in SIDES))
+                  + ", ".join(f"{side} {summary[side]['calibration_p50_s']['median'] * 1e3:.3f} ms" for side in SIDES))
             print(f"{key} change/parent: op_p50_s {summary['op_p50_s_ratio']:.3f} scaled, "
                   f"wall_op_p50_s {summary['wall_op_p50_s_ratio']:.3f} raw; calibration_p50_s "
                   f"{summary['calibration_ratio']:.3f}"
                   + (" calibration_moved: read the raw ratio" if summary["calibration_moved"] else ""))
             summary["verdicts"] = verdicts(runs, metrics)
             for name, v in summary["verdicts"].items():
-                print(f"{key} {name}: change/parent median {v['ratio']:.3f}, parent spread "
+                print(f"{key} {name}: change/parent median {v['ratio']:.3f}, change better in "
+                      f"{summary[f'{name}_change_wins']:.0%} of pairs, median gain "
+                      f"{summary[f'{name}_median_gap_over_parent_iqr']:.2f} parent IQRs, parent spread "
                       f"{v['parent_spread']:.1%}, bound {v['bound']:.0%}: {v['verdict']}")
     result["host"] = {"python": platform.python_version(), "machine": platform.machine(),
                       "cpus": os.cpu_count()}

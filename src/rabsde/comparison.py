@@ -29,6 +29,9 @@ COMPARISON_DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "u"})
 # iterate_sequence stops once successive iterates agree within this sup distance
 _ITERATES_AGREE = 1e-13
 
+# run_random_suite sweeps its cases in batches of at most this many nodes (3 MB of fields)
+_BATCH_NODES = 1 << 16
+
 
 @dataclass(frozen=True)
 class MonotoneReport:
@@ -248,10 +251,17 @@ def _passing_hypotheses(case: ComparisonCase) -> HypothesisReport:
     return case._accepted
 
 
+def _solve_cases(cases: list[ComparisonCase]) -> None:
+    """Solve the cases' unsolved scenarios (on one lattice) in one sweep, kept on the cases."""
+    todo = [(case, which) for case in cases for which in (1, 2) if which not in case._solutions]
+    for (case, which), solution in zip(todo, _solve([_problem(case, which) for case, which in todo])):
+        case._solutions[which] = solution
+
+
 def _solved(case: ComparisonCase, which: int) -> Solution:
-    """Scenario ``which`` (1 or 2) of the case solved, once."""
+    """Scenario ``which`` (1 or 2) of the case solved, once (the pair in one sweep)."""
     if which not in case._solutions:
-        case._solutions[which] = _solve(_problem(case, which))
+        _solve_cases([case])
     return case._solutions[which]
 
 
@@ -516,20 +526,24 @@ def run_random_suite(
     tol: float = CHECK_TOL,
 ) -> SuiteResult:
     """Randomized comparison sweep; the zero-lag subcases exercise the
-    non-anticipated ordering result."""
+    non-anticipated ordering result.  Cases are drawn, then swept, in batches of
+    at most _BATCH_NODES nodes (or one pair); the solves draw nothing from ``rng``."""
     rng = np.random.default_rng(seed)
-    min_gap = math.inf
-    failures = 0
-    deltas = [0, 0, 0]
-    for _ in range(n_cases):
-        # every case is on one grid, and ``case`` holds the previous case's
-        # lattice while the next is drawn: only the first case builds lattices
+    min_gap, failures, deltas, batch = math.inf, 0, [0, 0, 0], []
+    for drawn in range(1, n_cases + 1):
+        # every case is on one grid, and a batch holds its lattice (as ``case``
+        # does while the next batch is drawn): only the first case builds lattices
         case = random_comparison_case(rng, n_steps=n_steps, horizon=horizon, lam=lam)
-        verdict = run_comparison(case, tol=tol)
-        min_gap = _min(min_gap, verdict.min_gap)
-        deltas[case.scenario1.delta_steps] += 1
-        if not verdict.passed:
-            failures += 1
+        batch.append(case)
+        if drawn < n_cases and (len(batch) + 1) * 2 * _problem(case, 1).lattice._slices[-1].stop <= _BATCH_NODES:
+            continue
+        _solve_cases(batch)
+        for case in batch:
+            verdict = run_comparison(case, tol=tol)
+            min_gap = _min(min_gap, verdict.min_gap)
+            deltas[case.scenario1.delta_steps] += 1
+            failures += not verdict.passed
+        batch = []
     return SuiteResult(
         cases=n_cases,
         min_gap=min_gap,

@@ -301,15 +301,16 @@ class DefaultLattice:
                 )
         return out
 
-    def _blocks(self, k: int, values: np.ndarray) -> np.ndarray:
-        """A step-k field as (blocks, k+1)."""
+    def _blocks(self, k: int, values: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """A step-k field as (blocks, k+1); ``stacked``, any stack (..., n) as (..., blocks, k+1)."""
         self._check_step(k)
         n = self._n_nodes[k]
-        if values.shape != (n,):
+        lead = values.shape[:-1] if stacked else ()
+        if values.shape != lead + (n,):
             raise LatticeError(
                 f"field has {values.shape} values, step {k} has {n} nodes"
             )
-        return values.reshape(1 + self._def_blocks[k], k + 1)
+        return values.reshape(lead + (1 + self._def_blocks[k], k + 1))
 
     def step_expectation(self, k: int, values_next: np.ndarray) -> np.ndarray:
         """One-step conditional expectation: E[field at k+1 | node at k]."""
@@ -321,28 +322,29 @@ class DefaultLattice:
         Returns (mean, z, u, psi), written into the four step-k arrays ``out``
         when given, such that on every reachable child value = mean + z*dW +
         u*dM + psi*dW*dM.  Post-default nodes and zero-intensity steps carry u = psi = 0.
+        A stack of fields (..., n) is decomposed field by field, each as its own call would.
         """
         self._check_step(k)
-        V = self._blocks(k + 1, np.asarray(values_next, dtype=float))
+        V = self._blocks(k + 1, np.asarray(values_next, dtype=float), stacked=True)
         p, alive, new, stay = self._coef[k]
-        n_def, width = self._def_blocks[k], k + 1
-        mean, z, u, psi = out if out is not None else (np.empty(self._n_nodes[k]) for _ in range(4))
+        lead, n_def, width = V.shape[:-2], self._def_blocks[k], k + 1
+        mean, z, u, psi = out if out is not None else (np.empty(lead + (self._n_nodes[k],)) for _ in range(4))
         # per block: up child + down child, and the slope between them; row 0
         # is the alive block, row -1 the block defaulting at step k+1
-        sums = V[:, 1:] + V[:, :-1]
-        slopes = (V[:, 1:] - V[:, :-1]) / (2.0 * self.sqrt_dt)
+        sums = V[..., 1:] + V[..., :-1]
+        slopes = (V[..., 1:] - V[..., :-1]) / (2.0 * self.sqrt_dt)
         u[...] = psi[...] = 0.0
         if p > 0.0:
-            mean[:width] = alive * sums[0] + new * sums[-1]
-            z[:width] = stay * slopes[0] + p * slopes[-1]
-            u[:width] = 0.5 * (sums[-1] - sums[0])
-            psi[:width] = slopes[-1] - slopes[0]
+            mean[..., :width] = alive * sums[..., 0, :] + new * sums[..., -1, :]
+            z[..., :width] = stay * slopes[..., 0, :] + p * slopes[..., -1, :]
+            u[..., :width] = 0.5 * (sums[..., -1, :] - sums[..., 0, :])
+            psi[..., :width] = slopes[..., -1, :] - slopes[..., 0, :]
         else:
-            mean[:width] = 0.5 * sums[0]
-            z[:width] = slopes[0]
+            mean[..., :width] = 0.5 * sums[..., 0, :]
+            z[..., :width] = slopes[..., 0, :]
         if n_def:
-            mean[width:] = (0.5 * sums[1 : n_def + 1]).reshape(-1)
-            z[width:] = slopes[1 : n_def + 1].reshape(-1)
+            mean[..., width:] = (0.5 * sums[..., 1 : n_def + 1, :]).reshape(lead + (-1,))
+            z[..., width:] = slopes[..., 1 : n_def + 1, :].reshape(lead + (-1,))
         return mean, z, u, psi
 
     def pullback(self, values: np.ndarray, from_step: int, to_step: int) -> np.ndarray:
@@ -362,15 +364,16 @@ class DefaultLattice:
         each block gets its own n-step binomial average B (n = from_step -
         to_step), and an alive node S * B(alive) + sum_d q_d * B(block of d): S is
         the survival over steps to_step .. from_step-1, q_d the probability of
-        defaulting first at label d in (to_step, from_step]."""
+        defaulting first at label d in (to_step, from_step].  A stack of fields
+        (..., n) is taken field by field, each as its own call would."""
         m, k = from_step, to_step
         if k > m:
             raise LatticeError(f"cannot condition step-{m} data on later step {k}")
         self._check_step(k)
-        V = self._blocks(m, np.ascontiguousarray(values, dtype=float))
-        # windows[b, j, i] = V[b, j + i]: the values node j reaches, read in place
-        windows = np.ndarray((V.shape[0], k + 1, m - k + 1), buffer=V,
-                             strides=(V.strides[0], V.itemsize, V.itemsize))
+        V = self._blocks(m, np.ascontiguousarray(values, dtype=float), stacked=True)
+        # windows[..., b, j, i] = V[..., b, j + i]: the values node j reaches, read in place
+        windows = np.ndarray(V.shape[:-1] + (k + 1, m - k + 1), buffer=V,
+                             strides=V.strides[:-1] + (V.itemsize, V.itemsize))
         B = np.dot(windows, _binomial(m - k))  # one BLAS dot per node
         S, q = 1.0, []
         for pk in self.p[k:m].tolist():
@@ -380,8 +383,9 @@ class DefaultLattice:
         # one block per label in (k, m], so that both lattice kinds sum alike: on
         # a quotient every label clips to the shared block, repeated
         labels = np.arange(self._n_labels[k] + 1, self._n_labels[m] + 1)
-        B[0] = S * B[0] + np.dot(q, B.take(labels, axis=0, mode="clip"))
-        return B[: 1 + self._def_blocks[k]].reshape(-1)
+        # matmul mixes a stack's fields bit for bit as 1-D calls do (np.dot and einsum round differently)
+        B[..., 0, :] = S * B[..., 0, :] + np.matmul(q, B.take(labels, axis=-2, mode="clip"))
+        return B[..., : 1 + self._def_blocks[k], :].reshape(B.shape[:-2] + (-1,))
 
     def push(self, k: int, values: np.ndarray) -> np.ndarray:
         """Carry a step-k field onto its children, max-plus: per child, the

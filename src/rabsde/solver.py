@@ -317,21 +317,14 @@ def _driver_values(prob: _Problem, env: dict, jump: np.ndarray | None):
     return vals if jump is None else vals - jump
 
 
-def _step_values(
-    prob: _Problem,
-    k: int,
-    y_next: np.ndarray,
-    ey: np.ndarray | None,
-    ez: np.ndarray | None,
-    frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-    out: tuple[np.ndarray, ...],
-) -> None:
-    """Solve one backward step into ``out``, step k's (y, z, u, psi, dk, fv)
-    arrays.  The driver reads (y-argument, z, u) from the step's own projection,
+def _step_values(prob: _Problem, k: int, ey: np.ndarray | None, ez: np.ndarray | None,
+                 frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None, out: tuple[np.ndarray, ...]) -> None:
+    """Step k of one problem of a batch, on its rows ``out`` (y, z, u, psi, dk,
+    fv) that hold the projection (the mean in y): y_tilde into dk, the driver
+    values into fv.  The driver reads (y-argument, z, u) from the projection,
     or from ``frozen`` when given; ey and ez default to the y- and z-arguments."""
     lat, dt = prob.lattice, prob.lattice.dt
-    y, z, u, psi, dk, fvals = out
-    mean = lat.project_martingale(k, y_next, (y, z, u, psi))[0]  # the mean is y's until y_tilde is known
+    mean, z, u, psi, y_tilde, fvals = out
     yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
     h = lat.h_values(k)
     env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
@@ -364,50 +357,70 @@ def _step_values(
         )
     if not np.isfinite(fv).all():
         raise SolverError(f"driver produced a non-finite value at step {k}")
-    y_tilde = ynew if implicit else mean + fv * dt
-    fvals[...] = fv  # before y: fv may be the mean itself (a driver "y")
-    np.maximum(y_tilde, prob.obstacle.values[k], out=y)
-    np.subtract(y, y_tilde, out=dk)
+    y_tilde[...] = ynew if implicit else mean + fv * dt
+    fvals[...] = fv
 
 
 @np.errstate(all="ignore")  # library callers see inf and nan values, not numpy warnings
-def _solve(
-    prob: _Problem,
-    frozen_ey: ProcessField | None = None,
-    frozen: _Triple | None = None,
-) -> Solution:
-    """The backward sweep, each step solved into its views of six zero fields.
-    With ``frozen`` (a Picard pass) the driver reads every argument from that
-    previous triple; with ``frozen_ey`` (the iterate bridge) it reads ey from
-    that previous solution's Y field.  A frozen y-argument is Y_k under the
-    implicit scheme and E[Y_{k+1} | F_k] under the explicit one; with delta = 0
-    ey is that y-argument."""
-    lat = prob.lattice
-    N = lat.n_steps
-    delta = prob.scenario.delta_steps
-    fields = [ProcessField.zeros(lat) for _ in range(6)]
-    y, z = fields[0].values, fields[1].values
-    y[N][...] = prob.xi
+def _solve(problems: _Problem | list[_Problem], frozen_ey: ProcessField | None = None,
+           frozen: _Triple | None = None) -> Solution | list[Solution]:
+    """The backward sweep over a batch of problems on one lattice (a bare problem
+    is a batch of one, solved to its Solution).  Each field is one (problems,
+    nodes) array whose rows the solutions hold; per step, one kernel call, one
+    anticipation per lag and one reflection serve the batch, and each driver
+    runs on its problem's rows.  A failure is raised once no earlier problem
+    can fail, as one-by-one solves would.  With ``frozen`` (a Picard pass) the
+    driver reads every argument from that previous triple, with ``frozen_ey``
+    (a bridge iterate) ey from that Y, each for a batch of one; a frozen
+    y-argument is Y_k under the implicit scheme and E[Y_{k+1} | F_k] under the
+    explicit one; with delta = 0 ey is that y-argument."""
+    batch = [problems] if isinstance(problems, _Problem) else problems
+    lat = batch[0].lattice
+    N, cols = lat.n_steps, lat._slices
+    arrays = [np.zeros((len(batch), cols[-1].stop)) for _ in range(6)]
+    fields = [[ProcessField(lat, a[i]) for a in arrays] for i in range(len(batch))]  # each problem's own rows
+    rows = [list(zip(*(f.values for f in problem))) for problem in fields]  # rows[i][k]: problem i's step-k views
+    steps = rows[0] if len(batch) == 1 else list(zip(*([a[:, c] for c in cols] for a in arrays)))  # steps[k]: step-k views
+    stack = lambda arrays: arrays[0] if len(arrays) == 1 else np.stack(arrays)  # a batch of one stays 1-D, fastest
+    arrays[0][:, cols[N]] = [p.xi for p in batch]
     past_y = frozen.y if frozen is not None else frozen_ey
-    ys = y if past_y is None else past_y.values
-    zs = z if frozen is None else frozen.z.values
+    ys = [f[0].values for f in fields] if past_y is None else [past_y.values]  # per problem, ey's and ez's sources
+    zs = [f[1].values for f in fields] if frozen is None else [frozen.z.values]
+    # per lag delta > 0, the anticipations the drivers read: key (0, i) for problem i's ey, (1, i) for its ez
+    lags: dict[int, list] = {}
+    for i, p in enumerate(batch):
+        for key, source, read in (((0, i), ys[i], p.need_ey), ((1, i), zs[i], p.need_ez)):
+            if read and p.scenario.delta_steps:
+                lags.setdefault(p.scenario.delta_steps, []).append((key, source))
+    live, failure = len(batch), None  # the drivers of problems [0, live) are still evaluated
     for k in range(N - 1, -1, -1):
-        # ey and ez stay None for delta == 0: the y- and z-arguments double as them
-        m = min(k + delta, N)
-        ey = lat.expectation(ys[m], m, k) if prob.need_ey and delta else None
-        ez = lat.expectation(zs[m], m, k) if prob.need_ez and delta else None
-        fixed = None
-        if frozen is not None or (frozen_ey is not None and delta == 0 and prob.need_ey):
-            if prob.scenario.scheme is Scheme.IMPLICIT:
-                yarg = ys[k]
-            else:
-                yarg = lat.step_expectation(k, ys[k + 1])
-            if frozen is None:
-                ey = yarg
-            else:
-                fixed = (yarg, zs[k], frozen.u.values[k])
-        _step_values(prob, k, y[k + 1], ey, ez, fixed, [f.values[k] for f in fields])
-    return Solution(prob, *fields, diagnostics={"scheme": prob.scenario.scheme.value})
+        lat.project_martingale(k, steps[k + 1][0], steps[k][:4])  # the mean is y's until y_tilde is known
+        ahead = {}  # ey and ez stay None for delta == 0: the y- and z-arguments double as them
+        for delta, wanted in lags.items():
+            m = min(k + delta, N)
+            values = lat.expectation(stack([s[m] for _, s in wanted]), m, k).reshape(len(wanted), -1)
+            ahead.update(zip((key for key, _ in wanted), values))
+        for i, p in enumerate(batch[:live]):
+            ey, ez, fixed = ahead.get((0, i)), ahead.get((1, i)), None
+            if frozen is not None or (frozen_ey is not None and p.scenario.delta_steps == 0 and p.need_ey):
+                implicit = p.scenario.scheme is Scheme.IMPLICIT
+                yarg = ys[i][k] if implicit else lat.step_expectation(k, ys[i][k + 1])
+                ey, fixed = (yarg, None) if frozen is None else (ey, (yarg, zs[i][k], frozen.u.values[k]))
+            try:
+                _step_values(p, k, ey, ez, fixed, rows[i][k])
+            except (SolverError, DriverEvalError) as exc:
+                if not i:
+                    raise
+                live, failure = i, exc  # rows from i on still ride the batch's kernel calls, unread
+                break
+        # the reflection: y_tilde (in dk) capped below at the obstacles, stacked for this step only
+        y, dk = steps[k][0], steps[k][4]
+        np.maximum(dk, stack([p.obstacle.values[k] for p in batch]), out=y)
+        np.subtract(y, dk, out=dk)
+    if failure is not None:
+        raise failure
+    solutions = [Solution(p, *fields[i], {"scheme": p.scenario.scheme.value}) for i, p in enumerate(batch)]
+    return solutions[0] if isinstance(problems, _Problem) else solutions
 
 
 def _max(acc: float, value) -> float:
@@ -603,7 +616,7 @@ class ValidationReport:
 
 # validate_solution takes the steps whose first node falls in one window of
 # this many nodes (of the whole lattice's) as one chunk
-_CHUNK_NODES = 1 << 10
+_CHUNK_NODES = 1 << 14
 
 
 def _edges(p: np.ndarray, off: np.ndarray, k0: int, k1: int):

@@ -303,9 +303,10 @@ def test_compare_prepares_and_solves_each_scenario_once(tmp_path, monkeypatch):
         prepared.append(scenario.name)
         return prepare(scenario, lattice)
 
-    def counted_solve(prob, frozen_ey=None, frozen=None):
-        (solved if frozen_ey is None else iterated).append(prob.scenario.name)
-        return solve(prob, frozen_ey=frozen_ey, frozen=frozen)
+    def counted_solve(problems, frozen_ey=None, frozen=None):
+        batch = [problems] if isinstance(problems, solver._Problem) else problems
+        (solved if frozen_ey is None else iterated).extend(prob.scenario.name for prob in batch)
+        return solve(problems, frozen_ey=frozen_ey, frozen=frozen)
 
     for module in (solver, comparison, cli):
         monkeypatch.setattr(module, "_prepare", counted_prepare)
@@ -1098,9 +1099,10 @@ def test_compare_uses_the_quotient_only_when_neither_terminal_reads_tau(tmp_path
     kinds = []
     solve = solver._solve
 
-    def recorded(prob, **kwargs):
-        kinds.append(prob.lattice.quotient)
-        return solve(prob, **kwargs)
+    def recorded(problems, **kwargs):
+        batch = [problems] if isinstance(problems, solver._Problem) else problems
+        kinds.extend(prob.lattice.quotient for prob in batch)
+        return solve(problems, **kwargs)
 
     monkeypatch.setattr(cli, "_solve", recorded)
     monkeypatch.setattr(comparison, "_solve", recorded)

@@ -505,6 +505,57 @@ def test_random_suite_seed_0_is_pinned():
     assert run_random_suite(0, 1000) == SuiteResult(1000, 0.0010000000000000009, 0, (340, 320, 340))
 
 
+def _recording_batches(monkeypatch) -> list:
+    """Patch comparison._solve to record, per call, the batch size and how many
+    solutions of earlier calls are still alive when it starts."""
+    solve, calls, earlier = comparison._solve, [], []
+
+    def recorded(problems, **kwargs):
+        calls.append((len(problems), sum(ref() is not None for ref in earlier)))
+        solutions = solve(problems, **kwargs)
+        earlier.extend(weakref.ref(s.y) for s in solutions)
+        return solutions
+
+    monkeypatch.setattr(comparison, "_solve", recorded)
+    return calls
+
+
+def test_a_suite_chunk_is_solved_in_one_sweep(monkeypatch):
+    calls = _recording_batches(monkeypatch)
+    result = run_random_suite(5, 10)
+    assert calls == [(20, 0)] and result.cases == 10 and result.failures == 0
+
+
+def test_a_pair_past_the_batch_budget_is_swept_alone(monkeypatch):
+    # as the suite did before batching: no earlier pair's solutions are alive
+    # while the next pair is solved
+    batched = run_random_suite(6, 5, n_steps=8)
+    calls = _recording_batches(monkeypatch)
+    monkeypatch.setattr(comparison, "_BATCH_NODES", 100)  # below a pair at N = 8: 2 * 89 quotient nodes
+    assert run_random_suite(6, 5, n_steps=8) == batched
+    assert calls == [(2, 0)] * 5
+
+
+def test_a_failing_pair_raises_the_first_scenarios_error_as_one_by_one_solves_do():
+    # scenario 1 fails at step 6, scenario 2 at step 7, which the sweep reaches first
+    s1, s2 = (make_scenario(n_steps=8, lam=0.3, driver="0.5*y*y", scheme="implicit", terminal=f"{c} + w")
+              for c in (1, 2))
+    messages = []
+    for sc in (s1, s2):
+        with pytest.raises(SolverError) as exc:
+            solve_backward(sc)
+        messages.append(str(exc.value))
+    assert messages == ["driver produced a non-finite value at step 6",
+                        "driver produced a non-finite value at step 7"]
+    for which in (1, 2):
+        with pytest.raises(SolverError, match=f"^{messages[0]}$"):
+            comparison._solved(ComparisonCase(scenario1=s1, scenario2=s2, grid=GRID), which)
+    # a failing scenario 2 is raised once scenario 1 is swept through
+    ok = make_scenario(n_steps=8, lam=0.3, driver="0.5*y*y", scheme="implicit", terminal="0.1")
+    with pytest.raises(SolverError, match=f"^{messages[1]}$"):
+        comparison._solved(ComparisonCase(scenario1=ok, scenario2=s2, grid=GRID), 1)
+
+
 def _case_with_nan_in_solution1(step):
     case = random_comparison_case(np.random.default_rng(7))
     sol1 = solve_backward(case.scenario1)

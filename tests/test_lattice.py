@@ -465,18 +465,38 @@ def test_closed_form_expectation_equals_the_tower(case):
     assert np.max(np.abs(got - lat.pullback(values, m, k))) <= 1e-13 * np.max(np.abs(values))
 
 
-def test_no_kernel_method_takes_a_stack():
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("lam", [(0.3, 0.0, 0.0, 0.9, 0.0, 0.3), (0.0,) * 6], ids=["mixed", "zero"])
+def test_a_stack_is_projected_and_anticipated_as_its_rows_are(quotient, lam):
+    # steps 1, 2 and 4 have p_k = 0; from step 1 or 2 no label is reachable
+    # two steps on, so the anticipation's mix weights q are empty there
+    lat = lattice_module.DefaultLattice(1.0, 6, IntensitySpec(values=lam, lambda_max=0.9), quotient=quotient)
+    rng = np.random.default_rng(11)
+    for k in range(6):
+        stack = rng.normal(size=(3, lat.n_nodes(k + 1))) * 10.0 ** rng.uniform(-3, 3, size=(3, 1))
+        for got, want in zip(lat.project_martingale(k, stack), zip(*(lat.project_martingale(k, r) for r in stack))):
+            assert got.tobytes() == np.stack(want).tobytes()
+        for delta in range(0, 7 - k):  # every lag, m = k .. N
+            m = k + delta
+            stack = rng.normal(size=(2, 3, lat.n_nodes(m))) * 10.0 ** rng.uniform(-3, 3, size=(2, 3, 1))
+            want = np.stack([[lat.expectation(r, m, k) for r in rows] for rows in stack])
+            assert lat.expectation(stack, m, k).tobytes() == want.tobytes()
+
+
+def test_only_the_projection_and_the_anticipation_take_a_stack():
     lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError):
         lat.push(1, np.ones((2, 4)))
     with pytest.raises(LatticeError):
-        lat.project_martingale(0, np.ones((2, 4)))
-    with pytest.raises(LatticeError):
-        lat.step_expectation(0, np.ones((2, 4)))
-    with pytest.raises(LatticeError):
-        lat.step_expectation(0, np.ones((4, 2)))
-    with pytest.raises(LatticeError):
-        lat.step_expectation(0, np.float64(1.0))
+        lattice_module.DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2), quotient=True).lift(1, np.ones((2, 4)))
+    assert lat.project_martingale(0, np.ones((2, 4)))[0].shape == (2, 1)
+    assert lat.expectation(np.ones((3, 2, 9)), 2, 0).shape == (3, 2, 1)
+    # a stack's last axis is the step's nodes, 4 at step 1
+    for values in (np.ones((4, 2)), np.float64(1.0), np.ones((4, 9))):
+        with pytest.raises(LatticeError):
+            lat.step_expectation(0, values)
+        with pytest.raises(LatticeError):
+            lat.expectation(values, 1, 0)
 
 
 # Functions that may still walk the lattice node by node.  The Snell oracle's

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -76,3 +77,23 @@ def test_the_verdicts_and_the_exit_rule_do_not_read_the_calibration(tmp_path, mo
     records["change"] = _record(0.013, 0.00198)
     assert pp.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                     "--workload", "solve_kernel", "--pairs", "2"]) == 1
+
+
+def test_a_higher_better_claim_is_judged_in_its_own_direction():
+    pp = _perf_pairs()
+    runs = _runs([(0.010, 0.002)] * 5, [(0.010, 0.002)] * 5)
+    # the change serves more ops per second in 4 of 5 pairs, and uses more memory in every pair
+    for run, (parent, change) in zip(zip(runs["parent"], runs["change"]),
+                                     [(100, 104), (101, 106), (99, 105), (102, 101), (98, 107)]):
+        run[0]["ops_per_s"], run[1]["ops_per_s"] = parent, change
+        run[1]["peak_rss_mb"] = 41.0
+    summary = pp.summarize(runs)
+    assert summary["ops_per_s_change_wins"] == pytest.approx(0.8)
+    # medians 100 and 105 over the parent's quartiles 98.5 and 101.5
+    assert summary["ops_per_s_median_gap_over_parent_iqr"] == pytest.approx(5.0 / 3.0)
+    assert summary["ops_per_s_ratio"] == pytest.approx(1.05)
+    assert summary["peak_rss_mb_change_wins"] == 0.0 and summary["peak_rss_mb_ratio"] == pytest.approx(1.025)
+    assert math.isnan(summary["peak_rss_mb_median_gap_over_parent_iqr"])  # a parent IQR of 0
+    # ties win nothing, whichever the direction
+    assert summary["ok_frac_change_wins"] == 0.0 and summary["setup_s_change_wins"] == 0.0
+    assert summary["parent"]["ops_per_s"] == {"q1": 98.5, "median": 100, "q3": 101.5}

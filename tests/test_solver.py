@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import importlib.util
+import itertools
 import math
 import pathlib
 import tracemalloc
@@ -460,12 +461,13 @@ def test_an_overflowing_implicit_solve_raises_its_error_and_no_warning():
             solve_backward(sc)
 
 
-def _plain_fixed_point_step(prob, k, y_next, ey, ez, frozen, out):
+def _plain_fixed_point_step(prob, k, ey, ez, frozen, out):
     """``solver._step_values`` as it was before the Aitken step: the implicit
-    scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt from the mean, plainly;
-    step k's (y, z, u, psi, dk, driver values) are written into ``out``."""
+    scheme iterates y -> E[Y_{k+1} | F_k] + F(y) dt from the mean, plainly.
+    ``out`` holds step k's (y, z, u, psi, dk, driver values) rows, the first
+    four the projection (y the mean); y_tilde is written to dk."""
     lat, dt = prob.lattice, prob.lattice.dt
-    mean, z, u, psi = lat.project_martingale(k, y_next)
+    mean, z, u, psi = out[:4]
     yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
     h = lat.h_values(k)
     env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
@@ -489,10 +491,8 @@ def _plain_fixed_point_step(prob, k, y_next, ey, ez, frozen, out):
         raise SolverError(f"implicit inner loop did not converge at step {k}")
     if not np.isfinite(fv).all():
         raise SolverError(f"driver produced a non-finite value at step {k}")
-    y_tilde = ynew if implicit else mean + fv * dt
-    y = np.maximum(y_tilde, prob.obstacle.step(k))
-    for dst, src in zip(out, (y, z, u, psi, y - y_tilde, fv)):
-        dst[...] = src
+    out[4][...] = ynew if implicit else mean + fv * dt
+    out[5][...] = fv
 
 
 def _plain_solve(prob):
@@ -744,6 +744,37 @@ def _anticipating_scenarios(draw):
     )
 
 
+_FIELDS = ("y", "z", "u", "psi", "dk", "driver_values")
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("tau", [False, True], ids=["quotient", "full"])
+def test_a_batch_sweep_equals_each_problem_solved_alone(lam, tau):
+    # every scheme, form and lag delta in {0, 1, 2, N} on one lattice; a
+    # terminal that reads tau puts the batch on the full lattice
+    n, drivers = 6, ["-0.4*y + 0.1*ey - 0.1*u - 0.8", "0.8*y - 0.3*ez + 0.2*z - 0.8",
+                     "max(y, 0.2) - 0.2*ey + 0.1*u - 0.8", "0.1*ey - 0.2*ez + 0.3*y - 0.8"]
+    scenarios = [make_scenario(n_steps=n, lam=lam, delta_steps=delta, driver=drivers[i % 4], form=form,
+                               scheme=scheme, obstacle=f"max(0.3 - w, 0) - {0.05 + 0.01 * i!r}*t",
+                               terminal="max(0.3 - w, 0) + 0.4*h" + (" + 0.1*tau" if tau and i == 5 else ""))
+                 for i, (scheme, form, delta) in enumerate(itertools.product(
+                     ("explicit", "implicit"), ("H", "M"), (0, 1, 2, n)))]
+    lat = solver._lattice_for(*scenarios)
+    assert lat.quotient is not tau
+    problems = [solver._prepare(sc, lat) for sc in scenarios]
+    batch = solver._solve(problems)
+    assert [s.problem for s in batch] == problems
+    assert all(np.any(s.dk.nodes > 0.0) for s in batch)  # every obstacle binds somewhere
+    for got, prob in zip(batch, problems):
+        alone = solver._solve(prob)
+        for name in _FIELDS:
+            assert getattr(got, name).nodes.tobytes() == getattr(alone, name).nodes.tobytes(), name
+    # the batch's leading prefix, and a batch of one, sweep alike
+    for size in (1, 5):
+        for got, want in zip(solver._solve(problems[:size]), batch):
+            assert all(getattr(got, f).nodes.tobytes() == getattr(want, f).nodes.tobytes() for f in _FIELDS)
+
+
 @given(_anticipating_scenarios())
 @settings(max_examples=120, deadline=None)
 def test_sweep_reads_the_closed_form_anticipation_at_every_step(sc):
@@ -761,7 +792,10 @@ def test_sweep_reads_the_closed_form_anticipation_at_every_step(sc):
         # one step recomputed from the closed form gives the solution's fields
         window = (None, None) if delta == 0 else (ey, ez)
         step = tuple(np.empty(lat.n_nodes(k)) for _ in range(6))
-        solver._step_values(prob, k, sol.y.step(k + 1), *window, None, step)
+        lat.project_martingale(k, sol.y.step(k + 1), step[:4])
+        solver._step_values(prob, k, *window, None, step)
+        np.maximum(step[4], prob.obstacle.step(k), out=step[0])  # the sweep's reflection
+        np.subtract(step[0], step[4], out=step[4])
         for got, field in zip(step, (sol.y, sol.z, sol.u, sol.psi, sol.dk)):
             assert got.tobytes() == field.step(k).tobytes()
     # a Picard pass and an iterate-bridge pass frozen at the solution reproduce
@@ -834,9 +868,8 @@ def _count_calls(monkeypatch, *names):
 def test_one_kernel_call_per_step_for_anticipation(monkeypatch, driver):
     sc = make_scenario(n_steps=12, lam=0.3, delta_steps=4, driver=driver, scheme="implicit")
     counts = _count_calls(monkeypatch, "expectation", "step_expectation", "pullback")
-    # one closed form per step for each of ey and ez that the driver reads
-    want = {"expectation": 12 * (("ey" in driver) + ("ez" in driver)), "step_expectation": 0,
-            "pullback": 0}
+    # one closed form per step for ey and ez together, whichever the driver reads
+    want = {"expectation": 12, "step_expectation": 0, "pullback": 0}
     sol = solve_backward(sc)
     assert counts == want
     # validation finds children by index arithmetic: no kernel call at all
