@@ -527,7 +527,7 @@ def run_random_suite(
 ) -> SuiteResult:
     """Randomized comparison sweep; the zero-lag subcases exercise the
     non-anticipated ordering result.  Cases are drawn, then swept, in batches of
-    at most _BATCH_NODES nodes (or one pair); the solves draw nothing from ``rng``."""
+    at most _BATCH_NODES nodes (or one pair), which draw nothing from ``rng``."""
     rng = np.random.default_rng(seed)
     min_gap, failures, deltas, batch = math.inf, 0, [0, 0, 0], []
     for drawn in range(1, n_cases + 1):

@@ -331,17 +331,19 @@ class DefaultLattice:
         mean, z, u, psi = out if out is not None else (np.empty(lead + (self._n_nodes[k],)) for _ in range(4))
         # per block: up child + down child, and the slope between them; row 0
         # is the alive block, row -1 the block defaulting at step k+1
-        sums = V[..., 1:] + V[..., :-1]
-        slopes = (V[..., 1:] - V[..., :-1]) / (2.0 * self.sqrt_dt)
+        hi, lo = V[..., 1:], V[..., :-1]
+        sums, slopes = hi + lo, (hi - lo) / (2.0 * self.sqrt_dt)
+        alive_sum, alive_slope = sums[..., 0, :], slopes[..., 0, :]
         u[...] = psi[...] = 0.0
         if p > 0.0:
-            mean[..., :width] = alive * sums[..., 0, :] + new * sums[..., -1, :]
-            z[..., :width] = stay * slopes[..., 0, :] + p * slopes[..., -1, :]
-            u[..., :width] = 0.5 * (sums[..., -1, :] - sums[..., 0, :])
-            psi[..., :width] = slopes[..., -1, :] - slopes[..., 0, :]
+            new_sum, new_slope = sums[..., -1, :], slopes[..., -1, :]
+            mean[..., :width] = alive * alive_sum + new * new_sum
+            z[..., :width] = stay * alive_slope + p * new_slope
+            u[..., :width] = 0.5 * (new_sum - alive_sum)
+            psi[..., :width] = new_slope - alive_slope
         else:
-            mean[..., :width] = 0.5 * sums[..., 0, :]
-            z[..., :width] = slopes[..., 0, :]
+            mean[..., :width] = 0.5 * alive_sum
+            z[..., :width] = alive_slope
         if n_def:
             mean[..., width:] = (0.5 * sums[..., 1 : n_def + 1, :]).reshape(lead + (-1,))
             z[..., width:] = slopes[..., 1 : n_def + 1, :].reshape(lead + (-1,))

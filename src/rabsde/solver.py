@@ -319,12 +319,13 @@ def _driver_values(prob: _Problem, env: dict, jump: np.ndarray | None):
 
 def _step_values(prob: _Problem, k: int, ey: np.ndarray | None, ez: np.ndarray | None,
                  frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None, out: tuple[np.ndarray, ...]) -> None:
-    """Step k of one problem of a batch, on its rows ``out`` (y, z, u, psi, dk,
-    fv) that hold the projection (the mean in y): y_tilde into dk, the driver
-    values into fv.  The driver reads (y-argument, z, u) from the projection,
-    or from ``frozen`` when given; ey and ez default to the y- and z-arguments."""
+    """Solve one backward step into ``out``, step k's (y, z, u, psi, dk, fv)
+    arrays, whose first four hold the step's projection (the mean in y).  The
+    driver reads (y-argument, z, u) from the projection, or from ``frozen``
+    when given; ey and ez default to the y- and z-arguments."""
     lat, dt = prob.lattice, prob.lattice.dt
-    mean, z, u, psi, y_tilde, fvals = out
+    y, z, u, psi, dk, fvals = out
+    mean = y  # y's until y_tilde is known
     yarg, zarg, uarg = frozen if frozen is not None else (mean, z, u)
     h = lat.h_values(k)
     env = {"t": k * dt, "w": lat.w_values(k), "h": h, "z": zarg, "u": uarg,
@@ -357,8 +358,10 @@ def _step_values(prob: _Problem, k: int, ey: np.ndarray | None, ez: np.ndarray |
         )
     if not np.isfinite(fv).all():
         raise SolverError(f"driver produced a non-finite value at step {k}")
-    y_tilde[...] = ynew if implicit else mean + fv * dt
-    fvals[...] = fv
+    y_tilde = ynew if implicit else mean + fv * dt
+    fvals[...] = fv  # before y: fv may be the mean itself (a driver "y")
+    np.maximum(y_tilde, prob.obstacle.values[k], out=y)
+    np.subtract(y, y_tilde, out=dk)
 
 
 @np.errstate(all="ignore")  # library callers see inf and nan values, not numpy warnings
@@ -366,46 +369,45 @@ def _solve(problems: _Problem | list[_Problem], frozen_ey: ProcessField | None =
            frozen: _Triple | None = None) -> Solution | list[Solution]:
     """The backward sweep over a batch of problems on one lattice (a bare problem
     is a batch of one, solved to its Solution).  Each field is one (problems,
-    nodes) array whose rows the solutions hold; per step, one kernel call, one
-    anticipation per lag and one reflection serve the batch, and each driver
-    runs on its problem's rows.  A failure is raised once no earlier problem
-    can fail, as one-by-one solves would.  With ``frozen`` (a Picard pass) the
-    driver reads every argument from that previous triple, with ``frozen_ey``
-    (a bridge iterate) ey from that Y, each for a batch of one; a frozen
-    y-argument is Y_k under the implicit scheme and E[Y_{k+1} | F_k] under the
-    explicit one; with delta = 0 ey is that y-argument."""
+    nodes) array whose rows the solutions hold; per step, one projection and
+    one anticipation per lag and field read serve the batch, while each
+    problem's driver and reflection run on its own rows.  A failure is raised
+    once no earlier problem can fail, as one-by-one solves would.  With
+    ``frozen`` (a Picard pass) the driver reads every argument from that
+    previous triple, with ``frozen_ey`` (a bridge iterate) ey from that Y, each
+    for a batch of one: a frozen y-argument is Y_k (implicit) or E[Y_{k+1} | F_k]
+    (explicit), and with delta = 0 ey is that y-argument."""
     batch = [problems] if isinstance(problems, _Problem) else problems
     lat = batch[0].lattice
     N, cols = lat.n_steps, lat._slices
     arrays = [np.zeros((len(batch), cols[-1].stop)) for _ in range(6)]
+    arrays[0][:, cols[N]] = [p.xi for p in batch]
     fields = [[ProcessField(lat, a[i]) for a in arrays] for i in range(len(batch))]  # each problem's own rows
     rows = [list(zip(*(f.values for f in problem))) for problem in fields]  # rows[i][k]: problem i's step-k views
-    steps = rows[0] if len(batch) == 1 else list(zip(*([a[:, c] for c in cols] for a in arrays)))  # steps[k]: step-k views
-    stack = lambda arrays: arrays[0] if len(arrays) == 1 else np.stack(arrays)  # a batch of one stays 1-D, fastest
-    arrays[0][:, cols[N]] = [p.xi for p in batch]
+    # steps[k]: the batch's step-k (y, z, u, psi) views; a batch of one's own rows serve (faster than (1, n) views)
+    steps = rows[0] if len(batch) == 1 else [[a[:, c] for a in arrays[:4]] for c in cols]
     past_y = frozen.y if frozen is not None else frozen_ey
-    ys = [f[0].values for f in fields] if past_y is None else [past_y.values]  # per problem, ey's and ez's sources
-    zs = [f[1].values for f in fields] if frozen is None else [frozen.z.values]
-    # per lag delta > 0, the anticipations the drivers read: key (0, i) for problem i's ey, (1, i) for its ez
-    lags: dict[int, list] = {}
-    for i, p in enumerate(batch):
-        for key, source, read in (((0, i), ys[i], p.need_ey), ((1, i), zs[i], p.need_ez)):
-            if read and p.scenario.delta_steps:
-                lags.setdefault(p.scenario.delta_steps, []).append((key, source))
+    # (delta, 0) per lag delta > 0 at which a driver reads ey, (delta, 1) for ez, from the batch's or frozen Y and Z
+    reads = sorted({(p.scenario.delta_steps, j) for p in batch if p.scenario.delta_steps
+                    for j, read in enumerate((p.need_ey, p.need_ez)) if read})
+    sources = [[s[j] for s in steps] if field is None else field.values
+               for j, field in enumerate((past_y, frozen.z if frozen is not None else None))]
     live, failure = len(batch), None  # the drivers of problems [0, live) are still evaluated
     for k in range(N - 1, -1, -1):
-        lat.project_martingale(k, steps[k + 1][0], steps[k][:4])  # the mean is y's until y_tilde is known
-        ahead = {}  # ey and ez stay None for delta == 0: the y- and z-arguments double as them
-        for delta, wanted in lags.items():
+        lat.project_martingale(k, steps[k + 1][0], steps[k][:4])
+        ahead = {}
+        for delta, j in reads:
             m = min(k + delta, N)
-            values = lat.expectation(stack([s[m] for _, s in wanted]), m, k).reshape(len(wanted), -1)
-            ahead.update(zip((key for key, _ in wanted), values))
+            ahead[delta, j] = lat.expectation(sources[j][m], m, k).reshape(len(batch), -1)
         for i, p in enumerate(batch[:live]):
-            ey, ez, fixed = ahead.get((0, i)), ahead.get((1, i)), None
-            if frozen is not None or (frozen_ey is not None and p.scenario.delta_steps == 0 and p.need_ey):
+            # ey and ez stay None for delta == 0: the y- and z-arguments double as them
+            delta, fixed = p.scenario.delta_steps, None
+            ey = ahead[delta, 0][i] if p.need_ey and delta else None
+            ez = ahead[delta, 1][i] if p.need_ez and delta else None
+            if frozen is not None or (frozen_ey is not None and delta == 0 and p.need_ey):
                 implicit = p.scenario.scheme is Scheme.IMPLICIT
-                yarg = ys[i][k] if implicit else lat.step_expectation(k, ys[i][k + 1])
-                ey, fixed = (yarg, None) if frozen is None else (ey, (yarg, zs[i][k], frozen.u.values[k]))
+                yarg = past_y.values[k] if implicit else lat.step_expectation(k, past_y.values[k + 1])
+                ey, fixed = (yarg, None) if frozen is None else (ey, (yarg, frozen.z.values[k], frozen.u.values[k]))
             try:
                 _step_values(p, k, ey, ez, fixed, rows[i][k])
             except (SolverError, DriverEvalError) as exc:
@@ -413,10 +415,6 @@ def _solve(problems: _Problem | list[_Problem], frozen_ey: ProcessField | None =
                     raise
                 live, failure = i, exc  # rows from i on still ride the batch's kernel calls, unread
                 break
-        # the reflection: y_tilde (in dk) capped below at the obstacles, stacked for this step only
-        y, dk = steps[k][0], steps[k][4]
-        np.maximum(dk, stack([p.obstacle.values[k] for p in batch]), out=y)
-        np.subtract(y, dk, out=dk)
     if failure is not None:
         raise failure
     solutions = [Solution(p, *fields[i], {"scheme": p.scenario.scheme.value}) for i, p in enumerate(batch)]
