@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import re
 import weakref
@@ -31,7 +32,7 @@ from rabsde.comparison import (
 from rabsde.driver import DriverExpr, GridSpec, parse_driver
 from rabsde.errors import DriverEvalError, HypothesisError, MonotonicityError, PicardConvergenceError, SolverError
 from rabsde.lattice import DefaultLattice
-from rabsde.solver import obstacle_field, solve_backward, solve_picard
+from rabsde.solver import obstacle_field, solve_backward, solve_picard, terminal_values
 
 GRID = GridSpec(points=5, n_base=16, seed=0)
 
@@ -503,6 +504,39 @@ def test_generator_refuses_an_oversized_lattice():
 
 def test_random_suite_seed_0_is_pinned():
     assert run_random_suite(0, 1000) == SuiteResult(1000, 0.0010000000000000009, 0, (340, 320, 340))
+
+
+def _ref_report(case):
+    """``check_hypotheses`` by the per-env loops, and the gaps from the node data
+    evaluated on the case's lattice."""
+    s1, s2 = case.scenario1, case.scenario2
+    lat = comparison._problem(case, 1).lattice
+    per_step = zip(obstacle_field(s1, lat).values, obstacle_field(s2, lat).values)
+    return comparison.HypothesisReport(
+        monotone=_ref_monotone(s2.driver.base, case.grid),
+        terminal_gap=float(np.min(terminal_values(s1, lat) - terminal_values(s2, lat))),
+        obstacle_gap=min(float(np.min(a - b)) for a, b in per_step),
+        theta=_ref_theta(s1.driver.base, lambda t: lat.intensity.at_time(t, lat.dt), case.grid),
+        dominance=_ref_dominance(s1.driver.base, s2.driver.base, case.grid),
+    )
+
+
+def test_every_checked_candidates_report_is_pinned_and_equals_the_per_env_loops(monkeypatch):
+    # every report check_hypotheses returns, rejected candidates included; repr
+    # tells -0.0 from 0.0, so equal digests are equal witnesses and gaps
+    checked, check = [], comparison.check_hypotheses
+    monkeypatch.setattr(comparison, "check_hypotheses", lambda case: checked.append((case, check(case))) or checked[-1][1])
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        for lam in (0.3, 0.0):
+            for n_steps in (6, 9):
+                run_random_suite(seed, 50, n_steps=n_steps, lam=lam)
+    for case, report in checked:
+        digest.update(repr(report).encode())
+    assert len(checked) > 12 * 50 and sum(not r.all_pass for _, r in checked) > 0
+    assert digest.hexdigest() == "5aa154efced22e5f246a7fb90bf7d015b5460d477ebe35b391433c818669ee82"
+    for case, report in checked:
+        assert repr(report) == repr(_ref_report(case))
 
 
 def _recording_batches(monkeypatch) -> list:
