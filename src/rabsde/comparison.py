@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import (BinOp, Call, DriverExpr, DriverForm, Expr, GridSpec, Neg, Num, TransformedDriver,
-                     Var, _as_lambda_of_t, _free_vars, _grid_env, _grid_values, _row)
+from .driver import (BinOp, Call, DriverExpr, DriverForm, Expr, GridSpec, GridSweep, Neg, Num,
+                     TransformedDriver, Var, _free_vars, _lambda_at)
 from .errors import DriverEvalError, HypothesisError, MonotonicityError, SolverError
 from .lattice import IntensitySpec
 from .solver import CHECK_TOL, Scenario, Scheme, Solution, _lattice_for, _max, _min, _Problem, _prepare, _solve
@@ -57,95 +57,91 @@ class DominanceReport:
     witness: dict | None
 
 
-def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec) -> MonotoneReport:
-    """Finite-difference test that g is nondecreasing in the ey slot."""
-    if "ey" not in g.free_vars:
+def _hypothesis_sweep(grid: GridSpec, g1: DriverExpr, g2: DriverExpr) -> GridSweep:
+    """The one grid sweep of the three driver hypotheses: group 0 sweeps g2's
+    ey, group 1 each variable of either driver (y for two constants), group 2
+    g1's u with t in its base; group 0 or 2 is None when the driver ignores
+    that slot."""
+    shared = sorted(g1.free_vars | g2.free_vars)
+    return GridSweep(grid, [(sorted(g2.free_vars - {"ey"}), ("ey",)) if "ey" in g2.free_vars else None,
+                            (shared, shared or ["y"]),
+                            (sorted(g1.free_vars - {"u"} | {"t"}), ("u",)) if "u" in g1.free_vars else None])
+
+
+def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec | GridSweep) -> MonotoneReport:
+    """Finite-difference test that g is nondecreasing in the ey slot: the first
+    violation in base-row order, where a non-finite row raises unless a
+    violation precedes it.  ``grid`` may be the sweep of a pair whose g2 is g."""
+    sweep = grid if isinstance(grid, GridSweep) else _hypothesis_sweep(grid, g, g)
+    group = sweep.groups[0]
+    if group is None:
         return MonotoneReport(passed=True, witness=None)
-    names = sorted(g.free_vars - {"ey"})
-    base = grid.base_sample(names)
-    sweep = grid.axis("ey")
-    vals = _grid_values(g.compiled(), _grid_env(names, base, {"ey": sweep}))[0]
-    finite = np.all(np.isfinite(vals), axis=1)
-    with np.errstate(invalid="ignore"):
-        bad = np.diff(vals) < -1e-12
-    # rows in base-env order: a non-finite row raises unless a violation precedes it
-    rows = np.nonzero(~finite | np.any(bad, axis=1))[0]
-    if not rows.size:
+    (vals,) = sweep.values(g, group)
+    finite = np.isfinite(vals).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        bad = vals[:, 1:] - vals[:, :-1] < -1e-12
+    events = bad | ~finite[:, None]
+    r, i = divmod(int(events.argmax()), events.shape[1])
+    if not events[r, i]:
         return MonotoneReport(passed=True, witness=None)
-    r = int(rows[0])
     if not finite[r]:
         raise DriverEvalError("non-finite driver value on the monotonicity grid")
-    i = int(np.argmax(bad[r]))
+    (axis,) = group.axes
     return MonotoneReport(
         passed=False,
-        witness=(_row(names, base, r), float(sweep[i]), float(sweep[i + 1]), float(vals[r, i]), float(vals[r, i + 1])),
+        witness=(group.row(r), float(axis[i]), float(axis[i + 1]), float(vals[r, i]), float(vals[r, i + 1])),
     )
 
 
 def check_theta_condition(
-    g: DriverExpr, lam_profile, grid: GridSpec
+    g: DriverExpr, lam_profile, grid: GridSpec | GridSweep
 ) -> ThetaReport:
     """Worst grid ratio (g(u) - g(u')) / (lambda_t (u - u')); needs >= -1.
 
     Vacuously true when the driver ignores u or the intensity vanishes at
     every sampled time (the jump slot never enters the dynamics there).
+    ``grid`` may be the sweep of a pair whose g1 is g.
     """
-    lam_of_t = _as_lambda_of_t(lam_profile)
-    vacuous = ThetaReport(passed=True, theta=0.0, witness=None)
-    if "u" not in g.free_vars:
-        return vacuous
-    names = sorted(g.free_vars - {"u"} | {"t"})
-    base = grid.base_sample(names)
-    lam = np.array([lam_of_t(t) for t in base[:, names.index("t")].tolist()], dtype=float)
-    kept = np.nonzero(lam > 0.0)[0]
+    sweep = grid if isinstance(grid, GridSweep) else _hypothesis_sweep(grid, g, g)
+    group = sweep.groups[2]
+    if group is None:
+        return ThetaReport(passed=True, theta=0.0, witness=None)
+    lam = _lambda_at(lam_profile, group.base[:, group.names.index("t")])
+    kept = (lam > 0.0).nonzero()[0]
     if not kept.size:
-        return vacuous
-    base, lam = base[kept], lam[kept]
-    sweep = grid.axis("u")
-    vals = _grid_values(g.compiled(), _grid_env(names, base, {"u": sweep}))[0]
-    if not np.all(np.isfinite(vals)):
+        return ThetaReport(passed=True, theta=0.0, witness=None)
+    vals = sweep.values(g, group)[0, kept]
+    if not np.isfinite(vals).all():
         raise DriverEvalError("non-finite driver value on the theta grid")
-    ratios = np.diff(vals) / (lam[:, None] * np.diff(sweep))
-    r, i = divmod(int(np.argmin(ratios)), ratios.shape[1])
+    (axis,) = group.axes
+    ratios = (vals[:, 1:] - vals[:, :-1]) / (lam[kept, None] * (axis[1:] - axis[:-1]))
+    r, i = divmod(int(ratios.argmin()), ratios.shape[1])
     theta = float(ratios[r, i])
     passed = theta >= -1.0 - 1e-12
     return ThetaReport(
         passed=passed,
         theta=theta,
-        witness=None if passed else (_row(names, base, r), float(sweep[i]), float(sweep[i + 1]), theta),
+        witness=None if passed else (group.row(int(kept[r])), float(axis[i]), float(axis[i + 1]), theta),
     )
 
 
-def check_dominance(g1: DriverExpr, g2: DriverExpr, grid: GridSpec) -> DominanceReport:
-    """Grid test of g1 >= g2 over sweeps of every shared driver variable: one
-    call per driver on the stacked sweeps of every variable but h, and one on
-    the sweep of h over {0, 1}.  The witness sweeps the first variable, in name
-    order, that reaches the smallest gap."""
-    f1 = g1.compiled()
-    f2 = g2.compiled()
-    names = sorted(g1.free_vars | g2.free_vars)
-    base = grid.base_sample(names)
-    smallest = {}  # swept variable -> (its smallest gap, the row, the swept value)
-    order = names or ["y"]
-    stacked = {var: grid.axis(var) for var in order if var != "h"}
-    for sweeps in (stacked, {"h": np.array([0.0, 1.0])} if "h" in names else {}):
-        if not sweeps:
-            continue
-        env = _grid_env(names, base, sweeps)
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
-            gap = (_grid_values(f1, env) - _grid_values(f2, env)).reshape(len(sweeps), -1)
-        if not np.all(np.isfinite(gap)):
-            raise DriverEvalError("non-finite driver value on the dominance grid")
-        for (var, sweep), row, at in zip(sweeps.items(), gap, np.argmin(gap, axis=1).tolist()):
-            r, i = divmod(at, sweep.size)
-            smallest[var] = (float(row[at]), r, float(sweep[i]))
-    least = min(gap for gap, _, _ in smallest.values())
-    # the first variable in name order, whose own gap (the sign of a zero included) is reported
-    var = next(var for var in order if smallest[var][0] == least)
-    min_gap, r, value = smallest[var]
+def check_dominance(g1: DriverExpr, g2: DriverExpr, grid: GridSpec | GridSweep) -> DominanceReport:
+    """Grid test of g1 >= g2 over sweeps of every variable of either driver, h
+    over {0, 1}.  The least gap is the first in layer (name), row and column
+    order; the witness sweeps that layer's variable.  ``grid`` may be the
+    pair's sweep."""
+    sweep = grid if isinstance(grid, GridSweep) else _hypothesis_sweep(grid, g1, g2)
+    group = sweep.groups[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
+        gap = sweep.values(g1, group) - sweep.values(g2, group)
+    if not np.isfinite(gap).all():
+        raise DriverEvalError("non-finite driver value on the dominance grid")
+    v, r, i = np.unravel_index(gap.argmin(), gap.shape)
+    min_gap = float(gap[v, r, i])
     if min_gap >= -1e-12:
         return DominanceReport(passed=True, min_gap=min_gap, witness=None)
-    return DominanceReport(passed=False, min_gap=min_gap, witness={**_row(names, base, r), var: value})
+    return DominanceReport(passed=False, min_gap=min_gap,
+                           witness={**group.row(r), group.swept[v]: float(group.axes[v, i])})
 
 
 @dataclass(frozen=True)
@@ -219,21 +215,19 @@ def _problem(case: ComparisonCase, which: int) -> _Problem:
 
 
 def check_hypotheses(case: ComparisonCase) -> HypothesisReport:
-    """Grid-check the five hypotheses; raises SolverError when a scenario's
-    terminal or obstacle fails ``_prepare``'s checks on the lattice."""
+    """Grid-check the five hypotheses, the three on the drivers over one
+    ``_hypothesis_sweep``; raises SolverError when a scenario's terminal or
+    obstacle fails ``_prepare``'s checks on the lattice."""
     p1, p2 = _problem(case, 1), _problem(case, 2)
     lat = p1.lattice
-    obstacle_gap = float(np.min(p1.obstacle.nodes - p2.obstacle.nodes))
-    dt = lat.dt
-    lam_of_t = lambda t: lat.intensity.at_time(t, dt)
+    g1, g2 = case.scenario1.driver.base, case.scenario2.driver.base
+    sweep = _hypothesis_sweep(case.grid, g1, g2)
     return HypothesisReport(
-        monotone=check_monotone_in_anticipation(case.scenario2.driver.base, case.grid),
+        monotone=check_monotone_in_anticipation(g2, sweep),
         terminal_gap=float(np.min(p1.xi - p2.xi)),
-        obstacle_gap=obstacle_gap,
-        theta=check_theta_condition(case.scenario1.driver.base, lam_of_t, case.grid),
-        dominance=check_dominance(
-            case.scenario1.driver.base, case.scenario2.driver.base, case.grid
-        ),
+        obstacle_gap=float(np.min(p1.obstacle.nodes - p2.obstacle.nodes)),
+        theta=check_theta_condition(g1, lambda t: lat.intensity.at_time(t, lat.dt), sweep),
+        dominance=check_dominance(g1, g2, sweep),
     )
 
 

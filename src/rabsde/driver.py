@@ -181,9 +181,6 @@ class DriverExpr:
             object.__setattr__(self, "_fn", quiet)
         return self._fn
 
-    def uses(self, name: str) -> bool:
-        return name in self.free_vars
-
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
@@ -374,6 +371,7 @@ class GridSpec:
         for name, lo, hi in self.bounds:
             if not hi > lo:
                 raise ValueError(f"degenerate grid axis for '{name}': [{lo}, {hi}]")
+        object.__setattr__(self, "_bounds", {name: (lo, hi) for name, lo, hi in reversed(self.bounds)})
 
     @classmethod
     def for_horizon(cls, horizon: float, **kwargs) -> "GridSpec":
@@ -381,12 +379,10 @@ class GridSpec:
         return cls(bounds=_box(horizon), **kwargs)
 
     def bound_for(self, name: str) -> tuple[float, float]:
-        for n, lo, hi in self.bounds:
-            if n == name:
-                return lo, hi
-        return -2.0, 2.0
+        """The first listed bound of ``name``, else [-2, 2]."""
+        return self._bounds.get(name, (-2.0, 2.0))
 
-    def base_sample(self, variables: Sequence[str]) -> np.ndarray:
+    def base_sample(self, variables: Sequence[str], words: np.ndarray | None = None) -> np.ndarray:
         """The base values as an (n_base, len(variables)) array.
 
         The stream is the one a per-value loop over rows, then over
@@ -394,9 +390,12 @@ class GridSpec:
         of its 64-bit words: a uniform value takes a word w, as
         ``lo + (hi - lo) * ((w >> 11) * 2**-53)``; an h, ``integers(0, 2)``,
         takes bit 31 of a fresh word, the next h bit 63 of it (its kept upper half).
+        ``words``, a longer draw of the seed's stream, lends its prefix instead.
         """
         names = list(variables)
-        words = np.random.PCG64(self.seed).random_raw(self.n_base * len(names))  # at most one per value
+        if words is None:
+            words = np.random.PCG64(self.seed).random_raw(self.n_base * len(names))  # at most one per value
+        words = words[:self.n_base * len(names)]
         h_at, bits = [], ()
         if "h" in names:  # value p reads word p less the second h's before it; those share a word
             h_at = [r * len(names) + j for r in range(self.n_base) for j, name in enumerate(names) if name == "h"]
@@ -406,52 +405,72 @@ class GridSpec:
             bits = words[h_at] >> np.uint64([31, 63])[np.arange(len(h_at)) % 2] & 1
         lo, hi = np.array([self.bound_for(name) for name in names]).reshape(-1, 2).T
         flat = lo + (hi - lo) * ((words.reshape(self.n_base, len(names)) >> 11) * 2.0**-53)
-        flat.flat[h_at] = bits
+        if h_at:
+            flat.flat[h_at] = bits
         return flat
 
-    def axis(self, name: str) -> np.ndarray:
-        lo, hi = self.bound_for(name)
-        return np.linspace(lo, hi, self.points)
+
+class GridGroup(NamedTuple):
+    """One (names, swept) group of a ``GridSweep``: the base sample of ``names``
+    and each swept variable's axis, one per layer of ``layers``."""
+
+    names: Sequence[str]
+    swept: Sequence[str]
+    base: np.ndarray  # (n_base, len(names))
+    axes: np.ndarray  # (len(swept), points)
+    layers: slice
+
+    def row(self, r: int) -> dict[str, float]:
+        """Row ``r`` of the base sample as the env a witness reports."""
+        return dict(zip(self.names, self.base[r].tolist()))
 
 
-def _grid_env(names: Sequence[str], base: np.ndarray, sweeps: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every grid variable as a contiguous (len(sweeps), n_base, points) array,
-    one layer per swept variable: layer v sweeps the v-th variable of ``sweeps``
-    along the columns, and every variable of ``names`` it does not sweep takes
-    the base sample's column down the rows.  A swept variable outside ``names``
-    takes its sweep in every layer."""
-    shape = (len(sweeps), base.shape[0], len(next(iter(sweeps.values()))))
-    env = {}
-    for j, name in enumerate(names):
-        env[name] = np.empty(shape)
-        env[name][...] = base[:, j, None]
-    for v, (var, sweep) in enumerate(sweeps.items()):
-        if var in env:
-            env[var][v] = sweep
-        else:
-            env[var] = np.empty(shape)
-            env[var][...] = sweep
-    return env
+class GridSweep:
+    """The one grid engine of the driver hypotheses.
+
+    A group (names, swept), or None for none, is one layer per swept variable:
+    the variable runs along its axis over the columns, and each variable of
+    ``names`` takes its column of ``grid.base_sample(names)`` down the rows.
+    The layers stack into one env.  Every base sample is a prefix of one
+    ``random_raw`` draw, and each distinct bound has one axis; h's is {0, 1}
+    padded with 1s to ``points`` values, which moves no first least value.  A
+    driver is evaluated in one compiled call over every layer, when first read.
+    """
+
+    def __init__(self, grid: GridSpec, groups: Sequence[tuple[Sequence[str], Sequence[str]] | None]):
+        n, points, given = grid.n_base, grid.points, [group for group in groups if group is not None]
+        words = np.random.PCG64(grid.seed).random_raw(n * max((len(names) for names, _ in given), default=0))
+        swept = [var for _, vars_ in given for var in vars_]
+        at = {var: i for i, var in enumerate(dict.fromkeys([*(name for names, _ in given for name in names), *swept]))}
+        bounds = ["h" if var == "h" else grid.bound_for(var) for var in swept]
+        axis = {b: np.minimum(np.arange(points), 1.0) if b == "h" else np.linspace(*b, points) for b in set(bounds)}
+        axes = np.array([axis[b] for b in bounds]).reshape(len(swept), points)
+        env = np.zeros((len(at), len(swept), n, points))  # a variable a group does not bind reads 0 there
+        built, start = [], 0
+        for names, vars_ in given:
+            base, layers = grid.base_sample(names, words), slice(start, start + len(vars_))
+            env[[at[name] for name in names], layers] = base.T[:, None, :, None]
+            built.append(GridGroup(names, vars_, base, axes[layers], layers))
+            start = layers.stop
+        env[[at[var] for var in swept], np.arange(len(swept))] = axes[:, None, :]
+        built = iter(built)
+        self.groups = [None if group is None else next(built) for group in groups]
+        self.env, self.shape, self._values = dict(zip(at, env)), env.shape[1:], {}
+
+    def values(self, g: DriverExpr, group: GridGroup) -> np.ndarray:
+        """g's values on the group's layers, (len(swept), n_base, points).  Read
+        them only on groups that bind every variable of g."""
+        if id(g) not in self._values:
+            vals = np.asarray(g.compiled()(self.env), dtype=float)
+            self._values[id(g)] = g, vals if vals.shape == self.shape else np.broadcast_to(vals, self.shape)
+        return self._values[id(g)][1][group.layers]
 
 
-def _grid_values(fn: Callable, env: dict[str, np.ndarray]) -> np.ndarray:
-    """One compiled call over a ``_grid_env``, broadcast to its shape so that a
-    constant expression works too."""
-    vals = np.asarray(fn(env), dtype=float)
-    shape = next(iter(env.values())).shape
-    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
-
-
-def _row(names: Sequence[str], base: np.ndarray, r: int) -> dict[str, float]:
-    """Row ``r`` of a base sample as the env a witness reports."""
-    return dict(zip(names, base[r].tolist()))
-
-
-def _as_lambda_of_t(lam_profile) -> Callable[[float], float]:
+def _lambda_at(lam_profile, ts: np.ndarray) -> np.ndarray:
+    """lambda(t) at an array of times, from a constant or a function of t."""
     if callable(lam_profile):
-        return lam_profile
-    value = float(lam_profile)
-    return lambda t: value
+        return np.array([lam_profile(t) for t in ts.tolist()], dtype=float)
+    return np.full(ts.shape, float(lam_profile))
 
 
 @dataclass(frozen=True)
@@ -484,18 +503,16 @@ def estimate_lipschitz(
     slots = [slot for slot in LIPSCHITZ_SLOTS if slot in expr.free_vars]
     if not slots:
         return LipschitzEstimate(*out.values())
-    names = sorted(VARIABLES)
-    base = grid.base_sample(names)
-    sweeps = {slot: grid.axis(slot) for slot in slots}
-    vals = _grid_values(expr.compiled(), _grid_env(names, base, sweeps))
+    sweep = GridSweep(grid, [(sorted(VARIABLES), slots)])
+    (group,) = sweep.groups
+    vals = sweep.values(expr, group)
     for slot, finite in zip(slots, np.isfinite(vals).all(axis=(1, 2))):
         if not finite:
             raise DriverEvalError(f"non-finite driver value while sweeping '{slot}' on the grid")
-    ratios = np.max(np.abs(np.diff(vals)) / np.diff(np.array(list(sweeps.values())))[:, None, :], axis=2)
+    ratios = np.max(np.abs(np.diff(vals)) / np.diff(group.axes)[:, None, :], axis=2)
     for slot, r in zip(slots, ratios):
         if slot == "u":
-            lam_of_t = _as_lambda_of_t(lam_profile)
-            lam = np.array([lam_of_t(t) for t in base[:, names.index("t")].tolist()], dtype=float)
+            lam = _lambda_at(lam_profile, group.base[:, group.names.index("t")])
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.where(r == 0.0, 0.0, np.where(lam == 0.0, math.inf, r / lam))
         out[slot] = float(np.max(r, initial=0.0))

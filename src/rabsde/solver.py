@@ -204,15 +204,15 @@ def obstacle_field(scenario: Scenario, lattice: DefaultLattice) -> ProcessField:
     node data, step after step), whose result is the field's ``nodes``."""
     N = lattice.n_steps
     sizes = [lattice.n_nodes(k) for k in range(N + 1)]
-    uses = scenario.obstacle.uses
+    used = scenario.obstacle.free_vars
     env = {}
-    if uses("t"):
+    if "t" in used:
         env["t"] = np.repeat(np.arange(N + 1) * lattice.dt, sizes)
-    if uses("w"):  # written step by step: past the lattice's cache each step's w is built per call
+    if "w" in used:  # written step by step: past the lattice's cache each step's w is built per call
         env["w"] = np.empty(sum(sizes))
         for k, nodes in enumerate(lattice._slices):
             env["w"][nodes] = lattice.w_values(k)
-    if uses("h"):
+    if "h" in used:
         env["h"] = np.concatenate([lattice.h_values(k) for k in range(N + 1)])
     values = np.asarray(scenario.obstacle.compiled()(env), dtype=float)
     if values.shape != (sum(sizes),):
@@ -225,7 +225,7 @@ def terminal_values(scenario: Scenario, lattice: DefaultLattice) -> np.ndarray:
     fn = scenario.terminal.compiled()
     N = lattice.n_steps
     env = {"w": lattice.w_values(N), "h": lattice.h_values(N)}
-    if scenario.terminal.uses("tau"):
+    if "tau" in scenario.terminal.free_vars:
         env["tau"] = lattice.tau_values(N)
     return np.broadcast_to(np.asarray(fn(env), dtype=float), (lattice.n_nodes(N),)).copy()
 
@@ -272,7 +272,7 @@ def _lattice_for(*scenarios: Scenario, full_size: bool = False) -> DefaultLattic
     keeps none alive: a caller shares one lattice across calls only while it
     holds it (``run_random_suite`` does, through the previous case)."""
     sc = scenarios[0]
-    quotient = not any(s.terminal.uses("tau") for s in scenarios)
+    quotient = not any("tau" in s.terminal.free_vars for s in scenarios)
     too_big = oversize_message(sc.horizon, sc.n_steps, sc.intensity,
                                quotient=quotient and not full_size)
     if too_big:
@@ -292,7 +292,7 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Prob
     lat = lattice if lattice is not None else _lattice_for(scenario)
     if (lat.horizon, lat.n_steps, lat.intensity) != (scenario.horizon, scenario.n_steps, scenario.intensity):
         raise LatticeError("lattice does not match scenario grid")
-    if lat.quotient and scenario.terminal.uses("tau"):
+    if lat.quotient and "tau" in scenario.terminal.free_vars:
         raise LatticeError("a terminal that reads tau needs the full lattice, not a quotient")
     _check_vars(scenario.driver.base, DRIVER_VARS, "driver")
     _check_vars(scenario.obstacle, OBSTACLE_VARS, "obstacle")
@@ -305,8 +305,8 @@ def _prepare(scenario: Scenario, lattice: DefaultLattice | None = None) -> _Prob
         driver_fn=_compile(base.root),
         obstacle=obstacle,
         xi=xi,
-        need_ey=base.uses("ey"),
-        need_ez=base.uses("ez"),
+        need_ey="ey" in base.free_vars,
+        need_ez="ez" in base.free_vars,
     )
 
 

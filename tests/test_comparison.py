@@ -109,7 +109,7 @@ def _ref_monotone(g, grid):
     if "ey" not in g.free_vars:
         return MonotoneReport(passed=True, witness=None)
     fn = g.compiled()
-    sweep = grid.axis("ey")
+    sweep = np.linspace(*grid.bound_for("ey"), grid.points)
     for env in _base_envs(grid, sorted(g.free_vars - {"ey"})):
         arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
         arrs["ey"] = sweep
@@ -131,7 +131,7 @@ def _ref_theta(g, lam_profile, grid):
     if "u" not in g.free_vars:
         return ThetaReport(passed=True, theta=0.0, witness=None)
     fn = g.compiled()
-    sweep = grid.axis("u")
+    sweep = np.linspace(*grid.bound_for("u"), grid.points)
     theta, witness, tested = math.inf, None, False
     for env in _base_envs(grid, sorted(g.free_vars - {"u"} | {"t"})):
         lam = lam_of_t(env["t"])
@@ -159,7 +159,7 @@ def _ref_dominance(g1, g2, grid):
     variables = sorted(g1.free_vars | g2.free_vars)
     min_gap, witness = math.inf, None
     for var in variables or ["y"]:
-        sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
+        sweep = np.linspace(*grid.bound_for(var), grid.points) if var != "h" else np.array([0.0, 1.0])
         for env in _base_envs(grid, variables):
             arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
             arrs[var] = sweep
@@ -215,7 +215,7 @@ def _per_variable_dominance(g1, g2, grid):
     base = grid.base_sample(names)
     min_gap, worst = math.inf, None
     for var in names or ["y"]:
-        sweep = grid.axis(var) if var != "h" else np.array([0.0, 1.0])
+        sweep = np.linspace(*grid.bound_for(var), grid.points) if var != "h" else np.array([0.0, 1.0])
         env = {name: np.repeat(base[:, j, None], sweep.size, axis=1) for j, name in enumerate(names) if name != var}
         env[var] = np.repeat(sweep[None, :], base.shape[0], axis=0)
         v1, v2 = (np.broadcast_to(np.asarray(f(env), dtype=float), env[var].shape) for f in (f1, f2))

@@ -299,7 +299,7 @@ def _ref_lipschitz(expr, grid, lam_profile):
             out[slot] = 0.0
             continue
         best = 0.0
-        sweep = grid.axis(slot)
+        sweep = np.linspace(*grid.bound_for(slot), grid.points)
         for env in envs:
             arrs = {k: np.full(sweep.shape, v) for k, v in env.items()}
             arrs[slot] = sweep
@@ -338,7 +338,7 @@ def _per_slot_lipschitz(expr, grid, lam_profile):
         if slot not in expr.free_vars:
             out.append(0.0)
             continue
-        sweep = grid.axis(slot)
+        sweep = np.linspace(*grid.bound_for(slot), grid.points)
         env = {name: np.repeat(base[:, j, None], sweep.size, axis=1) for j, name in enumerate(names) if name != slot}
         env[slot] = np.repeat(sweep[None, :], base.shape[0], axis=0)
         vals = np.broadcast_to(np.asarray(fn(env), dtype=float), env[slot].shape)
