@@ -398,14 +398,14 @@ class GridSpec:
         words = words[:self.n_base * len(names)]
         h_at, bits = [], ()
         if "h" in names:  # value p reads word p less the second h's before it; those share a word
-            h_at = [r * len(names) + j for r in range(self.n_base) for j, name in enumerate(names) if name == "h"]
+            h_at = (np.arange(self.n_base)[:, None] * len(names) + [j for j, v in enumerate(names) if v == "h"]).ravel()
             word = np.arange(words.size) - np.searchsorted(h_at[1::2], np.arange(words.size))
             word[h_at[1::2]] = word[h_at[0:-1:2]]
             words = words[word]
             bits = words[h_at] >> np.uint64([31, 63])[np.arange(len(h_at)) % 2] & 1
         lo, hi = np.array([self.bound_for(name) for name in names]).reshape(-1, 2).T
         flat = lo + (hi - lo) * ((words.reshape(self.n_base, len(names)) >> 11) * 2.0**-53)
-        if h_at:
+        if len(h_at):
             flat.flat[h_at] = bits
         return flat
 
