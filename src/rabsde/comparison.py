@@ -58,22 +58,21 @@ class DominanceReport:
 
 
 def _hypothesis_sweep(grid: GridSpec, g1: DriverExpr, g2: DriverExpr) -> GridSweep:
-    """The one grid sweep of the three driver hypotheses: group 0 sweeps g2's
-    ey, group 1 each variable of either driver (y for two constants), group 2
-    g1's u with t in its base; group 0 or 2 is None when the driver ignores
-    that slot."""
+    """The one grid sweep of the three driver hypotheses: "ey" sweeps g2's ey,
+    "shared" each variable of either driver (y for two constants), and "u"
+    g1's u with t in its base; "ey" or "u" is None when the driver ignores it.
+    Each check takes its grid, for a sweep of its own, or the pair's sweep."""
     shared = sorted(g1.free_vars | g2.free_vars)
-    return GridSweep(grid, [(sorted(g2.free_vars - {"ey"}), ("ey",)) if "ey" in g2.free_vars else None,
-                            (shared, shared or ["y"]),
-                            (sorted(g1.free_vars - {"u"} | {"t"}), ("u",)) if "u" in g1.free_vars else None])
+    return GridSweep(grid, {"ey": (sorted(g2.free_vars - {"ey"}), ("ey",)) if "ey" in g2.free_vars else None,
+                            "shared": (shared, shared or ["y"]),
+                            "u": (sorted(g1.free_vars - {"u"} | {"t"}), ("u",)) if "u" in g1.free_vars else None})
 
 
 def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec | GridSweep) -> MonotoneReport:
     """Finite-difference test that g is nondecreasing in the ey slot: the first
-    violation in base-row order, where a non-finite row raises unless a
-    violation precedes it.  ``grid`` may be the sweep of a pair whose g2 is g."""
+    violation in base-row order; a non-finite row raises unless one precedes it."""
     sweep = grid if isinstance(grid, GridSweep) else _hypothesis_sweep(grid, g, g)
-    group = sweep.groups[0]
+    group = sweep.groups["ey"]
     if group is None:
         return MonotoneReport(passed=True, witness=None)
     (vals,) = sweep.values(g, group)
@@ -86,27 +85,22 @@ def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec | GridSweep) ->
         return MonotoneReport(passed=True, witness=None)
     if not finite[r]:
         raise DriverEvalError("non-finite driver value on the monotonicity grid")
-    (axis,) = group.axes
+    axis = group.axes[0]
     return MonotoneReport(
         passed=False,
         witness=(group.row(r), float(axis[i]), float(axis[i + 1]), float(vals[r, i]), float(vals[r, i + 1])),
     )
 
 
-def check_theta_condition(
-    g: DriverExpr, lam_profile, grid: GridSpec | GridSweep
-) -> ThetaReport:
+def check_theta_condition(g: DriverExpr, lam_profile, grid: GridSpec | GridSweep) -> ThetaReport:
     """Worst grid ratio (g(u) - g(u')) / (lambda_t (u - u')); needs >= -1.
 
     Vacuously true when the driver ignores u or the intensity vanishes at
     every sampled time (the jump slot never enters the dynamics there).
-    ``grid`` may be the sweep of a pair whose g1 is g.
     """
     sweep = grid if isinstance(grid, GridSweep) else _hypothesis_sweep(grid, g, g)
-    group = sweep.groups[2]
-    if group is None:
-        return ThetaReport(passed=True, theta=0.0, witness=None)
-    lam = _lambda_at(lam_profile, group.base[:, group.names.index("t")])
+    group = sweep.groups["u"]
+    lam = np.zeros(0) if group is None else _lambda_at(lam_profile, group.base[:, group.names.index("t")])
     kept = (lam > 0.0).nonzero()[0]
     if not kept.size:
         return ThetaReport(passed=True, theta=0.0, witness=None)
@@ -128,20 +122,18 @@ def check_theta_condition(
 def check_dominance(g1: DriverExpr, g2: DriverExpr, grid: GridSpec | GridSweep) -> DominanceReport:
     """Grid test of g1 >= g2 over sweeps of every variable of either driver, h
     over {0, 1}.  The least gap is the first in layer (name), row and column
-    order; the witness sweeps that layer's variable.  ``grid`` may be the
-    pair's sweep."""
+    order; the witness sweeps that layer's variable."""
     sweep = grid if isinstance(grid, GridSweep) else _hypothesis_sweep(grid, g1, g2)
-    group = sweep.groups[1]
+    group = sweep.groups["shared"]
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
         gap = sweep.values(g1, group) - sweep.values(g2, group)
     if not np.isfinite(gap).all():
         raise DriverEvalError("non-finite driver value on the dominance grid")
     v, r, i = np.unravel_index(gap.argmin(), gap.shape)
     min_gap = float(gap[v, r, i])
-    if min_gap >= -1e-12:
-        return DominanceReport(passed=True, min_gap=min_gap, witness=None)
-    return DominanceReport(passed=False, min_gap=min_gap,
-                           witness={**group.row(r), group.swept[v]: float(group.axes[v, i])})
+    passed = min_gap >= -1e-12
+    witness = None if passed else {**group.row(r), group.swept[v]: float(group.axes[v, i])}
+    return DominanceReport(passed=passed, min_gap=min_gap, witness=witness)
 
 
 @dataclass(frozen=True)

@@ -382,20 +382,17 @@ class GridSpec:
         """The first listed bound of ``name``, else [-2, 2]."""
         return self._bounds.get(name, (-2.0, 2.0))
 
-    def base_sample(self, variables: Sequence[str], words: np.ndarray | None = None) -> np.ndarray:
-        """The base values as an (n_base, len(variables)) array.
+    def base_sample(self, names: Sequence[str], words: np.ndarray) -> np.ndarray:
+        """The base values as an (n_base, len(variables)) array, read from a
+        prefix of ``words``, the seed's ``PCG64.random_raw`` draw.
 
         The stream is the one a per-value loop over rows, then over
-        ``variables``, would draw from ``default_rng(seed)``, read as one call
+        ``names``, would draw from ``default_rng(seed)``, read as one call
         of its 64-bit words: a uniform value takes a word w, as
         ``lo + (hi - lo) * ((w >> 11) * 2**-53)``; an h, ``integers(0, 2)``,
         takes bit 31 of a fresh word, the next h bit 63 of it (its kept upper half).
-        ``words``, a longer draw of the seed's stream, lends its prefix instead.
         """
-        names = list(variables)
-        if words is None:
-            words = np.random.PCG64(self.seed).random_raw(self.n_base * len(names))  # at most one per value
-        words = words[:self.n_base * len(names)]
+        words = words[:self.n_base * len(names)]  # at most one per value
         h_at, bits = [], ()
         if "h" in names:  # value p reads word p less the second h's before it; those share a word
             h_at = (np.arange(self.n_base)[:, None] * len(names) + [j for j, v in enumerate(names) if v == "h"]).ravel()
@@ -428,33 +425,32 @@ class GridGroup(NamedTuple):
 class GridSweep:
     """The one grid engine of the driver hypotheses.
 
-    A group (names, swept), or None for none, is one layer per swept variable:
-    the variable runs along its axis over the columns, and each variable of
-    ``names`` takes its column of ``grid.base_sample(names)`` down the rows.
-    The layers stack into one env.  Every base sample is a prefix of one
-    ``random_raw`` draw, and each distinct bound has one axis; h's is {0, 1}
-    padded with 1s to ``points`` values, which moves no first least value.  A
-    driver is evaluated in one compiled call over every layer, when first read.
+    Group key, a pair (names, swept) or None for none, is one layer per swept
+    variable: the variable runs along its axis over the columns, and each
+    variable of ``names`` takes its column of ``grid.base_sample(names)`` down
+    the rows.  The layers stack into one env.  The base samples read one draw;
+    each distinct bound has one axis, and h's is {0, 1} padded with 1s to
+    ``points`` values (which moves no first least value).  A driver is
+    evaluated in one compiled call over every layer, when first read.
     """
 
-    def __init__(self, grid: GridSpec, groups: Sequence[tuple[Sequence[str], Sequence[str]] | None]):
-        n, points, given = grid.n_base, grid.points, [group for group in groups if group is not None]
-        words = np.random.PCG64(grid.seed).random_raw(n * max((len(names) for names, _ in given), default=0))
-        swept = [var for _, vars_ in given for var in vars_]
-        at = {var: i for i, var in enumerate(dict.fromkeys([*(name for names, _ in given for name in names), *swept]))}
+    def __init__(self, grid: GridSpec, groups: Mapping[str, tuple[Sequence[str], Sequence[str]] | None]):
+        n, points = grid.n_base, grid.points
+        given = {key: group for key, group in groups.items() if group is not None}
+        words = np.random.PCG64(grid.seed).random_raw(n * max(len(names) for names, _ in given.values()))
+        swept = [var for _, vars_ in given.values() for var in vars_]
+        at = {var: i for i, var in enumerate(dict.fromkeys(swept + [v for names, _ in given.values() for v in names]))}
         bounds = ["h" if var == "h" else grid.bound_for(var) for var in swept]
         axis = {b: np.minimum(np.arange(points), 1.0) if b == "h" else np.linspace(*b, points) for b in set(bounds)}
         axes = np.array([axis[b] for b in bounds]).reshape(len(swept), points)
         env = np.zeros((len(at), len(swept), n, points))  # a variable a group does not bind reads 0 there
-        built, start = [], 0
-        for names, vars_ in given:
+        self.groups, start = dict.fromkeys(groups), 0
+        for key, (names, vars_) in given.items():
             base, layers = grid.base_sample(names, words), slice(start, start + len(vars_))
             env[[at[name] for name in names], layers] = base.T[:, None, :, None]
-            built.append(GridGroup(names, vars_, base, axes[layers], layers))
+            self.groups[key] = GridGroup(names, vars_, base, axes[layers], layers)
             start = layers.stop
         env[[at[var] for var in swept], np.arange(len(swept))] = axes[:, None, :]
-        built = iter(built)
-        self.groups = [None if group is None else next(built) for group in groups]
         self.env, self.shape, self._values = dict(zip(at, env)), env.shape[1:], {}
 
     def values(self, g: DriverExpr, group: GridGroup) -> np.ndarray:
@@ -503,8 +499,8 @@ def estimate_lipschitz(
     slots = [slot for slot in LIPSCHITZ_SLOTS if slot in expr.free_vars]
     if not slots:
         return LipschitzEstimate(*out.values())
-    sweep = GridSweep(grid, [(sorted(VARIABLES), slots)])
-    (group,) = sweep.groups
+    sweep = GridSweep(grid, {"slots": (sorted(VARIABLES), slots)})
+    group = sweep.groups["slots"]
     vals = sweep.values(expr, group)
     for slot, finite in zip(slots, np.isfinite(vals).all(axis=(1, 2))):
         if not finite:

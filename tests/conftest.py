@@ -147,6 +147,11 @@ def lambda_profiles(draw, horizon: float = 2.0):
     return lambda t: spec.at_time(t, horizon / len(values))
 
 
+def base_sample(grid: GridSpec, names) -> np.ndarray:
+    """``grid.base_sample(names)`` on a draw of the seed's stream one word per value long."""
+    return grid.base_sample(names, np.random.PCG64(grid.seed).random_raw(grid.n_base * len(names)))
+
+
 def outcome(fn, *args):
     """The call's result, or the type and message of the error it raised."""
     try:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import driver_texts, grids, lambda_profiles, make_scenario, outcome
+from conftest import base_sample, driver_texts, grids, lambda_profiles, make_scenario, outcome
 from rabsde import comparison, driver
 from rabsde.comparison import (
     ComparisonCase,
@@ -102,7 +102,7 @@ def test_dominance_of_constant_drivers():
 
 def _base_envs(grid, names):
     """The grid's base sample, one dict per row."""
-    return [dict(zip(names, row)) for row in grid.base_sample(names).tolist()]
+    return [dict(zip(names, row)) for row in base_sample(grid, names).tolist()]
 
 
 def _ref_monotone(g, grid):
@@ -212,7 +212,7 @@ def _per_variable_dominance(g1, g2, grid):
     reference, equal byte for byte."""
     f1, f2 = g1.compiled(), g2.compiled()
     names = sorted(g1.free_vars | g2.free_vars)
-    base = grid.base_sample(names)
+    base = base_sample(grid, names)
     min_gap, worst = math.inf, None
     for var in names or ["y"]:
         sweep = np.linspace(*grid.bound_for(var), grid.points) if var != "h" else np.array([0.0, 1.0])

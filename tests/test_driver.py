@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import driver_texts, grids, lambda_profiles, make_scenario, outcome
+from conftest import base_sample, driver_texts, grids, lambda_profiles, make_scenario, outcome
 from rabsde.driver import (
     LIPSCHITZ_SLOTS,
     MAX_DEPTH,
@@ -293,7 +293,7 @@ def _ref_lipschitz(expr, grid, lam_profile):
     fn = expr.compiled()
     out = {}
     names = sorted(VARIABLES)
-    envs = [dict(zip(names, row)) for row in grid.base_sample(names).tolist()]
+    envs = [dict(zip(names, row)) for row in base_sample(grid, names).tolist()]
     for slot in LIPSCHITZ_SLOTS:
         if slot not in expr.free_vars:
             out[slot] = 0.0
@@ -332,7 +332,7 @@ def _per_slot_lipschitz(expr, grid, lam_profile):
     lam_of_t = lam_profile if callable(lam_profile) else (lambda t: float(lam_profile))
     fn = expr.compiled()
     names = sorted(VARIABLES)
-    base = grid.base_sample(names)
+    base = base_sample(grid, names)
     out = []
     for slot in LIPSCHITZ_SLOTS:
         if slot not in expr.free_vars:
@@ -393,6 +393,9 @@ def test_base_sample_matches_per_value_draw(names, n_base, seed, horizon):
     grid = GridSpec.for_horizon(horizon, n_base=n_base, seed=seed)
     ref = _ref_base_envs(grid, names)
     want = np.array([[env[name] for name in names] for env in ref], dtype=float).reshape(n_base, len(names))
-    got = grid.base_sample(names)
+    got = base_sample(grid, names)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a longer draw lends its prefix
+    longer = np.random.PCG64(seed).random_raw(n_base * (len(names) + 3))
+    assert grid.base_sample(names, longer).tobytes() == got.tobytes()
     assert [dict(zip(names, row)) for row in got.tolist()] == ref
