@@ -539,6 +539,94 @@ def test_every_checked_candidates_report_is_pinned_and_equals_the_per_env_loops(
         assert repr(report) == repr(_ref_report(case))
 
 
+def _driver_pair(text1, text2, lam=0.3):
+    """A case whose scenarios differ only in their drivers, on GRID."""
+    s1, s2 = (make_scenario(n_steps=5, lam=lam, delta_steps=1, driver=text) for text in (text1, text2))
+    return ComparisonCase(scenario1=s1, scenario2=s2, grid=GRID)
+
+
+_MONOTONE_FAILS = "monotone_in_anticipation"
+_THETA_FAILS = "theta_condition"
+_DOMINANCE_FAILS = "driver_dominance"
+
+
+@pytest.mark.parametrize("text1, text2, lam, failed", [
+    # drivers that read h: the shared sweep runs h over {0, 1}
+    ("0.2*y + 0.1*ey + 0.5*h", "0.2*y + 0.1*ey + 0.25*h", 0.3, []),
+    ("h", "0.5", 0.3, [_DOMINANCE_FAILS]),
+    ("0.5", "h*y + 0.1*ey", 0.3, [_DOMINANCE_FAILS]),
+    # two constants: the shared sweep sweeps y alone
+    ("1", "0", 0.3, []),
+    ("0", "1", 0.3, [_DOMINANCE_FAILS]),
+    ("-0.0", "0", 0.3, []),
+    # vacuous reports: g2 ignores ey, g1 ignores u, the intensity vanishes
+    ("0.2*y + 0.1", "0.2*y", 0.3, []),
+    ("0.2*y + 0.1*ey + 0.1", "0.2*y + 0.1*ey - 0.1*u", 0.3, [_DOMINANCE_FAILS]),
+    ("0.2*y - 3*u + 1", "0.2*y - 3*u", 0.0, []),
+    # one failing witness per check
+    ("0.2*y - 0.5*ey + 1", "0.2*y - 0.5*ey", 0.3, [_MONOTONE_FAILS]),
+    ("0.2*y - 3*u + 1", "0.2*y - 3*u", 0.3, [_THETA_FAILS]),
+    ("y", "y + 0.1*w", 0.3, [_DOMINANCE_FAILS]),
+])
+def test_check_hypotheses_equals_the_per_env_loops_on_branches_the_generator_never_reaches(text1, text2, lam, failed):
+    case = _driver_pair(text1, text2, lam)
+    report = comparison.check_hypotheses(case)
+    assert report.failed_names() == failed
+    assert repr(report) == repr(_ref_report(case))  # witnesses and the sign of a zero included
+
+
+@pytest.mark.parametrize("text1, text2, grid", [
+    ("exp(1000*ey) + exp(1000*u)", "exp(1000*ey)", "monotonicity"),  # every check is non-finite
+    ("1/0 + ey", "exp(1000*ey)", "monotonicity"),  # g1's constant division by zero comes later
+    ("0.1*y + exp(1000*u)", "0.1*y", "theta"),  # so is the dominance grid
+    ("0.1*y + exp(1000*w)", "0.1*y", "dominance"),
+])
+def test_a_non_finite_driver_raises_the_first_failing_checks_error(text1, text2, grid):
+    case = _driver_pair(text1, text2)
+    want = (DriverEvalError, f"non-finite driver value on the {grid} grid")
+    assert outcome(comparison.check_hypotheses, case) == outcome(_ref_report, case) == want
+
+
+def test_a_constant_division_by_zero_raises_where_its_driver_is_first_read():
+    case = _driver_pair("1/0 + u", "0.1*y")
+    assert outcome(comparison.check_hypotheses, case) == outcome(_ref_report, case) == (
+        DriverEvalError, "division by zero")
+
+
+def _counting_compiled_calls(monkeypatch) -> Counter:
+    """Patch DriverExpr.compiled to count, per expression, the calls of its closure."""
+    calls, compiled = Counter(), DriverExpr.compiled
+
+    def counting(self):
+        fn = compiled(self)
+        return lambda env: calls.update([id(self)]) or fn(env)
+
+    monkeypatch.setattr(DriverExpr, "compiled", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text1, text2", [
+    ("0.2*y + 0.1*ey + 0.3*u + h*w", "0.2*y + 0.1*ey - 0.1*u"),  # an h layer joins the stack
+    ("1", "0"),
+    ("0.2*y + 1", "0.2*y"),
+])
+def test_a_checked_pair_makes_one_compiled_call_per_driver(monkeypatch, text1, text2):
+    calls = _counting_compiled_calls(monkeypatch)
+    case = _driver_pair(text1, text2)
+    comparison.check_hypotheses(case)
+    assert calls[id(case.scenario1.driver.base)] == calls[id(case.scenario2.driver.base)] == 1
+
+
+def test_every_checked_suite_candidate_makes_one_compiled_call_per_driver(monkeypatch):
+    calls = _counting_compiled_calls(monkeypatch)
+    checked, check = [], comparison.check_hypotheses
+    monkeypatch.setattr(comparison, "check_hypotheses", lambda case: checked.append(case) or check(case))
+    run_random_suite(3, 12)
+    drivers = {id(s.driver.base) for case in checked for s in (case.scenario1, case.scenario2)}
+    assert len(checked) > 12 and all(calls[d] == 1 for d in drivers)
+    assert sum(calls[d] for d in drivers) == 2 * len(checked)
+
+
 def _recording_batches(monkeypatch) -> list:
     """Patch comparison._solve to record, per call, the batch size and how many
     solutions of earlier calls are still alive when it starts."""

@@ -573,6 +573,14 @@ def test_one_backward_sweep_evaluates_the_driver():
     _assert_call_sites({"_driver_values"}, ast.Name, {("solver.py", "_step_values")})
 
 
+def test_one_grid_engine_samples_and_evaluates_every_hypothesis_grid():
+    # GridSweep draws the seed's words once and builds every base sample, axis
+    # and env; the hypothesis checks and the Lipschitz gate reduce its values
+    _assert_call_sites({"base_sample", "random_raw", "linspace"}, ast.Attribute, {("driver.py", "GridSweep.__init__")})
+    _assert_call_sites({"GridSweep"}, ast.Name, {("driver.py", "estimate_lipschitz"),
+                                                 ("comparison.py", "_hypothesis_sweep")})
+
+
 def test_validation_reads_no_kernel():
     # the whole-lattice check finds children by its own index arithmetic, so it
     # stays independent of the slicing kernel it checks
