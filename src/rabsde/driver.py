@@ -383,7 +383,7 @@ class GridSpec:
         return self._bounds.get(name, (-2.0, 2.0))
 
     def base_sample(self, names: Sequence[str], words: np.ndarray) -> np.ndarray:
-        """The base values as an (n_base, len(variables)) array, read from a
+        """The base values as an (n_base, len(names)) array, read from a
         prefix of ``words``, the seed's ``PCG64.random_raw`` draw.
 
         The stream is the one a per-value loop over rows, then over
@@ -425,13 +425,13 @@ class GridGroup(NamedTuple):
 class GridSweep:
     """The one grid engine of the driver hypotheses.
 
-    Group key, a pair (names, swept) or None for none, is one layer per swept
-    variable: the variable runs along its axis over the columns, and each
-    variable of ``names`` takes its column of ``grid.base_sample(names)`` down
-    the rows.  The layers stack into one env.  The base samples read one draw;
-    each distinct bound has one axis, and h's is {0, 1} padded with 1s to
-    ``points`` values (which moves no first least value).  A driver is
-    evaluated in one compiled call over every layer, when first read.
+    ``groups`` maps a key to (names, swept), or to None for no group.  A group
+    is one layer per swept variable: the variable runs along its axis over the
+    columns, and each variable of ``names`` takes its column of
+    ``grid.base_sample(names)`` down the rows.  All layers stack into one env.
+    The base samples read one draw, each distinct bound has one axis, and h's
+    is {0, 1} padded with 1s (which moves no first least value).  A driver is
+    evaluated in one compiled call over every layer, when a check first reads it.
     """
 
     def __init__(self, grid: GridSpec, groups: Mapping[str, tuple[Sequence[str], Sequence[str]] | None]):
