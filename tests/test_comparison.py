@@ -575,14 +575,16 @@ def test_check_hypotheses_equals_the_per_env_loops_on_branches_the_generator_nev
     assert repr(report) == repr(_ref_report(case))  # witnesses and the sign of a zero included
 
 
-@pytest.mark.parametrize("text1, text2, grid", [
-    ("exp(1000*ey) + exp(1000*u)", "exp(1000*ey)", "monotonicity"),  # every check is non-finite
-    ("1/0 + ey", "exp(1000*ey)", "monotonicity"),  # g1's constant division by zero comes later
-    ("0.1*y + exp(1000*u)", "0.1*y", "theta"),  # so is the dominance grid
-    ("0.1*y + exp(1000*w)", "0.1*y", "dominance"),
+@pytest.mark.parametrize("text1, text2, lam, grid", [
+    ("exp(1000*ey) + exp(1000*u)", "exp(1000*ey)", 0.3, "monotonicity"),  # every check is non-finite
+    ("1/0 + ey", "exp(1000*ey)", 0.3, "monotonicity"),  # g1's constant division by zero comes later
+    ("0.1*y + exp(1000*u)", "0.1*y", 0.3, "theta"),  # so is the dominance grid
+    ("0.1*y + exp(1000*w)", "0.1*y", 0.3, "dominance"),
+    # non-finite only at sampled times t < 0.36, where the intensity vanishes: theta skips those rows
+    ("0.1*y + u*exp(5000*(0.5 - t))", "0.1*y", [0.0, 0.0, 0.3, 0.3, 0.3], "dominance"),
 ])
-def test_a_non_finite_driver_raises_the_first_failing_checks_error(text1, text2, grid):
-    case = _driver_pair(text1, text2)
+def test_a_non_finite_driver_raises_the_first_failing_checks_error(text1, text2, lam, grid):
+    case = _driver_pair(text1, text2, lam)
     want = (DriverEvalError, f"non-finite driver value on the {grid} grid")
     assert outcome(comparison.check_hypotheses, case) == outcome(_ref_report, case) == want
 
