@@ -23,7 +23,7 @@ _EXPORTS = {
     "errors": ("DriverEvalError", "DriverParseError", "EnumerationError", "HypothesisError",
                "LatticeError", "MonotonicityError", "PicardConvergenceError", "RabsdeError",
                "ScenarioError", "SolverError"),
-    "lattice": ("ALIVE", "DefaultLattice", "IntensitySpec", "NodeId", "ProcessField", "build_lattice"),
+    "lattice": ("ALIVE", "DefaultLattice", "IntensitySpec", "NodeId", "ProcessField"),
     "solver": ("PicardOptions", "Scenario", "Scheme", "Solution", "ValidationReport", "beta_norm",
                "estimate_c_prime", "obstacle_field", "solve_backward", "solve_picard",
                "terminal_values", "validate_solution"),

@@ -32,7 +32,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,7 +260,7 @@ def _gate(scenarios: list[Scenario], *, full_size: bool = False) -> list[_Proble
                                          "use the implicit scheme or more steps"))
         issues += [(source + pointer, message) for pointer, message in found]
         if not issues:
-            problems.append(replace(problem, c_prime=cp))
+            problems.append(problem._replace(c_prime=cp))
     if issues:
         raise ScenarioError(issues)
     return problems
@@ -448,11 +449,10 @@ def emit_report(report: RunReport, fmt: str, path: str | None = None) -> None:
 # -- workflows -------------------------------------------------------------------
 
 
-@dataclass
-class RunFlags:
-    workflows: set[str] = field(default_factory=set)  # of "oracle", "picard", "stopping", "compare"
+class RunFlags(NamedTuple):
+    workflows: set[str] | frozenset[str] = frozenset()  # of "oracle", "picard", "stopping", "compare"
     tol: float = CHECK_TOL
-    picard: PicardOptions = field(default_factory=PicardOptions)
+    picard: PicardOptions = PicardOptions()
     problem2: _Problem | None = None  # the dominated scenario of compare, prepared
     iterate_n: int = 0
 
@@ -804,19 +804,16 @@ def main(argv=None) -> int:
         load_s = time.perf_counter() - t0
         # Picard's options from the flags this subcommand has, the rest at their defaults
         picard = {name: getattr(args, name, None) for name in ("tol", "rho", "beta", "max_iter")}
-        flags = RunFlags(problem2=problem2,
-                         workflows=_workflows(args.command, file_outputs),
+        # the flags only their own subcommands take: --oracle crr adds its workflow
+        oracle = {"oracle"} if getattr(args, "oracle", None) == "crr" else set()
+        flags = RunFlags(problem2=problem2, iterate_n=getattr(args, "iterates", 0),
+                         workflows=_workflows(args.command, file_outputs) | oracle,
+                         tol=CHECK_TOL if args.tol is None else args.tol,
                          picard=PicardOptions(**{k: v for k, v in picard.items() if v is not None}))
-        if args.tol is not None:
-            flags.tol = args.tol
         flag = "--beta" if picard["beta"] is not None else "--rho" if picard["rho"] is not None else None
         overflow = flag and _beta_overflow(problem.lattice, _picard_beta(problem, flags.picard))
         if overflow:  # the flag, not the scenario, is at fault
             return _fail(2, f"error: argument {flag}: {overflow}")
-        if args.command == "solve" and args.oracle == "crr":
-            flags.workflows.add("oracle")
-        elif args.command == "compare":
-            flags.iterate_n = args.iterates
         report = run(problem, flags)
         report.timings["load"] = load_s
         if args.timing and args.format == "json":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .solver import CHECK_TOL, Scenario, Scheme, Solution, _lattice_for, _max, _
 
 COMPARISON_DRIVER_VARS = frozenset({"t", "w", "h", "y", "z", "ey", "u"})
 
+# the round-off a grid hypothesis forgives: a difference, gap or ratio this far past its bound passes
+_GRID_SLACK = 1e-12
+
 # iterate_sequence stops once successive iterates agree within this sup distance
 _ITERATES_AGREE = 1e-13
 
@@ -33,16 +37,14 @@ _ITERATES_AGREE = 1e-13
 _BATCH_NODES = 1 << 16
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(NamedTuple):
     """Grid outcome for nondecreasingness in the anticipated slot."""
 
     passed: bool
     witness: tuple[dict, float, float, float, float] | None  # env, ey, ey', g, g'
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(NamedTuple):
     """Grid outcome for the intensity-weighted one-sided slope condition."""
 
     passed: bool
@@ -50,8 +52,7 @@ class ThetaReport:
     witness: tuple[dict, float, float, float] | None  # env, u, u', ratio
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     passed: bool
     min_gap: float
     witness: dict | None
@@ -78,7 +79,7 @@ def check_monotone_in_anticipation(g: DriverExpr, grid: GridSpec | GridSweep) ->
     (vals,) = sweep.values(g, group)
     finite = np.isfinite(vals).all(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf
-        bad = vals[:, 1:] - vals[:, :-1] < -1e-12
+        bad = vals[:, 1:] - vals[:, :-1] < -_GRID_SLACK
     events = bad | ~finite[:, None]
     r, i = divmod(int(events.argmax()), events.shape[1])
     if not events[r, i]:
@@ -111,7 +112,7 @@ def check_theta_condition(g: DriverExpr, lam_profile, grid: GridSpec | GridSweep
     ratios = (vals[:, 1:] - vals[:, :-1]) / (lam[kept, None] * (axis[1:] - axis[:-1]))
     r, i = divmod(int(ratios.argmin()), ratios.shape[1])
     theta = float(ratios[r, i])
-    passed = theta >= -1.0 - 1e-12
+    passed = theta >= -1.0 - _GRID_SLACK
     return ThetaReport(
         passed=passed,
         theta=theta,
@@ -131,7 +132,7 @@ def check_dominance(g1: DriverExpr, g2: DriverExpr, grid: GridSpec | GridSweep) 
         raise DriverEvalError("non-finite driver value on the dominance grid")
     v, r, i = np.unravel_index(gap.argmin(), gap.shape)
     min_gap = float(gap[v, r, i])
-    passed = min_gap >= -1e-12
+    passed = min_gap >= -_GRID_SLACK
     witness = None if passed else {**group.row(r), group.swept[v]: float(group.axes[v, i])}
     return DominanceReport(passed=passed, min_gap=min_gap, witness=witness)
 
@@ -172,8 +173,7 @@ def _check_pair(s1: Scenario, s2: Scenario) -> None:
             )
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcomes of the five comparison hypotheses (grid-verified)."""
 
     monotone: MonotoneReport
@@ -189,8 +189,8 @@ class HypothesisReport:
     def failed_names(self) -> list[str]:
         """The hypotheses that fail, a NaN gap included."""
         checks = (("monotone_in_anticipation", self.monotone.passed),
-                  ("terminal_ordering", self.terminal_gap >= -1e-12),
-                  ("obstacle_ordering", self.obstacle_gap >= -1e-12),
+                  ("terminal_ordering", self.terminal_gap >= -_GRID_SLACK),
+                  ("obstacle_ordering", self.obstacle_gap >= -_GRID_SLACK),
                   ("theta_condition", self.theta.passed),
                   ("driver_dominance", self.dominance.passed))
         return [name for name, passed in checks if not passed]
@@ -259,8 +259,7 @@ def _given_solution(case: ComparisonCase, solution: Solution, problem2: _Problem
     return case
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     hypotheses: HypothesisReport
     min_gap: float  # min over all nodes and steps of Y1 - Y2
     y0_gap: float
@@ -289,8 +288,7 @@ def run_comparison(case: ComparisonCase, *, tol: float = CHECK_TOL) -> Compariso
     )
 
 
-@dataclass(frozen=True)
-class IterateTrace:
+class IterateTrace(NamedTuple):
     """Monotone bridge from the dominating solution down to the dominated one.
 
     Iterate i solves the dominated scenario with its anticipated slot frozen
@@ -494,8 +492,7 @@ def random_comparison_case(
     raise HypothesisError(f"no admissible case found in {max_tries} tries")
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     cases: int
     min_gap: float
     failures: int

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -334,8 +334,7 @@ class DriverForm(str, Enum):
     M = "M"  # integral against dM; the text already is the transformed driver
 
 
-@dataclass(frozen=True)
-class TransformedDriver:
+class TransformedDriver(NamedTuple):
     """A driver expression tagged with the form its jump term is written in."""
 
     base: DriverExpr
@@ -469,8 +468,7 @@ def _lambda_at(lam_profile, ts: np.ndarray) -> np.ndarray:
     return np.full(ts.shape, float(lam_profile))
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
+class LipschitzEstimate(NamedTuple):
     """Grid-sampled per-slot Lipschitz constants (lower bounds of the truth).
 
     The u slot is reported in the intensity-weighted form, i.e. the raw
@@ -483,12 +481,9 @@ class LipschitzEstimate:
     c_ez: float
     c_u: float
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.c_y, self.c_z, self.c_ey, self.c_ez, self.c_u)
-
     @property
     def overall(self) -> float:
-        return max(self.as_tuple())
+        return max(self)
 
 
 def estimate_lipschitz(
@@ -519,4 +514,4 @@ def check_M_form_lipschitz(estimate: LipschitzEstimate, lambda_max: float) -> Li
     """Lipschitz bound for the dM-form driver derived from the dH-form one: the
     jump-term rewrite adds at most one unit to the intensity-weighted u slot,
     the other slots carry over unchanged."""
-    return replace(estimate, c_u=estimate.c_u + (1.0 if lambda_max > 0.0 else 0.0))
+    return estimate._replace(c_u=estimate.c_u + (1.0 if lambda_max > 0.0 else 0.0))

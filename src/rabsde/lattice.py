@@ -23,10 +23,11 @@ nodes keep their labels: a label maps onto the block that stores it, and
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,9 +65,13 @@ class IntensitySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not math.isfinite(self.lambda_max):
+            raise LatticeError(f"lambda_max must be finite, got {self.lambda_max}")
         if self.lambda_max < 0:
             raise LatticeError(f"lambda_max must be >= 0, got {self.lambda_max}")
         for i, v in enumerate(self.values):
+            if math.isnan(v):  # an inf exceeds the finite lambda_max below
+                raise LatticeError(f"intensity value at step {i} is not a number: {v}")
             if v < 0:
                 raise LatticeError(f"intensity value at step {i} is negative: {v}")
             if v > self.lambda_max:
@@ -85,8 +90,7 @@ class IntensitySpec:
         return self.values[k] if self.values else 0.0
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
     """Lattice coordinates: time step, number of up-moves, default step (or ALIVE)."""
 
     step: int
@@ -118,8 +122,8 @@ class DefaultLattice:
 
     def __init__(self, horizon: float, n_steps: int, intensity: IntensitySpec,
                  *, quotient: bool = False):
-        if horizon <= 0:
-            raise LatticeError(f"horizon must be positive, got {horizon}")
+        if not 0 < horizon < math.inf:
+            raise LatticeError(f"horizon must be positive and finite, got {horizon}")
         if n_steps <= 0:
             raise LatticeError(f"n_steps must be a positive integer, got {n_steps}")
         if len(intensity.values) != n_steps:
@@ -462,8 +466,7 @@ class DefaultLattice:
                 yield LatticePath(indices=tuple(idx), dw=dw, dh=dh, probability=prob)
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     """A single root-to-horizon trajectory: node indices per step plus increments."""
 
     indices: tuple[int, ...]
@@ -496,11 +499,6 @@ class ProcessField:
         if not 0 <= k <= self.lattice.n_steps:
             raise LatticeError(f"field does not cover step {k}")
         return self.values[k]
-
-
-def build_lattice(horizon: float, n_steps: int, intensity: IntensitySpec) -> DefaultLattice:
-    """Construct the full filtered lattice; rejects p_k >= 1 and negative intensities."""
-    return DefaultLattice(horizon, n_steps, intensity)
 
 
 def oversize_message(

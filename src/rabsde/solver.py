@@ -27,9 +27,9 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ class Scenario:
             raise SolverError(f"delta_steps must be a non-negative integer, got {self.delta_steps}")
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Node-indexed solution processes plus the realized driver values.
 
     ``dk`` holds the per-node reflection increments; cumulative K along a
@@ -137,10 +136,10 @@ class Solution:
                 lifted.values[k][...] = lat.lift(k, a)
             return lifted
 
-        problem = replace(self.problem, lattice=full, obstacle=lift(self.problem.obstacle),
-                          xi=lat.lift(lat.n_steps, self.problem.xi))
-        return replace(self, problem=problem, y=lift(self.y), z=lift(self.z), u=lift(self.u),
-                       psi=lift(self.psi), dk=lift(self.dk), driver_values=lift(self.driver_values))
+        problem = self.problem._replace(lattice=full, obstacle=lift(self.problem.obstacle),
+                                        xi=lat.lift(lat.n_steps, self.problem.xi))
+        return self._replace(problem=problem, y=lift(self.y), z=lift(self.z), u=lift(self.u),
+                             psi=lift(self.psi), dk=lift(self.dk), driver_values=lift(self.driver_values))
 
     def per_step_expected_dk(self) -> tuple[float, ...]:
         lat = self.lattice
@@ -178,8 +177,7 @@ class Solution:
         return best
 
 
-@dataclass(frozen=True)
-class _Problem:
+class _Problem(NamedTuple):
     scenario: Scenario
     lattice: DefaultLattice
     driver_fn: Callable
@@ -458,8 +456,7 @@ class PicardOptions:
             raise SolverError("tol must be positive")
 
 
-@dataclass(frozen=True)
-class _Triple:
+class _Triple(NamedTuple):
     y: ProcessField
     z: ProcessField
     u: ProcessField
@@ -580,8 +577,7 @@ def _picard(prob: _Problem, opts: PicardOptions | None) -> tuple[Solution, list[
 # -- solution validation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Per-condition max violations for the four solution requirements."""
 
     driver_square_sum: float

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,8 +212,7 @@ def tau_characterizations(
     return y_rule, k_rule, solution.solves(scenario) and y_rule.same_rule(k_rule)
 
 
-@dataclass(frozen=True)
-class StoppingReport:
+class StoppingReport(NamedTuple):
     """Snell-value cross-check at the root."""
 
     snell_value: float
@@ -245,8 +245,7 @@ def snell_report(solution: Solution, scenario: Scenario) -> StoppingReport:
     )
 
 
-@dataclass(frozen=True)
-class KRunningMaxReport:
+class KRunningMaxReport(NamedTuple):
     """Pathwise gap between K increments and the running-max expression."""
 
     max_gap: float

@@ -13,7 +13,7 @@ import numpy as np
 
 from bracket_oracle import bracket_checks
 from conftest import make_scenario, random_scenario
-from rabsde import IntensitySpec, build_lattice
+from rabsde import DefaultLattice, IntensitySpec
 from rabsde.comparison import iterate_sequence, random_comparison_case, run_random_suite
 from rabsde.crr import american_put_scenario, crr_american_put
 from rabsde.solver import (
@@ -36,7 +36,7 @@ def test_criterion_01_martingale_structure():
     worst = 0.0
     for n in (4, 9, 16):
         for lam in (0.0, 0.3, 0.9):
-            lat = build_lattice(1.0, n, IntensitySpec.constant(lam, n))
+            lat = DefaultLattice(1.0, n, IntensitySpec.constant(lam, n))
             worst = max(worst, bracket_checks(lat).max_violation)
     elapsed = time.perf_counter() - t0
     _report(

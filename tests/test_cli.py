@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario, random_scenario
-from rabsde import IntensitySpec, build_lattice, cli, comparison, solver
+from rabsde import DefaultLattice, IntensitySpec, cli, comparison, solver
 from rabsde.cli import (
     RunFlags,
     RunReport,
@@ -525,7 +525,7 @@ def _with_nan_rows(sol):
     y = [arr.copy() for arr in sol.y.values]
     assert sol.lattice.n_nodes(2) == 9
     y[2][[0, 3, 6]] = np.nan
-    return dataclasses.replace(sol, y=ProcessField(sol.lattice, np.concatenate(y)))
+    return sol._replace(y=ProcessField(sol.lattice, np.concatenate(y)))
 
 
 def _csv_cases():
@@ -639,7 +639,7 @@ def test_csv_is_written_one_step_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["solve", "--scenario", path, "--format", "csv"]) == 0
     sc = load_scenario_with_outputs(path)[0].scenario
-    lat = build_lattice(sc.horizon, sc.n_steps, sc.intensity)  # one row per labelled node
+    lat = DefaultLattice(sc.horizon, sc.n_steps, sc.intensity)  # one row per labelled node
     header, *steps = sink.writes
     assert header == "step,up_count,default_step,Y,Z,U,dK,psi,S\n"
     assert len(steps) == lat.n_steps + 1

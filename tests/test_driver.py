@@ -231,9 +231,9 @@ def test_compiled_matches_scalar_eval():
 def test_lipschitz_linear_coefficients_exact():
     grid = GridSpec(points=5, n_base=8, seed=1)
     est = estimate_lipschitz(parse_driver("3*y"), grid, 0.5)
-    assert est.as_tuple() == (3.0, 0.0, 0.0, 0.0, 0.0)
+    assert tuple(est) == (3.0, 0.0, 0.0, 0.0, 0.0)
     est = estimate_lipschitz(parse_driver("2*y - 1.5*z + 0.25*ey + 4*ez"), grid, 0.5)
-    assert est.as_tuple() == pytest.approx((2.0, 1.5, 0.25, 4.0, 0.0), abs=1e-12)
+    assert tuple(est) == pytest.approx((2.0, 1.5, 0.25, 4.0, 0.0), abs=1e-12)
 
 
 def test_lipschitz_u_slot_is_intensity_weighted():
@@ -258,7 +258,7 @@ def test_m_form_lipschitz_covers_u_with_one():
     grid = GridSpec(points=5, n_base=4, seed=0)
     est = estimate_lipschitz(parse_driver("0"), grid, 0.5)
     out = check_M_form_lipschitz(est, lambda_max=0.5)
-    assert out.as_tuple() == (0.0, 0.0, 0.0, 0.0, 1.0)
+    assert tuple(out) == (0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_m_form_lipschitz_adds_one_to_u():
@@ -276,7 +276,7 @@ def test_m_form_lipschitz_zero_intensity_unchanged():
     grid = GridSpec(points=5, n_base=8, seed=1)
     est = estimate_lipschitz(parse_driver("3*y + z"), grid, 0.0)
     out = check_M_form_lipschitz(est, lambda_max=0.0)
-    assert out.as_tuple() == est.as_tuple()
+    assert tuple(out) == tuple(est)
 
 
 def test_default_box_is_for_horizon_one():
@@ -321,7 +321,7 @@ def _ref_lipschitz(expr, grid, lam_profile):
 def test_lipschitz_matches_per_env_loop(text, lam, grid):
     expr = parse_driver(text)
     for e in (expr, parse_driver(f"({text}) * u")):
-        got = outcome(lambda: estimate_lipschitz(e, grid, lam).as_tuple())
+        got = outcome(lambda: tuple(estimate_lipschitz(e, grid, lam)))
         assert got == outcome(_ref_lipschitz, e, grid, lam)
 
 
@@ -358,7 +358,7 @@ def _per_slot_lipschitz(expr, grid, lam_profile):
 def test_stacked_lipschitz_equals_the_per_slot_loop(text, lam, grid):
     # repr tells -0.0 from 0.0 and names NaN, so equal reprs are equal bytes
     for e in (parse_driver(text), parse_driver(f"({text}) * u"), parse_driver(f"({text}) + y*z - ez")):
-        got = outcome(lambda: estimate_lipschitz(e, grid, lam).as_tuple())
+        got = outcome(lambda: tuple(estimate_lipschitz(e, grid, lam)))
         assert repr(got) == repr(outcome(_per_slot_lipschitz, e, grid, lam))
 
 

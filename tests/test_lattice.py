@@ -17,11 +17,11 @@ from bracket_oracle import bracket_checks, martingale_M
 from conftest import make_scenario, step_intensities
 from rabsde import (
     ALIVE,
+    DefaultLattice,
     IntensitySpec,
     LatticeError,
     NodeId,
     ProcessField,
-    build_lattice,
 )
 from rabsde import lattice as lattice_module
 from rabsde.comparison import run_random_suite
@@ -31,7 +31,7 @@ from rabsde.solver import _lattice_for
 
 
 def test_zero_intensity_degenerates_to_binomial():
-    lat = build_lattice(1.0, 1, IntensitySpec.constant(0.0, 1))
+    lat = DefaultLattice(1.0, 1, IntensitySpec.constant(0.0, 1))
     nodes = [lat.node_at(1, i) for i in range(lat.n_nodes(1))]
     assert nodes == [NodeId(1, 0, ALIVE), NodeId(1, 1, ALIVE)]
     children = lat.children(lat.root())
@@ -41,7 +41,7 @@ def test_zero_intensity_degenerates_to_binomial():
 
 
 def test_four_child_kernel_and_node_count():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     assert np.allclose(lat.p, 0.25)
     # enumerate the kernel from the root and check the (k+1)^2 count
     seen = set()
@@ -59,7 +59,7 @@ def test_four_child_kernel_and_node_count():
 
 
 def test_transition_probabilities():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     kids = lat.children(lat.root())
     probs = sorted(prob for _, prob, _, _ in kids)
     assert probs == [0.125, 0.125, 0.375, 0.375]
@@ -72,7 +72,7 @@ def test_transition_probabilities():
 
 def test_rejects_intensity_too_large_for_step():
     with pytest.raises(LatticeError):
-        build_lattice(1.0, 4, IntensitySpec.constant(5.0, 4))
+        DefaultLattice(1.0, 4, IntensitySpec.constant(5.0, 4))
 
 
 def test_rejects_negative_intensity():
@@ -85,14 +85,42 @@ def test_rejects_value_above_lambda_max():
         IntensitySpec(values=(0.6,), lambda_max=0.5)
 
 
+def test_negative_and_over_lambda_max_messages_name_the_value():
+    with pytest.raises(LatticeError, match=r"^intensity value at step 1 is negative: -0.2$"):
+        IntensitySpec(values=(0.1, -0.2), lambda_max=0.5)
+    with pytest.raises(LatticeError, match=r"^intensity value at step 0 exceeds lambda_max: 0.6 > 0.5$"):
+        IntensitySpec(values=(0.6,), lambda_max=0.5)
+    with pytest.raises(LatticeError, match=r"^lambda_max must be >= 0, got -0.1$"):
+        IntensitySpec(values=(0.0,), lambda_max=-0.1)
+
+
+@pytest.mark.parametrize("values, lambda_max, message", [
+    # a comparison with NaN is false, so NaN would pass both the sign and the lambda_max check
+    ((0.3, math.nan, 0.3, 0.3), 0.3, r"^intensity value at step 1 is not a number: nan$"),
+    ((0.3, 0.3), math.nan, r"^lambda_max must be finite, got nan$"),
+    ((0.3, 0.3), math.inf, r"^lambda_max must be finite, got inf$"),
+    ((0.3, math.inf), 0.3, r"^intensity value at step 1 exceeds lambda_max: inf > 0.3$"),
+    ((-math.inf,), 0.3, r"^intensity value at step 0 is negative: -inf$"),
+])
+def test_rejects_a_non_finite_intensity_naming_it(values, lambda_max, message):
+    with pytest.raises(LatticeError, match=message):
+        IntensitySpec(values=values, lambda_max=lambda_max)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_rejects_a_non_finite_or_non_positive_horizon_naming_it(horizon):
+    with pytest.raises(LatticeError, match=rf"^horizon must be positive and finite, got {horizon}$"):
+        DefaultLattice(horizon, 4, IntensitySpec.constant(0.0, 4))
+
+
 def test_node_count_formula_all_positive():
-    lat = build_lattice(1.0, 6, IntensitySpec.constant(0.3, 6))
+    lat = DefaultLattice(1.0, 6, IntensitySpec.constant(0.3, 6))
     for k in range(7):
         assert lat.n_nodes(k) == (k + 1) ** 2
 
 
 def test_node_count_with_mixed_intensity():
-    lat = build_lattice(1.0, 2, IntensitySpec(values=(0.5, 0.0), lambda_max=0.5))
+    lat = DefaultLattice(1.0, 2, IntensitySpec(values=(0.5, 0.0), lambda_max=0.5))
     # default can only happen at step 1
     assert lat.default_steps(2) == (1,)
     assert lat.n_nodes(2) == 6
@@ -104,12 +132,12 @@ def _cond_expect(lat, values, k_field, at):
 
 
 def test_cond_expect_zero_field():
-    lat = build_lattice(1.0, 3, IntensitySpec.constant(0.4, 3))
+    lat = DefaultLattice(1.0, 3, IntensitySpec.constant(0.4, 3))
     assert _cond_expect(lat, np.zeros(lat.n_nodes(3)), 3, lat.root()) == 0.0
 
 
 def test_cond_expect_martingale_w():
-    lat = build_lattice(1.0, 3, IntensitySpec.constant(0.4, 3))
+    lat = DefaultLattice(1.0, 3, IntensitySpec.constant(0.4, 3))
     for i in range(lat.n_nodes(1)):
         node = lat.node_at(1, i)
         w = lat.w_values(1)[i]
@@ -118,37 +146,37 @@ def test_cond_expect_martingale_w():
 
 def test_cond_expect_default_probability():
     # two-step default indicator from the alive root: 1 - (1 - p)^2
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     assert _cond_expect(lat, lat.h_values(2), 2, lat.root()) == pytest.approx(0.4375, abs=1e-15)
 
 
 def test_cond_expect_zero_distance_returns_value():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     vals = np.arange(lat.n_nodes(1), dtype=float)
     assert _cond_expect(lat, vals, 1, NodeId(1, 1, ALIVE)) == 1.0
 
 
 def test_cond_expect_rejects_later_node():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError):
         _cond_expect(lat, np.zeros(1), 0, NodeId(1, 0, ALIVE))
 
 
 def test_cond_expect_rejects_foreign_node():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError):
         _cond_expect(lat, np.zeros(9), 2, NodeId(1, 5, ALIVE))
 
 
 def test_martingale_m_zero_intensity():
-    lat = build_lattice(1.0, 3, IntensitySpec.constant(0.0, 3))
+    lat = DefaultLattice(1.0, 3, IntensitySpec.constant(0.0, 3))
     m = martingale_M(lat)
     for k in range(4):
         assert np.all(m.step(k) == 0.0)
 
 
 def test_martingale_m_values():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     m = martingale_M(lat)
     assert m.step(1)[lat.index(NodeId(1, 0, ALIVE))] == pytest.approx(-0.25, abs=0)
     # compensator frozen at the default step
@@ -156,7 +184,7 @@ def test_martingale_m_values():
 
 
 def test_martingale_m_one_step_expectation():
-    lat = build_lattice(1.0, 4, IntensitySpec.constant(0.7, 4))
+    lat = DefaultLattice(1.0, 4, IntensitySpec.constant(0.7, 4))
     m = martingale_M(lat)
     for k in range(4):
         em = lat.step_expectation(k, m.step(k + 1))
@@ -164,17 +192,17 @@ def test_martingale_m_one_step_expectation():
 
 
 def test_bracket_checks_zero_intensity_exact():
-    report = bracket_checks(build_lattice(1.0, 4, IntensitySpec.constant(0.0, 4)))
+    report = bracket_checks(DefaultLattice(1.0, 4, IntensitySpec.constant(0.0, 4)))
     assert report.max_violation == 0.0
 
 
 def test_bracket_checks_small_violations():
-    report = bracket_checks(build_lattice(1.0, 4, IntensitySpec.constant(0.5, 4)))
+    report = bracket_checks(DefaultLattice(1.0, 4, IntensitySpec.constant(0.5, 4)))
     assert report.max_violation <= 1e-12
 
 
 def test_bracket_jump_matches_default_step():
-    lat = build_lattice(1.0, 3, IntensitySpec.constant(0.5, 3))
+    lat = DefaultLattice(1.0, 3, IntensitySpec.constant(0.5, 3))
     # along a path defaulting at step 2, H jumps by exactly one at that step
     h = [lat.h_values(k) for k in range(4)]
     path_nodes = [lat.root(), NodeId(1, 1, ALIVE), NodeId(2, 1, 2), NodeId(3, 2, 2)]
@@ -186,7 +214,7 @@ def test_bracket_jump_matches_default_step():
 
 
 def test_kernel_moments_by_direct_summation():
-    lat = build_lattice(2.0, 4, IntensitySpec.constant(0.6, 4))
+    lat = DefaultLattice(2.0, 4, IntensitySpec.constant(0.6, 4))
     for k in range(4):
         p = lat.p[k]
         for i in range(lat.n_nodes(k)):
@@ -212,13 +240,13 @@ def test_kernel_moments_by_direct_summation():
 
 
 def test_node_probabilities_sum_to_one():
-    lat = build_lattice(1.0, 8, IntensitySpec.constant(0.4, 8))
+    lat = DefaultLattice(1.0, 8, IntensitySpec.constant(0.4, 8))
     for k in range(9):
         assert np.sum(lat.node_probabilities(k)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_path_enumeration_consistent_with_probabilities():
-    lat = build_lattice(1.0, 4, IntensitySpec.constant(0.5, 4))
+    lat = DefaultLattice(1.0, 4, IntensitySpec.constant(0.5, 4))
     total = 0.0
     count = 0
     terminal = np.zeros(lat.n_nodes(4))
@@ -236,7 +264,7 @@ def _field_pair(draw):
     seed = draw(st.integers(0, 2**31 - 1))
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(seed)
-    lat = build_lattice(1.0, 4, IntensitySpec.constant(0.5, 4))
+    lat = DefaultLattice(1.0, 4, IntensitySpec.constant(0.5, 4))
     k_field = draw(st.integers(m, 4))
     size = lat.n_nodes(k_field)
     return lat, k_field, m, rng.normal(size=size), rng.normal(size=size)
@@ -292,7 +320,7 @@ def test_node_data_arrays_are_read_only_and_built_once(monkeypatch, quotient):
 
 
 def test_process_field_accessors():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     field = ProcessField(lat, np.concatenate([lat.w_values(k) for k in range(3)]))
     assert field.step(1)[lat.index(NodeId(1, 1, ALIVE))] == pytest.approx(lat.sqrt_dt)
     assert field.step(2) is field.values[2]
@@ -304,7 +332,7 @@ def test_process_field_accessors():
 
 
 def test_process_field_shape_mismatch():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError, match=r"^field has shape \(13,\), lattice has 14 nodes$"):
         ProcessField(lat, np.zeros(13))
     with pytest.raises(LatticeError, match=r"^field has shape \(2, 7\), lattice has 14 nodes$"):
@@ -317,7 +345,7 @@ def test_process_field_shape_mismatch():
 def _push_case(draw):
     n = draw(st.integers(1, 6))
     lam = draw(st.lists(st.sampled_from([0.0, 0.3, 0.9]), min_size=n, max_size=n))
-    lat = build_lattice(1.0, n, IntensitySpec(values=tuple(lam), lambda_max=0.9))
+    lat = DefaultLattice(1.0, n, IntensitySpec(values=tuple(lam), lambda_max=0.9))
     k = draw(st.integers(0, n - 1))
     values = draw(
         st.lists(
@@ -342,7 +370,7 @@ def test_push_matches_per_edge_accumulation(case):
 
 
 def test_push_rejects_a_wrong_shape():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError):
         lat.push(1, np.ones(3))
     with pytest.raises(LatticeError):
@@ -484,7 +512,7 @@ def test_a_stack_is_projected_and_anticipated_as_its_rows_are(quotient, lam):
 
 
 def test_only_the_projection_and_the_anticipation_take_a_stack():
-    lat = build_lattice(1.0, 2, IntensitySpec.constant(0.5, 2))
+    lat = DefaultLattice(1.0, 2, IntensitySpec.constant(0.5, 2))
     with pytest.raises(LatticeError):
         lat.push(1, np.ones((2, 4)))
     with pytest.raises(LatticeError):
@@ -558,12 +586,10 @@ def test_size_and_node_data_are_checked_only_by_the_gate_and_the_suite_guard():
 
 def test_only_the_lattice_rule_picks_a_lattice():
     # _lattice_for decides every run's lattice; labelled() builds the full
-    # lattice a quotient's labels name, and build_lattice is the public
-    # constructor of a full lattice
-    names = {"DefaultLattice", "build_lattice"}
-    _assert_call_sites(names, ast.Name, {("solver.py", "_lattice_for"), ("lattice.py", "build_lattice"),
-                                         ("lattice.py", "DefaultLattice.labelled")})
-    _assert_call_sites(names, ast.Attribute, set())
+    # lattice a quotient's labels name
+    _assert_call_sites({"DefaultLattice"}, ast.Name, {("solver.py", "_lattice_for"),
+                                                      ("lattice.py", "DefaultLattice.labelled")})
+    _assert_call_sites({"DefaultLattice"}, ast.Attribute, set())
 
 
 def test_one_backward_sweep_evaluates_the_driver():
@@ -668,7 +694,7 @@ def test_a_suite_builds_lattices_only_for_its_first_case(monkeypatch):
 
 def test_oversize_message_counts_nodes_exactly(monkeypatch):
     spec = IntensitySpec(values=(0.3, 0.0, 0.5, 0.0, 0.2), lambda_max=0.5)
-    lat = build_lattice(1.0, 5, spec)
+    lat = DefaultLattice(1.0, 5, spec)
     nodes = sum(lat.n_nodes(k) for k in range(6))
     assert oversize_message(1.0, 5, spec) is None
     monkeypatch.setattr(lattice_module.os, "sysconf", lambda name: 1)  # a 1-byte machine

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, random_scenario, step_intensities
-from rabsde import IntensitySpec, build_lattice
+from rabsde import IntensitySpec
 from rabsde import stopping as stp
 from rabsde.errors import LatticeError, PicardConvergenceError
 from rabsde.lattice import ALIVE, DefaultLattice, NodeId
@@ -38,7 +38,7 @@ def _blocks_match(quotient, full) -> None:
 
 def _both(sc):
     """The scenario prepared on its own lattice (the quotient) and on the full one."""
-    return _prepare(sc), _prepare(sc, build_lattice(sc.horizon, sc.n_steps, sc.intensity))
+    return _prepare(sc), _prepare(sc, DefaultLattice(sc.horizon, sc.n_steps, sc.intensity))
 
 
 @st.composite
@@ -82,7 +82,7 @@ def test_a_terminal_that_reads_tau_gets_the_full_lattice():
     assert not solve_backward(tau).lattice.quotient
     assert _prepare(make_scenario(n_steps=4, terminal="w + h")).lattice.quotient
     plain = make_scenario(n_steps=4, terminal="w")
-    assert not _prepare(plain, build_lattice(1.0, 4, plain.intensity)).lattice.quotient
+    assert not _prepare(plain, DefaultLattice(1.0, 4, plain.intensity)).lattice.quotient
     with pytest.raises(LatticeError, match="reads tau"):
         _prepare(tau, DefaultLattice(1.0, 4, tau.intensity, quotient=True))
 
@@ -95,13 +95,13 @@ def test_storage_to_label_methods_raise_on_a_quotient(method):
     with pytest.raises(LatticeError, match=method):
         getattr(lat, method)(*args)
     full = lat.labelled()
-    assert not full.quotient and full.same_grid(build_lattice(1.0, 4, spec))
+    assert not full.quotient and full.same_grid(DefaultLattice(1.0, 4, spec))
     getattr(full, method)(*args)
 
 
 def test_labels_map_onto_the_shared_block():
     spec = IntensitySpec(values=(0.3, 0.0, 0.5, 0.2), lambda_max=0.5)
-    lat, full = DefaultLattice(1.0, 4, spec, quotient=True), build_lattice(1.0, 4, spec)
+    lat, full = DefaultLattice(1.0, 4, spec, quotient=True), DefaultLattice(1.0, 4, spec)
     assert not lat.same_grid(full) and lat.labelled().same_grid(full)
     assert lat.default_steps(4) == full.default_steps(4) == (1, 3, 4)
     assert [lat.n_nodes(k) for k in range(5)] == [1, 4, 6, 8, 10]

@@ -549,7 +549,7 @@ def test_an_affine_implicit_step_makes_three_driver_evaluations():
                 evaluations[name] += 1
                 return fn(env)
 
-            solve(dataclasses.replace(prob, driver_fn=counted))
+            solve(prob._replace(driver_fn=counted))
         steps += prob.scenario.n_steps
     assert (len(docs), steps) == (16, 16 * 96)
     assert evaluations["aitken"] == 3 * steps
@@ -690,7 +690,7 @@ def test_injected_non_finite_value_never_passes(field, bad, k, pos):
     sol = solve_backward(sc)
     arrays = [a.copy() for a in getattr(sol, field).values]
     arrays[k][pos % arrays[k].size] = bad
-    sol = dataclasses.replace(sol, **{field: ProcessField(sol.lattice, np.concatenate(arrays))})
+    sol = sol._replace(**{field: ProcessField(sol.lattice, np.concatenate(arrays))})
     report = validate_solution(sol, sc)
     assert not report.passes(1e-10)
     values = [report.driver_square_sum] + [v for _, v in report.checks()]
@@ -968,7 +968,7 @@ def _reference_validation(solution):
 def _same_report(a, b):
     """Field by field: the same float, sign of zero included, or both NaN."""
     return all((x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (math.isnan(x) and math.isnan(y))
-               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+               for x, y in zip(a, b))
 
 
 @st.composite
@@ -987,7 +987,7 @@ def _validation_cases(draw):
         arrays = [a.copy() for a in getattr(sol, field).values]
         k = draw(st.integers(0, n))
         arrays[k][draw(st.integers(0, arrays[k].size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        sol = dataclasses.replace(sol, **{field: ProcessField(lat, np.concatenate(arrays))})
+        sol = sol._replace(**{field: ProcessField(lat, np.concatenate(arrays))})
     return sol, draw(st.integers(1, 40))
 
 
@@ -1095,13 +1095,13 @@ def test_representation_residual_matches_per_edge_oracle(seed, field, pos):
     sc = random_scenario(rng, n_steps=int(rng.integers(2, 6)), scheme="implicit")
     lam = [0.0 if rng.random() < 0.3 else v for v in sc.intensity.values]
     sc = dataclasses.replace(sc, intensity=IntensitySpec(values=tuple(lam), lambda_max=max(lam)),
-                             driver=dataclasses.replace(sc.driver, base=parse_driver("0.1*y + 0.1*ey")))
+                             driver=sc.driver._replace(base=parse_driver("0.1*y + 0.1*ey")))
     sol = solve_backward(sc)
     if field is not None:
         arrays = [a.copy() for a in getattr(sol, field).values]
         k = pos % sc.n_steps + (field == "y")
         arrays[k][pos % arrays[k].size] = math.nan
-        sol = dataclasses.replace(sol, **{field: ProcessField(sol.lattice, np.concatenate(arrays))})
+        sol = sol._replace(**{field: ProcessField(sol.lattice, np.concatenate(arrays))})
     report = validate_solution(sol, sc)
     got, want = report.representation_residual, _residual_by_edges(sol)
     assert got == want or (math.isnan(got) and math.isnan(want))

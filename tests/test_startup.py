@@ -45,12 +45,28 @@ PUBLIC = {
     "errors": ("DriverEvalError", "DriverParseError", "EnumerationError", "HypothesisError",
                "LatticeError", "MonotonicityError", "PicardConvergenceError", "RabsdeError",
                "ScenarioError", "SolverError"),
-    "lattice": ("ALIVE", "DefaultLattice", "IntensitySpec", "NodeId", "ProcessField", "build_lattice"),
+    "lattice": ("ALIVE", "DefaultLattice", "IntensitySpec", "NodeId", "ProcessField"),
     "solver": ("PicardOptions", "Scenario", "Scheme", "Solution", "ValidationReport", "beta_norm",
                "estimate_c_prime", "obstacle_field", "solve_backward", "solve_picard",
                "terminal_values", "validate_solution"),
     "stopping": ("KRunningMaxReport", "StoppingReport", "StoppingRule", "brute_force_value",
                  "k_running_max_check", "snell_report", "stopping_payoff", "tau_characterizations"),
+}
+
+
+# every dataclass the package defines, and why it is not a NamedTuple: it checks
+# its fields in __post_init__, holds derived or memo state, or (RunReport) a
+# mutable default each instance owns; every other record is a NamedTuple,
+# which is several times cheaper to build at import
+DATACLASSES = {
+    ("rabsde.cli", "RunReport"),
+    ("rabsde.comparison", "ComparisonCase"),
+    *(("rabsde.driver", name) for name in ("BinOp", "Call", "DriverExpr", "GridSpec", "Neg", "Num", "Var")),
+    ("rabsde.lattice", "IntensitySpec"),
+    ("rabsde.lattice", "ProcessField"),
+    ("rabsde.solver", "PicardOptions"),
+    ("rabsde.solver", "Scenario"),
+    ("rabsde.stopping", "StoppingRule"),
 }
 
 
@@ -107,3 +123,16 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
         rabsde.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from rabsde import no_such_name", {})
+
+
+def test_a_fresh_process_that_imports_every_module_finds_only_the_allow_listed_dataclasses():
+    code = ("import dataclasses, gc, importlib, json, pkgutil, rabsde;"
+            " modules = [importlib.import_module('rabsde.' + m.name) for m in pkgutil.iter_modules(rabsde.__path__)];"
+            " print(json.dumps([sorted(m.__name__ for m in modules), [[c.__module__, c.__qualname__]"
+            " for c in gc.get_objects() if isinstance(c, type) and c.__module__.startswith('rabsde')"
+            " and dataclasses.is_dataclass(c)]]))")
+    proc = _fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    modules, found = json.loads(proc.stdout)
+    assert modules == sorted(["rabsde.cli", *(f"rabsde.{name}" for name in PUBLIC)])
+    assert sorted(map(tuple, found)) == sorted(DATACLASSES)
