@@ -597,10 +597,11 @@ def test_a_constant_division_by_zero_raises_where_its_driver_is_first_read():
 
 def _counting_compiled_calls(monkeypatch) -> Counter:
     """Patch DriverExpr.compiled to count, per expression, the calls of its closure."""
-    calls, compiled = Counter(), DriverExpr.compiled
+    calls, compiled, counted = Counter(), DriverExpr.compiled, []
 
     def counting(self):
         fn = compiled(self)
+        counted.append(self)  # self stays alive in `counted`, so ids stay unique
         return lambda env: calls.update([id(self)]) or fn(env)
 
     monkeypatch.setattr(DriverExpr, "compiled", counting)
